@@ -1,42 +1,25 @@
-"""Hot Monte Carlo kernels with two interchangeable backends.
+"""Hot Monte Carlo kernels, in numpy.
 
-The simulation experiments spend essentially all their time in three
-deterministic inner loops: checking whether any keyword's position row
-is covered by a trial's inserted positions, computing per-trial maximum
-buffer occupancy, and counting distinct occupied positions. Each exists
-as a numba @njit kernel and as a vectorized pure-numpy fallback.
-
-Backend selection: numba is used when importable unless the environment
-variable SBFSEARCH_PURE_NUMPY is set to a non-empty value. All random
-positions are drawn by the caller, so both backends return bit-identical
-results for the same inputs; `python -m sbfsearch.bench` compares their
-speed.
+The simulation experiments spend their kernel time in two deterministic
+inner loops: checking whether any keyword's position row is covered by
+a trial's inserted positions, and computing per-trial maximum buffer
+occupancy. All random positions are drawn by the caller.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = bool(os.environ.get("SBFSEARCH_PURE_NUMPY"))
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    numba = None
-    _HAVE_NUMBA = False
+# Kept for the benchmark's environment report, which records it.
+ACTIVE_BACKEND = "numpy"
 
 
-# --- pure numpy implementations ----------------------------------------------
-
-def _cover_hits_numpy(oe_positions: np.ndarray, layouts: np.ndarray, m: int) -> np.ndarray:
+def cover_hits(oe_positions: np.ndarray, layouts: np.ndarray, m: int) -> np.ndarray:
     """For each trial, 1 if any layout row has all its positions among
     the trial's inserted positions.
 
-    oe_positions: (trials, k) int64, layouts: (trials, rows, r) int64.
+    oe_positions: (trials, k) int64, layouts: (trials, rows, r) int64;
+    layouts may be a broadcast view of one fixed layout.
     """
     trials = oe_positions.shape[0]
     filt = np.zeros((trials, m), dtype=bool)
@@ -45,103 +28,13 @@ def _cover_hits_numpy(oe_positions: np.ndarray, layouts: np.ndarray, m: int) -> 
     return covered.all(axis=2).any(axis=1).astype(np.uint8)
 
 
-def _max_occupancy_numpy(positions: np.ndarray, m: int) -> np.ndarray:
-    """Per-trial maximum bin count. positions: (trials, k) int64."""
+def max_occupancy(positions: np.ndarray, m: int) -> np.ndarray:
+    """Per-trial maximum bin count. positions: (trials, k) int64.
+
+    One bincount per trial: a single offset bincount over the whole
+    block is slower, because its count array no longer fits in cache.
+    """
     out = np.empty(positions.shape[0], dtype=np.int64)
     for i in range(positions.shape[0]):
         out[i] = np.bincount(positions[i], minlength=m).max()
     return out
-
-
-def _distinct_count_numpy(positions: np.ndarray, m: int) -> np.ndarray:
-    """Per-trial number of distinct positions. positions: (trials, k)."""
-    trials = positions.shape[0]
-    filt = np.zeros((trials, m), dtype=bool)
-    filt[np.arange(trials)[:, None], positions] = True
-    return filt.sum(axis=1).astype(np.int64)
-
-
-# --- numba implementations ----------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=False)
-    def _cover_hits_numba(oe_positions, layouts, m):  # pragma: no cover - jit
-        trials, rows, r = layouts.shape
-        out = np.zeros(trials, dtype=np.uint8)
-        for t in range(trials):
-            filt = np.zeros(m, dtype=np.bool_)
-            for j in range(oe_positions.shape[1]):
-                filt[oe_positions[t, j]] = True
-            for row in range(rows):
-                ok = True
-                for i in range(r):
-                    if not filt[layouts[t, row, i]]:
-                        ok = False
-                        break
-                if ok:
-                    out[t] = 1
-                    break
-        return out
-
-    @numba.njit(cache=False)
-    def _max_occupancy_numba(positions, m):  # pragma: no cover - jit
-        trials, k = positions.shape
-        out = np.empty(trials, dtype=np.int64)
-        counts = np.zeros(m, dtype=np.int64)
-        for t in range(trials):
-            counts[:] = 0
-            best = 0
-            for j in range(k):
-                p = positions[t, j]
-                counts[p] += 1
-                if counts[p] > best:
-                    best = counts[p]
-            out[t] = best
-        return out
-
-    @numba.njit(cache=False)
-    def _distinct_count_numba(positions, m):  # pragma: no cover - jit
-        trials, k = positions.shape
-        out = np.empty(trials, dtype=np.int64)
-        seen = np.zeros(m, dtype=np.bool_)
-        for t in range(trials):
-            seen[:] = False
-            n = 0
-            for j in range(k):
-                p = positions[t, j]
-                if not seen[p]:
-                    seen[p] = True
-                    n += 1
-            out[t] = n
-        return out
-
-
-def implementations() -> dict[str, dict[str, object]]:
-    """Available backends keyed by name; used by the benchmark."""
-    impls: dict[str, dict[str, object]] = {
-        "numpy": {
-            "cover_hits": _cover_hits_numpy,
-            "max_occupancy": _max_occupancy_numpy,
-            "distinct_count": _distinct_count_numpy,
-        }
-    }
-    if _HAVE_NUMBA:
-        impls["numba"] = {
-            "cover_hits": _cover_hits_numba,
-            "max_occupancy": _max_occupancy_numba,
-            "distinct_count": _distinct_count_numba,
-        }
-    return impls
-
-
-if _HAVE_NUMBA and not _FORCE_NUMPY:
-    ACTIVE_BACKEND = "numba"
-    cover_hits = _cover_hits_numba
-    max_occupancy = _max_occupancy_numba
-    distinct_count = _distinct_count_numba
-else:
-    ACTIVE_BACKEND = "numpy"
-    cover_hits = _cover_hits_numpy
-    max_occupancy = _max_occupancy_numpy
-    distinct_count = _distinct_count_numpy

@@ -230,6 +230,7 @@ class NetServer:
                 continue
             except OSError:
                 return
+            self._threads = [t for t in self._threads if t.is_alive()]
             t = threading.Thread(target=self._serve_connection, args=(conn,), daemon=True)
             t.start()
             self._threads.append(t)

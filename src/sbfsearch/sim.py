@@ -2,17 +2,20 @@
 buffer-overflow probability sweeps, and an end-to-end accuracy run
 through the full client/server stack.
 
-Reproducibility contract: trial i draws from a generator seeded with
-(master_seed, i), so results are independent of chunking or any future
-parallel scheduling, and identical (config, seed) pairs produce
-bit-identical CSV output. The overflow experiment models position load
-directly with uniform random positions rather than running the PRF
-chain per trial; a cross-check mode pushes a small fixture through the
-real stack and compares occupancy distributions. That model assumes
-users whose keywords are disjoint. Every user holding keyword w at
-sub-location g fills the same r buffers, so where users share a keyword
-at a sub-location the store's load is uneven and the model understates
-its overflow probability.
+Reproducibility contract: the unit is a block of trials, not a trial.
+A call splits its trials into blocks whose size depends only on the
+sweep point's sizes, never on the trial count, and block b draws all
+its randomness from one generator seeded with (master_seed, b). No two
+blocks share draws, results do not depend on the order in which blocks
+run, and identical (config, seed) pairs produce bit-identical CSV
+output. The overflow experiment models position load directly with
+uniform random positions rather than running the PRF chain per trial;
+a cross-check mode pushes a small fixture through the real stack and
+compares occupancy distributions. That model assumes users whose
+keywords are disjoint. Every user holding keyword w at sub-location g
+fills the same r buffers, so where users share a keyword at a
+sub-location the store's load is uneven and the model understates its
+overflow probability.
 """
 
 from __future__ import annotations
@@ -76,8 +79,18 @@ class ExperimentRow:
     seed: int
 
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence((seed, block)))
+
+
+def _uniform_blocks(m: int, k: int, trials: int, seed: int):
+    """Yield (first trial, positions) per block of a trials x k array of
+    uniform positions in [0, m); each block is drawn in one call. Blocks
+    shrink as k grows, to at most about 16M positions each."""
+    size = max(1, CHUNK_TRIALS // max(1, k // 4096))
+    for block, start in enumerate(range(0, trials, size)):
+        n = min(size, trials - start)
+        yield start, _block_rng(seed, block).integers(0, m, size=(n, k), dtype=np.int64)
 
 
 def _binomial_stderr(p: float, n: int) -> float:
@@ -88,12 +101,14 @@ def draw_keyword_layout(rng: np.random.Generator, rows: int, r: int, m: int) -> 
     """rows x r positions, rows redrawn until their positions are
     distinct within the row (a keyword occupies r distinct positions)."""
     layout = rng.integers(0, m, size=(rows, r), dtype=np.int64)
+    redo = np.arange(rows)
     while True:
-        ordered = np.sort(layout, axis=1)
-        dup = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        if not dup.any():
+        # only the rows redrawn last pass can still hold a duplicate
+        ordered = np.sort(layout[redo], axis=1)
+        redo = redo[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
+        if not redo.size:
             return layout
-        layout[dup] = rng.integers(0, m, size=(int(dup.sum()), r), dtype=np.int64)
+        layout[redo] = rng.integers(0, m, size=(redo.size, r), dtype=np.int64)
 
 
 # --- blinding overlap ---------------------------------------------------------
@@ -104,21 +119,20 @@ def overlap_estimate(
 ) -> tuple[float, float]:
     """Fraction of trials in which some keyword row is fully covered by
     oe_count blinding elements of r uniform positions each. A fresh
-    layout is drawn per trial unless fixed_layout pins one."""
+    layout is drawn per trial unless fixed_layout pins one. Blocks hold
+    CHUNK_TRIALS trials."""
     if oe_count == 0:
         return 0.0, 0.0
     hits = 0
-    done = 0
-    while done < trials:
-        n = min(CHUNK_TRIALS, trials - done)
-        oe_chunk = np.empty((n, oe_count * r), dtype=np.int64)
-        layout_chunk = np.empty((n, l, r), dtype=np.int64)
-        for j in range(n):
-            rng = _trial_rng(seed, done + j)
-            oe_chunk[j] = rng.integers(0, m, size=oe_count * r, dtype=np.int64)
-            layout_chunk[j] = fixed_layout if fixed_layout is not None else draw_keyword_layout(rng, l, r, m)
-        hits += int(kernels.cover_hits(oe_chunk, layout_chunk, m).sum())
-        done += n
+    for block, start in enumerate(range(0, trials, CHUNK_TRIALS)):
+        n = min(CHUNK_TRIALS, trials - start)
+        rng = _block_rng(seed, block)
+        oe = rng.integers(0, m, size=(n, oe_count * r), dtype=np.int64)
+        if fixed_layout is None:
+            layouts = draw_keyword_layout(rng, n * l, r, m).reshape(n, l, r)
+        else:
+            layouts = np.broadcast_to(fixed_layout, (n, l, r))
+        hits += int(kernels.cover_hits(oe, layouts, m).sum())
     p = hits / trials
     return p, _binomial_stderr(p, trials)
 
@@ -158,16 +172,9 @@ def max_occupancies(
 ) -> np.ndarray:
     """Per-trial maximum buffer occupancy when t users each insert q
     elements of r uniform positions."""
-    k = t * q * r
     out = np.empty(trials, dtype=np.int64)
-    done = 0
-    while done < trials:
-        n = min(max(1, CHUNK_TRIALS // max(1, k // 4096)), trials - done)
-        chunk = np.empty((n, k), dtype=np.int64)
-        for j in range(n):
-            chunk[j] = _trial_rng(seed, done + j).integers(0, m, size=k, dtype=np.int64)
-        out[done : done + n] = kernels.max_occupancy(chunk, m)
-        done += n
+    for start, positions in _uniform_blocks(m, t * q * r, trials, seed):
+        out[start : start + len(positions)] = kernels.max_occupancy(positions, m)
     return out
 
 
@@ -229,10 +236,9 @@ def real_stack_occupancies(
 
 def model_occupancies(params: SystemParams, t: int, trials: int, seed: int) -> np.ndarray:
     occ = np.empty((trials, params.m), dtype=np.int64)
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        positions = rng.integers(0, params.m, size=t * params.q * params.r, dtype=np.int64)
-        occ[trial] = np.bincount(positions, minlength=params.m)
+    for start, positions in _uniform_blocks(params.m, t * params.q * params.r, trials, seed):
+        for j, row in enumerate(positions):
+            occ[start + j] = np.bincount(row, minlength=params.m)
     return occ
 
 

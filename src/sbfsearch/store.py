@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import struct
 import threading
+from collections.abc import Container
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,21 +112,11 @@ class StorageBloomFilter:
         """Store the sealed record and append its handle to every buffer
         marked in the uploaded filter. Atomic: an overflow rejects the
         whole upload and leaves the store untouched."""
-        if packet.zone != self.zone:
-            raise ZoneMismatch(f"packet zone {packet.zone.hex()} != store zone {self.zone.hex()}")
-        bf = BitFilter.decompress(packet.compressed_bf, self.params.m)
-        positions = bf.positions()
-        handle = packet.sealed.handle
+        positions = self._upload_positions(packet)
         self._lock.acquire_write()
         try:
-            if handle in self.table:
-                raise DuplicateHandle(f"handle {handle.hex()} already ingested")
-            for p in positions:
-                if len(self.buffers[p]) >= self.params.beta:
-                    raise BufferOverflow(p)
-            self.table[handle] = packet.sealed
-            for p in positions:
-                self.buffers[p].append(handle)
+            self._check_upload(packet.sealed.handle, positions)
+            self._insert(packet.sealed, positions)
             return len(positions)
         finally:
             self._lock.release_write()
@@ -133,29 +124,66 @@ class StorageBloomFilter:
     def remove(self, req: RemovalRequest) -> int:
         """Delete the handle from every buffer marked in the pruning
         filter. A marked buffer that lacks the handle is logged and
-        skipped; removal proceeds. Returns the number of buffers pruned."""
+        skipped; removal proceeds. Returns the number of buffers pruned.
+
+        A replacement upload is checked against the store as it will be
+        after the prune, before anything changes; prune and replacement
+        then apply under one write lock, so a rejected replacement leaves
+        the store untouched."""
         if req.zone != self.zone:
             raise ZoneMismatch("removal request for another zone")
         if req.rbf_prime.m != self.params.m:
             raise StoreError("pruning filter length mismatch")
+        marked = req.rbf_prime.positions()
+        new = req.replacement
+        new_positions = self._upload_positions(new) if new is not None else []
+        h = req.handle
         self._lock.acquire_write()
         try:
-            if req.handle not in self.table:
-                raise UnknownHandle(f"handle {req.handle.hex()} not stored")
+            if h not in self.table:
+                raise UnknownHandle(f"handle {h.hex()} not stored")
+            leaving = None
+            if new is not None:
+                freed = {p for p in marked if h in self.buffers[p]}
+                # the record's own handle may return only once the prune drops its last copy
+                if new.sealed.handle == h and not any(
+                        buf.count(h) > (i in freed) for i, buf in enumerate(self.buffers)):
+                    leaving = h
+                self._check_upload(new.sealed.handle, new_positions, freed, leaving)
             pruned = 0
-            for p in req.rbf_prime.positions():
+            for p in marked:
                 try:
-                    self.buffers[p].remove(req.handle)
+                    self.buffers[p].remove(h)
                     pruned += 1
                 except ValueError:
-                    log.warning("removal bit %d does not hold handle %s", p, req.handle.hex())
-            if not any(req.handle in buf for buf in self.buffers):
-                del self.table[req.handle]
+                    log.warning("removal bit %d does not hold handle %s", p, h.hex())
+            if leaving is not None or not any(h in buf for buf in self.buffers):
+                del self.table[h]
+            if new is not None:
+                self._insert(new.sealed, new_positions)
+            return pruned
         finally:
             self._lock.release_write()
-        if req.replacement is not None:
-            self.ingest(req.replacement)
-        return pruned
+
+    def _upload_positions(self, packet: UploadPacket) -> list[int]:
+        if packet.zone != self.zone:
+            raise ZoneMismatch(f"packet zone {packet.zone.hex()} != store zone {self.zone.hex()}")
+        return BitFilter.decompress(packet.compressed_bf, self.params.m).positions()
+
+    def _check_upload(self, handle: bytes, positions: list[int],
+                      freed: Container[int] = (), leaving: bytes | None = None) -> None:
+        """Raise unless the upload fits once each buffer in `freed` has
+        lost one entry and the record `leaving` has left the table."""
+        if handle in self.table and handle != leaving:
+            raise DuplicateHandle(f"handle {handle.hex()} already ingested")
+        for p in positions:
+            if len(self.buffers[p]) - (p in freed) >= self.params.beta:
+                raise BufferOverflow(p)
+
+    def _insert(self, sealed: SealedRecord, positions: list[int]) -> None:
+        self.table[sealed.handle] = sealed
+        for p in positions:
+            self.buffers[p].append(sealed.handle)
 
     # -- reads --------------------------------------------------------------
 

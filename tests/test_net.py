@@ -210,6 +210,17 @@ class TestRobustness:
             s.settimeout(2)
             assert s.recv(64) == b""  # connection dropped
 
+    def test_finished_connection_threads_are_dropped(self, server):
+        for _ in range(5):
+            with _client(server):
+                pass
+        for t in list(server._threads):
+            t.join(timeout=5)
+        with _client(server):
+            # the five finished threads went when this connection was accepted
+            assert len(server._threads) <= 1
+            assert all(t.is_alive() for t in server._threads)
+
     def test_concurrent_sessions(self, system, server):
         kr, idx, packet, _ = _uploaded(system, server, keyword_ids=(0,), seed=74)
         ps = keyword_positions(kr, system.vocab[0], system.locations[0], system.params)

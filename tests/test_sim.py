@@ -148,25 +148,19 @@ class TestAccuracyExperiment:
         assert report.recall == 1.0 and report.precision == 1.0
 
 
-class TestKernelBackends:
-    def test_backends_agree_bitwise(self):
+class TestKernels:
+    def test_cover_hits_against_set_containment(self):
         rng = np.random.default_rng(18)
-        impls = kernels.implementations()
         oe = rng.integers(0, 97, size=(50, 40), dtype=np.int64)
         layouts = rng.integers(0, 97, size=(50, 12, 4), dtype=np.int64)
-        occupancy_input = rng.integers(0, 97, size=(50, 300), dtype=np.int64)
-        results = {
-            name: (
-                funcs["cover_hits"](oe, layouts, 97),
-                funcs["max_occupancy"](occupancy_input, 97),
-                funcs["distinct_count"](occupancy_input, 97),
-            )
-            for name, funcs in impls.items()
-        }
-        names = list(results)
-        for other in names[1:]:
-            for a, b in zip(results[names[0]], results[other]):
-                assert np.array_equal(a, b)
+        fixed = np.broadcast_to(layouts[0], layouts.shape)
+        for rows in (layouts, fixed):
+            expected = [
+                int(any(set(row) <= set(oe[i].tolist()) for row in rows[i].tolist()))
+                for i in range(50)
+            ]
+            assert kernels.cover_hits(oe, rows, 97).tolist() == expected
+            assert 0 < sum(expected) < 50  # both outcomes occur
 
     def test_max_occupancy_against_bincount(self):
         rng = np.random.default_rng(19)
@@ -174,6 +168,45 @@ class TestKernelBackends:
         out = kernels.max_occupancy(positions, 31)
         for i in range(20):
             assert out[i] == np.bincount(positions[i], minlength=31).max()
+
+
+def _record_kernel(monkeypatch, name):
+    """Record the inputs sim passes to one kernel, call by call."""
+    calls = []
+    real = getattr(kernels, name)
+
+    def recording(positions, *args):
+        calls.append(np.array(positions))
+        return real(positions, *args)
+
+    monkeypatch.setattr(kernels, name, recording)
+    return calls
+
+
+class TestBlockSeeding:
+    """Calls spanning two blocks: a seed fixes every block's draws, and
+    no block repeats another's."""
+
+    def test_overlap_estimate(self, monkeypatch):
+        calls = _record_kernel(monkeypatch, "cover_hits")
+        trials = 2 * sim.CHUNK_TRIALS
+        first = sim.overlap_estimate(97, 8, 4, 10, trials, seed=24)
+        assert sim.overlap_estimate(97, 8, 4, 10, trials, seed=24) == first
+        assert len(calls) == 4
+        assert np.array_equal(calls[0], calls[2]) and np.array_equal(calls[1], calls[3])
+        assert not np.array_equal(calls[0], calls[1])
+
+    def test_max_occupancies(self, monkeypatch):
+        calls = _record_kernel(monkeypatch, "max_occupancy")
+        trials = 2 * sim.CHUNK_TRIALS
+        first = sim.max_occupancies(97, 2, 3, 4, trials, seed=25)
+        assert np.array_equal(sim.max_occupancies(97, 2, 3, 4, trials, seed=25), first)
+        assert len(calls) == 4
+        assert np.array_equal(calls[0], calls[2]) and np.array_equal(calls[1], calls[3])
+        assert not np.array_equal(calls[0], calls[1])
+        # block size does not depend on the trial count
+        one_block = sim.max_occupancies(97, 2, 3, 4, sim.CHUNK_TRIALS, seed=25)
+        assert np.array_equal(one_block, first[: sim.CHUNK_TRIALS])
 
 
 class TestStatsHelpers:

@@ -3,10 +3,11 @@ from random import Random
 
 import pytest
 
-from sbfsearch.crypto import token_from_text
+from sbfsearch.crypto import SealedRecord, token_from_text
 from sbfsearch.filters import BitFilter
 from sbfsearch.index import (
     RemovalRequest,
+    UploadPacket,
     build_removal_request,
     build_user_index,
     keyword_positions,
@@ -246,6 +247,67 @@ class TestRemove:
                                     handle=packet.sealed.handle, replacement=replacement))
         assert replacement.sealed.handle in store.table
         assert packet.sealed.handle not in store.table
+
+
+def _handle(name):
+    return name.encode().ljust(16, b"\0")
+
+
+def _raw_packet(zone, m, name, positions):
+    bf = BitFilter(m)
+    bf.insert(positions)
+    handle = _handle(name)
+    return UploadPacket(zone=zone, compressed_bf=bf.compress(),
+                        sealed=SealedRecord(handle=handle, ciphertext=b"sealed " + handle))
+
+
+class TestReplacement:
+    """remove() with a replacement: checked against the pruned store,
+    applied whole or not at all. beta=2; record a holds buffers 0-3, b
+    holds 3-5 and c holds 5-6, so buffers 3 and 5 are full."""
+
+    @pytest.fixture
+    def store(self, system):
+        params = derive_params(l=20, r=4, gamma_count=2, q=6, beta=2, tau_bits=4096, n_bits=64)
+        store = StorageBloomFilter(params, system.zone)
+        for name, positions in (("a", [0, 1, 2, 3]), ("b", [3, 4, 5]), ("c", [5, 6])):
+            store.ingest(_raw_packet(system.zone, params.m, name, positions))
+        return store
+
+    def _remove_a(self, store, prune, replacement):
+        rbf = BitFilter(store.params.m)
+        rbf.insert(prune)
+        return store.remove(RemovalRequest(zone=store.zone, rbf_prime=rbf,
+                                           handle=_handle("a"),
+                                           replacement=replacement))
+
+    @pytest.mark.parametrize("prune, name, positions, error", [
+        ([0, 1, 2, 3], "b", [10], DuplicateHandle),     # another stored record's handle
+        ([0], "a", [10], DuplicateHandle),              # own handle, record survives the prune
+        ([0, 1, 2, 3], "d", [3, 5], BufferOverflow),    # 3 is freed, 5 is not
+        ([0], "d", [3], BufferOverflow),                # 3 still holds a
+        ([0, 1, 2, 3], "d", [10], ZoneMismatch),
+    ], ids=["other-handle", "own-handle-survives", "unfreed-full-buffer", "still-held-buffer", "zone"])
+    def test_failed_replacement_leaves_store_unchanged(self, store, prune, name, positions, error):
+        zone = store.zone if error is not ZoneMismatch else token_from_text("elsewhere", 64)
+        table_before = dict(store.table)
+        buffers_before = [list(b) for b in store.buffers]
+        with pytest.raises(error):
+            self._remove_a(store, prune, _raw_packet(zone, store.params.m, name, positions))
+        assert store.table == table_before
+        assert [list(b) for b in store.buffers] == buffers_before
+
+    def test_replacement_may_use_pruned_capacity(self, store):
+        d = _raw_packet(store.zone, store.params.m, "d", [3, 7])
+        assert self._remove_a(store, [0, 1, 2, 3], d) == 4
+        assert set(store.table) == {_handle("b"), _handle("c"), _handle("d")}
+        assert len(store.buffers[3]) == 2 and d.sealed.handle in store.buffers[3]
+
+    def test_own_handle_returns_after_full_prune(self, store):
+        a = _raw_packet(store.zone, store.params.m, "a", [8])
+        self._remove_a(store, [0, 1, 2, 3], a)
+        assert store.table[a.sealed.handle] == a.sealed
+        assert [i for i, buf in enumerate(store.buffers) if a.sealed.handle in buf] == [8]
 
 
 class TestAccounting:
