@@ -10,16 +10,22 @@ sets follow a hypergeometric law.
 - prob_index_overlap(m, occupied, r): probability two users' position sets
   share at least r positions. High values mean an observer cannot read
   keyword co-occurrence from raw overlap.
-- prob_keyword_cover(m, occupied, r, q): probability that, for one of a
-  user's q keywords, all r of its positions are covered by another
-  user's set, i.e. a spurious full match. Linear in q; not clamped.
+- prob_keyword_cover(m, occupied, r, q): expected number of a user's q
+  keyword position sets whose r positions are all covered by another
+  user's set, i.e. spurious full matches. Linear in q; not clamped.
 - blinding_collision_bound(t, occupied, r, l, gamma, m): union-style upper
   bound on any of t users' blinding load fully covering some vocabulary
   keyword at some location: t * C(occupied, r) * l * gamma * r! / m^r.
 
-Evaluation is exact big-integer arithmetic up to a size threshold and
-log-gamma arithmetic above it; the two are cross-checked at the
-boundary in tests.
+Each quantity has one evaluator. The keyword cover collapses to the
+exact rational q * C(occupied, r) / C(m, r). The overlap probability sums
+the hypergeometric weights C(occupied, k) * C(m - occupied, occupied - k)
+in log space, shifted by their peak, and divides the upper tail k >= r by
+the computed total; C(m, occupied) cancels and is never formed. Against
+exact rationals the relative error is at most 4e-15 on every instance
+with m <= 14 and at most 3.4e-11 at m up to 100000 with occupied up to
+1000, including tails near 1e-8 (m=28854, occupied=150, r=10), where
+one minus a lower tail loses about 1 %.
 """
 
 from __future__ import annotations
@@ -29,24 +35,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .crypto import HANDLE_BYTES, SEAL_OVERHEAD_BYTES, TRANSPORT_OVERHEAD_BYTES, position_width
+from .crypto import HANDLE_BYTES, SEAL_OVERHEAD_BYTES, position_width
 from .params import SystemParams
-
-EXACT_M_THRESHOLD = 3000
 
 
 class AnalysisError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class OverlapReport:
-    m: int
-    occupied: int
-    r: int
-    q: int
-    pr_overlap: float
-    pr_keyword_cover: float
 
 
 @dataclass(frozen=True)
@@ -69,61 +63,31 @@ def _check_overlap_args(m: int, occupied: int, r: int) -> None:
 
 
 def _log_comb(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        return float("-inf")
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def prob_index_overlap(m: int, occupied: int, r: int, method: str = "auto") -> float:
+def prob_index_overlap(m: int, occupied: int, r: int) -> float:
     """P(|A n B| >= r) for independent uniform occupied-subsets A, B of m
-    positions: one minus the hypergeometric lower tail up to r - 1."""
+    positions: the hypergeometric upper tail over its total weight."""
     _check_overlap_args(m, occupied, r)
-    if _use_exact(m, method):
-        denom = math.comb(m, occupied)
-        tail = sum(math.comb(occupied, k) * math.comb(m - occupied, occupied - k) for k in range(r))
-        return float(1 - Fraction(tail, denom))
-    log_denom = _log_comb(m, occupied)
-    tail = sum(
-        math.exp(_log_comb(occupied, k) + _log_comb(m - occupied, occupied - k) - log_denom)
-        for k in range(r)
-    )
-    return 1.0 - tail
+    low = max(0, 2 * occupied - m)
+    logs = [_log_comb(occupied, k) + _log_comb(m - occupied, occupied - k)
+            for k in range(low, occupied + 1)]
+    peak = max(logs)
+    weights = [math.exp(v - peak) for v in logs]
+    return math.fsum(weights[max(0, r - low):]) / math.fsum(weights)
 
 
-def prob_keyword_cover(m: int, occupied: int, r: int, q: int, method: str = "auto") -> float:
-    """(q / C(occupied, r)) * sum_{k=r}^{occupied} P(|A n B| = k) * C(k, r).
+def prob_keyword_cover(m: int, occupied: int, r: int, q: int) -> float:
+    """(q / C(occupied, r)) * sum_{k=r}^{occupied} P(|A n B| = k) * C(k, r),
+    which collapses to q * C(occupied, r) / C(m, r), evaluated exactly.
 
     Expected number of a user's q keyword position sets fully covered by
     another user's occupied-subset. Linear in q by construction."""
     _check_overlap_args(m, occupied, r)
     if q < 1:
         raise AnalysisError("q must be at least 1")
-    if _use_exact(m, method):
-        denom = math.comb(m, occupied)
-        total = sum(
-            math.comb(occupied, k) * math.comb(m - occupied, occupied - k) * math.comb(k, r)
-            for k in range(r, occupied + 1)
-        )
-        return float(Fraction(q * total, denom * math.comb(occupied, r)))
-    log_denom = _log_comb(m, occupied) + _log_comb(occupied, r)
-    logs = [
-        _log_comb(occupied, k) + _log_comb(m - occupied, occupied - k) + _log_comb(k, r) - log_denom
-        for k in range(r, occupied + 1)
-    ]
-    peak = max(logs)
-    if peak == float("-inf"):
-        return 0.0
-    return q * math.exp(peak) * sum(math.exp(v - peak) for v in logs)
-
-
-def _use_exact(m: int, method: str) -> bool:
-    if method == "exact":
-        return True
-    if method == "log":
-        return False
-    if method != "auto":
-        raise AnalysisError(f"unknown method {method!r}")
-    return m <= EXACT_M_THRESHOLD
+    return float(Fraction(q * math.comb(occupied, r), math.comb(m, r)))
 
 
 def blinding_collision_bound(
@@ -140,14 +104,6 @@ def blinding_collision_bound(
     return CollisionBound(
         t=t, l=l, gamma_count=gamma_count, r=r, m=m, occupied=occupied,
         bound=float(min(raw, Fraction(1))), clamped=clamped,
-    )
-
-
-def overlap_report(params: SystemParams, occupied: int) -> OverlapReport:
-    return OverlapReport(
-        m=params.m, occupied=occupied, r=params.r, q=params.q,
-        pr_overlap=prob_index_overlap(params.m, occupied, params.r),
-        pr_keyword_cover=prob_keyword_cover(params.m, occupied, params.r, params.q),
     )
 
 
@@ -190,24 +146,15 @@ def sparse_filter_bound_bytes(set_bits: int, m: int) -> int:
     return 4 + (set_bits * position_width(m) + 7) // 8
 
 
-def upload_size_bits(
-    params: SystemParams,
-    pk_overhead_bits: int = SEAL_OVERHEAD_BYTES * 8,
-    sym_overhead_bits: int = TRANSPORT_OVERHEAD_BYTES * 8,
-    include_transport: bool = False,
-) -> int:
+def upload_size_bits(params: SystemParams) -> int:
     """Worst-case upload payload size in bits: sealed record for q
     keywords, compressed filter at q*r set bits, zone token, and packet
-    framing. Matches UploadPacket.to_bytes() exactly; add the transport
-    overhead with include_transport."""
-    mi_bits = meta_record_bytes(params.q, params.n_bits) * 8
-    sealed_bits = mi_bits + pk_overhead_bits
+    framing. Matches UploadPacket.to_bytes() exactly; transport overhead
+    is not included."""
+    sealed_bits = (meta_record_bytes(params.q, params.n_bits) + SEAL_OVERHEAD_BYTES) * 8
     sparse_bits = sparse_filter_bound_bytes(params.q * params.r, params.m) * 8
     zone_bits = params.n_bytes * 8
-    total = sealed_bits + sparse_bits + zone_bits + UPLOAD_FRAMING_BYTES * 8
-    if include_transport:
-        total += sym_overhead_bits
-    return total
+    return sealed_bits + sparse_bits + zone_bits + UPLOAD_FRAMING_BYTES * 8
 
 
 RESULT_RECORD_PREFIX_BITS = 32  # per-record length prefix on the wire

@@ -337,14 +337,13 @@ def _cmd_serve(args) -> int:
 def _cmd_analyze(args) -> int:
     params = _params_from(args)
     occupied = round(expected_distinct_positions(params.m, params.r, params.q))
-    report = analysis.overlap_report(params, occupied)
     collision = analysis.blinding_collision_bound(args.t, occupied, params.r, params.l,
                                             params.gamma_count, params.m)
     rows = [
         ("m", params.m),
         ("expected_distinct", occupied),
-        ("pr_overlap", report.pr_overlap),
-        ("pr_keyword_cover", report.pr_keyword_cover),
+        ("pr_overlap", analysis.prob_index_overlap(params.m, occupied, params.r)),
+        ("pr_keyword_cover", analysis.prob_keyword_cover(params.m, occupied, params.r, params.q)),
         ("blinding_collision_bound", collision.bound),
         ("upload_bits_worst_case", analysis.upload_size_bits(params)),
         ("memory_model_mib", analysis.bytes_to_mib(analysis.provisioned_memory_bytes(params))),

@@ -43,7 +43,6 @@ from cryptography.hazmat.primitives.serialization import (
 
 HANDLE_BYTES = 16
 SEAL_OVERHEAD_BYTES = 32 + 12 + 16   # ephemeral pub + nonce + tag
-TRANSPORT_OVERHEAD_BYTES = 12 + 16   # nonce + tag
 
 
 class CryptoError(Exception):

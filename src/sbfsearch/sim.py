@@ -55,17 +55,12 @@ class ExperimentConfig:
     sweep_values: tuple[int, ...]
     trials: int
     seed: int
-    m_override: int | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise SimError("trials must be at least 1")
         if not self.sweep_values:
             raise SimError("sweep range must be nonempty")
-
-    @property
-    def m(self) -> int:
-        return self.m_override if self.m_override is not None else self.params.m
 
 
 @dataclass(frozen=True)
@@ -153,14 +148,20 @@ def overlap_probability_mc(
 
 
 def run_overlap_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
-    """Sweep the blinding element count; one row per value with the
-    matching closed-form bound (single user, single location)."""
+    """Sweep the blinding element count; one row per value.
+
+    The analytic column is the paper's single-user, single-location
+    expression C(occupied, r) * l * r! / m^r at the rounded mean occupied
+    count, round(expected_distinct_positions(m, r, oe)). It is an
+    estimate, not a strict upper bound on the Monte Carlo value: at m=432,
+    l=50, r=6, oe=14 and 100000 trials the estimate reads 0.00142 +- 0.00012
+    against 0.00121."""
     p = cfg.params
     rows = []
     for sweep_index, oe in enumerate(cfg.sweep_values):
-        est, se = overlap_estimate(cfg.m, p.l, p.r, oe, cfg.trials, cfg.seed + sweep_index)
-        occupied = round(expected_distinct_positions(cfg.m, p.r, oe))
-        bound = blinding_collision_bound(1, occupied, p.r, p.l, 1, cfg.m).bound
+        est, se = overlap_estimate(p.m, p.l, p.r, oe, cfg.trials, cfg.seed + sweep_index)
+        occupied = round(expected_distinct_positions(p.m, p.r, oe))
+        bound = blinding_collision_bound(1, occupied, p.r, p.l, 1, p.m).bound
         rows.append(ExperimentRow("oe_count", oe, cfg.trials, est, se, bound, cfg.seed))
     return rows
 
@@ -192,14 +193,14 @@ def run_overflow_experiment(cfg: ExperimentConfig, t: int | None = None) -> list
     if cfg.sweep_name == "beta":
         if t is None:
             raise SimError("beta sweep needs the user count t")
-        maxes = max_occupancies(cfg.m, t, p.q, p.r, cfg.trials, cfg.seed)
+        maxes = max_occupancies(p.m, t, p.q, p.r, cfg.trials, cfg.seed)
         for beta in cfg.sweep_values:
             est = float((maxes > beta).mean())
             rows.append(ExperimentRow("beta", beta, cfg.trials,
                                       est, _binomial_stderr(est, cfg.trials), None, cfg.seed))
     elif cfg.sweep_name == "t":
         for sweep_index, t_value in enumerate(cfg.sweep_values):
-            maxes = max_occupancies(cfg.m, t_value, p.q, p.r, cfg.trials, cfg.seed + sweep_index)
+            maxes = max_occupancies(p.m, t_value, p.q, p.r, cfg.trials, cfg.seed + sweep_index)
             est = float((maxes > p.beta).mean())
             rows.append(ExperimentRow("t", t_value, cfg.trials,
                                       est, _binomial_stderr(est, cfg.trials), None, cfg.seed))
@@ -272,20 +273,17 @@ class AccuracyReport:
     per_user_keywords: list[int] = field(default_factory=list)
 
 
-def run_accuracy_experiment(
-    params: SystemParams, t: int, seed: int, locations_per_zone: int | None = None
-) -> AccuracyReport:
+def run_accuracy_experiment(params: SystemParams, t: int, seed: int) -> AccuracyReport:
     """Build t users with random keyword subsets and locations, upload
     through the real stack, then probe every (user, keyword, location)
     and measure recall/precision. False positives are attributed to
     blinding overlap when the colliding record needs its obfuscation
     positions to cover the probe, otherwise to hash collision."""
     rng = Random(seed)
-    gamma = locations_per_zone or params.gamma_count
     vocab = [random_token(rng, params.n_bits) for _ in range(params.l)]
     ms = generate_master_secrets(params, vocab, rng)
     zone = random_token(rng, params.n_bits)
-    locations = [random_token(rng, params.n_bits) for _ in range(gamma)]
+    locations = [random_token(rng, params.n_bits) for _ in range(params.gamma_count)]
     store = StorageBloomFilter(params, zone)
 
     truth: dict[bytes, tuple[list[bytes], bytes, set[int], set[int]]] = {}

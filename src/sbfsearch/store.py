@@ -305,6 +305,8 @@ class StorageBloomFilter:
             for h in handles:
                 if h not in store.table:
                     raise StoreError("snapshot buffer references unknown handle")
+            if len(set(handles)) != count:
+                raise StoreError(f"snapshot buffer {pos} repeats a handle")
             store.buffers[pos] = handles
             referenced.update(handles)
         if off != len(data):

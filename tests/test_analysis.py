@@ -41,15 +41,19 @@ class TestOverlapProbability:
         exact = enumerate_overlap(12, 5, 2)
         assert prob_index_overlap(12, 5, 2) == pytest.approx(float(exact), rel=1e-12)
 
-    def test_exact_and_log_paths_agree(self):
-        for m, occupied, r in ((2000, 180, 8), (3000, 200, 10), (3200, 250, 10)):
-            exact = prob_index_overlap(m, occupied, r, method="exact")
-            approx = prob_index_overlap(m, occupied, r, method="log")
-            assert approx == pytest.approx(exact, rel=1e-9)
+    def test_matches_exact_rational(self):
+        # (28854, 150, 10) is the gamma=20 setting, where the tail is ~7e-9
+        for m, occupied, r in ((2000, 180, 8), (3000, 200, 10), (3200, 250, 10),
+                               (28854, 150, 10), (100_000, 1000, 10)):
+            lower = sum(math.comb(occupied, k) * math.comb(m - occupied, occupied - k)
+                        for k in range(r))
+            exact = 1 - Fraction(lower, math.comb(m, occupied))
+            got = prob_index_overlap(m, occupied, r)
+            assert got == pytest.approx(float(exact), rel=1e-9, abs=0)
 
     def test_large_operands_do_not_overflow(self):
         value = prob_index_overlap(1_000_000, 100_000, 64)
-        assert 0.0 <= value <= 1.0
+        assert value == pytest.approx(1.0, abs=1e-12)
 
 
 class TestKeywordCoverProbability:
@@ -69,10 +73,14 @@ class TestKeywordCoverProbability:
         exact = enumerate_keyword_cover(12, 5, 2, 1)
         assert prob_keyword_cover(12, 5, 2, 1) == pytest.approx(float(exact), rel=1e-12)
 
-    def test_exact_and_log_paths_agree(self):
-        exact = prob_keyword_cover(3000, 150, 6, 15, method="exact")
-        approx = prob_keyword_cover(3000, 150, 6, 15, method="log")
-        assert approx == pytest.approx(exact, rel=1e-9)
+    def test_matches_exact_sum(self):
+        # the defining sum over intersection sizes, not the collapsed form
+        for m, occupied, r in ((3000, 150, 6), (28854, 150, 10), (100_000, 1000, 10)):
+            total = sum(math.comb(occupied, k) * math.comb(m - occupied, occupied - k)
+                        * math.comb(k, r) for k in range(r, occupied + 1))
+            exact = Fraction(15 * total, math.comb(m, occupied) * math.comb(occupied, r))
+            got = prob_keyword_cover(m, occupied, r, 15)
+            assert got == pytest.approx(float(exact), rel=1e-9, abs=0)
 
     def test_invalid_arguments(self):
         with pytest.raises(AnalysisError):

@@ -1,11 +1,16 @@
+import math
+import os
 import re
 import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sbfsearch
 from sbfsearch import files
 from sbfsearch.cli import main
 
@@ -40,6 +45,21 @@ def test_analyze_reference_values(tmp_path, capsys):
     assert "expected_distinct = 142" in out
     match = re.search(r"pr_overlap = ([0-9.]+)", out)
     assert match and abs(float(match.group(1)) - 0.915) < 0.01
+
+
+def test_analyze_overlap_small_tail_is_exact(tmp_path, capsys):
+    # gamma=20: m=28854, 150 occupied, and P(overlap >= 10) ~ 7e-9, a tail
+    # that one minus the lower tail misses by about 1 % in floating point
+    cfg = tmp_path / "g20.cfg"
+    cfg.write_text("l=100\nr=10\ngamma=20\nq=15\nbeta=50\ntau_kbits=5\n")
+    code, out, _ = _run(["analyze", "--params", cfg], capsys)
+    assert code == 0
+    assert "m = 28854" in out and "expected_distinct = 150" in out
+    m, o, r = 28854, 150, 10
+    lower = sum(math.comb(o, k) * math.comb(m - o, o - k) for k in range(r))
+    exact = float(1 - Fraction(lower, math.comb(m, o)))
+    match = re.search(r"pr_overlap = (\S+)", out)
+    assert match and float(match.group(1)) == pytest.approx(exact, rel=1e-9, abs=0)
 
 
 def test_analyze_csv_mode(tmp_path, capsys):
@@ -161,11 +181,15 @@ class TestServeLoopback:
              "--location", "corner", "--seed", "12", "--out", workdir / "do.index"],
         ):
             assert main([str(a) for a in argv]) == 0
+        # the server imports the same sbfsearch as this test, installed or not
+        src = str(Path(sbfsearch.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         proc = subprocess.Popen(
             [sys.executable, "-m", "sbfsearch", "serve", "--params", str(workdir / "sys.cfg"),
              "--store-dir", str(workdir / "stores"), "--zone", "downtown",
              "--listen", "127.0.0.1:0"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
         )
         line = proc.stdout.readline()
         match = re.search(r"listening on ([0-9.]+):(\d+)", line)

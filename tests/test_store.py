@@ -371,6 +371,16 @@ class TestSnapshot:
         with pytest.raises(StoreError):
             StorageBloomFilter.load(path)
 
+    def test_load_rejects_repeated_handle_in_buffer(self, system, loaded, tmp_path):
+        # a repeated handle would survive remove, which drops one copy per buffer
+        store, _ = loaded
+        buf = next(b for b in store.buffers if b)
+        buf.append(buf[0])
+        path = tmp_path / "zone.sbf"
+        store.save(path)
+        with pytest.raises(StoreError, match="repeats a handle"):
+            StorageBloomFilter.load(path)
+
     def test_load_rejects_truncation(self, system, loaded, tmp_path):
         store, _ = loaded
         path = tmp_path / "zone.sbf"
