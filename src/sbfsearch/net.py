@@ -232,8 +232,9 @@ class NetServer:
                 return
             self._threads = [t for t in self._threads if t.is_alive()]
             t = threading.Thread(target=self._serve_connection, args=(conn,), daemon=True)
-            t.start()
+            # listed before it runs, so a client that has finished its handshake sees it listed
             self._threads.append(t)
+            t.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
         with conn:

@@ -3,10 +3,11 @@ over a shared record table, one store per zone.
 
 A record is stored once in the table; its handle is appended to every
 buffer addressed by the uploaded filter. Search intersects the addressed
-buffers (smallest first) and never scans the table, so cost is bounded
-by the number of marked positions, not by store size. The provisioned
-capacity model is m * beta * tau bits even though the implementation
-deduplicates ciphertexts through the table.
+buffers (smallest first) and never scans the table; removal keeps a
+per-handle count of the buffers holding each record. So both cost
+O(marked positions), not O(store size). The provisioned capacity model
+is m * beta * tau bits even though the implementation deduplicates
+ciphertexts through the table.
 
 Concurrency: many searches may run in parallel with each other; ingest
 and remove take the zone's write lock. No lock is held across network
@@ -16,10 +17,14 @@ round-trips.
 from __future__ import annotations
 
 import logging
+import os
 import struct
+import tempfile
 import threading
+from collections import Counter
 from collections.abc import Container
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .crypto import HANDLE_BYTES, SealedRecord
@@ -103,6 +108,8 @@ class StorageBloomFilter:
         self.zone = zone
         self.buffers: list[list[bytes]] = [[] for _ in range(params.m)]
         self.table: dict[bytes, SealedRecord] = {}
+        # handle -> buffers holding it; a buffer never holds a handle twice
+        self._live: Counter[bytes] = Counter()
         self.buffer_reads = 0  # diagnostic: buffers touched by searches
         self._lock = _RWLock()
 
@@ -123,8 +130,10 @@ class StorageBloomFilter:
 
     def remove(self, req: RemovalRequest) -> int:
         """Delete the handle from every buffer marked in the pruning
-        filter. A marked buffer that lacks the handle is logged and
-        skipped; removal proceeds. Returns the number of buffers pruned.
+        filter; cost is O(positions touched), whatever the store size.
+        Marked buffers that lack the handle are skipped and counted in one
+        warning, which names neither them nor the handle. Returns the
+        number of buffers pruned.
 
         A replacement upload is checked against the store as it will be
         after the prune, before anything changes; prune and replacement
@@ -142,26 +151,21 @@ class StorageBloomFilter:
         try:
             if h not in self.table:
                 raise UnknownHandle(f"handle {h.hex()} not stored")
-            leaving = None
+            held = {p for p in marked if h in self.buffers[p]}
             if new is not None:
-                freed = {p for p in marked if h in self.buffers[p]}
                 # the record's own handle may return only once the prune drops its last copy
-                if new.sealed.handle == h and not any(
-                        buf.count(h) > (i in freed) for i, buf in enumerate(self.buffers)):
-                    leaving = h
-                self._check_upload(new.sealed.handle, new_positions, freed, leaving)
-            pruned = 0
-            for p in marked:
-                try:
-                    self.buffers[p].remove(h)
-                    pruned += 1
-                except ValueError:
-                    log.warning("removal bit %d does not hold handle %s", p, h.hex())
-            if leaving is not None or not any(h in buf for buf in self.buffers):
-                del self.table[h]
+                leaving = h if self._live[h] == len(held) else None
+                self._check_upload(new.sealed.handle, new_positions, held, leaving)
+            if len(held) < len(marked):
+                log.warning("removal: %d marked buffers did not hold the record", len(marked) - len(held))
+            for p in held:
+                self.buffers[p].remove(h)
+            self._live[h] -= len(held)
+            if not self._live[h]:
+                del self._live[h], self.table[h]
             if new is not None:
                 self._insert(new.sealed, new_positions)
-            return pruned
+            return len(held)
         finally:
             self._lock.release_write()
 
@@ -182,6 +186,7 @@ class StorageBloomFilter:
 
     def _insert(self, sealed: SealedRecord, positions: list[int]) -> None:
         self.table[sealed.handle] = sealed
+        self._live[sealed.handle] = len(positions)
         for p in positions:
             self.buffers[p].append(sealed.handle)
 
@@ -236,9 +241,7 @@ class StorageBloomFilter:
         """(occupancy, buffer count) pairs ascending; counts sum to m."""
         self._lock.acquire_read()
         try:
-            counts: dict[int, int] = {}
-            for buf in self.buffers:
-                counts[len(buf)] = counts.get(len(buf), 0) + 1
+            counts = Counter(map(len, self.buffers))
         finally:
             self._lock.release_read()
         return sorted(counts.items())
@@ -246,6 +249,7 @@ class StorageBloomFilter:
     # -- snapshot persistence -------------------------------------------------
 
     def save(self, path: str | Path) -> None:
+        """Write via a synced temporary file and a rename: never half-written."""
         self._lock.acquire_read()
         try:
             parts = [SNAPSHOT_MAGIC]
@@ -264,7 +268,16 @@ class StorageBloomFilter:
                 parts.append(struct.pack(">II", i, len(buf)) + b"".join(buf))
         finally:
             self._lock.release_read()
-        Path(path).write_bytes(b"".join(parts))
+        fd, tmp = tempfile.mkstemp(dir=Path(path).parent, prefix=f".{Path(path).name}.")
+        try:
+            with open(fd, "wb") as f:
+                f.write(b"".join(parts))
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "StorageBloomFilter":
@@ -294,23 +307,23 @@ class StorageBloomFilter:
                 raise StoreError("duplicate handle in snapshot")
             store.table[handle] = SealedRecord(handle=handle, ciphertext=take(ct_len))
         (n_buffers,) = struct.unpack(">I", take(4))
-        referenced: set[bytes] = set()
         for _ in range(n_buffers):
             pos, count = struct.unpack(">II", take(8))
             if pos >= m:
                 raise StoreError(f"snapshot buffer position {pos} out of range")
             if count > beta:
                 raise StoreError(f"snapshot buffer {pos} exceeds capacity")
-            handles = [take(HANDLE_BYTES) for _ in range(count)]
-            for h in handles:
-                if h not in store.table:
-                    raise StoreError("snapshot buffer references unknown handle")
-            if len(set(handles)) != count:
+            blob = take(HANDLE_BYTES * count)
+            handles = [blob[i : i + HANDLE_BYTES] for i in range(0, len(blob), HANDLE_BYTES)]
+            distinct = set(handles)
+            if not store.table.keys() >= distinct:
+                raise StoreError("snapshot buffer references unknown handle")
+            if len(distinct) != count:
                 raise StoreError(f"snapshot buffer {pos} repeats a handle")
             store.buffers[pos] = handles
-            referenced.update(handles)
         if off != len(data):
             raise StoreError("trailing bytes after snapshot")
-        if referenced != set(store.table):
+        store._live.update(chain.from_iterable(store.buffers))  # one call: counted in C
+        if store._live.keys() != store.table.keys():
             raise StoreError("snapshot table holds records absent from every buffer")
         return store

@@ -214,12 +214,14 @@ class TestRobustness:
         for _ in range(5):
             with _client(server):
                 pass
-        for t in list(server._threads):
+        finished = list(server._threads)
+        for t in finished:
             t.join(timeout=5)
+        assert not any(t.is_alive() for t in finished)
         with _client(server):
-            # the five finished threads went when this connection was accepted
-            assert len(server._threads) <= 1
-            assert all(t.is_alive() for t in server._threads)
+            # the finished threads went when this connection was accepted
+            assert len(server._threads) == 1
+            assert server._threads[0].is_alive()
 
     def test_concurrent_sessions(self, system, server):
         kr, idx, packet, _ = _uploaded(system, server, keyword_ids=(0,), seed=74)

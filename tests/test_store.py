@@ -1,8 +1,14 @@
+import errno
+import tempfile
 import threading
 from random import Random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from sbfsearch import store as store_module
 from sbfsearch.crypto import SealedRecord, token_from_text
 from sbfsearch.filters import BitFilter
 from sbfsearch.index import (
@@ -202,14 +208,18 @@ class TestRemove:
                                     system.zone, system.params, Random(31))
         store.ingest(packet)
         occupied = set(idx.bf.positions())
-        foreign = next(i for i in range(system.params.m) if i not in occupied)
+        # the highest free position: its digits cannot be mistaken for the count
+        foreign = max(set(range(system.params.m)) - occupied)
         rbf = BitFilter(system.params.m)
         rbf.insert([foreign, next(iter(occupied))])
         with caplog.at_level("WARNING"):
             pruned = store.remove(RemovalRequest(zone=system.zone, rbf_prime=rbf,
                                                  handle=packet.sealed.handle))
         assert pruned == 1
-        assert "does not hold handle" in caplog.text
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        # positions and handles are access-pattern data and stay out of the log
+        assert packet.sealed.handle.hex() not in caplog.text
+        assert str(foreign) not in caplog.text
 
     def test_swap_path_prunes_blinding_buffer(self, system):
         from test_index import _colliding_pair
@@ -253,12 +263,12 @@ def _handle(name):
     return name.encode().ljust(16, b"\0")
 
 
-def _raw_packet(zone, m, name, positions):
+def _raw_packet(zone, m, name, positions, version=b""):
     bf = BitFilter(m)
     bf.insert(positions)
     handle = _handle(name)
     return UploadPacket(zone=zone, compressed_bf=bf.compress(),
-                        sealed=SealedRecord(handle=handle, ciphertext=b"sealed " + handle))
+                        sealed=SealedRecord(handle=handle, ciphertext=b"sealed " + handle + version))
 
 
 class TestReplacement:
@@ -308,6 +318,23 @@ class TestReplacement:
         self._remove_a(store, [0, 1, 2, 3], a)
         assert store.table[a.sealed.handle] == a.sealed
         assert [i for i, buf in enumerate(store.buffers) if a.sealed.handle in buf] == [8]
+
+    def test_removal_never_scans_the_buffers(self, store):
+        class NoScan(list):
+            def __iter__(self):
+                raise AssertionError("removal iterated over all m buffers")
+
+        store.buffers = NoScan(store.buffers)
+        withdraw_b = BitFilter(store.params.m)
+        withdraw_b.insert([3, 4, 5])
+        assert store.remove(RemovalRequest(zone=store.zone, rbf_prime=withdraw_b,
+                                           handle=_handle("b"))) == 3
+        a = _raw_packet(store.zone, store.params.m, "a", [8], version=b" v2")
+        assert self._remove_a(store, [0, 1, 2, 3], a) == 4
+        a_, c_ = _handle("a"), _handle("c")
+        assert set(store.table) == {a_, c_} and store.table[a_] == a.sealed
+        # indexed, since the buffers can no longer be iterated
+        assert [store.buffers[p] for p in range(10)] == [[], [], [], [], [], [c_], [c_], [], [a_], []]
 
 
 class TestAccounting:
@@ -381,6 +408,41 @@ class TestSnapshot:
         with pytest.raises(StoreError, match="repeats a handle"):
             StorageBloomFilter.load(path)
 
+    def test_failed_save_keeps_previous_snapshot(self, system, loaded, tmp_path, monkeypatch):
+        store, packets = loaded
+        path = tmp_path / "zone.sbf"
+        store.save(path)
+        before = path.read_bytes()
+        packet = packets["d"][2]
+        store.remove(RemovalRequest(zone=system.zone, handle=packet.sealed.handle,
+                                    rbf_prime=BitFilter.decompress(packet.compressed_bf, system.params.m)))
+
+        class DiskFullHalfway:
+            """A file whose write stores half the bytes, then fails."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                self.f.flush()
+                raise OSError(errno.ENOSPC, "no space left on device")
+
+        real_open = open
+        monkeypatch.setattr(store_module, "open", lambda *a, **k: DiskFullHalfway(real_open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError):
+            store.save(path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+        assert packet.sealed.handle in StorageBloomFilter.load(path).table
+
     def test_load_rejects_truncation(self, system, loaded, tmp_path):
         store, _ = loaded
         path = tmp_path / "zone.sbf"
@@ -424,3 +486,138 @@ class TestConcurrency:
                 t.join(timeout=5)
         assert not errors
         assert len(store.table) == 30
+
+
+MODEL_ZONE = token_from_text("zone-model", 64)
+MODEL_SPOTS = 6  # records use only positions 0..5, so buffers fill and overflow often
+_names = st.sampled_from("abcdef")
+_spots = st.sets(st.integers(0, MODEL_SPOTS - 1), min_size=1, max_size=4)
+
+
+class StoreModel(RuleBasedStateMachine):
+    """The store against a reference model: each live handle's set of
+    positions and its sealed record. beta=2 over six positions and six
+    handles, so duplicate, overflow, unknown-handle and own-handle cases
+    all come up. A rejected operation must leave table and buffers as
+    they were; after every step the table and every buffer must match
+    the model."""
+
+    def __init__(self):
+        super().__init__()
+        self.params = derive_params(l=20, r=4, gamma_count=2, q=6, beta=2, tau_bits=4096, n_bits=64)
+        self.store = StorageBloomFilter(self.params, MODEL_ZONE)
+        self.held: dict[bytes, set[int]] = {}
+        self.sealed: dict[bytes, SealedRecord] = {}
+        self.uploads = 0
+        self.dir = tempfile.TemporaryDirectory()
+
+    def teardown(self):
+        self.dir.cleanup()
+
+    def _packet(self, name, positions, zone=MODEL_ZONE):
+        self.uploads += 1  # a new ciphertext each time, so a replacement is told from the original
+        return _raw_packet(zone, self.params.m, name, sorted(positions), version=b"%d" % self.uploads)
+
+    def _holders(self, p):
+        return {h for h, ps in self.held.items() if p in ps}
+
+    def _upload_error(self, handle, positions, freed=(), leaving=None):
+        if handle in self.held and handle != leaving:
+            return DuplicateHandle
+        if any(len(self._holders(p)) - (p in freed) >= self.params.beta for p in positions):
+            return BufferOverflow
+        return None
+
+    def _rejected(self, error, op, arg):
+        table, buffers = dict(self.store.table), [list(b) for b in self.store.buffers]
+        with pytest.raises(error):
+            op(arg)
+        assert self.store.table == table
+        assert [list(b) for b in self.store.buffers] == buffers
+
+    def _remove(self, handle, prune, replacement):
+        rbf = BitFilter(self.params.m)
+        rbf.insert(sorted(prune))
+        new = None if replacement is None else self._packet(*replacement)
+        req = RemovalRequest(zone=MODEL_ZONE, rbf_prime=rbf, handle=handle, replacement=new)
+        if handle not in self.held:
+            return self._rejected(UnknownHandle, self.store.remove, req)
+        freed = prune & self.held[handle]
+        if new is not None:
+            leaving = handle if freed == self.held[handle] else None
+            error = self._upload_error(new.sealed.handle, replacement[1], freed, leaving)
+            if error is not None:
+                return self._rejected(error, self.store.remove, req)
+        assert self.store.remove(req) == len(freed)
+        self.held[handle] -= freed
+        if not self.held[handle]:
+            del self.held[handle], self.sealed[handle]
+        if new is not None:
+            self.held[new.sealed.handle] = set(replacement[1])
+            self.sealed[new.sealed.handle] = new.sealed
+
+    @rule(name=_names, positions=_spots)
+    def ingest(self, name, positions):
+        packet = self._packet(name, positions)
+        error = self._upload_error(packet.sealed.handle, positions)
+        if error is not None:
+            return self._rejected(error, self.store.ingest, packet)
+        assert self.store.ingest(packet) == len(positions)
+        self.held[packet.sealed.handle] = set(positions)
+        self.sealed[packet.sealed.handle] = packet.sealed
+
+    @rule(name=_names, positions=_spots)
+    def ingest_into_another_zone(self, name, positions):
+        packet = self._packet(name, positions, zone=token_from_text("elsewhere", 64))
+        self._rejected(ZoneMismatch, self.store.ingest, packet)
+
+    @rule(data=st.data(), foreign=st.sets(st.integers(0, MODEL_SPOTS - 1), max_size=2),
+          replacement=st.none() | st.tuples(_names, _spots))
+    def remove(self, data, foreign, replacement):
+        """Keyword removal, with or without a replacement: prune some of a
+        record's positions, plus buffers that may lack it. The handle may
+        be unknown ("z" never uploads)."""
+        handle = data.draw(st.sampled_from(sorted(self.held) + [_handle("z")]))
+        own = sorted(self.held.get(handle, ()))
+        prune = data.draw(st.sets(st.sampled_from(own))) if own else set()
+        self._remove(handle, prune | foreign, replacement)
+
+    @precondition(lambda self: self.held)
+    @rule(data=st.data(), replacement=st.none() | _spots)
+    def withdraw(self, data, replacement):
+        """Prune every position a record holds; a replacement reuses its handle."""
+        handle = data.draw(st.sampled_from(sorted(self.held)))
+        name = handle.rstrip(b"\0").decode()
+        self._remove(handle, set(self.held[handle]), None if replacement is None else (name, replacement))
+
+    @rule(data=st.data(), probe=_spots)
+    def search(self, data, probe):
+        if self.held and data.draw(st.booleans()):
+            # probe a subset of a stored record's positions, so searches also hit
+            handle = data.draw(st.sampled_from(sorted(self.held)))
+            probe = data.draw(st.sets(st.sampled_from(sorted(self.held[handle])), min_size=1))
+        expected = sorted(h for h, ps in self.held.items() if probe <= ps)
+        result = self.store.search_positions(sorted(probe))
+        assert result.matches == [self.sealed[h] for h in expected]
+
+    @rule()
+    def save_and_load(self):
+        path = f"{self.dir.name}/zone.sbf"
+        self.store.save(path)
+        self.store = StorageBloomFilter.load(path)
+
+    @invariant()
+    def table_matches_model(self):
+        assert self.store.table == self.sealed
+
+    @invariant()
+    def buffers_match_model(self):
+        for p in range(MODEL_SPOTS):
+            assert sorted(self.store.buffers[p]) == sorted(self._holders(p))
+        assert not any(self.store.buffers[MODEL_SPOTS:])
+
+
+# fixed cases and a small budget: tier-1 runs the same ~1.5 s of steps every time
+StoreModel.TestCase.settings = settings(max_examples=60, stateful_step_count=30, deadline=None,
+                                        database=None, derandomize=True)
+TestStoreModel = StoreModel.TestCase
