@@ -12,6 +12,10 @@ Primitive choices (sizes matter for the communication accounting):
   16-byte tag = 60 bytes (480 bits). One asymmetric operation per record.
 - Transport wrapping: AES-128-GCM under a per-session channel key.
   Overhead: 12-byte nonce + 16-byte tag = 28 bytes (224 bits).
+- Sparse filter codec: a 4-byte count, then each set position in
+  position_width(m) bits. Encoding and decoding cost time linear in the
+  count, and the decoder refuses a count above the caller's bound before
+  decoding, so a hostile header costs O(1).
 - Tokens: free-text keywords/locations map to n-bit tokens via SHA-256
   truncated to n bits. This canonicalizes the vocabulary; it is not a
   security boundary.
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
+import numpy as np
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -264,46 +269,38 @@ def position_width(m: int) -> int:
 def compress_positions(positions: list[int], m: int) -> bytes:
     """Encode set-bit positions as a 4-byte big-endian popcount header
     followed by the positions ascending, each a fixed-width big-endian
-    integer, bit-packed."""
+    integer, bit-packed. Linear in the count: one bit matrix, one pack."""
     width = position_width(m)
-    prev = -1
-    acc = 0
-    for p in positions:
-        if p <= prev:
-            raise CryptoError("positions must be strictly ascending")
-        if p >= m:
-            raise CryptoError(f"position {p} out of range for m={m}")
-        acc = (acc << width) | p
-        prev = p
-    total_bits = len(positions) * width
-    acc <<= (-total_bits) % 8
-    return len(positions).to_bytes(4, "big") + acc.to_bytes((total_bits + 7) // 8, "big")
+    p = np.asarray(positions, dtype=np.int64)
+    if p.size and (p[0] < 0 or (p[1:] <= p[:-1]).any()):
+        raise CryptoError("positions must be strictly ascending")
+    if p.size and p[-1] >= m:
+        raise CryptoError(f"position {int(p[-1])} out of range for m={m}")
+    bits = (p[:, None] >> np.arange(width - 1, -1, -1)) & 1
+    return len(p).to_bytes(4, "big") + np.packbits(bits.astype(np.uint8)).tobytes()
 
 
-def decompress_positions(data: bytes, m: int) -> list[int]:
-    """Invert compress_positions, validating range and ordering."""
+def decompress_positions(data: bytes, m: int, max_count: int | None = None) -> list[int]:
+    """Invert compress_positions, validating range and ordering. A header
+    count above `max_count` or m is refused before anything is decoded;
+    decoding is then linear in the count."""
     if len(data) < 4:
         raise CryptoError("sparse filter missing header")
     count = int.from_bytes(data[:4], "big")
+    bound = m if max_count is None else min(m, max_count)
+    if count > bound:
+        raise CryptoError(f"sparse filter count {count} exceeds bound {bound}")
     width = position_width(m)
-    total_bits = count * width
     body = data[4:]
-    if len(body) != (total_bits + 7) // 8:
+    if len(body) != (count * width + 7) // 8:
         raise CryptoError("sparse filter length mismatch")
-    acc = int.from_bytes(body, "big") >> ((-total_bits) % 8)
-    positions = [0] * count
-    mask = (1 << width) - 1
-    for i in range(count - 1, -1, -1):
-        positions[i] = acc & mask
-        acc >>= width
-    prev = -1
-    for p in positions:
-        if p <= prev:
-            raise CryptoError("decoded positions not strictly ascending")
-        if p >= m:
-            raise CryptoError(f"decoded position {p} out of range for m={m}")
-        prev = p
-    return positions
+    bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=count * width)
+    p = bits.reshape(count, width) @ (1 << np.arange(width - 1, -1, -1))
+    if (p[1:] <= p[:-1]).any():
+        raise CryptoError("decoded positions not strictly ascending")
+    if count and p[-1] >= m:
+        raise CryptoError(f"decoded position {int(p[-1])} out of range for m={m}")
+    return p.tolist()
 
 
 # --- key files -------------------------------------------------------------

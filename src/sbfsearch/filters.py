@@ -79,12 +79,13 @@ class BitFilter:
         )
 
     def compress(self) -> bytes:
-        return compress_positions(self.positions(), self.m)
+        return compress_positions(np.flatnonzero(self.bits), self.m)
 
     @classmethod
-    def decompress(cls, data: bytes, m: int) -> "BitFilter":
+    def decompress(cls, data: bytes, m: int, max_count: int | None = None) -> "BitFilter":
+        """Invert compress; a count above `max_count` is refused undecoded."""
         bf = cls(m)
-        bf.insert(decompress_positions(data, m))
+        bf.bits[decompress_positions(data, m, max_count)] = True  # the codec checked the range
         return bf
 
     def to_bytes(self) -> bytes:

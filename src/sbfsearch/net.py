@@ -28,6 +28,8 @@ correlation id copied into the response:
     0x08 ERROR       corr || code(2) || utf-8 message
 
 RESULT payload: corr || count(4) || count * (handle(16) || ct_len(4) || ct).
+A sparse filter or position list holds at most q*r positions (a record's
+load); a larger count is refused with E_MALFORMED before it is decoded.
 The server serves one or more zone stores and never holds the agents'
 private key, so it can route and intersect sealed records but not read
 them.
@@ -300,19 +302,20 @@ class NetServer:
 
     def _handle_search_loc(self, conn, session, corr, body):
         width = self.zone_width()
-        zone = body[:width]
+        store = self._store_for(body[:width])
         (count,) = struct.unpack_from(">H", body, width)
-        positions = list(struct.unpack_from(f">{count}I", body, width + 2))
+        if count > store.params.max_positions:
+            raise ValueError(f"search of {count} positions exceeds bound {store.params.max_positions}")
         if len(body) != width + 2 + 4 * count:
             raise ValueError("search payload length mismatch")
-        result = self._store_for(zone).search_positions(positions)
+        result = store.search_positions(list(struct.unpack_from(f">{count}I", body, width + 2)))
         self._reply_result(conn, session, corr, result.matches)
 
     def _handle_search_bf(self, conn, session, corr, body):
         width = self.zone_width()
         zone, sparse = body[:width], body[width:]
         store = self._store_for(zone)
-        query = BitFilter.decompress(sparse, store.params.m)
+        query = BitFilter.decompress(sparse, store.params.m, store.params.max_positions)
         result = store.search_filter(query)
         self._reply_result(conn, session, corr, result.matches)
 
@@ -328,7 +331,7 @@ class NetServer:
         replacement = UploadPacket.from_bytes(body[off:], width) if flag else None
         if not flag and off != len(body):
             raise ValueError("remove payload length mismatch")
-        rbf = BitFilter.decompress(sparse, store.params.m)
+        rbf = BitFilter.decompress(sparse, store.params.m, store.params.max_positions)
         req = RemovalRequest(zone=zone, rbf_prime=rbf, handle=handle, replacement=replacement)
         pruned = store.remove(req)
         self._reply(conn, session, T_REMOVE_ACK, corr, struct.pack(">I", pruned))

@@ -56,6 +56,11 @@ class SystemParams:
             raise ParamsError("s_bits must be a multiple of 8 (keys are byte strings)")
 
     @property
+    def max_positions(self) -> int:
+        """Most set bits a record's filter can hold (q elements of r positions)."""
+        return self.q * self.r
+
+    @property
     def s_bytes(self) -> int:
         return self.s_bits // 8
 

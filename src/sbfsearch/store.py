@@ -5,7 +5,11 @@ A record is stored once in the table; its handle is appended to every
 buffer addressed by the uploaded filter. Search intersects the addressed
 buffers (smallest first) and never scans the table; removal keeps a
 per-handle count of the buffers holding each record. So both cost
-O(marked positions), not O(store size). The provisioned capacity model
+O(marked positions), not O(store size). Ingest decodes the sparse upload
+straight to its position list (linear in the count, refused undecoded
+above q*r, and refused when empty), gathers the target buffers once to
+check capacity and appends to those same lists: O(positions), with no
+dense m-bit filter. The provisioned capacity model
 is m * beta * tau bits even though the implementation deduplicates
 ciphertexts through the table.
 
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
-from .crypto import HANDLE_BYTES, SealedRecord
+from .crypto import HANDLE_BYTES, SealedRecord, decompress_positions
 from .filters import BitFilter
 from .index import RemovalRequest, UploadPacket
 from .params import SystemParams
@@ -122,8 +126,7 @@ class StorageBloomFilter:
         positions = self._upload_positions(packet)
         self._lock.acquire_write()
         try:
-            self._check_upload(packet.sealed.handle, positions)
-            self._insert(packet.sealed, positions)
+            self._insert(packet.sealed, self._check_upload(packet.sealed.handle, positions))
             return len(positions)
         finally:
             self._lock.release_write()
@@ -155,7 +158,7 @@ class StorageBloomFilter:
             if new is not None:
                 # the record's own handle may return only once the prune drops its last copy
                 leaving = h if self._live[h] == len(held) else None
-                self._check_upload(new.sealed.handle, new_positions, held, leaving)
+                targets = self._check_upload(new.sealed.handle, new_positions, held, leaving)
             if len(held) < len(marked):
                 log.warning("removal: %d marked buffers did not hold the record", len(marked) - len(held))
             for p in held:
@@ -164,31 +167,40 @@ class StorageBloomFilter:
             if not self._live[h]:
                 del self._live[h], self.table[h]
             if new is not None:
-                self._insert(new.sealed, new_positions)
+                self._insert(new.sealed, targets)
             return len(held)
         finally:
             self._lock.release_write()
 
     def _upload_positions(self, packet: UploadPacket) -> list[int]:
+        """The upload's positions, decoded in O(count): ascending, in range,
+        at least one and at most q*r (a larger count is refused undecoded)."""
         if packet.zone != self.zone:
             raise ZoneMismatch(f"packet zone {packet.zone.hex()} != store zone {self.zone.hex()}")
-        return BitFilter.decompress(packet.compressed_bf, self.params.m).positions()
+        positions = decompress_positions(packet.compressed_bf, self.params.m, self.params.max_positions)
+        if not positions:
+            raise StoreError("upload filter has no bit set")
+        return positions
 
     def _check_upload(self, handle: bytes, positions: list[int],
-                      freed: Container[int] = (), leaving: bytes | None = None) -> None:
-        """Raise unless the upload fits once each buffer in `freed` has
-        lost one entry and the record `leaving` has left the table."""
+                      freed: Container[int] = (), leaving: bytes | None = None) -> list[list[bytes]]:
+        """The buffers the upload goes to. Raise unless it fits once each
+        buffer in `freed` has lost one entry and the record `leaving` has
+        left the table."""
         if handle in self.table and handle != leaving:
             raise DuplicateHandle(f"handle {handle.hex()} already ingested")
-        for p in positions:
-            if len(self.buffers[p]) - (p in freed) >= self.params.beta:
-                raise BufferOverflow(p)
+        targets = list(map(self.buffers.__getitem__, positions))
+        if max(map(len, targets)) >= self.params.beta:  # only a full buffer needs the exact test
+            for p, buf in zip(positions, targets):
+                if len(buf) - (p in freed) >= self.params.beta:
+                    raise BufferOverflow(p)
+        return targets
 
-    def _insert(self, sealed: SealedRecord, positions: list[int]) -> None:
+    def _insert(self, sealed: SealedRecord, targets: list[list[bytes]]) -> None:
         self.table[sealed.handle] = sealed
-        self._live[sealed.handle] = len(positions)
-        for p in positions:
-            self.buffers[p].append(sealed.handle)
+        self._live[sealed.handle] = len(targets)
+        for buf in targets:
+            buf.append(sealed.handle)
 
     # -- reads --------------------------------------------------------------
 

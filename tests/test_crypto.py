@@ -1,6 +1,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbfsearch import crypto
 from sbfsearch.crypto import (
@@ -11,6 +13,7 @@ from sbfsearch.crypto import (
     decompress_positions,
     generate_agent_keypair,
     open_record,
+    position_width,
     prf,
     seal_record,
     token_from_text,
@@ -206,6 +209,67 @@ class TestSparseCodec:
         data = (2).to_bytes(4, "big") + bytes([0x73])
         with pytest.raises(CryptoError):
             decompress_positions(data, 16)
+
+
+CODEC_M = (1, 2, 3, 231, 28854)
+# fixed cases, no example database: the same examples on every run
+codec_settings = settings(max_examples=80, deadline=None, database=None, derandomize=True)
+
+
+def _reference_encoding(positions, m):
+    """The format as first written: one big integer, shifted per position."""
+    width = position_width(m)
+    acc = 0
+    for p in positions:
+        acc = (acc << width) | p
+    total_bits = len(positions) * width
+    acc <<= (-total_bits) % 8
+    return len(positions).to_bytes(4, "big") + acc.to_bytes((total_bits + 7) // 8, "big")
+
+
+@st.composite
+def _position_sets(draw, max_count=None):
+    """(m, ascending distinct positions), any count from 0 to m (or max_count)."""
+    m = draw(st.sampled_from(CODEC_M))
+    count = draw(st.integers(0, m if max_count is None else min(m, max_count)))
+    return m, sorted(Random(draw(st.integers(0, 2**32 - 1))).sample(range(m), count))
+
+
+class TestSparseCodecProperties:
+    @pytest.mark.parametrize("m", CODEC_M)
+    def test_empty_and_full_filters(self, m):
+        for positions in ([], list(range(m))):
+            data = compress_positions(positions, m)
+            assert data == _reference_encoding(positions, m)
+            assert decompress_positions(data, m) == positions
+
+    @codec_settings
+    @given(_position_sets())
+    def test_round_trip_matches_reference_bytes(self, case):
+        m, positions = case
+        data = compress_positions(positions, m)
+        assert data == _reference_encoding(positions, m)
+        assert decompress_positions(data, m, len(positions)) == positions
+
+    @codec_settings
+    @given(_position_sets(max_count=300))
+    def test_prefix_or_trailing_byte_rejected(self, case):
+        m, positions = case
+        data = compress_positions(positions, m)
+        for k in range(len(data)):
+            with pytest.raises(CryptoError):
+                decompress_positions(data[:k], m)
+        with pytest.raises(CryptoError):
+            decompress_positions(data + b"\x00", m)
+
+    @codec_settings
+    @given(m=st.sampled_from(CODEC_M), data=st.data())
+    def test_count_above_bound_refused_before_decoding(self, m, data):
+        bound = data.draw(st.none() | st.integers(0, m))
+        count = data.draw(st.integers((m if bound is None else bound) + 1, 2**32 - 1))
+        body = data.draw(st.binary(max_size=8))  # far too short for the count
+        with pytest.raises(CryptoError, match="exceeds bound"):
+            decompress_positions(count.to_bytes(4, "big") + body, m, bound)
 
 
 def test_key_file_round_trip(tmp_path):

@@ -3,12 +3,16 @@ import struct
 import threading
 from random import Random
 
+import numpy as np
 import pytest
 
 from sbfsearch import net
 from sbfsearch.analysis import result_size_bits, upload_size_bits
-from sbfsearch.crypto import open_record, token_from_text, wrap_transport
+from sbfsearch.crypto import SealedRecord, open_record, token_from_text, wrap_transport
+from sbfsearch.filters import BitFilter
 from sbfsearch.index import (
+    RemovalRequest,
+    UploadPacket,
     build_conjunctive_query,
     build_removal_request,
     build_user_index,
@@ -194,6 +198,32 @@ class TestWireSizes:
 
 
 class TestRobustness:
+    def test_counts_above_record_load_refused(self, system, server):
+        """Every decoded filter or position list is bounded by a record's
+        q*r positions; an all-ones upload, query or pruning filter is
+        refused undecoded, the store is unchanged and the session goes on."""
+        kr, _, packet, _ = _uploaded(system, server, seed=68)
+        store = server.stores[system.zone]
+        table_before = dict(store.table)
+        buffers_before = [list(b) for b in store.buffers]
+        ones = BitFilter(system.params.m, np.ones(system.params.m, dtype=bool))
+        flood = UploadPacket(zone=system.zone, compressed_bf=ones.compress(),
+                             sealed=SealedRecord(handle=b"f" * 16, ciphertext=b"flood"))
+        with _client(server) as c:
+            for call in (lambda: c.upload(flood),
+                         lambda: c.search_conjunctive(system.zone, ones),
+                         lambda: c.search_location(system.zone, list(range(system.params.max_positions + 1))),
+                         lambda: c.remove(RemovalRequest(zone=system.zone, rbf_prime=ones,
+                                                         handle=packet.sealed.handle))):
+                with pytest.raises(net.ServerError) as info:
+                    call()
+                assert info.value.code == net.E_MALFORMED
+                assert "exceeds bound" in info.value.message
+            assert store.table == table_before
+            assert [list(b) for b in store.buffers] == buffers_before
+            ps = keyword_positions(kr, system.vocab[0], system.locations[0], system.params)
+            assert packet.sealed.handle in {r.handle for r in c.search_location(system.zone, ps)}
+
     def test_garbage_frames_do_not_crash_server(self, system, server):
         host, port = server.address
         rng = Random(72)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from sbfsearch import store as store_module
-from sbfsearch.crypto import SealedRecord, token_from_text
+from sbfsearch.crypto import CryptoError, SealedRecord, token_from_text
 from sbfsearch.filters import BitFilter
 from sbfsearch.index import (
     RemovalRequest,
@@ -337,6 +337,39 @@ class TestReplacement:
         assert [store.buffers[p] for p in range(10)] == [[], [], [], [], [], [c_], [c_], [], [a_], []]
 
 
+class TestUploadBounds:
+    def test_empty_upload_rejected_and_snapshot_round_trips(self, system, loaded, tmp_path):
+        # a record in no buffer would make the saved snapshot unloadable
+        store, _ = loaded
+        table_before = dict(store.table)
+        buffers_before = [list(b) for b in store.buffers]
+        with pytest.raises(StoreError, match="no bit set"):
+            store.ingest(_raw_packet(system.zone, system.params.m, "empty", []))
+        assert store.table == table_before
+        assert [list(b) for b in store.buffers] == buffers_before
+        path = tmp_path / "zone.sbf"
+        store.save(path)
+        again = StorageBloomFilter.load(path)
+        assert again.table == store.table and again.buffers == store.buffers
+
+    def test_ingest_and_replacement_build_no_dense_filter(self, system, monkeypatch):
+        store = StorageBloomFilter(system.params, system.zone)
+        a = _raw_packet(system.zone, system.params.m, "a", [0, 1, 2])
+        b = _raw_packet(system.zone, system.params.m, "b", [2, 3])
+        rbf = BitFilter(system.params.m)
+        rbf.insert([0, 1, 2])
+        req = RemovalRequest(zone=system.zone, rbf_prime=rbf, handle=a.sealed.handle, replacement=b)
+
+        def no_dense_filter(self, *args, **kwargs):
+            raise AssertionError("an m-bit filter was built")
+
+        monkeypatch.setattr(BitFilter, "__init__", no_dense_filter)
+        assert store.ingest(a) == 3
+        assert store.remove(req) == 3
+        assert set(store.table) == {b.sealed.handle}
+        assert [store.buffers[p] for p in range(5)] == [[], [], [b.sealed.handle], [b.sealed.handle], []]
+
+
 class TestAccounting:
     def test_memory_usage_model_and_actual(self, system, loaded):
         store, _ = loaded
@@ -498,9 +531,9 @@ class StoreModel(RuleBasedStateMachine):
     """The store against a reference model: each live handle's set of
     positions and its sealed record. beta=2 over six positions and six
     handles, so duplicate, overflow, unknown-handle and own-handle cases
-    all come up. A rejected operation must leave table and buffers as
-    they were; after every step the table and every buffer must match
-    the model."""
+    all come up, as do empty and oversize uploads. A rejected operation
+    must leave table and buffers as they were; after every step the table
+    and every buffer must match the model."""
 
     def __init__(self):
         super().__init__()
@@ -528,9 +561,9 @@ class StoreModel(RuleBasedStateMachine):
             return BufferOverflow
         return None
 
-    def _rejected(self, error, op, arg):
+    def _rejected(self, error, op, arg, match=None):
         table, buffers = dict(self.store.table), [list(b) for b in self.store.buffers]
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             op(arg)
         assert self.store.table == table
         assert [list(b) for b in self.store.buffers] == buffers
@@ -570,6 +603,29 @@ class StoreModel(RuleBasedStateMachine):
     def ingest_into_another_zone(self, name, positions):
         packet = self._packet(name, positions, zone=token_from_text("elsewhere", 64))
         self._rejected(ZoneMismatch, self.store.ingest, packet)
+
+    def _refused(self, data, as_replacement, positions, error, match):
+        """An upload, or a replacement for a stored or unknown record, that
+        must be refused whatever the store holds."""
+        packet = self._packet(data.draw(_names), positions)
+        if not as_replacement:
+            return self._rejected(error, self.store.ingest, packet, match)
+        handle = data.draw(st.sampled_from(sorted(self.held) + [_handle("z")]))
+        rbf = BitFilter(self.params.m)
+        rbf.insert(sorted(self.held.get(handle, {0})))
+        req = RemovalRequest(zone=MODEL_ZONE, rbf_prime=rbf, handle=handle, replacement=packet)
+        self._rejected(error, self.store.remove, req, match)
+
+    @rule(data=st.data(), as_replacement=st.booleans())
+    def empty_upload(self, data, as_replacement):
+        self._refused(data, as_replacement, [], StoreError, "no bit set")
+
+    @rule(data=st.data(), as_replacement=st.booleans())
+    def oversize_upload(self, data, as_replacement):
+        """More positions than the q*r a record can hold."""
+        count = data.draw(st.integers(self.params.max_positions + 1, self.params.m))
+        positions = Random(data.draw(st.integers(0, 2**32 - 1))).sample(range(self.params.m), count)
+        self._refused(data, as_replacement, positions, CryptoError, "exceeds bound")
 
     @rule(data=st.data(), foreign=st.sets(st.integers(0, MODEL_SPOTS - 1), max_size=2),
           replacement=st.none() | st.tuples(_names, _spots))
