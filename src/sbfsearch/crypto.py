@@ -16,6 +16,10 @@ Primitive choices (sizes matter for the communication accounting):
   position_width(m) bits. Encoding and decoding cost time linear in the
   count, and the decoder refuses a count above the caller's bound before
   decoding, so a hostile header costs O(1).
+- Reader: every parser that walks offsets (meta records, upload packets,
+  snapshots, key files, wire bodies) reads through one bounds-checked
+  `Reader`, which raises the caller's own error class on a short read or
+  on bytes left over.
 - Tokens: free-text keywords/locations map to n-bit tokens via SHA-256
   truncated to n bits. This canonicalizes the vocabulary; it is not a
   security boundary.
@@ -145,24 +149,13 @@ class MetaInfo:
     @classmethod
     def from_bytes(cls, data: bytes, n_bits: int) -> "MetaInfo":
         width = (n_bits + 7) // 8
-        view = memoryview(data)
-        off = 0
-
-        def take(k: int) -> bytes:
-            nonlocal off
-            if off + k > len(view):
-                raise CryptoError("truncated meta record")
-            out = bytes(view[off : off + k])
-            off += k
-            return out
-
-        pseudonym = take(width)
-        attrs = tuple(take(width) for _ in range(take(1)[0]))
-        server_id = take(width)
-        memory_index = take(width)
-        emergency = tuple(take(width) for _ in range(take(1)[0]))
-        if off != len(view):
-            raise CryptoError("trailing bytes after meta record")
+        rd = Reader(data, CryptoError)
+        pseudonym = rd.take(width)
+        attrs = tuple(rd.take(width) for _ in range(rd.u8()))
+        server_id = rd.take(width)
+        memory_index = rd.take(width)
+        emergency = tuple(rd.take(width) for _ in range(rd.u8()))
+        rd.done()
         return cls(pseudonym, attrs, server_id, memory_index, emergency)
 
 
@@ -257,6 +250,43 @@ def unwrap_transport(channel_key: bytes, env: TransportEnvelope) -> bytes:
         return AESGCM(channel_key).decrypt(env.nonce, env.ciphertext, None)
     except InvalidTag as exc:
         raise CryptoError("transport authentication failed") from exc
+
+
+# --- bounds-checked reader --------------------------------------------------
+
+class Reader:
+    """Reads one encoded message front to back, integers big-endian. A
+    read past the end, or a byte left unread at `done`, raises `error`:
+    the caller's own exception class, so each format fails one way."""
+
+    def __init__(self, data: bytes, error: type[Exception]):
+        self._data = data
+        self._pos = 0
+        self._error = error
+
+    def take(self, k: int) -> bytes:
+        end = self._pos + k
+        if end > len(self._data):
+            raise self._error("truncated input")
+        out = self._data[self._pos : end]
+        self._pos = end
+        return out
+
+    def u8(self) -> int:
+        return self.take(1)[0]
+
+    def u16(self) -> int:
+        return int.from_bytes(self.take(2), "big")
+
+    def u32(self) -> int:
+        return int.from_bytes(self.take(4), "big")
+
+    def rest(self) -> bytes:
+        return self.take(len(self._data) - self._pos)
+
+    def done(self) -> None:
+        if self._pos != len(self._data):
+            raise self._error("trailing bytes")
 
 
 # --- sparse filter codec ---------------------------------------------------

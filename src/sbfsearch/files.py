@@ -1,6 +1,8 @@
 """Binary file formats for client-side artifacts: master secrets,
 user keyrings, and user indexes. Each format opens with an eight-byte
-magic tag; integers are big-endian."""
+magic tag; integers are big-endian. Loading reads through
+`crypto.Reader`, so a truncated file, trailing bytes, or a dense filter
+whose length header differs from the index's m raise `FileFormatError`."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .crypto import Reader
 from .filters import BitFilter, CountingFilter
 from .index import MasterSecrets, UserIndex, UserKeyring
 
@@ -19,32 +22,6 @@ INDEX_MAGIC = b"SBFINDX1"
 
 class FileFormatError(Exception):
     pass
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
-
-    def take(self, k: int) -> bytes:
-        if self.off + k > len(self.data):
-            raise FileFormatError("truncated file")
-        out = self.data[self.off : self.off + k]
-        self.off += k
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def done(self) -> None:
-        if self.off != len(self.data):
-            raise FileFormatError("trailing bytes")
 
 
 def save_master_secrets(ms: MasterSecrets, path: str | Path) -> None:
@@ -62,10 +39,10 @@ def save_master_secrets(ms: MasterSecrets, path: str | Path) -> None:
 
 
 def load_master_secrets(path: str | Path) -> MasterSecrets:
-    rd = _Reader(Path(path).read_bytes())
+    rd = Reader(Path(path).read_bytes(), FileFormatError)
     if rd.take(8) != MASTER_MAGIC:
         raise FileFormatError("not a master secrets file")
-    token_bytes, key_bytes, r, l = struct.unpack(">BHHI", rd.take(9))
+    token_bytes, key_bytes, r, l = rd.u8(), rd.u16(), rd.u16(), rd.u32()
     secrets_map = {}
     for _ in range(l):
         token = rd.take(token_bytes)
@@ -94,10 +71,10 @@ def save_keyring(kr: UserKeyring, path: str | Path) -> None:
 
 
 def load_keyring(path: str | Path) -> UserKeyring:
-    rd = _Reader(Path(path).read_bytes())
+    rd = Reader(Path(path).read_bytes(), FileFormatError)
     if rd.take(8) != KEYRING_MAGIC:
         raise FileFormatError("not a keyring file")
-    token_bytes, key_bytes, r, count = struct.unpack(">BHHI", rd.take(9))
+    token_bytes, key_bytes, r, count = rd.u8(), rd.u16(), rd.u16(), rd.u32()
     zone = rd.take(token_bytes)
     keys = {}
     for _ in range(count):
@@ -123,18 +100,22 @@ def save_index(idx: UserIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> UserIndex:
-    rd = _Reader(Path(path).read_bytes())
+    rd = Reader(Path(path).read_bytes(), FileFormatError)
     if rd.take(8) != INDEX_MAGIC:
         raise FileFormatError("not an index file")
-    m, zone_len = struct.unpack(">IB", rd.take(5))
-    zone = rd.take(zone_len)
-    dense = 8 + (m + 7) // 8
-    bf = BitFilter.from_bytes(rd.take(dense))
+    m = rd.u32()
+    zone = rd.take(rd.u8())
+    bf = _dense_filter(rd, m)
     counters = np.frombuffer(rd.take(4 * m), dtype=">u4").astype(np.int64)
-    obf = BitFilter.from_bytes(rd.take(dense))
-    count = rd.u16()
-    elements = []
-    for _ in range(count):
-        elements.append(rd.take(rd.u16()))
+    obf = _dense_filter(rd, m)
+    elements = [rd.take(rd.u16()) for _ in range(rd.u16())]
     rd.done()
     return UserIndex(zone=zone, bf=bf, cbf=CountingFilter(m, counters), obf=obf, obf_elements=elements)
+
+
+def _dense_filter(rd: Reader, m: int) -> BitFilter:
+    """One dense filter whose own length header must equal the index's m."""
+    data = rd.take(8 + (m + 7) // 8)
+    if m < 1 or int.from_bytes(data[:8], "big") != m:
+        raise FileFormatError(f"dense filter length does not match the index's m={m}")
+    return BitFilter.from_bytes(data)

@@ -27,8 +27,10 @@ from dataclasses import dataclass, field
 from random import Random
 
 from .crypto import (
+    HANDLE_BYTES,
     CryptoError,
     MetaInfo,
+    Reader,
     SealedRecord,
     generate_agent_keypair,
     prf,
@@ -94,19 +96,12 @@ class UploadPacket:
 
     @classmethod
     def from_bytes(cls, data: bytes, zone_width: int) -> "UploadPacket":
-        try:
-            off = 0
-            zone = data[off : off + zone_width]; off += zone_width
-            handle = data[off : off + 16]; off += 16
-            (ct_len,) = struct.unpack_from(">I", data, off); off += 4
-            ct = data[off : off + ct_len]; off += ct_len
-            (bf_len,) = struct.unpack_from(">I", data, off); off += 4
-            compressed = data[off : off + bf_len]; off += bf_len
-            if off != len(data) or len(zone) != zone_width or len(handle) != 16 \
-                    or len(ct) != ct_len or len(compressed) != bf_len:
-                raise ValueError
-        except (struct.error, ValueError):
-            raise SchemeError("malformed upload packet") from None
+        rd = Reader(data, SchemeError)
+        zone = rd.take(zone_width)
+        handle = rd.take(HANDLE_BYTES)
+        ct = rd.take(rd.u32())
+        compressed = rd.take(rd.u32())
+        rd.done()
         return cls(zone=zone, compressed_bf=compressed,
                    sealed=SealedRecord(handle=handle, ciphertext=ct))
 

@@ -28,6 +28,9 @@ correlation id copied into the response:
     0x08 ERROR       corr || code(2) || utf-8 message
 
 RESULT payload: corr || count(4) || count * (handle(16) || ct_len(4) || ct).
+The REMOVE flag is 0 (no replacement) or 1 (a replacement upload packet
+follows). A body cut short, left with bytes over, or with any other flag
+gets E_MALFORMED; the client raises WireError on a malformed reply.
 A sparse filter or position list holds at most q*r positions (a record's
 load); a larger count is refused with E_MALFORMED before it is decoded.
 The server serves one or more zone stores and never holds the agents'
@@ -50,7 +53,8 @@ from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .crypto import CryptoError, SealedRecord, TransportEnvelope, rand_bytes, unwrap_transport, wrap_transport
+from .crypto import (HANDLE_BYTES, CryptoError, Reader, SealedRecord, TransportEnvelope, rand_bytes,
+                     unwrap_transport, wrap_transport)
 from .filters import BitFilter
 from .index import RemovalRequest, UploadPacket
 from .store import BufferOverflow, DuplicateHandle, StorageBloomFilter, StoreError, UnknownHandle, ZoneMismatch
@@ -267,17 +271,12 @@ class NetServer:
             self._reply_error(conn, session, 0, E_MALFORMED, "empty request body")
             return
         corr, body = plain[0], plain[1:]
+        handler = self._HANDLERS.get(ftype)
+        if handler is None:
+            self._reply_error(conn, session, corr, E_MALFORMED, f"unknown message type {ftype:#04x}")
+            return
         try:
-            if ftype == T_UPLOAD:
-                self._handle_upload(conn, session, corr, body)
-            elif ftype == T_SEARCH_LOC:
-                self._handle_search_loc(conn, session, corr, body)
-            elif ftype == T_SEARCH_BF:
-                self._handle_search_bf(conn, session, corr, body)
-            elif ftype == T_REMOVE:
-                self._handle_remove(conn, session, corr, body)
-            else:
-                self._reply_error(conn, session, corr, E_MALFORMED, f"unknown message type {ftype:#04x}")
+            rtype, reply = handler(self, body)
         except BufferOverflow as exc:
             self._reply_error(conn, session, corr, E_OVERFLOW, f"buffer {exc.buffer_index} at capacity")
         except DuplicateHandle as exc:
@@ -286,8 +285,10 @@ class NetServer:
             self._reply_error(conn, session, corr, E_UNKNOWN_HANDLE, str(exc))
         except ZoneMismatch as exc:
             self._reply_error(conn, session, corr, E_ZONE_UNKNOWN, str(exc))
-        except (StoreError, CryptoError, ValueError, struct.error, IndexError) as exc:
+        except (StoreError, CryptoError, ValueError) as exc:
             self._reply_error(conn, session, corr, E_MALFORMED, f"malformed request: {exc}")
+        else:
+            self._reply(conn, session, rtype, corr, reply)
 
     def _store_for(self, zone: bytes) -> StorageBloomFilter:
         store = self.stores.get(zone)
@@ -295,59 +296,56 @@ class NetServer:
             raise ZoneMismatch(f"ZONE_UNKNOWN {zone.hex()}")
         return store
 
-    def _handle_upload(self, conn, session, corr, body):
+    def _handle_upload(self, body: bytes) -> tuple[int, bytes]:
         packet = UploadPacket.from_bytes(body, self.zone_width())
-        written = self._store_for(packet.zone).ingest(packet)
-        self._reply(conn, session, T_UPLOAD_ACK, corr, struct.pack(">I", written))
+        return T_UPLOAD_ACK, struct.pack(">I", self._store_for(packet.zone).ingest(packet))
 
-    def _handle_search_loc(self, conn, session, corr, body):
-        width = self.zone_width()
-        store = self._store_for(body[:width])
-        (count,) = struct.unpack_from(">H", body, width)
+    def _handle_search_loc(self, body: bytes) -> tuple[int, bytes]:
+        rd = Reader(body, ValueError)
+        store = self._store_for(rd.take(self.zone_width()))
+        count = rd.u16()
         if count > store.params.max_positions:
             raise ValueError(f"search of {count} positions exceeds bound {store.params.max_positions}")
-        if len(body) != width + 2 + 4 * count:
-            raise ValueError("search payload length mismatch")
-        result = store.search_positions(list(struct.unpack_from(f">{count}I", body, width + 2)))
-        self._reply_result(conn, session, corr, result.matches)
+        positions = list(struct.unpack(f">{count}I", rd.take(4 * count)))
+        rd.done()
+        return T_RESULT, _result_body(store.search_positions(positions).matches)
 
-    def _handle_search_bf(self, conn, session, corr, body):
-        width = self.zone_width()
-        zone, sparse = body[:width], body[width:]
-        store = self._store_for(zone)
-        query = BitFilter.decompress(sparse, store.params.m, store.params.max_positions)
-        result = store.search_filter(query)
-        self._reply_result(conn, session, corr, result.matches)
+    def _handle_search_bf(self, body: bytes) -> tuple[int, bytes]:
+        rd = Reader(body, ValueError)
+        store = self._store_for(rd.take(self.zone_width()))
+        query = BitFilter.decompress(rd.rest(), store.params.m, store.params.max_positions)
+        return T_RESULT, _result_body(store.search_filter(query).matches)
 
-    def _handle_remove(self, conn, session, corr, body):
-        width = self.zone_width()
-        off = 0
-        zone = body[off : off + width]; off += width
-        handle = body[off : off + 16]; off += 16
-        (rbf_len,) = struct.unpack_from(">I", body, off); off += 4
-        sparse = body[off : off + rbf_len]; off += rbf_len
-        flag = body[off]; off += 1
-        store = self._store_for(zone)
-        replacement = UploadPacket.from_bytes(body[off:], width) if flag else None
-        if not flag and off != len(body):
-            raise ValueError("remove payload length mismatch")
+    def _handle_remove(self, body: bytes) -> tuple[int, bytes]:
+        rd = Reader(body, ValueError)
+        store = self._store_for(rd.take(self.zone_width()))
+        handle = rd.take(HANDLE_BYTES)
+        sparse = rd.take(rd.u32())
+        flag = rd.u8()
+        if flag not in (0, 1):
+            raise ValueError(f"remove flag {flag} is neither 0 nor 1")
+        replacement = UploadPacket.from_bytes(rd.rest(), len(store.zone)) if flag else None
+        rd.done()
         rbf = BitFilter.decompress(sparse, store.params.m, store.params.max_positions)
-        req = RemovalRequest(zone=zone, rbf_prime=rbf, handle=handle, replacement=replacement)
-        pruned = store.remove(req)
-        self._reply(conn, session, T_REMOVE_ACK, corr, struct.pack(">I", pruned))
+        req = RemovalRequest(zone=store.zone, rbf_prime=rbf, handle=handle, replacement=replacement)
+        return T_REMOVE_ACK, struct.pack(">I", store.remove(req))
+
+    _HANDLERS = {T_UPLOAD: _handle_upload, T_SEARCH_LOC: _handle_search_loc,
+                 T_SEARCH_BF: _handle_search_bf, T_REMOVE: _handle_remove}
 
     def _reply(self, conn, session: Session, ftype: int, corr: int, body: bytes) -> None:
         env = wrap_transport(session.channel_key, bytes([corr]) + body)
         send_frame(conn, ftype, env.to_bytes())
 
-    def _reply_result(self, conn, session, corr: int, matches: list[SealedRecord]) -> None:
-        parts = [struct.pack(">I", len(matches))]
-        for rec in matches:
-            parts.append(rec.handle + struct.pack(">I", len(rec.ciphertext)) + rec.ciphertext)
-        self._reply(conn, session, T_RESULT, corr, b"".join(parts))
-
     def _reply_error(self, conn, session, corr: int, code: int, message: str) -> None:
         self._reply(conn, session, T_ERROR, corr, struct.pack(">H", code) + message.encode("utf-8"))
+
+
+def _result_body(matches: list[SealedRecord]) -> bytes:
+    parts = [struct.pack(">I", len(matches))]
+    for rec in matches:
+        parts.append(rec.handle + struct.pack(">I", len(rec.ciphertext)) + rec.ciphertext)
+    return b"".join(parts)
 
 
 # --- client -----------------------------------------------------------------
@@ -374,24 +372,23 @@ class NetClient:
     def channel_key(self) -> bytes:
         return self._session.channel_key
 
-    def _round_trip(self, ftype: int, body: bytes, expect: int) -> bytes:
+    def _round_trip(self, ftype: int, body: bytes, expect: int) -> Reader:
+        """Send one request; return a reader over the reply's body."""
         self._corr = (self._corr + 1) % 256
         env = wrap_transport(self._session.channel_key, bytes([self._corr]) + body, self._rng)
         send_frame(self._sock, ftype, env.to_bytes())
         rtype, payload = recv_frame(self._sock)
-        plain = unwrap_transport(self._session.channel_key, TransportEnvelope.from_bytes(payload))
-        if not plain or plain[0] != self._corr:
+        rd = Reader(unwrap_transport(self._session.channel_key, TransportEnvelope.from_bytes(payload)), WireError)
+        if rd.u8() != self._corr:
             raise WireError("response correlation mismatch")
         if rtype == T_ERROR:
-            (code,) = struct.unpack_from(">H", plain, 1)
-            raise ServerError(code, plain[3:].decode("utf-8", "replace"))
+            raise ServerError(rd.u16(), rd.rest().decode("utf-8", "replace"))
         if rtype != expect:
             raise WireError(f"unexpected response type {rtype:#04x}")
-        return plain[1:]
+        return rd
 
     def upload(self, packet: UploadPacket) -> int:
-        body = self._round_trip(T_UPLOAD, packet.to_bytes(), T_UPLOAD_ACK)
-        return struct.unpack(">I", body)[0]
+        return self._parse_count(self._round_trip(T_UPLOAD, packet.to_bytes(), T_UPLOAD_ACK))
 
     def search_location(self, zone: bytes, positions: list[int]) -> list[SealedRecord]:
         body = zone + struct.pack(">H", len(positions)) + struct.pack(f">{len(positions)}I", *positions)
@@ -407,18 +404,17 @@ class NetClient:
             body += b"\x01" + req.replacement.to_bytes()
         else:
             body += b"\x00"
-        return struct.unpack(">I", self._round_trip(T_REMOVE, body, T_REMOVE_ACK))[0]
+        return self._parse_count(self._round_trip(T_REMOVE, body, T_REMOVE_ACK))
 
     @staticmethod
-    def _parse_result(body: bytes) -> list[SealedRecord]:
-        (count,) = struct.unpack_from(">I", body, 0)
-        off = 4
-        records = []
-        for _ in range(count):
-            handle = body[off : off + 16]; off += 16
-            (ct_len,) = struct.unpack_from(">I", body, off); off += 4
-            records.append(SealedRecord(handle=handle, ciphertext=body[off : off + ct_len]))
-            off += ct_len
-        if off != len(body):
-            raise WireError("result payload length mismatch")
+    def _parse_result(rd: Reader) -> list[SealedRecord]:
+        records = [SealedRecord(handle=rd.take(HANDLE_BYTES), ciphertext=rd.take(rd.u32()))
+                   for _ in range(rd.u32())]
+        rd.done()
         return records
+
+    @staticmethod
+    def _parse_count(rd: Reader) -> int:
+        count = rd.u32()
+        rd.done()
+        return count

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
-from .crypto import HANDLE_BYTES, SealedRecord, decompress_positions
+from .crypto import HANDLE_BYTES, Reader, SealedRecord, decompress_positions
 from .filters import BitFilter
 from .index import RemovalRequest, UploadPacket
-from .params import SystemParams
+from .params import ParamsError, SystemParams
 
 log = logging.getLogger(__name__)
 
@@ -293,39 +293,28 @@ class StorageBloomFilter:
 
     @classmethod
     def load(cls, path: str | Path) -> "StorageBloomFilter":
-        data = Path(path).read_bytes()
-        off = 0
-
-        def take(k: int) -> bytes:
-            nonlocal off
-            if off + k > len(data):
-                raise StoreError("truncated snapshot")
-            out = data[off : off + k]
-            off += k
-            return out
-
-        if take(8) != SNAPSHOT_MAGIC:
+        rd = Reader(Path(path).read_bytes(), StoreError)
+        if rd.take(8) != SNAPSHOT_MAGIC:
             raise StoreError("bad snapshot magic")
-        l, r, gamma, q, m, s_bits, n_bits, beta, tau = struct.unpack(">9I", take(36))
-        params = SystemParams(l=l, r=r, gamma_count=gamma, q=q, m=m,
-                              s_bits=s_bits, n_bits=n_bits, beta=beta, tau_bits=tau)
-        (zone_len,) = struct.unpack(">B", take(1))
-        store = cls(params, take(zone_len))
-        (n_records,) = struct.unpack(">I", take(4))
-        for _ in range(n_records):
-            handle = take(HANDLE_BYTES)
-            (ct_len,) = struct.unpack(">I", take(4))
+        l, r, gamma, q, m, s_bits, n_bits, beta, tau = struct.unpack(">9I", rd.take(36))
+        try:
+            params = SystemParams(l=l, r=r, gamma_count=gamma, q=q, m=m,
+                                  s_bits=s_bits, n_bits=n_bits, beta=beta, tau_bits=tau)
+        except ParamsError as exc:
+            raise StoreError(f"bad snapshot parameters: {exc}") from exc
+        store = cls(params, rd.take(rd.u8()))
+        for _ in range(rd.u32()):
+            handle = rd.take(HANDLE_BYTES)
             if handle in store.table:
                 raise StoreError("duplicate handle in snapshot")
-            store.table[handle] = SealedRecord(handle=handle, ciphertext=take(ct_len))
-        (n_buffers,) = struct.unpack(">I", take(4))
-        for _ in range(n_buffers):
-            pos, count = struct.unpack(">II", take(8))
+            store.table[handle] = SealedRecord(handle=handle, ciphertext=rd.take(rd.u32()))
+        for _ in range(rd.u32()):
+            pos, count = struct.unpack(">II", rd.take(8))
             if pos >= m:
                 raise StoreError(f"snapshot buffer position {pos} out of range")
             if count > beta:
                 raise StoreError(f"snapshot buffer {pos} exceeds capacity")
-            blob = take(HANDLE_BYTES * count)
+            blob = rd.take(HANDLE_BYTES * count)
             handles = [blob[i : i + HANDLE_BYTES] for i in range(0, len(blob), HANDLE_BYTES)]
             distinct = set(handles)
             if not store.table.keys() >= distinct:
@@ -333,8 +322,7 @@ class StorageBloomFilter:
             if len(distinct) != count:
                 raise StoreError(f"snapshot buffer {pos} repeats a handle")
             store.buffers[pos] = handles
-        if off != len(data):
-            raise StoreError("trailing bytes after snapshot")
+        rd.done()
         store._live.update(chain.from_iterable(store.buffers))  # one call: counted in C
         if store._live.keys() != store.table.keys():
             raise StoreError("snapshot table holds records absent from every buffer")

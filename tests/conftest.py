@@ -1,9 +1,15 @@
 from random import Random
 
 import pytest
+from hypothesis import settings
 
 from sbfsearch import crypto, index
 from sbfsearch.params import derive_params
+
+# every property test runs fixed cases with no example database: the same
+# examples, and the same tier-1 time, on every run; tests set only budgets
+settings.register_profile("sbfsearch", deadline=None, database=None, derandomize=True)
+settings.load_profile("sbfsearch")
 
 
 @pytest.fixture

@@ -212,8 +212,7 @@ class TestSparseCodec:
 
 
 CODEC_M = (1, 2, 3, 231, 28854)
-# fixed cases, no example database: the same examples on every run
-codec_settings = settings(max_examples=80, deadline=None, database=None, derandomize=True)
+codec_settings = settings(max_examples=80)
 
 
 def _reference_encoding(positions, m):

@@ -1,0 +1,169 @@
+"""One property per binary format: a valid encoding round-trips, and every
+proper prefix, or the encoding plus one byte, raises that format's own
+error and nothing else."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sbfsearch import files
+from sbfsearch.crypto import CryptoError, MetaInfo, SealedRecord, compress_positions
+from sbfsearch.filters import BitFilter, CountingFilter
+from sbfsearch.index import MasterSecrets, SchemeError, UploadPacket, UserIndex, UserKeyring
+from sbfsearch.params import derive_params
+from sbfsearch.store import StorageBloomFilter, StoreError
+
+format_settings = settings(max_examples=15)
+SNAPSHOT_PARAMS = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64)
+
+
+def _fixed(width):
+    return st.binary(min_size=width, max_size=width)
+
+
+def _assert_damage_rejected(encoding, decode, error):
+    for k in range(len(encoding)):
+        with pytest.raises(error):
+            decode(encoding[:k])
+    with pytest.raises(error):
+        decode(encoding + b"\x00")
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("formats") / "file"
+
+
+def _via_file(path, load):
+    def decode(data):
+        path.write_bytes(data)
+        return load(path)
+    return decode
+
+
+@st.composite
+def _meta_infos(draw):
+    n_bits = draw(st.sampled_from((8, 61, 64)))
+    tok = _fixed((n_bits + 7) // 8)
+    return n_bits, MetaInfo(draw(tok), tuple(draw(st.lists(tok, max_size=4))), draw(tok), draw(tok),
+                            tuple(draw(st.lists(tok, max_size=4))))
+
+
+@st.composite
+def _upload_packets(draw):
+    sealed = SealedRecord(draw(_fixed(16)), draw(st.binary(max_size=80)))
+    return UploadPacket(draw(st.binary(min_size=1, max_size=12)), draw(st.binary(max_size=40)), sealed)
+
+
+@st.composite
+def _stores(draw):
+    zone = draw(st.binary(max_size=8))
+    store = StorageBloomFilter(SNAPSHOT_PARAMS, zone)
+    for i in range(draw(st.integers(0, 3))):
+        positions = sorted(draw(st.sets(st.integers(0, SNAPSHOT_PARAMS.m - 1), min_size=1, max_size=4)))
+        sealed = SealedRecord(bytes([i]) * 16, draw(st.binary(max_size=24)))
+        store.ingest(UploadPacket(zone, compress_positions(positions, SNAPSHOT_PARAMS.m), sealed))
+    return store
+
+
+@st.composite
+def _master_secrets(draw):
+    tok, key = _fixed(draw(st.integers(1, 9))), _fixed(draw(st.integers(1, 33)))
+    tokens = draw(st.sets(tok, min_size=1, max_size=5))
+    return MasterSecrets({t: draw(key) for t in tokens}, tuple(draw(st.lists(tok, max_size=4))),
+                         draw(_fixed(32)), draw(_fixed(32)))
+
+
+@st.composite
+def _keyrings(draw):
+    width, r, key = draw(st.integers(1, 9)), draw(st.integers(1, 4)), _fixed(draw(st.integers(1, 33)))
+    tokens = draw(st.sets(_fixed(width), max_size=5))
+    return UserKeyring(draw(_fixed(width)), {t: tuple(draw(key) for _ in range(r)) for t in tokens})
+
+
+@st.composite
+def _indexes(draw):
+    m = draw(st.integers(1, 70))
+
+    def bits():
+        return BitFilter(m, np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool))
+
+    counters = np.array(draw(st.lists(st.integers(0, 2**32 - 1), min_size=m, max_size=m)), dtype=np.int64)
+    return UserIndex(draw(st.binary(max_size=9)), bits(), CountingFilter(m, counters), bits(),
+                     draw(st.lists(st.binary(max_size=12), max_size=4)))
+
+
+def _index_fields(idx):
+    return idx.zone, idx.bf, idx.obf, idx.obf_elements, idx.cbf.m, idx.cbf.counters.tolist()
+
+
+class TestFormatProperties:
+    @format_settings
+    @given(_meta_infos())
+    def test_meta_info(self, case):
+        n_bits, mi = case
+        data = mi.to_bytes()
+        assert MetaInfo.from_bytes(data, n_bits) == mi
+        _assert_damage_rejected(data, lambda d: MetaInfo.from_bytes(d, n_bits), CryptoError)
+
+    @format_settings
+    @given(_upload_packets())
+    def test_upload_packet(self, packet):
+        data = packet.to_bytes()
+        assert UploadPacket.from_bytes(data, len(packet.zone)) == packet
+        _assert_damage_rejected(data, lambda d: UploadPacket.from_bytes(d, len(packet.zone)), SchemeError)
+
+    @format_settings
+    @given(_stores())
+    def test_snapshot(self, scratch, store):
+        store.save(scratch)
+        data = scratch.read_bytes()
+        again = StorageBloomFilter.load(scratch)
+        assert (again.params, again.zone, again.table) == (store.params, store.zone, store.table)
+        assert again.buffers == store.buffers
+        _assert_damage_rejected(data, _via_file(scratch, StorageBloomFilter.load), StoreError)
+
+    @format_settings
+    @given(_master_secrets())
+    def test_master_secrets(self, scratch, ms):
+        files.save_master_secrets(ms, scratch)
+        data = scratch.read_bytes()
+        assert files.load_master_secrets(scratch) == ms
+        _assert_damage_rejected(data, _via_file(scratch, files.load_master_secrets), files.FileFormatError)
+
+    @format_settings
+    @given(_keyrings())
+    def test_keyring(self, scratch, kr):
+        files.save_keyring(kr, scratch)
+        data = scratch.read_bytes()
+        assert files.load_keyring(scratch) == kr
+        _assert_damage_rejected(data, _via_file(scratch, files.load_keyring), files.FileFormatError)
+
+    @format_settings
+    @given(_indexes())
+    def test_index(self, scratch, idx):
+        files.save_index(idx, scratch)
+        data = scratch.read_bytes()
+        assert _index_fields(files.load_index(scratch)) == _index_fields(idx)
+        _assert_damage_rejected(data, _via_file(scratch, files.load_index), files.FileFormatError)
+
+
+class TestIndexFilterLengths:
+    """A dense filter whose own length header differs from the index's m
+    is refused as a bad index file, not loaded beside m counters."""
+
+    @pytest.mark.parametrize("which, delta", [("bf", -1), ("bf", 1), ("bf", 8), ("obf", -1), ("obf", 8)])
+    def test_mismatched_dense_header_rejected(self, system, tmp_path, which, delta):
+        _, idx = system.user([0, 1])
+        m, path = idx.bf.m, tmp_path / "user.idx"
+        files.save_index(idx, path)
+        data = bytearray(path.read_bytes())
+        at = 8 + 4 + 1 + len(idx.zone)
+        if which == "obf":
+            at += 8 + (m + 7) // 8 + 4 * m
+        assert int.from_bytes(data[at : at + 8], "big") == m
+        data[at : at + 8] = (m + delta).to_bytes(8, "big")
+        path.write_bytes(bytes(data))
+        with pytest.raises(files.FileFormatError):
+            files.load_index(path)

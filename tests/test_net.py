@@ -8,7 +8,8 @@ import pytest
 
 from sbfsearch import net
 from sbfsearch.analysis import result_size_bits, upload_size_bits
-from sbfsearch.crypto import SealedRecord, open_record, token_from_text, wrap_transport
+from sbfsearch.crypto import (SealedRecord, TransportEnvelope, open_record, token_from_text, unwrap_transport,
+                              wrap_transport)
 from sbfsearch.filters import BitFilter
 from sbfsearch.index import (
     RemovalRequest,
@@ -224,6 +225,41 @@ class TestRobustness:
             ps = keyword_positions(kr, system.vocab[0], system.locations[0], system.params)
             assert packet.sealed.handle in {r.handle for r in c.search_location(system.zone, ps)}
 
+    def test_cut_bodies_and_bad_remove_flag_are_malformed(self, system, server):
+        """Every proper prefix of a valid SEARCH_LOC, SEARCH_BF and REMOVE
+        body, each body plus one byte, and a REMOVE whose flag is neither 0
+        nor 1 get E_MALFORMED on one session; the store is unchanged and
+        the session goes on."""
+        kr, idx, packet, _ = _uploaded(system, server, seed=75)
+        params, loc = system.params, system.locations[0]
+        store = server.stores[system.zone]
+        table_before = dict(store.table)
+        buffers_before = [list(b) for b in store.buffers]
+        ps = keyword_positions(kr, system.vocab[0], loc, params)
+        query = build_conjunctive_query(kr, [system.vocab[0], system.vocab[1]], loc, params)
+        _, new_idx = system.user([2], seed=76)
+        replacement = make_upload_packet(new_idx, system.meta("bob"), system.secrets.agent_public,
+                                         system.zone, params, Random(77))
+        sparse = packet.compressed_bf  # withdraw the whole record
+        head = system.zone + packet.sealed.handle + struct.pack(">I", len(sparse)) + sparse
+        remove = head + b"\x01" + replacement.to_bytes()
+        cases = [(net.T_SEARCH_LOC, system.zone + struct.pack(f">H{len(ps)}I", len(ps), *ps), net.T_RESULT),
+                 (net.T_SEARCH_BF, system.zone + query.compress(), net.T_RESULT),
+                 (net.T_REMOVE, remove, net.T_REMOVE_ACK)]
+        with _client(server) as c:
+            bad = [(ftype, body[:k], expect) for ftype, body, expect in cases for k in range(len(body))]
+            bad += [(ftype, body + b"\x00", expect) for ftype, body, expect in cases]
+            bad.append((net.T_REMOVE, head + b"\x02" + replacement.to_bytes(), net.T_REMOVE_ACK))
+            for ftype, body, expect in bad:
+                with pytest.raises(net.ServerError) as info:
+                    c._round_trip(ftype, body, expect)
+                assert info.value.code == net.E_MALFORMED, (ftype, len(body))
+            assert store.table == table_before
+            assert [list(b) for b in store.buffers] == buffers_before
+            for ftype, body, expect in cases:  # the whole bodies are valid
+                c._round_trip(ftype, body, expect)
+            assert replacement.sealed.handle in store.table and packet.sealed.handle not in store.table
+
     def test_garbage_frames_do_not_crash_server(self, system, server):
         host, port = server.address
         rng = Random(72)
@@ -274,3 +310,52 @@ class TestRobustness:
         for t in threads:
             t.join(timeout=10)
         assert not errors
+
+
+@pytest.fixture
+def scripted_peer():
+    """Start a peer that completes the handshake, then answers each request
+    with the next of the given (type, body) frames; returns a client."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    threads = []
+
+    def start(replies):
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                key = net.server_handshake(conn).channel_key
+                for rtype, body in replies:
+                    _, payload = net.recv_frame(conn)
+                    corr = unwrap_transport(key, TransportEnvelope.from_bytes(payload))[:1]
+                    net.send_frame(conn, rtype, wrap_transport(key, corr + body).to_bytes())
+
+        threads.append(threading.Thread(target=serve, daemon=True))
+        threads[-1].start()
+        return net.NetClient(*listener.getsockname())
+
+    yield start
+    for t in threads:
+        t.join(timeout=5)
+    listener.close()
+
+
+class TestClientParsing:
+    def test_malformed_replies_raise_wire_error(self, system, scripted_peer):
+        """A cut or overlong RESULT, an ERROR shorter than its 2-byte code
+        and an ACK that is not 4 bytes raise WireError, which the CLI
+        reports; the session then reads a valid RESULT."""
+        result = (struct.pack(">I", 2) + b"a" * 16 + struct.pack(">I", 3) + b"ct1"
+                  + b"b" * 16 + struct.pack(">I", 0))
+        bad = [(net.T_RESULT, result[:k]) for k in range(len(result))]
+        bad += [(net.T_RESULT, result + b"\x00"), (net.T_ERROR, b""), (net.T_ERROR, b"\x00")]
+        acks = [(net.T_UPLOAD_ACK, b"\x00" * 3), (net.T_UPLOAD_ACK, b"\x00" * 5)]
+        upload = UploadPacket(zone=system.zone, compressed_bf=b"", sealed=SealedRecord(b"h" * 16, b""))
+        with scripted_peer(bad + acks + [(net.T_RESULT, result)]) as c:
+            for _ in bad:
+                with pytest.raises(net.WireError):
+                    c.search_location(system.zone, [0])
+            for _ in acks:
+                with pytest.raises(net.WireError):
+                    c.upload(upload)
+            assert c.search_location(system.zone, [0]) == [SealedRecord(b"a" * 16, b"ct1"),
+                                                           SealedRecord(b"b" * 16, b"")]
