@@ -30,6 +30,7 @@ reproduce runs from a seed; the default draws from the OS.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import secrets
@@ -206,6 +207,13 @@ def seal_record(
     return SealedRecord(handle=rand_bytes(rng, HANDLE_BYTES), ciphertext=eph_pub + nonce + ct)
 
 
+@functools.lru_cache(maxsize=1)
+def _agent_key(agent_private: bytes) -> X25519PrivateKey:
+    """Loading a private key derives its public key; an agent opens many
+    records under one key, so keep the last one loaded."""
+    return X25519PrivateKey.from_private_bytes(agent_private)
+
+
 def open_record(agent_private: bytes, rec: SealedRecord, n_bits: int) -> MetaInfo:
     """Invert seal_record. Raises CryptoError on wrong key, tamper, or
     truncation; never returns garbage."""
@@ -214,7 +222,7 @@ def open_record(agent_private: bytes, rec: SealedRecord, n_bits: int) -> MetaInf
         raise CryptoError("sealed record too short")
     eph_pub, nonce, body = ct[:32], ct[32:44], ct[44:]
     try:
-        shared = X25519PrivateKey.from_private_bytes(agent_private).exchange(
+        shared = _agent_key(bytes(agent_private)).exchange(
             X25519PublicKey.from_public_bytes(eph_pub)
         )
         plain = AESGCM(_session_key(shared, b"sbfsearch record seal")).decrypt(nonce, body, None)

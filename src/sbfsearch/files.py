@@ -1,7 +1,8 @@
 """Binary file formats for client-side artifacts: master secrets,
 user keyrings, and user indexes. Each format opens with an eight-byte
 magic tag; integers are big-endian. Loading reads through
-`crypto.Reader`, so a truncated file, trailing bytes, or a dense filter
+`crypto.Reader`, so a truncated file, trailing bytes, a repeated
+keyword token, a master-secrets file with no keyword, or a dense filter
 whose length header differs from the index's m raise `FileFormatError`."""
 
 from __future__ import annotations
@@ -43,9 +44,11 @@ def load_master_secrets(path: str | Path) -> MasterSecrets:
     if rd.take(8) != MASTER_MAGIC:
         raise FileFormatError("not a master secrets file")
     token_bytes, key_bytes, r, l = rd.u8(), rd.u16(), rd.u16(), rd.u32()
+    if not l:
+        raise FileFormatError("master secrets file holds no keyword")
     secrets_map = {}
     for _ in range(l):
-        token = rd.take(token_bytes)
+        token = _new_token(rd, token_bytes, secrets_map)
         secrets_map[token] = rd.take(key_bytes)
     vectors = tuple(rd.take(token_bytes) for _ in range(r))
     agent_pub = rd.take(32)
@@ -78,10 +81,18 @@ def load_keyring(path: str | Path) -> UserKeyring:
     zone = rd.take(token_bytes)
     keys = {}
     for _ in range(count):
-        token = rd.take(token_bytes)
+        token = _new_token(rd, token_bytes, keys)
         keys[token] = tuple(rd.take(key_bytes) for _ in range(r))
     rd.done()
     return UserKeyring(zone=zone, keys=keys)
+
+
+def _new_token(rd: Reader, token_bytes: int, seen: dict) -> bytes:
+    """The next keyword token, which must not repeat one already read."""
+    token = rd.take(token_bytes)
+    if token in seen:
+        raise FileFormatError("keyword token repeated")
+    return token
 
 
 def save_index(idx: UserIndex, path: str | Path) -> None:

@@ -66,7 +66,7 @@ class BitFilter:
         return int(self.bits.sum())
 
     def positions(self) -> list[int]:
-        return [int(p) for p in np.flatnonzero(self.bits)]
+        return np.flatnonzero(self.bits).tolist()
 
     def copy(self) -> "BitFilter":
         return BitFilter(self.m, self.bits.copy())

@@ -2,16 +2,19 @@
 over a shared record table, one store per zone.
 
 A record is stored once in the table; its handle is appended to every
-buffer addressed by the uploaded filter. Search intersects the addressed
-buffers (smallest first) and never scans the table; removal keeps a
-per-handle count of the buffers holding each record. So both cost
-O(marked positions), not O(store size). Ingest decodes the sparse upload
-straight to its position list (linear in the count, refused undecoded
-above q*r, and refused when empty), gathers the target buffers once to
-check capacity and appends to those same lists: O(positions), with no
-dense m-bit filter. The provisioned capacity model
-is m * beta * tau bits even though the implementation deduplicates
-ciphertexts through the table.
+buffer addressed by the uploaded filter. Search seeds a set with the
+smallest addressed buffer and probes each larger one into it in C,
+stopping once nothing survives: at most the sum of the addressed
+cardinalities in C-level probes, and never a scan of the table. Removal
+finds the handle in each marked buffer with one C-level scan and deletes
+it at that index, and keeps a per-handle count of the buffers holding
+each record. So both cost what the addressed buffers hold, not the store
+size. Ingest decodes the sparse upload straight to its position list
+(linear in the count, refused undecoded above q*r, and refused when
+empty), gathers the target buffers once to check capacity and appends to
+those same lists: O(positions), with no dense m-bit filter. The
+provisioned capacity model is m * beta * tau bits even though the
+implementation deduplicates ciphertexts through the table.
 
 Concurrency: many searches may run in parallel with each other; ingest
 and remove take the zone's write lock. No lock is held across network
@@ -133,7 +136,7 @@ class StorageBloomFilter:
 
     def remove(self, req: RemovalRequest) -> int:
         """Delete the handle from every buffer marked in the pruning
-        filter; cost is O(positions touched), whatever the store size.
+        filter; cost is one scan per marked buffer, whatever the store size.
         Marked buffers that lack the handle are skipped and counted in one
         warning, which names neither them nor the handle. Returns the
         number of buffers pruned.
@@ -154,15 +157,22 @@ class StorageBloomFilter:
         try:
             if h not in self.table:
                 raise UnknownHandle(f"handle {h.hex()} not stored")
-            held = {p for p in marked if h in self.buffers[p]}
+            held = []  # (position, buffer, index of h): one scan per marked buffer
+            for p in marked:
+                buf = self.buffers[p]
+                try:
+                    held.append((p, buf, buf.index(h)))
+                except ValueError:
+                    pass
             if new is not None:
                 # the record's own handle may return only once the prune drops its last copy
                 leaving = h if self._live[h] == len(held) else None
-                targets = self._check_upload(new.sealed.handle, new_positions, held, leaving)
+                freed = {p for p, _, _ in held}
+                targets = self._check_upload(new.sealed.handle, new_positions, freed, leaving)
             if len(held) < len(marked):
                 log.warning("removal: %d marked buffers did not hold the record", len(marked) - len(held))
-            for p in held:
-                self.buffers[p].remove(h)
+            for _, buf, i in held:
+                del buf[i]
             self._live[h] -= len(held)
             if not self._live[h]:
                 del self._live[h], self.table[h]
@@ -214,19 +224,18 @@ class StorageBloomFilter:
         try:
             addressed = [self.buffers[p] for p in distinct]
             self.buffer_reads += len(addressed)
-            cardinalities = [len(buf) for buf in addressed]
-            # intersect smallest-first; any empty buffer ends the search
-            order = sorted(range(len(addressed)), key=lambda i: cardinalities[i])
-            live: set[bytes] | None = None
-            for i in order:
-                if live is None:
-                    live = set(addressed[i])
-                else:
-                    live &= set(addressed[i])
+            cardinalities = list(map(len, addressed))
+            if not addressed:
+                return SearchResult([], cardinalities)
+            # seed with the smallest buffer, then probe each larger one in C;
+            # stop as soon as nothing survives
+            addressed.sort(key=len)
+            live = set(addressed[0])
+            for buf in addressed[1:]:
                 if not live:
-                    return SearchResult([], cardinalities)
-            matches = [self.table[h] for h in sorted(live or set())]
-            return SearchResult(matches, cardinalities)
+                    break
+                live.intersection_update(buf)
+            return SearchResult([self.table[h] for h in sorted(live)], cardinalities)
         finally:
             self._lock.release_read()
 
@@ -261,7 +270,8 @@ class StorageBloomFilter:
     # -- snapshot persistence -------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write via a synced temporary file and a rename: never half-written."""
+        """Write via a synced temporary file, a rename and a sync of the
+        directory: never half-written, and the rename survives a power cut."""
         self._lock.acquire_read()
         try:
             parts = [SNAPSHOT_MAGIC]
@@ -290,6 +300,12 @@ class StorageBloomFilter:
         except BaseException:
             os.unlink(tmp)
             raise
+        # the rename is durable only once the directory entry is synced too
+        dir_fd = os.open(Path(path).parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
     @classmethod
     def load(cls, path: str | Path) -> "StorageBloomFilter":

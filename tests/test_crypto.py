@@ -100,6 +100,34 @@ class TestSealing:
         with pytest.raises(CryptoError):
             open_record(other_priv, rec, 64)
 
+    def test_wrong_key_fails_after_the_right_one_was_cached(self):
+        pub, priv = generate_agent_keypair(Random(11))
+        _, other_priv = generate_agent_keypair(Random(12))
+        rec = seal_record(pub, _mi(), 4096)
+        assert open_record(priv, rec, 64) == _mi()
+        for wrong in (other_priv, bytearray(other_priv), priv[:31]):
+            with pytest.raises(CryptoError):
+                open_record(wrong, rec, 64)
+        assert open_record(bytearray(priv), rec, 64) == _mi()
+
+    def test_many_opens_load_the_key_once(self, monkeypatch):
+        pub, priv = generate_agent_keypair(Random(13))
+        records = [seal_record(pub, _mi(), 4096) for _ in range(5)]
+        loads = []
+        real = crypto.X25519PrivateKey
+
+        class CountingKey:
+            @staticmethod
+            def from_private_bytes(data):
+                loads.append(data)
+                return real.from_private_bytes(data)
+
+        monkeypatch.setattr(crypto, "X25519PrivateKey", CountingKey)
+        crypto._agent_key.cache_clear()
+        for i, rec in enumerate(records):  # a bytearray key hits the same entry
+            assert open_record(priv if i % 2 else bytearray(priv), rec, 64) == _mi()
+        assert loads == [priv]
+
     def test_truncated_ciphertext_fails(self):
         pub, priv = generate_agent_keypair(Random(7))
         rec = seal_record(pub, _mi(), 4096)

@@ -2,6 +2,8 @@
 proper prefix, or the encoding plus one byte, raises that format's own
 error and nothing else."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,3 +169,34 @@ class TestIndexFilterLengths:
         path.write_bytes(bytes(data))
         with pytest.raises(files.FileFormatError):
             files.load_index(path)
+
+
+class TestKeywordTokens:
+    """A key file that repeats a keyword token, or a master-secrets file
+    with no keyword, is refused rather than loaded short."""
+
+    def test_repeated_token_in_master_secrets_rejected(self, tmp_path):
+        path = tmp_path / "master.keys"
+        files.save_master_secrets(MasterSecrets({b"a": b"k", b"b": b"j"}, (b"v",), b"P" * 32, b"S" * 32), path)
+        data = path.read_bytes()
+        at = 8 + 9  # magic, header; then token, key pairs in token order
+        assert data[at : at + 4] == b"akbj"
+        path.write_bytes(data[:at] + b"akaj" + data[at + 4 :])
+        with pytest.raises(files.FileFormatError, match="repeated"):
+            files.load_master_secrets(path)
+
+    def test_repeated_token_in_keyring_rejected(self, tmp_path):
+        path = tmp_path / "user.ring"
+        files.save_keyring(UserKeyring(b"z", {b"a": (b"k",), b"b": (b"j",)}), path)
+        data = path.read_bytes()
+        at = 8 + 9 + 1  # magic, header, zone; then token, keys pairs
+        assert data[at : at + 4] == b"akbj"
+        path.write_bytes(data[:at] + b"akaj" + data[at + 4 :])
+        with pytest.raises(files.FileFormatError, match="repeated"):
+            files.load_keyring(path)
+
+    def test_master_secrets_without_keywords_rejected(self, tmp_path):
+        path = tmp_path / "master.keys"
+        path.write_bytes(files.MASTER_MAGIC + struct.pack(">BHHI", 1, 1, 0, 0) + b"P" * 32 + b"S" * 32)
+        with pytest.raises(files.FileFormatError, match="no keyword"):
+            files.load_master_secrets(path)

@@ -260,6 +260,17 @@ class TestRobustness:
                 c._round_trip(ftype, body, expect)
             assert replacement.sealed.handle in store.table and packet.sealed.handle not in store.table
 
+    def test_empty_location_search_gets_empty_result(self, system, server):
+        """A SEARCH_LOC naming no position answers an empty RESULT, on an
+        empty store and on a loaded one, and the session goes on."""
+        with _client(server, net.ROLE_AGENT) as c:
+            assert c.search_location(system.zone, []) == []
+        kr, _, packet, _ = _uploaded(system, server, seed=78)
+        ps = keyword_positions(kr, system.vocab[0], system.locations[0], system.params)
+        with _client(server, net.ROLE_AGENT) as c:
+            assert c.search_location(system.zone, []) == []
+            assert packet.sealed.handle in {r.handle for r in c.search_location(system.zone, ps)}
+
     def test_garbage_frames_do_not_crash_server(self, system, server):
         host, port = server.address
         rng = Random(72)

@@ -1,10 +1,12 @@
 import errno
+import os
+import stat
 import tempfile
 import threading
 from random import Random
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -178,6 +180,57 @@ class TestSearch:
         store.search_filter(query)
         assert store.buffer_reads - mark == query.popcount
 
+    def test_empty_position_list_matches_nothing(self, loaded):
+        store, _ = loaded
+        result = store.search_positions([])
+        assert (result.matches, result.buffer_cardinalities) == ([], [])
+
+
+PROPERTY_PARAMS = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64)
+# mostly a few shared positions, so records overlap; sometimes any of the m=231
+_position = st.one_of(st.integers(0, 7), st.integers(0, PROPERTY_PARAMS.m - 1))
+
+
+@st.composite
+def _stores_and_holdings(draw):
+    """A store of at most beta records, some of them partly withdrawn, and
+    each live handle's positions as the model has them."""
+    store = StorageBloomFilter(PROPERTY_PARAMS, b"zone")
+    held = {}
+    for i in range(draw(st.integers(0, PROPERTY_PARAMS.beta))):
+        handle = bytes([i]) * 16
+        positions = draw(st.sets(_position, min_size=1, max_size=6))
+        store.ingest(UploadPacket(b"zone", _filter(positions).compress(),
+                                  SealedRecord(handle, b"sealed %d" % i)))
+        prune = draw(st.sets(st.sampled_from(sorted(positions)), max_size=len(positions)))
+        if prune:
+            store.remove(RemovalRequest(zone=b"zone", rbf_prime=_filter(prune), handle=handle))
+        if positions - prune:
+            held[handle] = positions - prune
+    return store, held
+
+
+def _filter(positions):
+    bf = BitFilter(PROPERTY_PARAMS.m)
+    bf.insert(sorted(positions))
+    return bf
+
+
+class TestSearchProperties:
+    @settings(max_examples=80)
+    @given(_stores_and_holdings(), st.lists(_position, max_size=8))
+    def test_search_is_a_brute_force_intersection(self, case, query):
+        """Repeated positions, empty buffers and the empty query included:
+        the matches are the handles held at every queried position, in
+        handle order, and the cardinalities follow the distinct positions
+        in ascending order."""
+        store, held = case
+        distinct = sorted(set(query))
+        expected = sorted(h for h, ps in held.items() if distinct and ps.issuperset(distinct))
+        result = store.search_positions(query)
+        assert [rec.handle for rec in result.matches] == expected
+        assert result.buffer_cardinalities == [sum(p in ps for ps in held.values()) for p in distinct]
+
 
 class TestRemove:
     def test_insert_then_full_removal_drops_record(self, system):
@@ -337,6 +390,32 @@ class TestReplacement:
         assert [store.buffers[p] for p in range(10)] == [[], [], [], [], [], [c_], [c_], [], [a_], []]
 
 
+class TestPruneOrder:
+    """Pruning one handle leaves the buffer's other handles in the order
+    they were ingested, which is the order the snapshot writes them."""
+
+    @pytest.mark.parametrize("victim", [0, 2, 4], ids=["head", "middle", "tail"])
+    def test_prune_keeps_the_other_handles_in_order(self, system, victim, tmp_path):
+        params = system.params
+        names = ["a", "b", "c", "d", "e"]
+        store = StorageBloomFilter(params, system.zone)
+        for i, name in enumerate(names):
+            store.ingest(_raw_packet(system.zone, params.m, name, [3, 10 + i]))
+        rbf = BitFilter(params.m)
+        rbf.insert([3, 10 + victim])
+        assert store.remove(RemovalRequest(zone=system.zone, rbf_prime=rbf, handle=_handle(names[victim]))) == 2
+        survivors = [name for i, name in enumerate(names) if i != victim]
+        assert store.buffers[3] == [_handle(name) for name in survivors]
+        # byte-identical to a store that never held the pruned record
+        fresh = StorageBloomFilter(params, system.zone)
+        for i, name in enumerate(names):
+            if i != victim:
+                fresh.ingest(_raw_packet(system.zone, params.m, name, [3, 10 + i]))
+        store.save(tmp_path / "pruned.sbf")
+        fresh.save(tmp_path / "fresh.sbf")
+        assert (tmp_path / "pruned.sbf").read_bytes() == (tmp_path / "fresh.sbf").read_bytes()
+
+
 class TestUploadBounds:
     def test_empty_upload_rejected_and_snapshot_round_trips(self, system, loaded, tmp_path):
         # a record in no buffer would make the saved snapshot unloadable
@@ -475,6 +554,28 @@ class TestSnapshot:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
         assert packet.sealed.handle in StorageBloomFilter.load(path).table
+
+    def test_save_syncs_the_directory_after_the_rename(self, loaded, tmp_path, monkeypatch):
+        """The file is synced before the rename and its directory after it,
+        so the new name survives a power cut; the bytes are unchanged."""
+        store, _ = loaded
+        path = tmp_path / "zone.sbf"
+        store.save(path)
+        before = path.read_bytes()
+        path.unlink()
+        synced = []  # (is a directory, bytes at path when synced)
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), path.read_bytes() if path.exists() else None))
+            if synced[-1][0]:
+                assert os.path.samestat(os.fstat(fd), os.stat(tmp_path))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        store.save(path)
+        assert synced == [(False, None), (True, before)]
+        assert path.read_bytes() == before
 
     def test_load_rejects_invalid_params_as_store_error(self, system, loaded, tmp_path):
         store, _ = loaded
