@@ -5,7 +5,12 @@ Primitive choices (sizes matter for the communication accounting):
 
 - PRF: HMAC over SHA-256/384/512, output truncated to s bits. Keys are
   s/8-byte strings; PRF outputs double as keys for the next derivation
-  stage.
+  stage. s is at most 512 bits (`SystemParams` refuses more), so a key
+  never exceeds the hash's block size.
+- HMAC and HKDF: `hmac_digest` is RFC 2104 and `hkdf_sha256` is RFC 5869
+  (SHA-256, zero salt, one expand block), both computed on `hashlib`.
+  Their output is byte-identical to `hmac` and to `cryptography`'s HKDF;
+  they avoid the OpenSSL HMAC context that `hmac` sets up on every call.
 - Record sealing: hybrid public-key encryption. X25519 ephemeral key
   agreement, HKDF-SHA256, AES-128-GCM over the serialized record.
   Overhead per record: 32-byte ephemeral public key + 12-byte nonce +
@@ -32,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import hmac
 import secrets
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,8 +46,6 @@ import numpy as np
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.hazmat.primitives.hashes import SHA256
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives.serialization import (
     Encoding,
     NoEncryption,
@@ -73,13 +75,35 @@ class PrfCallCounter:
 prf_calls = PrfCallCounter()
 
 
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
+def hmac_digest(key: bytes, message: bytes, hash_fn=hashlib.sha256, block_size: int = 64) -> bytes:
+    """HMAC (RFC 2104) of `message` under `key` with a hashlib constructor
+    and its block size in bytes. Keys longer than a block are refused; no
+    key in this package is."""
+    if len(key) > block_size:
+        raise CryptoError(f"HMAC key of {len(key)} bytes exceeds the {block_size}-byte block")
+    key = key.ljust(block_size, b"\0")
+    inner = hash_fn(key.translate(_IPAD) + message).digest()
+    return hash_fn(key.translate(_OPAD) + inner).digest()
+
+
+def hkdf_sha256(secret: bytes, info: bytes) -> bytes:
+    """A 128-bit key by HKDF-SHA256 (RFC 5869) with no salt, so an all-zero
+    one, and one expand block: HMAC(HMAC(0^32, secret), info || 0x01)[:16]."""
+    return hmac_digest(hmac_digest(bytes(32), secret), info + b"\x01")[:16]
+
+
 def _hash_for_width(s_bits: int):
+    """The HMAC hash whose output covers s bits, with its block size."""
     if s_bits <= 256:
-        return hashlib.sha256
+        return hashlib.sha256, 64
     if s_bits <= 384:
-        return hashlib.sha384
+        return hashlib.sha384, 128
     if s_bits <= 512:
-        return hashlib.sha512
+        return hashlib.sha512, 128
     raise CryptoError(f"no standard HMAC hash covers s_bits={s_bits} (max 512)")
 
 
@@ -88,8 +112,7 @@ def prf(key: bytes, message: bytes, s_bits: int) -> bytes:
     if len(key) != s_bits // 8:
         raise CryptoError(f"PRF key must be {s_bits // 8} bytes, got {len(key)}")
     prf_calls.count += 1
-    digest = hmac.new(key, message, _hash_for_width(s_bits)).digest()
-    return digest[: s_bits // 8]
+    return hmac_digest(key, message, *_hash_for_width(s_bits))[: s_bits // 8]
 
 
 def rand_bytes(rng: Random | None, k: int) -> bytes:
@@ -183,7 +206,7 @@ def generate_agent_keypair(rng: Random | None = None) -> tuple[bytes, bytes]:
 
 
 def _session_key(shared: bytes, context: bytes) -> bytes:
-    return HKDF(algorithm=SHA256(), length=16, salt=None, info=context).derive(shared)
+    return hkdf_sha256(shared, context)
 
 
 def seal_record(

@@ -3,6 +3,7 @@ clients and the store."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -23,10 +24,15 @@ def hash_positions(elements: list[bytes], m: int, r: int) -> list[int]:
     """
     if len(elements) != r:
         raise FilterError(f"expected {r} lane elements, got {len(elements)}")
-    return [
-        int.from_bytes(hashlib.sha256(i.to_bytes(4, "big") + e).digest(), "big") % m
-        for i, e in enumerate(elements, start=1)
-    ]
+    sha256 = hashlib.sha256
+    return [int.from_bytes(sha256(lane + e).digest(), "big") % m
+            for lane, e in zip(_lane_prefixes(r), elements)]
+
+
+@functools.lru_cache
+def _lane_prefixes(r: int) -> tuple[bytes, ...]:
+    """be32(1) .. be32(r), the lane prefixes of hash_positions."""
+    return tuple(i.to_bytes(4, "big") for i in range(1, r + 1))
 
 
 def _check_positions(positions: list[int], m: int) -> None:

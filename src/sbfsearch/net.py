@@ -49,12 +49,10 @@ from dataclasses import dataclass
 from random import Random
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
-from cryptography.hazmat.primitives.hashes import SHA256
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .crypto import (HANDLE_BYTES, CryptoError, Reader, SealedRecord, TransportEnvelope, rand_bytes,
-                     unwrap_transport, wrap_transport)
+from .crypto import (HANDLE_BYTES, CryptoError, Reader, SealedRecord, TransportEnvelope, hkdf_sha256,
+                     hmac_digest, rand_bytes, unwrap_transport, wrap_transport)
 from .filters import BitFilter
 from .index import RemovalRequest, UploadPacket
 from .store import BufferOverflow, DuplicateHandle, StorageBloomFilter, StoreError, UnknownHandle, ZoneMismatch
@@ -134,12 +132,11 @@ def _recv_exact(sock: socket.socket, n: int, idle_ok: bool = False) -> bytes:
 
 
 def _derive_channel_key(shared: bytes, transcript: bytes) -> bytes:
-    return HKDF(algorithm=SHA256(), length=16, salt=None,
-                info=b"sbfsearch session" + hashlib.sha256(transcript).digest()).derive(shared)
+    return hkdf_sha256(shared, b"sbfsearch session" + hashlib.sha256(transcript).digest())
 
 
 def _confirmation(key: bytes, transcript: bytes) -> bytes:
-    return hmac_mod.new(key, b"confirm" + transcript, hashlib.sha256).digest()
+    return hmac_digest(key, b"confirm" + transcript)
 
 
 @dataclass
@@ -355,7 +352,11 @@ class NetClient:
 
     def __init__(self, host: str, port: int, role: int = ROLE_OWNER, rng: Random | None = None):
         self._sock = socket.create_connection((host, port))
-        self._session = client_handshake(self._sock, role, rng)
+        try:
+            self._session = client_handshake(self._sock, role, rng)
+        except BaseException:
+            self._sock.close()
+            raise
         self._rng = rng
         self._corr = 0
 

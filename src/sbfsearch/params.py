@@ -7,7 +7,8 @@ Every other module consumes a SystemParams value. The parameters are:
 - gamma_count:  number of distinct sub-locations per zone
 - q:            fixed per-user element count after obfuscation padding (q <= l)
 - m:            filter length in positions, derived as ceil(l*r*gamma_count / ln 2)
-- s_bits:       security parameter, PRF output width (default 256)
+- s_bits:       security parameter, PRF output width (default 256; 128 to
+                512, the widest HMAC hash, SHA-512)
 - n_bits:       keyword/location token width (default 160)
 - beta:         per-buffer capacity of the server store
 - tau_bits:     maximum sealed record size (1 Kbit = 1024 bits)
@@ -52,6 +53,8 @@ class SystemParams:
             raise ParamsError(f"q={self.q} exceeds vocabulary size l={self.l}")
         if self.s_bits < 128:
             raise ParamsError(f"s_bits={self.s_bits} below the 128-bit minimum")
+        if self.s_bits > 512:
+            raise ParamsError(f"s_bits={self.s_bits} above the 512-bit maximum (SHA-512 HMAC)")
         if self.s_bits % 8:
             raise ParamsError("s_bits must be a multiple of 8 (keys are byte strings)")
 

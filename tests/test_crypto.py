@@ -1,6 +1,10 @@
+import hashlib
+import hmac
 from random import Random
 
 import pytest
+from cryptography.hazmat.primitives.hashes import SHA256
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +16,8 @@ from sbfsearch.crypto import (
     compress_positions,
     decompress_positions,
     generate_agent_keypair,
+    hkdf_sha256,
+    hmac_digest,
     open_record,
     position_width,
     prf,
@@ -67,6 +73,70 @@ class TestPrf:
         assert crypto.prf_calls.delta_since(mark) == 2
 
 
+# RFC 4231 test cases 1-4: (key, data, HMAC-SHA-256, HMAC-SHA-384, HMAC-SHA-512)
+RFC4231 = [
+    (b"\x0b" * 20, b"Hi There",
+     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+     "afd03944d84895626b0825f4ab46907f15f9dadbe4101ec682aa034c7cebc59c"
+     "faea9ea9076ede7f4af152e8b2fa9cb6",
+     "87aa7cdea5ef619d4ff0b4241a1d6cb02379f4e2ce4ec2787ad0b30545e17cde"
+     "daa833b7d6b8a702038b274eaea3f4e4be9d914eeb61f1702e696c203a126854"),
+    (b"Jefe", b"what do ya want for nothing?",
+     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+     "af45d2e376484031617f78d2b58a6b1b9c7ef464f5a01b47e42ec3736322445e"
+     "8e2240ca5e69e2c78b3239ecfab21649",
+     "164b7a7bfcf819e2e395fbe73b56e0a387bd64222e831fd610270cd7ea250554"
+     "9758bf75c05a994a6d034f65f8f0e6fdcaeab1a34d4a6b4b636e070a38bce737"),
+    (b"\xaa" * 20, b"\xdd" * 50,
+     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+     "88062608d3e6ad8a0aa2ace014c8a86f0aa635d947ac9febe83ef4e55966144b"
+     "2a5ab39dc13814b94e3ab6e101a34f27",
+     "fa73b0089d56a284efb0f0756c890be9b1b5dbdd8ee81a3655f83e33b2279d39"
+     "bf3e848279a722c806b485a47e67c807b946a337bee8942674278859e13292fb"),
+    (bytes(range(1, 26)), b"\xcd" * 50,
+     "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+     "3e8a69b7783c25851933ab6290af6ca77a9981480850009cc5577c6e1f573b4e"
+     "6801dd23c4a7d679ccf8a386c674cffb",
+     "b0ba465637458c6990e5a8c5f61d4af7e576d97ff94b872de76f8050361ee3db"
+     "a91ca5c11aa25eb4d679275cc5788063a5f19741120c4f2de2adebeb10a298dd"),
+]
+
+
+def _reference_hash(s_bits):
+    return hashlib.sha256 if s_bits <= 256 else hashlib.sha384 if s_bits <= 384 else hashlib.sha512
+
+
+class TestHmacHkdf:
+    @pytest.mark.parametrize("key,data,sha256,sha384,sha512", RFC4231)
+    def test_rfc4231_vectors(self, key, data, sha256, sha384, sha512):
+        assert hmac_digest(key, data).hex() == sha256
+        assert hmac_digest(key, data, hashlib.sha384, 128).hex() == sha384
+        assert hmac_digest(key, data, hashlib.sha512, 128).hex() == sha512
+
+    def test_rfc5869_case_3(self):
+        # SHA-256, IKM = 22 bytes of 0x0b, no salt, no info; OKM's first 16 bytes
+        assert hkdf_sha256(b"\x0b" * 22, b"").hex() == "8da4e775a563c18f715f802a063c5a31"
+
+    def test_key_longer_than_block_refused(self):
+        with pytest.raises(CryptoError):
+            hmac_digest(bytes(65), b"x")
+        with pytest.raises(CryptoError):
+            hmac_digest(bytes(129), b"x", hashlib.sha512, 128)
+
+    @settings(max_examples=50)
+    @given(key=st.binary(min_size=64, max_size=64), msg=st.binary(max_size=300))
+    def test_prf_equals_stdlib_hmac_at_every_width(self, key, msg):
+        for s in range(128, 513, 8):
+            k = key[: s // 8]
+            assert prf(k, msg, s) == hmac.new(k, msg, _reference_hash(s)).digest()[: s // 8]
+
+    @settings(max_examples=50)
+    @given(secret=st.binary(max_size=100), info=st.binary(max_size=100))
+    def test_hkdf_equals_cryptography(self, secret, info):
+        expected = HKDF(algorithm=SHA256(), length=16, salt=None, info=info).derive(secret)
+        assert hkdf_sha256(secret, info) == expected
+
+
 class TestTokens:
     def test_deterministic_and_truncated(self):
         t = token_from_text("asthma", 160)
@@ -84,6 +154,19 @@ class TestSealing:
         mi = _mi()
         rec = seal_record(pub, mi, 4096, Random(4))
         assert open_record(priv, rec, 64) == mi
+
+    def test_golden_seal(self):
+        # golden bytes: a change to the seal's key schedule or layout fails here
+        pub, priv = generate_agent_keypair(Random(21))
+        rec = seal_record(pub, _mi(), 4096, Random(22))
+        assert rec.handle.hex() == "587c2e15e0ed9827a6c38ad2bd55fcad"
+        assert rec.ciphertext.hex() == (
+            "3a1a0c39afb2e66d57861b25264dbc97c832a46e90e12694fda3f6a4df64e677"
+            "1edf1f1eb3b3406c2f2b3f2ce089f39d38cd2c40d7a36da41f4614cb173b6a3b"
+            "320d3cee5b14c1e973373273e8585efc80f126614b5f2f4a2e1e0f66bee79f29"
+            "d3bbb0cc4afdbd0f2b14eee009ac"
+        )
+        assert open_record(priv, rec, 64) == _mi()
 
     def test_randomized_encryption(self):
         pub, _ = generate_agent_keypair(Random(3))

@@ -7,6 +7,7 @@ from sbfsearch.crypto import prf_calls, token_from_text
 from sbfsearch.filters import BitFilter
 from sbfsearch.index import (
     SchemeError,
+    blinding_positions,
     build_conjunctive_query,
     build_removal_request,
     build_user_index,
@@ -129,6 +130,37 @@ class TestDerivations:
         mark = prf_calls.count
         derive_location_vector(t, system.locations[0], system.params)
         assert prf_calls.delta_since(mark) == system.params.r
+
+
+# golden values at every HMAC hash width: a change to the PRF chain,
+# hash_positions or the sparse codec that moves a position or byte fails here
+GOLDEN_KEYWORD_POSITIONS = {
+    256: [[172, 214, 129, 6], [137, 28, 33, 7], [43, 121, 81, 170]],
+    384: [[129, 163, 80, 50], [91, 199, 59, 16], [96, 25, 144, 214]],
+    512: [[55, 218, 150, 149], [54, 101, 126, 16], [160, 200, 169, 214]],
+}
+GOLDEN_UPLOAD_FILTER = {
+    256: "000000170b0f132a2c343c40515657586d839aa7adb9c1c7cbd1dd",
+    384: "000000170b1434393e40494b5758656d7b839aa7b0b9c1c7dde1e5",
+    512: "000000180b0c26343d40485557585960646b6d6f839aa7b9c7d0dde2",
+}
+
+
+class TestGoldenVectors:
+    @pytest.mark.parametrize("s_bits", [256, 384, 512])
+    def test_keyword_positions_and_upload_filter(self, s_bits):
+        params = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64,
+                               s_bits=s_bits)
+        sys = SystemFixture(params, seed=11)
+        kr = register_user(sys.secrets, sys.vocab[:3], sys.zone, params)
+        got = [keyword_positions(kr, w, sys.locations[1], params) for w in sys.vocab[:3]]
+        assert got == GOLDEN_KEYWORD_POSITIONS[s_bits]
+        idx = build_user_index(kr, sys.locations[0], params, Random(12))
+        assert idx.bf.compress().hex() == GOLDEN_UPLOAD_FILTER[s_bits]
+
+    def test_blinding_positions(self, small_params):
+        got = [blinding_positions(bytes([i]) * 8, small_params) for i in range(3)]
+        assert got == [[148, 158, 202, 158], [115, 52, 221, 210], [123, 215, 140, 20]]
 
 
 class TestBuildIndex:

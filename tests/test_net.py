@@ -1,6 +1,9 @@
+import gc
 import socket
 import struct
+import sys
 import threading
+import warnings
 from random import Random
 
 import numpy as np
@@ -92,6 +95,44 @@ class TestHandshake:
         finally:
             left.close()
             right.close()
+
+
+    def test_golden_channel_key_and_confirmation(self):
+        # golden bytes: a change to the handshake's key schedule fails here
+        shared, transcript = bytes(range(32)), bytes(range(65, 130))
+        key = net._derive_channel_key(shared, transcript)
+        assert key.hex() == "dace743cab535739644a2a789a730e56"
+        assert net._confirmation(key, transcript).hex() == (
+            "61d4693d7464285ace16f38669e3eebf2c4b2a7d6fdadfd09503f5fa47e2c567"
+        )
+
+    def test_failed_handshake_closes_client_socket(self, monkeypatch):
+        # a peer answers HELLO with a 10-byte HELLO_ACK; the client raises
+        # WireError and must not leave its socket for the collector to find
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def peer():
+            conn, _ = listener.accept()
+            with conn:
+                net.recv_frame(conn)
+                net.send_frame(conn, net.T_HELLO_ACK, bytes(10))
+                conn.recv(1)  # returns once the client side is closed
+
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        t = threading.Thread(target=peer, daemon=True)
+        t.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                with pytest.raises(net.WireError, match="handshake rejected"):
+                    net.NetClient(*listener.getsockname())
+                gc.collect()
+        finally:
+            t.join(timeout=5)
+            listener.close()
+        assert not t.is_alive()
+        assert [u.exc_value for u in unraisable] == []
 
 
 class TestOperations:

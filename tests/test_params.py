@@ -9,6 +9,7 @@ from sbfsearch.params import (
     filter_length,
     load_params_file,
 )
+from sbfsearch.store import StorageBloomFilter, StoreError
 
 
 def test_filter_length_reference_values():
@@ -42,6 +43,33 @@ def test_rejects_bad_inputs():
         derive_params(l=5, r=2, gamma_count=1, q=2, beta=1, tau_bits=64, s_bits=64)
     with pytest.raises(ParamsError):
         derive_params(l=5, r=2, gamma_count=1, q=2, beta=1, tau_bits=64, s_bits=129)
+
+
+def test_s_bits_capped_at_sha512():
+    # the widest HMAC hash is SHA-512: a wider PRF could never be computed
+    p = derive_params(l=5, r=3, gamma_count=2, q=3, beta=4, tau_bits=2048, s_bits=512)
+    assert p.s_bytes == 64
+    for s_bits in (520, 1024):
+        with pytest.raises(ParamsError, match="512"):
+            derive_params(l=5, r=3, gamma_count=2, q=3, beta=4, tau_bits=2048, s_bits=s_bits)
+
+
+def test_s_bits_cap_in_params_file_and_snapshot(tmp_path):
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("l=5\nr=3\ngamma=2\nq=3\nbeta=4\ntau_kbits=2\ns_bits=520\n")
+    with pytest.raises(ParamsError, match="512"):
+        load_params_file(cfg)
+    assert load_params_file(cfg, s_bits=512).s_bits == 512
+    # a snapshot whose header names s_bits=520 is refused as a store error
+    snap = tmp_path / "zone.sbf"
+    StorageBloomFilter(load_params_file(cfg, s_bits=512), b"zone").save(snap)
+    data = bytearray(snap.read_bytes())
+    s_bits_at = 8 + 5 * 4  # magic, then l, r, gamma, q, m before s_bits
+    assert int.from_bytes(data[s_bits_at : s_bits_at + 4], "big") == 512
+    data[s_bits_at : s_bits_at + 4] = (520).to_bytes(4, "big")
+    snap.write_bytes(bytes(data))
+    with pytest.raises(StoreError, match="512"):
+        StorageBloomFilter.load(snap)
 
 
 def test_m_monotone_in_each_argument():
