@@ -325,7 +325,9 @@ def _cmd_serve(args) -> int:
     server = net.NetServer(stores, host, port)
     print(f"listening on {server.address[0]}:{server.address[1]} "
           f"({len(stores)} zone(s))", flush=True)
-    signal.signal(signal.SIGTERM, lambda *_: server.shutdown())
+    # the loop runs on this thread: a signal stops it between requests, never inside one
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda *_: server.shutdown())
     server.serve_forever()
     if args.save_on_shutdown:
         for zone, store in stores.items():

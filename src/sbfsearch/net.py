@@ -33,18 +33,27 @@ follows). A body cut short, left with bytes over, or with any other flag
 gets E_MALFORMED; the client raises WireError on a malformed reply.
 A sparse filter or position list holds at most q*r positions (a record's
 load); a larger count is refused with E_MALFORMED before it is decoded.
+Only an owner session may UPLOAD or REMOVE: an agent session's UPLOAD or
+REMOVE gets E_BAD_REQUEST before its body is parsed, and the session
+goes on.
+
 The server serves one or more zone stores and never holds the agents'
 private key, so it can route and intersect sealed records but not read
-them.
+them. It runs every connection from one selector loop on one thread,
+with non-blocking sockets: no thread per connection and no socket
+timeout. The client is synchronous, one round trip per operation.
 """
 
 from __future__ import annotations
 
 import hmac as hmac_mod
 import hashlib
+import logging
+import selectors
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass
 from random import Random
 
@@ -57,8 +66,11 @@ from .filters import BitFilter
 from .index import RemovalRequest, UploadPacket
 from .store import BufferOverflow, DuplicateHandle, StorageBloomFilter, StoreError, UnknownHandle, ZoneMismatch
 
+log = logging.getLogger(__name__)
+
 MAGIC = b"SBF1"
 MAX_PAYLOAD = 1 << 26
+_HEADER = struct.Struct(">BI")  # type, payload length; after the magic
 
 T_UPLOAD = 0x01
 T_UPLOAD_ACK = 0x02
@@ -87,10 +99,6 @@ class WireError(Exception):
     """Transport-level failure: bad frame, closed socket, handshake abort."""
 
 
-class _IdleTimeout(Exception):
-    """A timed socket saw no traffic at a frame boundary; not an error."""
-
-
 class ServerError(Exception):
     """Error frame returned by the server."""
 
@@ -100,31 +108,30 @@ class ServerError(Exception):
         self.message = message
 
 
-def send_frame(sock: socket.socket, ftype: int, payload: bytes) -> None:
+def _frame(ftype: int, payload: bytes) -> bytes:
     if len(payload) > MAX_PAYLOAD:
         raise WireError("payload exceeds frame limit")
-    sock.sendall(MAGIC + struct.pack(">BI", ftype, len(payload)) + payload)
+    return MAGIC + _HEADER.pack(ftype, len(payload)) + payload
 
 
-def recv_frame(sock: socket.socket, idle_ok: bool = False) -> tuple[int, bytes]:
-    header = _recv_exact(sock, 9, idle_ok=idle_ok)
+def send_frame(sock: socket.socket, ftype: int, payload: bytes) -> None:
+    sock.sendall(_frame(ftype, payload))
+
+
+def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
+    header = _recv_exact(sock, 9)
     if header[:4] != MAGIC:
         raise WireError("bad frame magic")
-    ftype, length = struct.unpack(">BI", header[4:])
+    ftype, length = _HEADER.unpack_from(header, 4)
     if length > MAX_PAYLOAD:
         raise WireError("frame length exceeds limit")
     return ftype, _recv_exact(sock, length)
 
 
-def _recv_exact(sock: socket.socket, n: int, idle_ok: bool = False) -> bytes:
+def _recv_exact(sock: socket.socket, n: int) -> bytes:
     buf = bytearray()
     while len(buf) < n:
-        try:
-            chunk = sock.recv(n - len(buf))
-        except TimeoutError:
-            if idle_ok and not buf:
-                raise _IdleTimeout() from None
-            raise WireError("timed out mid-frame") from None
+        chunk = sock.recv(n - len(buf))
         if not chunk:
             raise WireError("connection closed mid-frame")
         buf.extend(chunk)
@@ -164,8 +171,9 @@ def client_handshake(sock: socket.socket, role: int, rng: Random | None = None) 
     return Session(channel_key=key, role=role)
 
 
-def server_handshake(sock: socket.socket, rng: Random | None = None) -> Session:
-    ftype, payload = recv_frame(sock)
+def server_hello(ftype: int, payload: bytes, rng: Random | None = None) -> tuple[Session, bytes]:
+    """The server's handshake step on the first frame of a connection:
+    the session and the HELLO_ACK payload that answers it."""
     if ftype != T_HELLO or len(payload) != 1 + 32:
         raise WireError("expected hello")
     role, client_pub = payload[0], payload[1:]
@@ -176,23 +184,71 @@ def server_handshake(sock: socket.socket, rng: Random | None = None) -> Session:
     shared = eph.exchange(X25519PublicKey.from_public_bytes(client_pub))
     transcript = payload + server_pub + bytes([role])
     key = _derive_channel_key(shared, transcript)
-    send_frame(sock, T_HELLO_ACK, server_pub + bytes([role]) + _confirmation(key, transcript))
-    return Session(channel_key=key, role=role)
+    return Session(channel_key=key, role=role), server_pub + bytes([role]) + _confirmation(key, transcript)
+
+
+def server_handshake(sock: socket.socket, rng: Random | None = None) -> Session:
+    """The server's side of the handshake on a blocking socket."""
+    session, ack = server_hello(*recv_frame(sock), rng)
+    send_frame(sock, T_HELLO_ACK, ack)
+    return session
 
 
 # --- server -----------------------------------------------------------------
 
+IDLE_TIMEOUT_S = 0.5
+_RECV_BYTES = 1 << 16
+_OWNER_ONLY = frozenset({ROLE_OWNER})
+_ANY_ROLE = frozenset({ROLE_OWNER, ROLE_AGENT})
+
+
+class _Connection:
+    """One peer of the server loop: its session once the handshake is
+    done, the bytes received but not yet cut into whole frames, and the
+    reply bytes the socket has not yet taken."""
+
+    __slots__ = ("sock", "session", "inbuf", "outbuf")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.session: Session | None = None
+        self.inbuf = bytearray()
+        self.outbuf: bytes | memoryview = b""
+
+    @property
+    def waiting(self) -> bool:
+        """The server waits on the peer: no HELLO yet, a frame cut short,
+        or a reply unsent. Only then does the idle timeout run."""
+        return self.session is None or bool(self.inbuf) or bool(self.outbuf)
+
+
 class NetServer:
-    """Serves one or more zone stores. One thread per connection; store
-    mutations serialize per zone through the stores' own locks."""
+    """Serves one or more zone stores from one selector loop on one
+    thread: `start()` runs it on a background thread, `serve_forever()`
+    on the calling one. Sockets are non-blocking; each connection's input
+    is cut into whole frames, answered in order, and a reply the socket
+    cannot take at once is flushed when it becomes writable, with reading
+    paused meanwhile. A peer that is silent before HELLO, stalls
+    mid-frame or stops taking a reply for IDLE_TIMEOUT_S is dropped; an
+    idle session between frames is kept. Requests run one at a time, so
+    a store never sees two at once."""
 
     def __init__(self, stores: dict[bytes, StorageBloomFilter], host: str = "127.0.0.1", port: int = 0):
         self.stores = stores
         self._listener = socket.create_server((host, port))
+        self._listener.setblocking(False)
         self.address = self._listener.getsockname()
-        self._threads: list[threading.Thread] = []
-        self._shutdown = threading.Event()
-        self._accept_thread: threading.Thread | None = None
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ, self._accept)
+        self._selector.register(self._wake_r, selectors.EVENT_READ, self._drain_wakeups)
+        # connections the server waits on, by deadline: each is set to now plus
+        # IDLE_TIMEOUT_S and moved to the end, so the first entry expires first
+        self._deadlines: dict[_Connection, float] = {}
+        self._loop_thread: threading.Thread | None = None
+        self._stopping = False
+        self._closed = threading.Event()
 
     def zone_width(self) -> int:
         if not self.stores:
@@ -200,92 +256,183 @@ class NetServer:
         return len(next(iter(self.stores)))
 
     def start(self) -> None:
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        self._loop_thread = threading.Thread(target=self._run, name="sbfsearch-server", daemon=True)
+        self._loop_thread.start()
 
     def serve_forever(self) -> None:
-        self.start()
+        self._loop_thread = threading.current_thread()
         try:
-            while not self._shutdown.wait(0.2):
-                pass
+            self._run()
         except KeyboardInterrupt:
             pass
-        finally:
-            self.shutdown()
 
     def shutdown(self) -> None:
-        self._shutdown.set()
+        """Stop serving. Called from another thread, return once the loop
+        has finished its request and closed every connection; called on
+        the loop's own thread (a signal handler), make the loop stop after
+        the request in hand."""
+        self._stopping = True
+        if self._loop_thread is None:
+            if not self._closed.is_set():
+                self._close_all()
+            return
+        if not self._closed.is_set():
+            try:
+                self._wake_w.send(b"\0")
+            except OSError:  # the loop closed it meanwhile
+                pass
+        if threading.current_thread() is not self._loop_thread:
+            self._closed.wait()
+
+    def _run(self) -> None:
+        deadlines = self._deadlines
         try:
-            self._listener.close()
-        except OSError:
+            while not self._stopping:
+                # wait for traffic, or until the first deadline when a peer is waited on
+                timeout = max(0.0, next(iter(deadlines.values())) - time.monotonic()) if deadlines else None
+                for key, _ in self._selector.select(timeout):
+                    if isinstance(key.data, _Connection):
+                        self._on_event(key.data)
+                    else:
+                        key.data()
+                if deadlines:
+                    self._expire()
+        finally:
+            self._close_all()
+
+    def _close_all(self) -> None:
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._selector.close()
+        self._wake_w.close()
+        self._closed.set()
+
+    def _expire(self) -> None:
+        while self._deadlines:
+            conn, deadline = next(iter(self._deadlines.items()))
+            if deadline > time.monotonic():
+                return
+            self._close(conn)
+
+    def _drain_wakeups(self) -> None:
+        try:
+            self._wake_r.recv(64)
+        except BlockingIOError:
             pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2)
-        for t in self._threads:
-            t.join(timeout=2)
 
-    def _accept_loop(self) -> None:
-        self._listener.settimeout(0.2)
-        while not self._shutdown.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except TimeoutError:
-                continue
-            except OSError:
-                return
-            self._threads = [t for t in self._threads if t.is_alive()]
-            t = threading.Thread(target=self._serve_connection, args=(conn,), daemon=True)
-            # listed before it runs, so a client that has finished its handshake sees it listed
-            self._threads.append(t)
-            t.start()
+    def _accept(self) -> None:
+        """One connection per event: the selector reports the listener
+        again while more are pending."""
+        try:
+            sock, _ = self._listener.accept()
+        except BlockingIOError:
+            return
+        except OSError:
+            log.exception("accept failed")
+            return
+        sock.setblocking(False)
+        conn = _Connection(sock)
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+        self._deadlines[conn] = time.monotonic() + IDLE_TIMEOUT_S
 
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with conn:
-            conn.settimeout(0.5)
-            try:
-                session = server_handshake(conn)
-            except (_IdleTimeout, WireError, CryptoError, ValueError):
-                return
-            while not self._shutdown.is_set():
+    def _close(self, conn: _Connection) -> None:
+        self._deadlines.pop(conn, None)
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+
+    def _on_event(self, conn: _Connection) -> None:
+        try:
+            if conn.outbuf:
+                self._flush(conn)
+            else:
+                data = conn.sock.recv(_RECV_BYTES)
+                if not data:
+                    raise WireError("connection closed")
+                conn.inbuf += data
+                self._answer_frames(conn)
+        except BlockingIOError:  # woken with nothing to do
+            pass
+        except (WireError, OSError):
+            self._close(conn)
+            return
+        except Exception:  # a bug must not take the other connections down
+            log.exception("closing a connection after an unexpected error")
+            self._close(conn)
+            return
+        self._deadlines.pop(conn, None)
+        if conn.waiting:
+            self._deadlines[conn] = time.monotonic() + IDLE_TIMEOUT_S
+
+    def _flush(self, conn: _Connection) -> None:
+        sent = conn.sock.send(conn.outbuf)
+        conn.outbuf = conn.outbuf[sent:]
+        if not conn.outbuf:
+            self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
+            self._answer_frames(conn)  # frames that arrived with the last read
+
+    def _answer_frames(self, conn: _Connection) -> None:
+        """Answer each whole frame in the input buffer, in order, until a
+        reply is left unsent."""
+        buf, start = conn.inbuf, 0
+        while not conn.outbuf and len(buf) - start >= 9:
+            if buf[start : start + 4] != MAGIC:
+                raise WireError("bad frame magic")
+            ftype, length = _HEADER.unpack_from(buf, start + 4)
+            if length > MAX_PAYLOAD:
+                raise WireError("frame length exceeds limit")
+            end = start + 9 + length
+            if len(buf) < end:
+                break
+            payload = bytes(buf[start + 9 : end])
+            start = end
+            if conn.session is None:
                 try:
-                    ftype, payload = recv_frame(conn, idle_ok=True)
-                except _IdleTimeout:
-                    continue
-                except WireError:
-                    return
-                try:
-                    self._dispatch(conn, session, ftype, payload)
-                except (WireError, OSError):
-                    return
+                    conn.session, ack = server_hello(ftype, payload)
+                except (CryptoError, ValueError) as exc:
+                    raise WireError(f"handshake failed: {exc}") from exc
+                self._send(conn, _frame(T_HELLO_ACK, ack))
+            else:
+                self._send(conn, self._dispatch(conn.session, ftype, payload))
+        del buf[:start]
 
-    def _dispatch(self, conn: socket.socket, session: Session, ftype: int, payload: bytes) -> None:
+    def _send(self, conn: _Connection, frame: bytes) -> None:
+        try:
+            sent = conn.sock.send(frame)
+        except BlockingIOError:
+            sent = 0
+        if sent < len(frame):
+            conn.outbuf = memoryview(frame)[sent:]
+            self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
+
+    def _dispatch(self, session: Session, ftype: int, payload: bytes) -> bytes:
+        """The reply frame to one request frame of an established session."""
         try:
             plain = unwrap_transport(session.channel_key, TransportEnvelope.from_bytes(payload))
         except CryptoError:
-            self._reply_error(conn, session, 0, E_MALFORMED, "cannot decrypt request")
-            return
+            return self._reply_error(session, 0, E_MALFORMED, "cannot decrypt request")
         if not plain:
-            self._reply_error(conn, session, 0, E_MALFORMED, "empty request body")
-            return
+            return self._reply_error(session, 0, E_MALFORMED, "empty request body")
         corr, body = plain[0], plain[1:]
-        handler = self._HANDLERS.get(ftype)
-        if handler is None:
-            self._reply_error(conn, session, corr, E_MALFORMED, f"unknown message type {ftype:#04x}")
-            return
+        entry = self._HANDLERS.get(ftype)
+        if entry is None:
+            return self._reply_error(session, corr, E_MALFORMED, f"unknown message type {ftype:#04x}")
+        handler, roles = entry
+        if session.role not in roles:
+            return self._reply_error(session, corr, E_BAD_REQUEST,
+                                     f"message type {ftype:#04x} is not allowed for this role")
         try:
             rtype, reply = handler(self, body)
         except BufferOverflow as exc:
-            self._reply_error(conn, session, corr, E_OVERFLOW, f"buffer {exc.buffer_index} at capacity")
+            return self._reply_error(session, corr, E_OVERFLOW, f"buffer {exc.buffer_index} at capacity")
         except DuplicateHandle as exc:
-            self._reply_error(conn, session, corr, E_DUPLICATE_HANDLE, str(exc))
+            return self._reply_error(session, corr, E_DUPLICATE_HANDLE, str(exc))
         except UnknownHandle as exc:
-            self._reply_error(conn, session, corr, E_UNKNOWN_HANDLE, str(exc))
+            return self._reply_error(session, corr, E_UNKNOWN_HANDLE, str(exc))
         except ZoneMismatch as exc:
-            self._reply_error(conn, session, corr, E_ZONE_UNKNOWN, str(exc))
+            return self._reply_error(session, corr, E_ZONE_UNKNOWN, str(exc))
         except (StoreError, CryptoError, ValueError) as exc:
-            self._reply_error(conn, session, corr, E_MALFORMED, f"malformed request: {exc}")
-        else:
-            self._reply(conn, session, rtype, corr, reply)
+            return self._reply_error(session, corr, E_MALFORMED, f"malformed request: {exc}")
+        return self._reply(session, rtype, corr, reply)
 
     def _store_for(self, zone: bytes) -> StorageBloomFilter:
         store = self.stores.get(zone)
@@ -327,15 +474,14 @@ class NetServer:
         req = RemovalRequest(zone=store.zone, rbf_prime=rbf, handle=handle, replacement=replacement)
         return T_REMOVE_ACK, struct.pack(">I", store.remove(req))
 
-    _HANDLERS = {T_UPLOAD: _handle_upload, T_SEARCH_LOC: _handle_search_loc,
-                 T_SEARCH_BF: _handle_search_bf, T_REMOVE: _handle_remove}
+    _HANDLERS = {T_UPLOAD: (_handle_upload, _OWNER_ONLY), T_SEARCH_LOC: (_handle_search_loc, _ANY_ROLE),
+                 T_SEARCH_BF: (_handle_search_bf, _ANY_ROLE), T_REMOVE: (_handle_remove, _OWNER_ONLY)}
 
-    def _reply(self, conn, session: Session, ftype: int, corr: int, body: bytes) -> None:
-        env = wrap_transport(session.channel_key, bytes([corr]) + body)
-        send_frame(conn, ftype, env.to_bytes())
+    def _reply(self, session: Session, ftype: int, corr: int, body: bytes) -> bytes:
+        return _frame(ftype, wrap_transport(session.channel_key, bytes([corr]) + body).to_bytes())
 
-    def _reply_error(self, conn, session, corr: int, code: int, message: str) -> None:
-        self._reply(conn, session, T_ERROR, corr, struct.pack(">H", code) + message.encode("utf-8"))
+    def _reply_error(self, session: Session, corr: int, code: int, message: str) -> bytes:
+        return self._reply(session, T_ERROR, corr, struct.pack(">H", code) + message.encode("utf-8"))
 
 
 def _result_body(matches: list[SealedRecord]) -> bytes:

@@ -11,7 +11,9 @@ Every other module consumes a SystemParams value. The parameters are:
                 512, the widest HMAC hash, SHA-512)
 - n_bits:       keyword/location token width (default 160)
 - beta:         per-buffer capacity of the server store
-- tau_bits:     maximum sealed record size (1 Kbit = 1024 bits)
+- tau_bits:     maximum meta record size, in bits (1 Kbit = 1024 bits); sealing
+                adds 60 bytes (ephemeral key, nonce, tag), and the store
+                refuses a sealed record longer than tau/8 + 60 bytes
 
 m is derived with ceil; configurations tuned against a specific filter
 length can force it with an explicit override.

@@ -16,7 +16,9 @@ those same lists: O(positions), with no dense m-bit filter. The
 provisioned capacity model is m * beta * tau bits even though the
 implementation deduplicates ciphertexts through the table.
 
-Concurrency: many searches may run in parallel with each other; ingest
+Concurrency: the network server runs requests one at a time, so it never
+contends for a store. The readers-writer lock still guards in-process
+callers: many searches may run in parallel with each other, and ingest
 and remove take the zone's write lock. No lock is held across network
 round-trips.
 """
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
-from .crypto import HANDLE_BYTES, Reader, SealedRecord, decompress_positions
+from .crypto import HANDLE_BYTES, SEAL_OVERHEAD_BYTES, Reader, SealedRecord, decompress_positions
 from .filters import BitFilter
 from .index import RemovalRequest, UploadPacket
 from .params import ParamsError, SystemParams
@@ -184,9 +186,15 @@ class StorageBloomFilter:
 
     def _upload_positions(self, packet: UploadPacket) -> list[int]:
         """The upload's positions, decoded in O(count): ascending, in range,
-        at least one and at most q*r (a larger count is refused undecoded)."""
+        at least one and at most q*r (a larger count is refused undecoded).
+        The sealed record may be no longer than `seal_record` makes one
+        at tau (tau/8 bytes plus the sealing overhead), so tau bounds every
+        stored record as the capacity model assumes."""
         if packet.zone != self.zone:
             raise ZoneMismatch(f"packet zone {packet.zone.hex()} != store zone {self.zone.hex()}")
+        limit = SEAL_OVERHEAD_BYTES + self.params.tau_bits // 8
+        if len(packet.sealed.ciphertext) > limit:
+            raise StoreError(f"sealed record of {len(packet.sealed.ciphertext)} bytes exceeds tau bound {limit}")
         positions = decompress_positions(packet.compressed_bf, self.params.m, self.params.max_positions)
         if not positions:
             raise StoreError("upload filter has no bit set")

@@ -13,6 +13,7 @@ import pytest
 import sbfsearch
 from sbfsearch import files
 from sbfsearch.cli import main
+from sbfsearch.store import StorageBloomFilter
 
 
 PARAMS_SMALL = "l=20\nr=4\ngamma=2\nq=6\nbeta=12\ntau_kbits=4\nn_bits=64\n"
@@ -170,7 +171,9 @@ def test_usage_errors(capsys):
 
 class TestServeLoopback:
     @pytest.fixture
-    def served(self, workdir):
+    def serve(self, workdir):
+        """Set up keys and an owner index, then start `sbfsearch serve`
+        with the given extra flags; returns the process and host:port."""
         for argv in (
             ["setup", "--params", workdir / "sys.cfg", "--vocab", workdir / "vocab.txt",
              "--out-dir", workdir / "keys", "--seed", "11"],
@@ -185,31 +188,61 @@ class TestServeLoopback:
         src = str(Path(sbfsearch.__file__).parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "sbfsearch", "serve", "--params", str(workdir / "sys.cfg"),
-             "--store-dir", str(workdir / "stores"), "--zone", "downtown",
-             "--listen", "127.0.0.1:0"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
-        )
-        line = proc.stdout.readline()
-        match = re.search(r"listening on ([0-9.]+):(\d+)", line)
-        assert match, f"unexpected server banner: {line!r}"
-        yield workdir, f"{match.group(1)}:{match.group(2)}"
-        proc.send_signal(signal.SIGINT)
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
+        procs = []
 
-    def test_upload_search_remove_cycle(self, served, capsys):
-        workdir, server = served
-        base = ["--params", workdir / "sys.cfg"]
-        code, out, err = _run(["upload", *base, "--index", workdir / "do.index",
+        def start(*extra):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "sbfsearch", "serve", "--params", str(workdir / "sys.cfg"),
+                 "--store-dir", str(workdir / "stores"), "--zone", "downtown",
+                 "--listen", "127.0.0.1:0", *extra],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+            )
+            procs.append(proc)
+            line = proc.stdout.readline()
+            match = re.search(r"listening on ([0-9.]+):(\d+)", line)
+            assert match, f"unexpected server banner: {line!r}"
+            return proc, f"{match.group(1)}:{match.group(2)}"
+
+        yield start
+        for proc in procs:
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGINT)
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
+    @pytest.fixture
+    def served(self, workdir, serve):
+        _, address = serve()
+        return workdir, address
+
+    def _upload(self, workdir, server, capsys):
+        code, out, err = _run(["upload", "--params", workdir / "sys.cfg", "--index", workdir / "do.index",
                                "--mi", workdir / "mi.txt",
                                "--agent-pub", workdir / "keys" / "agent.pub",
                                "--zone", "downtown", "--server", server,
                                "--receipt", workdir / "receipt.txt", "--seed", "13"], capsys)
         assert code == 0, err
+
+    def test_save_on_shutdown_keeps_the_upload(self, workdir, serve, capsys):
+        """SIGTERM stops the server after the request in hand; with
+        --save-on-shutdown it writes a snapshot that holds the upload."""
+        proc, server = serve("--save-on-shutdown")
+        self._upload(workdir, server, capsys)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+        assert "snapshots saved" in proc.stdout.read()
+        (snapshot,) = (workdir / "stores").glob("*.sbf")
+        handle = bytes.fromhex((workdir / "receipt.txt").read_text().strip())
+        assert handle in StorageBloomFilter.load(snapshot).table
+
+    def test_upload_search_remove_cycle(self, served, capsys):
+        workdir, server = served
+        base = ["--params", workdir / "sys.cfg"]
+        self._upload(workdir, server, capsys)
 
         search_cmd = ["search", *base, "--master", workdir / "keys" / "master.keys",
                       "--keyword", "kw0", "--location", "corner", "--zone", "downtown",

@@ -3,6 +3,7 @@ import socket
 import struct
 import sys
 import threading
+import time
 import warnings
 from random import Random
 
@@ -11,8 +12,8 @@ import pytest
 
 from sbfsearch import net
 from sbfsearch.analysis import result_size_bits, upload_size_bits
-from sbfsearch.crypto import (SealedRecord, TransportEnvelope, open_record, token_from_text, unwrap_transport,
-                              wrap_transport)
+from sbfsearch.crypto import (SEAL_OVERHEAD_BYTES, SealedRecord, TransportEnvelope, open_record, token_from_text,
+                              unwrap_transport, wrap_transport)
 from sbfsearch.filters import BitFilter
 from sbfsearch.index import (
     RemovalRequest,
@@ -266,6 +267,54 @@ class TestRobustness:
             ps = keyword_positions(kr, system.vocab[0], system.locations[0], system.params)
             assert packet.sealed.handle in {r.handle for r in c.search_location(system.zone, ps)}
 
+    def test_agent_may_not_upload_or_remove(self, system, server):
+        """An agent session's UPLOAD and REMOVE get E_BAD_REQUEST before
+        the body is parsed (a garbage body gets the same answer); the store
+        is unchanged and the session goes on to search."""
+        kr, idx, packet, _ = _uploaded(system, server, seed=81)
+        loc = system.locations[0]
+        store = server.stores[system.zone]
+        table_before = dict(store.table)
+        buffers_before = [list(b) for b in store.buffers]
+        _, other = system.user([1], seed=82)
+        upload = make_upload_packet(other, system.meta("mallory"), system.secrets.agent_public,
+                                    system.zone, system.params, Random(83))
+        removal = build_removal_request(idx, kr, system.vocab[0], loc, packet.sealed.handle,
+                                        system.params, Random(84))
+        ps = keyword_positions(kr, system.vocab[0], loc, system.params)
+        with _client(server, net.ROLE_AGENT) as c:
+            for call in (lambda: c.upload(upload), lambda: c.remove(removal),
+                         lambda: c._round_trip(net.T_UPLOAD, b"garbage", net.T_UPLOAD_ACK),
+                         lambda: c._round_trip(net.T_REMOVE, b"garbage", net.T_REMOVE_ACK)):
+                with pytest.raises(net.ServerError) as info:
+                    call()
+                assert info.value.code == net.E_BAD_REQUEST
+            assert store.table == table_before
+            assert [list(b) for b in store.buffers] == buffers_before
+            assert packet.sealed.handle in {r.handle for r in c.search_location(system.zone, ps)}
+
+    def test_oversize_sealed_record_refused(self, system, server):
+        """An upload whose sealed record is longer than seal_record makes
+        one at tau gets E_MALFORMED and leaves the store unchanged."""
+        kr, _, packet, _ = _uploaded(system, server, seed=85)
+        store = server.stores[system.zone]
+        table_before = dict(store.table)
+        buffers_before = [list(b) for b in store.buffers]
+        _, idx = system.user([1], seed=86)
+        honest = make_upload_packet(idx, system.meta("big"), system.secrets.agent_public,
+                                    system.zone, system.params, Random(87))
+        limit = SEAL_OVERHEAD_BYTES + system.params.tau_bits // 8
+        bloated = UploadPacket(zone=system.zone, compressed_bf=honest.compressed_bf,
+                               sealed=SealedRecord(honest.sealed.handle, bytes(limit + 1)))
+        with _client(server) as c:
+            with pytest.raises(net.ServerError) as info:
+                c.upload(bloated)
+            assert info.value.code == net.E_MALFORMED
+            assert "exceeds tau bound" in info.value.message
+            assert store.table == table_before
+            assert [list(b) for b in store.buffers] == buffers_before
+            assert c.upload(honest) == idx.bf.popcount
+
     def test_cut_bodies_and_bad_remove_flag_are_malformed(self, system, server):
         """Every proper prefix of a valid SEARCH_LOC, SEARCH_BF and REMOVE
         body, each body plus one byte, and a REMOVE whose flag is neither 0
@@ -328,18 +377,88 @@ class TestRobustness:
             s.settimeout(2)
             assert s.recv(64) == b""  # connection dropped
 
-    def test_finished_connection_threads_are_dropped(self, server):
-        for _ in range(5):
+    def test_no_thread_per_connection(self, server):
+        """The loop serves every connection on its own thread: the thread
+        count is the same after 20 sessions in turn and while 20 are open."""
+        before = threading.active_count()
+        for _ in range(20):
             with _client(server):
                 pass
-        finished = list(server._threads)
-        for t in finished:
-            t.join(timeout=5)
-        assert not any(t.is_alive() for t in finished)
-        with _client(server):
-            # the finished threads went when this connection was accepted
-            assert len(server._threads) == 1
-            assert server._threads[0].is_alive()
+        assert threading.active_count() == before
+        clients = []
+        try:
+            for _ in range(20):
+                clients.append(_client(server, net.ROLE_AGENT))  # each has finished its handshake
+            assert threading.active_count() == before
+        finally:
+            for c in clients:
+                c.close()
+
+    def test_silent_and_stalled_peers_are_dropped(self, system, server):
+        """A peer silent before HELLO and a session that stops mid-frame
+        are dropped after the idle timeout; a session idle between frames
+        is kept, and another session is answered meanwhile."""
+        kr, _, packet, _ = _uploaded(system, server, seed=79)
+        ps = keyword_positions(kr, system.vocab[0], system.locations[0], system.params)
+        host, port = server.address
+        start = time.monotonic()
+        with socket.create_connection((host, port)) as silent, \
+                socket.create_connection((host, port)) as stalled, _client(server, net.ROLE_AGENT) as c:
+            net.client_handshake(stalled, net.ROLE_AGENT)
+            stalled.sendall(net.MAGIC + bytes([net.T_SEARCH_LOC]))  # a header cut short
+            for _ in range(5):
+                assert packet.sealed.handle in {r.handle for r in c.search_location(system.zone, ps)}
+            for peer in (silent, stalled):
+                peer.settimeout(5)
+                assert peer.recv(1) == b""  # dropped
+            assert time.monotonic() - start >= net.IDLE_TIMEOUT_S
+            # c sat idle between frames for the whole timeout and is still served
+            assert packet.sealed.handle in {r.handle for r in c.search_location(system.zone, ps)}
+
+    def test_pipelining_peer_does_not_stall_others(self, system, server):
+        """A session that sends many requests and reads none of the replies
+        fills its socket buffers, and more; the loop pauses it, not the
+        others."""
+        for u in range(10):  # each reply carries ten records, ~2 KB
+            kr, _, packet, _ = _uploaded(system, server, keyword_ids=(0,), name=f"p{u}", seed=80 + 2 * u)
+        ps = keyword_positions(kr, system.vocab[0], system.locations[0], system.params)
+        host, port = server.address
+        body = bytes([1]) + system.zone + struct.pack(f">H{len(ps)}I", len(ps), *ps)
+        greedy = socket.socket()
+        greedy.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        greedy.connect((host, port))
+        with greedy, _client(server, net.ROLE_AGENT) as c:
+            key = net.client_handshake(greedy, net.ROLE_AGENT).channel_key
+            envelopes = [wrap_transport(key, body).to_bytes() for _ in range(3000)]
+            frames = b"".join(net.MAGIC + struct.pack(">BI", net.T_SEARCH_LOC, len(e)) + e for e in envelopes)
+            greedy.settimeout(5)
+
+            def pipeline():
+                try:
+                    greedy.sendall(frames)
+                except OSError:  # dropped once its replies stopped moving
+                    pass
+
+            sender = threading.Thread(target=pipeline, daemon=True)
+            sender.start()
+            c._sock.settimeout(5)  # a loop blocked on the greedy peer times this out
+            for _ in range(20):
+                assert packet.sealed.handle in {r.handle for r in c.search_location(system.zone, ps)}
+            sender.join(timeout=10)
+            assert not sender.is_alive()
+
+    def test_shutdown_closes_every_connection(self, system, server):
+        """shutdown() returns once the loop has closed the listener and
+        every connection, handshaken or not; a second call does nothing."""
+        with _client(server, net.ROLE_AGENT) as c, socket.create_connection(server.address) as silent:
+            assert c.search_location(system.zone, []) == []
+            server.shutdown()
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(server.address).close()
+            for sock in (c._sock, silent):
+                sock.settimeout(5)
+                assert sock.recv(1) == b""
+        server.shutdown()
 
     def test_concurrent_sessions(self, system, server):
         kr, idx, packet, _ = _uploaded(system, server, keyword_ids=(0,), seed=74)

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import os
 import stat
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from sbfsearch import store as store_module
-from sbfsearch.crypto import CryptoError, SealedRecord, token_from_text
+from sbfsearch.crypto import SEAL_OVERHEAD_BYTES, CryptoError, SealedRecord, token_from_text
 from sbfsearch.filters import BitFilter
 from sbfsearch.index import (
     RemovalRequest,
@@ -431,6 +432,28 @@ class TestUploadBounds:
         again = StorageBloomFilter.load(path)
         assert again.table == store.table and again.buffers == store.buffers
 
+    def test_sealed_record_bounded_by_tau(self, system):
+        """A sealed record may be as long as seal_record makes one at tau
+        and no longer, uploaded or as a replacement."""
+        store = StorageBloomFilter(system.params, system.zone)
+        limit = SEAL_OVERHEAD_BYTES + system.params.tau_bits // 8
+
+        def packet(name, size):
+            p = _raw_packet(system.zone, system.params.m, name, [0, 1])
+            return dataclasses.replace(p, sealed=SealedRecord(p.sealed.handle, bytes(size)))
+
+        assert store.ingest(packet("a", limit)) == 2
+        rbf = BitFilter(system.params.m)
+        rbf.insert([0, 1])
+        for req in (packet("b", limit + 1),
+                    RemovalRequest(zone=system.zone, rbf_prime=rbf, handle=_handle("a"),
+                                   replacement=packet("c", limit + 1))):
+            call = store.ingest if isinstance(req, UploadPacket) else store.remove
+            with pytest.raises(StoreError, match="exceeds tau bound"):
+                call(req)
+        assert set(store.table) == {_handle("a")}
+        assert store.buffers[0] == store.buffers[1] == [_handle("a")]
+
     def test_ingest_and_replacement_build_no_dense_filter(self, system, monkeypatch):
         store = StorageBloomFilter(system.params, system.zone)
         a = _raw_packet(system.zone, system.params.m, "a", [0, 1, 2])
@@ -644,9 +667,10 @@ class StoreModel(RuleBasedStateMachine):
     """The store against a reference model: each live handle's set of
     positions and its sealed record. beta=2 over six positions and six
     handles, so duplicate, overflow, unknown-handle and own-handle cases
-    all come up, as do empty and oversize uploads. A rejected operation
-    must leave table and buffers as they were; after every step the table
-    and every buffer must match the model."""
+    all come up, as do empty and oversize uploads and sealed records
+    longer than tau allows. A rejected operation must leave table and
+    buffers as they were; after every step the table and every buffer
+    must match the model."""
 
     def __init__(self):
         super().__init__()
@@ -717,10 +741,9 @@ class StoreModel(RuleBasedStateMachine):
         packet = self._packet(name, positions, zone=token_from_text("elsewhere", 64))
         self._rejected(ZoneMismatch, self.store.ingest, packet)
 
-    def _refused(self, data, as_replacement, positions, error, match):
+    def _refused(self, data, as_replacement, packet, error, match):
         """An upload, or a replacement for a stored or unknown record, that
         must be refused whatever the store holds."""
-        packet = self._packet(data.draw(_names), positions)
         if not as_replacement:
             return self._rejected(error, self.store.ingest, packet, match)
         handle = data.draw(st.sampled_from(sorted(self.held) + [_handle("z")]))
@@ -731,14 +754,24 @@ class StoreModel(RuleBasedStateMachine):
 
     @rule(data=st.data(), as_replacement=st.booleans())
     def empty_upload(self, data, as_replacement):
-        self._refused(data, as_replacement, [], StoreError, "no bit set")
+        self._refused(data, as_replacement, self._packet(data.draw(_names), []), StoreError, "no bit set")
 
     @rule(data=st.data(), as_replacement=st.booleans())
     def oversize_upload(self, data, as_replacement):
         """More positions than the q*r a record can hold."""
         count = data.draw(st.integers(self.params.max_positions + 1, self.params.m))
         positions = Random(data.draw(st.integers(0, 2**32 - 1))).sample(range(self.params.m), count)
-        self._refused(data, as_replacement, positions, CryptoError, "exceeds bound")
+        packet = self._packet(data.draw(_names), positions)
+        self._refused(data, as_replacement, packet, CryptoError, "exceeds bound")
+
+    @rule(data=st.data(), as_replacement=st.booleans(), positions=_spots)
+    def oversize_record(self, data, as_replacement, positions):
+        """A sealed record longer than seal_record makes one at tau."""
+        packet = self._packet(data.draw(_names), positions)
+        limit = SEAL_OVERHEAD_BYTES + self.params.tau_bits // 8
+        sealed = SealedRecord(packet.sealed.handle, bytes(data.draw(st.integers(limit + 1, 2 * limit))))
+        self._refused(data, as_replacement, dataclasses.replace(packet, sealed=sealed), StoreError,
+                      "exceeds tau bound")
 
     @rule(data=st.data(), foreign=st.sets(st.integers(0, MODEL_SPOTS - 1), max_size=2),
           replacement=st.none() | st.tuples(_names, _spots))
