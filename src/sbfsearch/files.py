@@ -10,8 +10,6 @@ from __future__ import annotations
 import struct
 from pathlib import Path
 
-import numpy as np
-
 from .crypto import Reader
 from .filters import BitFilter, CountingFilter
 from .index import MasterSecrets, UserIndex, UserKeyring
@@ -101,7 +99,7 @@ def save_index(idx: UserIndex, path: str | Path) -> None:
         struct.pack(">IB", idx.bf.m, len(idx.zone)),
         idx.zone,
         idx.bf.to_bytes(),
-        idx.cbf.counters.astype(">u4").tobytes(),
+        idx.cbf.to_bytes(),
         idx.obf.to_bytes(),
         struct.pack(">H", len(idx.obf_elements)),
     ]
@@ -117,11 +115,11 @@ def load_index(path: str | Path) -> UserIndex:
     m = rd.u32()
     zone = rd.take(rd.u8())
     bf = _dense_filter(rd, m)
-    counters = np.frombuffer(rd.take(4 * m), dtype=">u4").astype(np.int64)
+    cbf = CountingFilter.from_bytes(rd.take(4 * m))
     obf = _dense_filter(rd, m)
     elements = [rd.take(rd.u16()) for _ in range(rd.u16())]
     rd.done()
-    return UserIndex(zone=zone, bf=bf, cbf=CountingFilter(m, counters), obf=obf, obf_elements=elements)
+    return UserIndex(zone=zone, bf=bf, cbf=cbf, obf=obf, obf_elements=elements)
 
 
 def _dense_filter(rd: Reader, m: int) -> BitFilter:

@@ -1,10 +1,18 @@
 """Bit filters, counting filters, and the indexed hash family shared by
-clients and the store."""
+clients and the store.
+
+Both filters hold only what is set: a `BitFilter` is the set of its set
+positions and a `CountingFilter` a Counter of its nonzero counters. So
+every operation costs the positions it touches, never the filter length
+m. The dense m-bit and m-counter forms appear only in `to_bytes` and
+`from_bytes`, which the index file uses."""
 
 from __future__ import annotations
 
 import functools
 import hashlib
+from collections import Counter
+from collections.abc import Collection, Iterable
 
 import numpy as np
 
@@ -35,70 +43,73 @@ def _lane_prefixes(r: int) -> tuple[bytes, ...]:
     return tuple(i.to_bytes(4, "big") for i in range(1, r + 1))
 
 
-def _check_positions(positions: list[int], m: int) -> None:
-    for p in positions:
-        if not 0 <= p < m:
-            raise FilterError(f"position {p} out of range for m={m}")
+def _check_positions(positions: Collection[int], m: int) -> None:
+    if positions and not (0 <= min(positions) and max(positions) < m):
+        bad = next(p for p in positions if not 0 <= p < m)
+        raise FilterError(f"position {bad} out of range for m={m}")
 
 
 class BitFilter:
-    """Fixed-length bit array over numpy bool storage."""
+    """An m-bit filter held as the set of its set positions."""
 
-    def __init__(self, m: int, bits: np.ndarray | None = None):
+    def __init__(self, m: int, positions: Iterable[int] = ()):
         if m < 1:
             raise FilterError("filter length must be positive")
+        if getattr(positions, "dtype", None) == bool:
+            raise FilterError("BitFilter takes positions, not a dense boolean array")
         self.m = m
-        self.bits = np.zeros(m, dtype=bool) if bits is None else bits
+        self._positions = set(positions)
+        _check_positions(self._positions, m)
+
+    @classmethod
+    def _of(cls, m: int, positions: set[int]) -> "BitFilter":
+        """A filter over a position set already known to be in range."""
+        bf = cls.__new__(cls)
+        bf.m, bf._positions = m, positions
+        return bf
 
     def insert(self, positions: list[int]) -> None:
         _check_positions(positions, self.m)
-        self.bits[positions] = True
+        self._positions.update(positions)
 
     def test(self, positions: list[int]) -> bool:
         """True iff every position is set (no false negatives for
         anything actually inserted)."""
         _check_positions(positions, self.m)
-        return bool(self.bits[positions].all())
+        return self._positions.issuperset(positions)
 
     def union(self, other: "BitFilter") -> "BitFilter":
         if self.m != other.m:
             raise FilterError("length mismatch in filter union")
-        return BitFilter(self.m, self.bits | other.bits)
+        return BitFilter._of(self.m, self._positions | other._positions)
 
     __or__ = union
 
     @property
     def popcount(self) -> int:
-        return int(self.bits.sum())
+        return len(self._positions)
 
     def positions(self) -> list[int]:
-        return np.flatnonzero(self.bits).tolist()
-
-    def copy(self) -> "BitFilter":
-        return BitFilter(self.m, self.bits.copy())
+        """The set positions, ascending."""
+        return sorted(self._positions)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BitFilter)
-            and self.m == other.m
-            and bool(np.array_equal(self.bits, other.bits))
-        )
+        return isinstance(other, BitFilter) and self.m == other.m and self._positions == other._positions
 
     def compress(self) -> bytes:
-        return compress_positions(np.flatnonzero(self.bits), self.m)
+        return compress_positions(self.positions(), self.m)
 
     @classmethod
     def decompress(cls, data: bytes, m: int, max_count: int | None = None) -> "BitFilter":
         """Invert compress; a count above `max_count` is refused undecoded."""
-        bf = cls(m)
-        bf.bits[decompress_positions(data, m, max_count)] = True  # the codec checked the range
-        return bf
+        return cls._of(m, set(decompress_positions(data, m, max_count)))  # the codec checked the range
 
     def to_bytes(self) -> bytes:
         """Dense form: 8-byte big-endian length, then ceil(m/8) bytes with
         bit 0 of byte 0 holding position 0."""
-        packed = np.packbits(self.bits, bitorder="little").tobytes()
-        return self.m.to_bytes(8, "big") + packed
+        bits = np.zeros(self.m, dtype=bool)
+        bits[list(self._positions)] = True
+        return self.m.to_bytes(8, "big") + np.packbits(bits, bitorder="little").tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BitFilter":
@@ -108,42 +119,60 @@ class BitFilter:
         body = data[8:]
         if len(body) != (m + 7) // 8:
             raise FilterError("dense filter length mismatch")
-        bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8), bitorder="little")[:m]
-        return cls(m, bits.astype(bool))
+        bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=m, bitorder="little")
+        return cls(m, np.flatnonzero(bits).tolist())
 
 
 class CountingFilter:
-    """Per-position counters enabling exact removal; counters are
-    unbounded non-negative integers, never saturated."""
+    """Per-position counters enabling exact removal, held as a Counter of
+    the nonzero ones; counters are unbounded non-negative integers, never
+    saturated."""
 
-    def __init__(self, m: int, counters: np.ndarray | None = None):
+    def __init__(self, m: int):
         if m < 1:
             raise FilterError("filter length must be positive")
         self.m = m
-        self.counters = np.zeros(m, dtype=np.int64) if counters is None else counters
+        self.counters: Counter[int] = Counter()
 
     def add(self, positions: list[int]) -> None:
         """Increment once per occurrence in positions."""
         _check_positions(positions, self.m)
-        np.add.at(self.counters, positions, 1)
+        self.counters.update(positions)
 
     def subtract(self, positions: list[int]) -> None:
         """Decrement once per occurrence; underflow means the caller is
         removing something never inserted and is rejected before any
         counter changes."""
         _check_positions(positions, self.m)
-        delta = np.zeros(self.m, dtype=np.int64)
-        np.add.at(delta, positions, 1)
-        if (self.counters < delta).any():
+        delta = Counter(positions)
+        counters = self.counters
+        if any(counters[p] < n for p, n in delta.items()):
             raise FilterError("counting filter underflow: element was never inserted")
-        self.counters -= delta
+        for p, n in delta.items():
+            if counters[p] == n:
+                del counters[p]
+            else:
+                counters[p] -= n
 
     def nonzero_bits(self) -> BitFilter:
-        return BitFilter(self.m, self.counters > 0)
+        return BitFilter._of(self.m, set(self.counters))
 
     @property
     def total(self) -> int:
-        return int(self.counters.sum())
+        return self.counters.total()
 
-    def copy(self) -> "CountingFilter":
-        return CountingFilter(self.m, self.counters.copy())
+    def to_bytes(self) -> bytes:
+        """Dense form: m big-endian u32 counters."""
+        dense = np.zeros(self.m, dtype=">u4")
+        dense[list(self.counters)] = list(self.counters.values())
+        return dense.tobytes()
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "CountingFilter":
+        if not data or len(data) % 4:
+            raise FilterError("dense counters must be a positive multiple of 4 bytes")
+        dense = np.frombuffer(data, dtype=">u4")
+        cbf = cls(len(dense))
+        nonzero = np.flatnonzero(dense)
+        cbf.counters.update(dict(zip(nonzero.tolist(), dense[nonzero].tolist())))
+        return cbf

@@ -23,7 +23,9 @@ keyword's.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from random import Random
 
 from .crypto import (
@@ -69,14 +71,18 @@ class UserKeyring:
 @dataclass
 class UserIndex:
     """The (counting filter, bit filter, obfuscating filter) triple a
-    user maintains per zone. obf_elements retains the raw blinding values
-    for later removal swaps; they are consumed, never replenished."""
+    user maintains per zone, all held as positions. obf_elements retains
+    the raw blinding values for later removal swaps; they are consumed,
+    never replenished. obf_positions caches each element's r positions in
+    lane order, hashed once when the index is built or on the first
+    removal after `files.load_index`, so a removal re-hashes nothing."""
 
     zone: bytes
     bf: BitFilter
     cbf: CountingFilter
     obf: BitFilter
     obf_elements: list[bytes] = field(default_factory=list)
+    obf_positions: list[list[int]] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -181,20 +187,14 @@ def build_user_index(
     counting filters, pad with (q - d) blinding elements in the
     obfuscating filter, and OR the two so the uploaded load is always q
     elements. Costs 2r PRF calls per real keyword."""
-    d = len(kr.keys)
-    bf = BitFilter(params.m)
     cbf = CountingFilter(params.m)
-    obf = BitFilter(params.m)
     for w in kr.keys:
-        ps = keyword_positions(kr, w, location, params)
-        bf.insert(ps)
-        cbf.add(ps)
-    obf_elements: list[bytes] = []
-    for _ in range(params.q - d):
-        value = rand_bytes(rng, params.n_bytes)
-        obf.insert(blinding_positions(value, params))
-        obf_elements.append(value)
-    return UserIndex(zone=kr.zone, bf=bf.union(obf), cbf=cbf, obf=obf, obf_elements=obf_elements)
+        cbf.add(keyword_positions(kr, w, location, params))
+    obf_elements = [rand_bytes(rng, params.n_bytes) for _ in range(params.q - len(kr.keys))]
+    obf_positions = [blinding_positions(value, params) for value in obf_elements]
+    obf = BitFilter(params.m, chain.from_iterable(obf_positions))
+    return UserIndex(zone=kr.zone, bf=cbf.nonzero_bits() | obf, cbf=cbf, obf=obf,
+                     obf_elements=obf_elements, obf_positions=obf_positions)
 
 
 def make_upload_packet(
@@ -228,48 +228,45 @@ def build_removal_request(
     must stay live on the server, so each such bit is swapped for a
     fresh position drawn from an unused blinding element; the element is
     consumed. Counters drop by one per original occurrence either way.
+    Costs one `keyword_positions` plus set work over the q*r positions the
+    index holds; a refused removal leaves the index unchanged.
     """
     ps = keyword_positions(kr, w, location, params)
-    occurrences: dict[int, int] = {}
-    for p in ps:
-        occurrences[p] = occurrences.get(p, 0) + 1
-    for p, n in occurrences.items():
-        if idx.cbf.counters[p] < n:
-            raise SchemeError("keyword was never inserted at this location")
+    occurrences = Counter(ps)
+    counters = idx.cbf.counters
+    if any(counters[p] < n for p, n in occurrences.items()):
+        raise SchemeError("keyword was never inserted at this location")
+    if idx.obf_positions is None:
+        idx.obf_positions = [blinding_positions(value, params) for value in idx.obf_elements]
 
-    rbf_prime = BitFilter(params.m)
-    rbf_prime.insert(ps)
+    pruned = set(ps)
+    elements, lanes = list(idx.obf_elements), list(idx.obf_positions)
     pick = rng if rng is not None else Random()
     for p in sorted(occurrences):
-        if idx.cbf.counters[p] <= occurrences[p]:
+        if counters[p] <= occurrences[p]:
             continue  # no other keyword needs this buffer; prune it as is
-        rbf_prime.bits[p] = False
-        swap = _draw_swap_position(idx, rbf_prime, params, pick)
-        rbf_prime.bits[swap] = True
+        pruned.discard(p)
+        pruned.add(_draw_swap_position(elements, lanes, counters, pruned, pick))
     idx.cbf.subtract(ps)
-
-    # rebuild obf from the surviving blinding elements, then restore the
-    # set-relation invariants: bf = (cbf > 0) OR obf
-    obf = BitFilter(params.m)
-    for value in idx.obf_elements:
-        obf.insert(blinding_positions(value, params))
-    idx.obf = obf
-    idx.bf = idx.cbf.nonzero_bits().union(obf)
-    return RemovalRequest(zone=idx.zone, rbf_prime=rbf_prime, handle=handle, replacement=replacement)
+    # the set-relation invariants: bf = (cbf > 0) OR obf
+    idx.obf_elements, idx.obf_positions = elements, lanes
+    idx.obf = BitFilter(params.m, chain.from_iterable(lanes))
+    idx.bf = idx.cbf.nonzero_bits() | idx.obf
+    return RemovalRequest(zone=idx.zone, rbf_prime=BitFilter(params.m, pruned), handle=handle,
+                          replacement=replacement)
 
 
 def _draw_swap_position(
-    idx: UserIndex, rbf_prime: BitFilter, params: SystemParams, rng: Random
+    elements: list[bytes], lanes: list[list[int]], counters: Counter[int], pruned: set[int], rng: Random
 ) -> int:
     """Consume one blinding element owning a position with zero counter
     that is not already marked for pruning."""
-    order = list(range(len(idx.obf_elements)))
+    order = list(range(len(elements)))
     rng.shuffle(order)
     for i in order:
-        positions = blinding_positions(idx.obf_elements[i], params)
-        usable = [p for p in positions if idx.cbf.counters[p] == 0 and not rbf_prime.bits[p]]
+        usable = [p for p in lanes[i] if not counters[p] and p not in pruned]
         if usable:
-            idx.obf_elements.pop(i)
+            del elements[i], lanes[i]
             return rng.choice(usable)
     raise SchemeError("no unused blinding element available for a removal swap")
 

@@ -8,8 +8,9 @@ stopping once nothing survives: at most the sum of the addressed
 cardinalities in C-level probes, and never a scan of the table. Removal
 finds the handle in each marked buffer with one C-level scan and deletes
 it at that index, and keeps a per-handle count of the buffers holding
-each record. So both cost what the addressed buffers hold, not the store
-size. Ingest decodes the sparse upload straight to its position list
+each record. Query and pruning filters hold their positions, not m
+bits. So both cost what the addressed buffers hold, not the store size or
+m. Ingest decodes the sparse upload straight to its position list
 (linear in the count, refused undecoded above q*r, and refused when
 empty), gathers the target buffers once to check capacity and appends to
 those same lists: O(positions), with no dense m-bit filter. The
@@ -66,6 +67,14 @@ class BufferOverflow(StoreError):
     def __init__(self, buffer_index: int):
         super().__init__(f"buffer {buffer_index} is at capacity")
         self.buffer_index = buffer_index
+
+
+def _check_sealed_size(size: int, params: SystemParams) -> None:
+    """A sealed record may be no longer than `seal_record` makes one at
+    tau: tau/8 bytes plus the sealing overhead."""
+    limit = SEAL_OVERHEAD_BYTES + params.tau_bits // 8
+    if size > limit:
+        raise StoreError(f"sealed record of {size} bytes exceeds tau bound {limit}")
 
 
 class _RWLock:
@@ -138,7 +147,8 @@ class StorageBloomFilter:
 
     def remove(self, req: RemovalRequest) -> int:
         """Delete the handle from every buffer marked in the pruning
-        filter; cost is one scan per marked buffer, whatever the store size.
+        filter; cost is one scan per marked buffer, whatever the store size
+        or m (the filter holds its marked positions, not m bits).
         Marked buffers that lack the handle are skipped and counted in one
         warning, which names neither them nor the handle. Returns the
         number of buffers pruned.
@@ -192,9 +202,7 @@ class StorageBloomFilter:
         stored record as the capacity model assumes."""
         if packet.zone != self.zone:
             raise ZoneMismatch(f"packet zone {packet.zone.hex()} != store zone {self.zone.hex()}")
-        limit = SEAL_OVERHEAD_BYTES + self.params.tau_bits // 8
-        if len(packet.sealed.ciphertext) > limit:
-            raise StoreError(f"sealed record of {len(packet.sealed.ciphertext)} bytes exceeds tau bound {limit}")
+        _check_sealed_size(len(packet.sealed.ciphertext), self.params)
         positions = decompress_positions(packet.compressed_bf, self.params.m, self.params.max_positions)
         if not positions:
             raise StoreError("upload filter has no bit set")
@@ -317,6 +325,9 @@ class StorageBloomFilter:
 
     @classmethod
     def load(cls, path: str | Path) -> "StorageBloomFilter":
+        """Read a snapshot under ingest's rules: every record known, in at
+        least one and at most q*r buffers, no longer than tau allows, and
+        no buffer over beta or holding a handle twice."""
         rd = Reader(Path(path).read_bytes(), StoreError)
         if rd.take(8) != SNAPSHOT_MAGIC:
             raise StoreError("bad snapshot magic")
@@ -331,7 +342,9 @@ class StorageBloomFilter:
             handle = rd.take(HANDLE_BYTES)
             if handle in store.table:
                 raise StoreError("duplicate handle in snapshot")
-            store.table[handle] = SealedRecord(handle=handle, ciphertext=rd.take(rd.u32()))
+            size = rd.u32()
+            _check_sealed_size(size, params)
+            store.table[handle] = SealedRecord(handle=handle, ciphertext=rd.take(size))
         for _ in range(rd.u32()):
             pos, count = struct.unpack(">II", rd.take(8))
             if pos >= m:
@@ -350,4 +363,6 @@ class StorageBloomFilter:
         store._live.update(chain.from_iterable(store.buffers))  # one call: counted in C
         if store._live.keys() != store.table.keys():
             raise StoreError("snapshot table holds records absent from every buffer")
+        if store._live and max(store._live.values()) > params.max_positions:
+            raise StoreError(f"snapshot record held by more than q*r = {params.max_positions} buffers")
         return store

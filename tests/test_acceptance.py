@@ -249,7 +249,7 @@ def _property_b_remove_paths() -> tuple[str, bool, str]:
                                  sys.zone, params, Random(7106))
     store2.ingest(packet2)
     req2 = build_removal_request(idx2, kr2, w1, loc, packet2.sealed.handle, params, Random(7107))
-    swapped = not req2.rbf_prime.bits[shared]
+    swapped = shared not in req2.rbf_prime.positions()
     store2.remove(req2)
     removed_absent = not store2.search_positions(keyword_positions(kr2, w1, loc, params)).matches
     survivor_present = bool(store2.search_positions(keyword_positions(kr2, w2, loc, params)).matches)

@@ -81,8 +81,8 @@ class TestBitFilter:
     def test_union_popcount_subadditive(self):
         rng = np.random.default_rng(5)
         for _ in range(1000):
-            a = BitFilter(96, rng.random(96) < 0.2)
-            b = BitFilter(96, rng.random(96) < 0.2)
+            a = BitFilter(96, np.flatnonzero(rng.random(96) < 0.2).tolist())
+            b = BitFilter(96, np.flatnonzero(rng.random(96) < 0.2).tolist())
             assert (a | b).popcount <= a.popcount + b.popcount
 
     def test_false_positive_rate_matches_analytic(self):
@@ -100,8 +100,10 @@ class TestBitFilter:
 
     def test_dense_serialization(self):
         rng = np.random.default_rng(7)
-        bf = BitFilter(77, rng.random(77) < 0.3)
+        set_bits = rng.random(77) < 0.3
+        bf = BitFilter(77, np.flatnonzero(set_bits).tolist())
         data = bf.to_bytes()
+        assert data[8:] == np.packbits(set_bits, bitorder="little").tobytes()
         assert BitFilter.from_bytes(data) == bf
         # position 0 occupies bit 0 of byte 0
         lone = BitFilter(16)
@@ -116,8 +118,21 @@ class TestBitFilter:
 
     def test_sparse_round_trip(self):
         rng = np.random.default_rng(8)
-        bf = BitFilter(300, rng.random(300) < 0.1)
+        bf = BitFilter(300, np.flatnonzero(rng.random(300) < 0.1).tolist())
         assert BitFilter.decompress(bf.compress(), 300) == bf
+
+    def test_positions_constructor(self):
+        bf = BitFilter(64, [9, 1, 5, 5])
+        assert bf.positions() == [1, 5, 9] and bf.popcount == 3
+        with pytest.raises(FilterError):
+            BitFilter(64, [64])
+        with pytest.raises(FilterError):
+            BitFilter(64, [-1, 3])
+
+    def test_boolean_array_refused(self):
+        # a dense array would otherwise read as the positions {0, 1}
+        with pytest.raises(FilterError, match="dense"):
+            BitFilter(16, np.ones(16, dtype=bool))
 
 
 class TestCountingFilter:
@@ -131,10 +146,11 @@ class TestCountingFilter:
     def test_subtract_is_inverse(self):
         cbf = CountingFilter(32)
         cbf.add([1, 2, 2])
-        snapshot = cbf.counters.copy()
+        snapshot = Counter(cbf.counters)
         cbf.add([2, 9, 9])
         cbf.subtract([2, 9, 9])
-        assert (cbf.counters == snapshot).all()
+        assert cbf.counters == snapshot
+        assert set(cbf.counters) == {1, 2}  # a counter back at zero is not held
 
     def test_underflow_rejected_atomically(self):
         cbf = CountingFilter(16)
@@ -176,3 +192,14 @@ class TestCountingFilter:
             bf.insert(ps)
             cbf.add(ps)
         assert bf == cbf.nonzero_bits()
+
+    def test_dense_serialization(self):
+        cbf = CountingFilter(10)
+        cbf.add([0, 3, 3, 9])
+        data = cbf.to_bytes()
+        assert data == b"".join(n.to_bytes(4, "big") for n in [1, 0, 0, 2, 0, 0, 0, 0, 0, 1])
+        again = CountingFilter.from_bytes(data)
+        assert again.m == 10 and again.counters == cbf.counters
+        for bad in (b"", b"\x00" * 5):
+            with pytest.raises(FilterError):
+                CountingFilter.from_bytes(bad)

@@ -4,7 +4,6 @@ error and nothing else."""
 
 import struct
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,15 +88,16 @@ def _indexes(draw):
     m = draw(st.integers(1, 70))
 
     def bits():
-        return BitFilter(m, np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool))
+        return BitFilter(m, draw(st.sets(st.integers(0, m - 1))))
 
-    counters = np.array(draw(st.lists(st.integers(0, 2**32 - 1), min_size=m, max_size=m)), dtype=np.int64)
-    return UserIndex(draw(st.binary(max_size=9)), bits(), CountingFilter(m, counters), bits(),
+    cbf = CountingFilter(m)
+    cbf.counters.update(draw(st.dictionaries(st.integers(0, m - 1), st.integers(1, 2**32 - 1))))
+    return UserIndex(draw(st.binary(max_size=9)), bits(), cbf, bits(),
                      draw(st.lists(st.binary(max_size=12), max_size=4)))
 
 
 def _index_fields(idx):
-    return idx.zone, idx.bf, idx.obf, idx.obf_elements, idx.cbf.m, idx.cbf.counters.tolist()
+    return idx.zone, idx.bf, idx.obf, idx.obf_elements, idx.cbf.m, idx.cbf.counters
 
 
 class TestFormatProperties:

@@ -1,8 +1,14 @@
+import hashlib
+import tempfile
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sbfsearch import crypto
+import dense_index
+from sbfsearch import crypto, files, index
 from sbfsearch.crypto import prf_calls, token_from_text
 from sbfsearch.filters import BitFilter
 from sbfsearch.index import (
@@ -22,6 +28,9 @@ from sbfsearch.params import derive_params
 from sbfsearch.store import StorageBloomFilter
 
 from conftest import SystemFixture
+
+SMALL_PARAMS = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64)
+PAPER_PARAMS = derive_params(l=100, r=10, gamma_count=20, q=15, beta=50, tau_bits=5120)
 
 
 class TestSetup:
@@ -163,6 +172,111 @@ class TestGoldenVectors:
         assert got == [[148, 158, 202, 158], [115, 52, 221, 210], [123, 215, 140, 20]]
 
 
+def _index_file_bytes(idx):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "user.idx"
+        files.save_index(idx, path)
+        return path.read_bytes()
+
+
+def _golden_sequence(params, fixture_seed, kw_ids, order, build_seed, remove_seed):
+    """Build one user index, remove keywords in `order`, and return every
+    byte the client emits or stores along the way."""
+    sys = SystemFixture(params, seed=fixture_seed)
+    loc = sys.locations[0]
+    mark = prf_calls.count
+    kr = register_user(sys.secrets, [sys.vocab[i] for i in kw_ids], sys.zone, params)
+    idx = build_user_index(kr, loc, params, Random(build_seed))
+    upload = idx.bf.compress()
+    rng = Random(remove_seed)
+    prunes, swaps = [], 0
+    for i in order:
+        w = sys.vocab[kw_ids[i]]
+        req = build_removal_request(idx, kr, w, loc, b"h" * 16, params, rng)
+        swaps += set(req.rbf_prime.positions()) != set(keyword_positions(kr, w, loc, params))
+        prunes.append(req.rbf_prime.compress().hex())
+    agent = register_user(sys.secrets, sys.vocab[:2], sys.zone, params)
+    query = build_conjunctive_query(agent, sys.vocab[:2], sys.locations[1], params).compress()
+    return dict(upload_sha256=hashlib.sha256(upload).hexdigest(), prunes=prunes, swaps=swaps,
+                rng_after=rng.random(), index_sha256=hashlib.sha256(_index_file_bytes(idx)).hexdigest(),
+                query=query.hex(), prf_calls=prf_calls.count - mark)
+
+
+# golden bytes of a whole client sequence, pinned before filters held
+# positions instead of m-bit arrays: upload filter, each pruning filter
+# (the small case swaps twice), the RNG state after the removals, the
+# index file, one conjunctive query and the PRF calls spent
+GOLDEN_SEQUENCES = [
+    ((SMALL_PARAMS, 26, [0, 1, 2, 3], [2, 0, 3, 1], 126, 226), dict(
+        upload_sha256=hashlib.sha256(bytes.fromhex(
+            "0000001504081f223e404b5363767f848995999ba4bad6e2e5")).hexdigest(),
+        prunes=["000000040840639b", "000000041f2276e2", "000000043e4bbae5", "000000047f8489d6"],
+        swaps=2, rng_after=0.5502082525841857,
+        index_sha256="5557da89190dc8f17929ccd43a77e4469c2a9c61d9c8dc352feb81ed299f4234",
+        query="00000008093e5e6166a8d1d4", prf_calls=136)),
+    ((PAPER_PARAMS, 3, list(range(12)), [5, 0, 11, 3], 31, 32), dict(
+        upload_sha256="48545f3787cb3d362c224ea8af65abbb79db360e529072ddabbcaec0aeaccc1e",
+        prunes=["0000000a3c26b695aeb374b7f9b1c92cc8db27c833ac88", "0000000a06a22044557a8536156fbe21814c1cd3fbb400",
+                "0000000a093c3d588fd287d7442f936a62db86b9fd7c98", "0000000a09ce36387be287f90ed2d2a86ed2c0d115b984"],
+        swaps=0, rng_after=0.07742178385330412,
+        index_sha256="c8a915ccdca0b6914bb9b83ae07a8ce3d6cdcf03784edb3c553622e7b02e3bf0",
+        query="00000014002819ac36f19bf37a27f7116b26526208cc45b03bc2784773d46a1d56bbbcbdabab7fa701a0",
+        prf_calls=580)),
+]
+
+
+class TestGoldenSequence:
+    @pytest.mark.parametrize("args, expected", GOLDEN_SEQUENCES, ids=["small-swaps", "paper"])
+    def test_client_bytes_unchanged(self, args, expected):
+        assert _golden_sequence(*args) == expected
+
+
+class TestDenseOracle:
+    """The set-based client against the dense builder it replaced
+    (`tests/dense_index.py`): same upload, pruning filters, RNG draws and
+    index file after every step, over random keyword sets, removal orders
+    (a keyword removed twice included), seeds and small m, where swaps and
+    exhausted blinding elements are common; a refused removal must leave
+    the index as it was. Some steps reload the index from its file first,
+    so the positions recomputed after a load are covered too."""
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_matches_dense_builder(self, data):
+        m = data.draw(st.integers(10, 60), label="m")
+        params = derive_params(l=12, r=6, gamma_count=1, q=8, beta=12, tau_bits=4096, n_bits=64, m_override=m)
+        sys = SystemFixture(params, seed=data.draw(st.integers(0, 2**16), label="fixture seed"))
+        kw = data.draw(st.lists(st.integers(0, params.l - 1), unique=True, max_size=params.q), label="keywords")
+        order = data.draw(st.permutations(kw), label="removal order")
+        order += data.draw(st.lists(st.sampled_from(kw), max_size=1) if kw else st.just([]), label="again")
+        build_seed, remove_seed = data.draw(st.integers(0, 2**32), label="seeds"), data.draw(st.integers(0, 2**32))
+        loc = sys.locations[data.draw(st.integers(0, params.gamma_count - 1))]
+        kr = register_user(sys.secrets, [sys.vocab[i] for i in kw], sys.zone, params)
+        idx = build_user_index(kr, loc, params, Random(build_seed))
+        want = dense_index.build(kr, loc, params, Random(build_seed))
+        assert idx.bf.compress() == want.upload_filter()
+        assert _index_file_bytes(idx) == want.file_bytes()
+        ours, theirs = Random(remove_seed), Random(remove_seed)
+        for i in order:
+            if data.draw(st.booleans(), label="reload"):
+                with tempfile.TemporaryDirectory() as d:
+                    files.save_index(idx, Path(d) / "user.idx")
+                    idx = files.load_index(Path(d) / "user.idx")
+            w = sys.vocab[i]
+            try:
+                expected = dense_index.remove(want, kr, w, loc, params, theirs)
+            except SchemeError:
+                before = _index_file_bytes(idx)
+                with pytest.raises(SchemeError):
+                    build_removal_request(idx, kr, w, loc, b"h" * 16, params, ours)
+                assert _index_file_bytes(idx) == before  # a refused removal changes nothing
+                break
+            req = build_removal_request(idx, kr, w, loc, b"h" * 16, params, ours)
+            assert req.rbf_prime.compress() == expected
+            assert ours.getstate() == theirs.getstate()
+            assert _index_file_bytes(idx) == want.file_bytes()
+
+
 class TestBuildIndex:
     def test_full_quota_means_no_padding(self, system):
         kr, idx = system.user(range(system.params.q))
@@ -188,8 +302,8 @@ class TestBuildIndex:
     def test_set_relations(self, system):
         for d in (0, 2, system.params.q):
             _, idx = system.user(range(d))
-            assert (idx.cbf.nonzero_bits().bits <= idx.bf.bits).all()
-            assert (idx.obf.bits <= idx.bf.bits).all()
+            assert set(idx.cbf.nonzero_bits().positions()) <= set(idx.bf.positions())
+            assert set(idx.obf.positions()) <= set(idx.bf.positions())
             assert len(idx.obf_elements) == system.params.q - d
 
     def test_load_bounded_by_quota(self, system):
@@ -251,7 +365,7 @@ class TestRemoval:
         idx = build_user_index(kr, loc, system.params, Random(14))
         before_elements = len(idx.obf_elements)
         req = build_removal_request(idx, kr, w1, loc, b"h" * 16, system.params, Random(15))
-        assert not req.rbf_prime.bits[shared]
+        assert shared not in req.rbf_prime.positions()
         assert len(idx.obf_elements) == before_elements - 1
         # the surviving keyword still tests positive client-side
         assert idx.bf.test(keyword_positions(kr, w2, loc, system.params))
@@ -264,6 +378,26 @@ class TestRemoval:
         assert not idx.obf_elements  # d == q leaves no padding
         with pytest.raises(SchemeError):
             build_removal_request(idx, kr, w1, loc, b"h" * 16, params, Random(18))
+
+    def test_removal_rehashes_no_blinding_element(self, system, monkeypatch, tmp_path):
+        """Blinding positions are hashed once per element: when the index is
+        built, or on the first removal after `load_index`; never again."""
+        kr, loc, w1, w2, _ = _colliding_pair(system, d=system.params.q - 3)
+        idx = build_user_index(kr, loc, system.params, Random(14))
+        hashed = []
+        real = index.blinding_positions
+        monkeypatch.setattr(index, "blinding_positions", lambda v, p: hashed.append(v) or real(v, p))
+        req = build_removal_request(idx, kr, w1, loc, b"h" * 16, system.params, Random(15))
+        assert set(req.rbf_prime.positions()) != set(keyword_positions(kr, w1, loc, system.params))  # swapped
+        assert hashed == []
+        files.save_index(idx, tmp_path / "user.idx")
+        idx = files.load_index(tmp_path / "user.idx")
+        survivors = list(idx.obf_elements)
+        build_removal_request(idx, kr, w2, loc, b"h" * 16, system.params, Random(16))
+        assert hashed == survivors
+        third = next(w for w in kr.keys if w not in (w1, w2))
+        build_removal_request(idx, kr, third, loc, b"h" * 16, system.params, Random(17))
+        assert hashed == survivors
 
     def test_removing_never_inserted_keyword_rejected(self, system):
         kr, idx = system.user(range(2))
@@ -286,8 +420,8 @@ class TestRemoval:
         kr, idx = system.user(range(4))
         build_removal_request(idx, kr, system.vocab[2], system.locations[0],
                               b"h" * 16, system.params, Random(22))
-        assert (idx.cbf.nonzero_bits().bits <= idx.bf.bits).all()
-        assert (idx.obf.bits <= idx.bf.bits).all()
+        assert set(idx.cbf.nonzero_bits().positions()) <= set(idx.bf.positions())
+        assert set(idx.obf.positions()) <= set(idx.bf.positions())
 
     def test_end_to_end_insert_remove_search(self, system):
         params = system.params

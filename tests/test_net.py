@@ -167,6 +167,32 @@ class TestOperations:
             assert not c.search_location(system.zone, keyword_positions(
                 kr, system.vocab[0], loc, system.params))
 
+    def test_no_m_length_array_on_client_or_server(self, system, server, monkeypatch):
+        """Building, uploading, querying and removing cost the positions
+        they touch: with every numpy array of m or more elements refused,
+        the client builds and sends, and the in-process server answers
+        SEARCH_BF and REMOVE."""
+        m = system.params.m
+
+        def refuse_m(fn, size):
+            def guarded(a, *args, **kwargs):
+                if size(a) >= m:
+                    raise AssertionError(f"{fn.__name__} over {size(a)} >= m elements")
+                return fn(a, *args, **kwargs)
+            return guarded
+
+        monkeypatch.setattr(np, "zeros", refuse_m(np.zeros, lambda shape: int(np.prod(shape))))
+        monkeypatch.setattr(np, "flatnonzero", refuse_m(np.flatnonzero, np.size))
+        kr, idx, packet, written = _uploaded(system, server, keyword_ids=(0, 1, 2), seed=90)
+        assert written == idx.bf.popcount
+        loc = system.locations[0]
+        query = build_conjunctive_query(kr, [system.vocab[0], system.vocab[2]], loc, system.params)
+        req = build_removal_request(idx, kr, system.vocab[1], loc, packet.sealed.handle, system.params, Random(91))
+        with _client(server) as c:
+            assert packet.sealed.handle in {r.handle for r in c.search_conjunctive(system.zone, query)}
+            assert c.remove(req) == req.rbf_prime.popcount
+            assert not c.search_location(system.zone, keyword_positions(kr, system.vocab[1], loc, system.params))
+
     def test_unknown_zone_error(self, system, server):
         with _client(server, net.ROLE_AGENT) as c:
             with pytest.raises(net.ServerError) as info:
@@ -249,7 +275,7 @@ class TestRobustness:
         store = server.stores[system.zone]
         table_before = dict(store.table)
         buffers_before = [list(b) for b in store.buffers]
-        ones = BitFilter(system.params.m, np.ones(system.params.m, dtype=bool))
+        ones = BitFilter(system.params.m, range(system.params.m))
         flood = UploadPacket(zone=system.zone, compressed_bf=ones.compress(),
                              sealed=SealedRecord(handle=b"f" * 16, ciphertext=b"flood"))
         with _client(server) as c:

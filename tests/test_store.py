@@ -543,6 +543,34 @@ class TestSnapshot:
         with pytest.raises(StoreError, match="repeats a handle"):
             StorageBloomFilter.load(path)
 
+    def test_load_rejects_record_longer_than_tau_allows(self, system, loaded, tmp_path):
+        # ingest refuses such a record; a snapshot must not bring one in
+        store, _ = loaded
+        handle = next(iter(store.table))
+        limit = SEAL_OVERHEAD_BYTES + system.params.tau_bits // 8
+        store.table[handle] = SealedRecord(handle, b"x" * (limit + 1))
+        path = tmp_path / "zone.sbf"
+        store.save(path)
+        with pytest.raises(StoreError, match="tau bound"):
+            StorageBloomFilter.load(path)
+        store.table[handle] = SealedRecord(handle, b"x" * limit)
+        store.save(path)
+        assert StorageBloomFilter.load(path).table[handle].ciphertext == b"x" * limit
+
+    def test_load_rejects_record_in_more_than_qr_buffers(self, system, tmp_path):
+        # ingest decodes at most q*r positions; a snapshot must not hold more
+        params = system.params
+        store = StorageBloomFilter(params, system.zone)
+        handle = _handle("wide")
+        store.ingest(_raw_packet(system.zone, params.m, "wide", range(params.max_positions)))
+        path = tmp_path / "zone.sbf"
+        store.save(path)
+        assert StorageBloomFilter.load(path).table.keys() == {handle}
+        store.buffers[params.max_positions].append(handle)
+        store.save(path)
+        with pytest.raises(StoreError, match="q\\*r"):
+            StorageBloomFilter.load(path)
+
     def test_failed_save_keeps_previous_snapshot(self, system, loaded, tmp_path, monkeypatch):
         store, packets = loaded
         path = tmp_path / "zone.sbf"

@@ -1,0 +1,76 @@
+"""Run one benchmark workload on two checkouts in alternating pairs and
+record the gated metrics of both sides in a BENCH_*.json file.
+
+    python3 tools/bench_pairs.py --parent <checkout> --change <checkout> \\
+        --workload owner_agent_loopback --seeds 11-20 --seconds 30 --out BENCH_11.json
+
+Each seed runs `perfbench/run.py` once in each checkout, untraced, the
+parent first on even pairs and the change first on odd ones. The file
+keeps, per workload, every run's result line, op-stream digest and
+environment, and per gated metric each side's median and quartiles and
+the number of pairs the change won. Running another workload into the
+same file adds it beside the ones already there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+GATED = {"setup_s": "lower", "ops_per_cpu_s": "higher", "op_cpu_p50_ms": "lower", "op_cpu_p95_ms": "lower"}
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True).stdout
+    *report, last = out.rstrip("\n").split("\n")
+    text = "\n".join(report)
+    digest = re.search(r"op-stream sha256 ([0-9a-f]{64})", text)
+    env = re.search(r"environment: (.*)", text)
+    return {"seed": seed, "result": json.loads(last), "op_stream_sha256": digest and digest.group(1),
+            "environment": env and env.group(1).strip()}
+
+
+def summary(runs: list[dict], metric: str) -> dict:
+    values = [r["result"]["metrics"][metric]["value"] for r in runs]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, help="first-last, inclusive")
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    first, last = map(int, args.seeds.split("-"))
+    sides = {"parent": [], "change": []}
+    for i, seed in enumerate(range(first, last + 1)):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            sides[side].append(run_once(getattr(args, side), args.workload, seed, args.seconds))
+            metrics = sides[side][-1]["result"]["metrics"]
+            print(seed, side, {k: round(metrics[k]["value"], 4) for k in GATED}, flush=True)
+    gated = {}
+    for metric, better in GATED.items():
+        values = [[r["result"]["metrics"][metric]["value"] for r in sides[s]] for s in ("parent", "change")]
+        won = sum(c < p if better == "lower" else c > p for p, c in zip(*values))
+        gated[metric] = {"better": better, "parent": summary(sides["parent"], metric),
+                         "change": summary(sides["change"], metric), "pairs_won_by_change": won}
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc[args.workload] = {"seconds": args.seconds, "seeds": [first, last], "gated": gated, "runs": sides}
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
