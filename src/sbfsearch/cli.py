@@ -423,8 +423,14 @@ def _cmd_snapshot(args) -> int:
         print(f"empty store for zone '{args.zone}' written to {args.file}")
         return 0
     store = StorageBloomFilter.load(args.file)
+    with open(args.file, "rb") as f:
+        magic = f.read(8)
+        size = f.seek(0, 2)
     model_bytes, entries = store.memory_usage()
     occupied = sum(count for occ, count in store.occupancy_histogram() if occ > 0)
+    print(f"format = {magic.decode('ascii')}")
+    print(f"bytes = {size}")
+    print(f"bytes_per_record = {size / len(store.table):.1f}" if store.table else "bytes_per_record = n/a")
     print(f"zone = {store.zone.hex()}")
     print(f"m = {store.params.m}")
     print(f"beta = {store.params.beta}")

@@ -2,8 +2,10 @@
 user keyrings, and user indexes. Each format opens with an eight-byte
 magic tag; integers are big-endian. Loading reads through
 `crypto.Reader`, so a truncated file, trailing bytes, a repeated
-keyword token, a master-secrets file with no keyword, or a dense filter
-whose length header differs from the index's m raise `FileFormatError`."""
+keyword token, a master-secrets file with no keyword, a dense filter
+whose length header differs from the index's m, or an index whose bit
+filter is not its counting filter's nonzero bits OR its obfuscating
+filter raise `FileFormatError`."""
 
 from __future__ import annotations
 
@@ -119,6 +121,8 @@ def load_index(path: str | Path) -> UserIndex:
     obf = _dense_filter(rd, m)
     elements = [rd.take(rd.u16()) for _ in range(rd.u16())]
     rd.done()
+    if bf != cbf.nonzero_bits() | obf:
+        raise FileFormatError("index bit filter is not (cbf > 0) | obf")
     return UserIndex(zone=zone, bf=bf, cbf=cbf, obf=obf, obf_elements=elements)
 
 

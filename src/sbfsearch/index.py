@@ -75,7 +75,8 @@ class UserIndex:
     the raw blinding values for later removal swaps; they are consumed,
     never replenished. obf_positions caches each element's r positions in
     lane order, hashed once when the index is built or on the first
-    removal after `files.load_index`, so a removal re-hashes nothing."""
+    removal after `files.load_index`, so a removal re-hashes nothing. That
+    first removal also checks that the elements still produce obf."""
 
     zone: bytes
     bf: BitFilter
@@ -229,7 +230,9 @@ def build_removal_request(
     fresh position drawn from an unused blinding element; the element is
     consumed. Counters drop by one per original occurrence either way.
     Costs one `keyword_positions` plus set work over the q*r positions the
-    index holds; a refused removal leaves the index unchanged.
+    index holds; a refused removal leaves the index unchanged. The first
+    removal after `files.load_index` also hashes the blinding elements
+    once, and refuses an index whose elements do not produce its obf.
     """
     ps = keyword_positions(kr, w, location, params)
     occurrences = Counter(ps)
@@ -237,7 +240,10 @@ def build_removal_request(
     if any(counters[p] < n for p, n in occurrences.items()):
         raise SchemeError("keyword was never inserted at this location")
     if idx.obf_positions is None:
-        idx.obf_positions = [blinding_positions(value, params) for value in idx.obf_elements]
+        lanes = [blinding_positions(value, params) for value in idx.obf_elements]
+        if BitFilter(params.m, chain.from_iterable(lanes)) != idx.obf:
+            raise SchemeError("blinding elements do not produce the stored obfuscating filter")
+        idx.obf_positions = lanes
 
     pruned = set(ps)
     elements, lanes = list(idx.obf_elements), list(idx.obf_positions)

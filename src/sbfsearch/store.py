@@ -17,25 +17,40 @@ those same lists: O(positions), with no dense m-bit filter. The
 provisioned capacity model is m * beta * tau bits even though the
 implementation deduplicates ciphertexts through the table.
 
-Concurrency: the network server runs requests one at a time, so it never
-contends for a store. The readers-writer lock still guards in-process
-callers: many searches may run in parallel with each other, and ingest
-and remove take the zone's write lock. No lock is held across network
-round-trips.
+Snapshots (`save`, `load`) are SBFSTOR2 files: the parameters, the zone
+and a journal position (0: there is no journal yet); the record table
+once, in ascending handle order, so a record's slot is its index; the
+non-empty buffers as three big-endian u32 columns (positions, counts,
+then every buffer's slots in buffer order); and a SHA-256 over all of
+it, checked before anything is parsed. Load applies ingest's rules to
+the columns with numpy. SBFSTOR1 files, which repeat each record's
+16-byte handle in every buffer holding it, still load; both formats
+load into buffers that share the table's handle objects.
+
+Concurrency: one plain lock per zone store serialises every call that
+reads or changes the buffers, searches included. Searches hold the GIL
+throughout, so letting them share the store bought no parallelism, and
+the network server runs requests one at a time anyway. The lock also
+keeps the `buffer_reads` diagnostic exact. No lock is held across
+network round-trips.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
 import struct
 import tempfile
 import threading
+from array import array
 from collections import Counter
 from collections.abc import Container
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .crypto import HANDLE_BYTES, SEAL_OVERHEAD_BYTES, Reader, SealedRecord, decompress_positions
 from .filters import BitFilter
@@ -44,7 +59,9 @@ from .params import ParamsError, SystemParams
 
 log = logging.getLogger(__name__)
 
-SNAPSHOT_MAGIC = b"SBFSTOR1"
+SNAPSHOT_MAGIC = b"SBFSTOR2"
+SNAPSHOT_V1_MAGIC = b"SBFSTOR1"  # still loaded, never written
+DIGEST_BYTES = 32  # the SHA-256 trailer of an SBFSTOR2 file
 
 
 class StoreError(Exception):
@@ -77,41 +94,6 @@ def _check_sealed_size(size: int, params: SystemParams) -> None:
         raise StoreError(f"sealed record of {size} bytes exceeds tau bound {limit}")
 
 
-class _RWLock:
-    """Writer-preference readers-writer lock."""
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
-
-    def acquire_read(self) -> None:
-        with self._cond:
-            while self._writer or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-
-    def release_read(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if not self._readers:
-                self._cond.notify_all()
-
-    def acquire_write(self) -> None:
-        with self._cond:
-            self._writers_waiting += 1
-            while self._writer or self._readers:
-                self._cond.wait()
-            self._writers_waiting -= 1
-            self._writer = True
-
-    def release_write(self) -> None:
-        with self._cond:
-            self._writer = False
-            self._cond.notify_all()
-
-
 @dataclass
 class SearchResult:
     matches: list[SealedRecord]
@@ -129,7 +111,7 @@ class StorageBloomFilter:
         # handle -> buffers holding it; a buffer never holds a handle twice
         self._live: Counter[bytes] = Counter()
         self.buffer_reads = 0  # diagnostic: buffers touched by searches
-        self._lock = _RWLock()
+        self._lock = threading.Lock()
 
     # -- mutations ----------------------------------------------------------
 
@@ -138,12 +120,9 @@ class StorageBloomFilter:
         marked in the uploaded filter. Atomic: an overflow rejects the
         whole upload and leaves the store untouched."""
         positions = self._upload_positions(packet)
-        self._lock.acquire_write()
-        try:
+        with self._lock:
             self._insert(packet.sealed, self._check_upload(packet.sealed.handle, positions))
-            return len(positions)
-        finally:
-            self._lock.release_write()
+        return len(positions)
 
     def remove(self, req: RemovalRequest) -> int:
         """Delete the handle from every buffer marked in the pruning
@@ -155,8 +134,8 @@ class StorageBloomFilter:
 
         A replacement upload is checked against the store as it will be
         after the prune, before anything changes; prune and replacement
-        then apply under one write lock, so a rejected replacement leaves
-        the store untouched."""
+        then apply under one hold of the lock, so a rejected replacement
+        leaves the store untouched."""
         if req.zone != self.zone:
             raise ZoneMismatch("removal request for another zone")
         if req.rbf_prime.m != self.params.m:
@@ -165,8 +144,7 @@ class StorageBloomFilter:
         new = req.replacement
         new_positions = self._upload_positions(new) if new is not None else []
         h = req.handle
-        self._lock.acquire_write()
-        try:
+        with self._lock:
             if h not in self.table:
                 raise UnknownHandle(f"handle {h.hex()} not stored")
             held = []  # (position, buffer, index of h): one scan per marked buffer
@@ -191,8 +169,6 @@ class StorageBloomFilter:
             if new is not None:
                 self._insert(new.sealed, targets)
             return len(held)
-        finally:
-            self._lock.release_write()
 
     def _upload_positions(self, packet: UploadPacket) -> list[int]:
         """The upload's positions, decoded in O(count): ascending, in range,
@@ -236,8 +212,7 @@ class StorageBloomFilter:
             if not 0 <= p < self.params.m:
                 raise StoreError(f"position {p} out of range")
         distinct = sorted(set(positions))
-        self._lock.acquire_read()
-        try:
+        with self._lock:
             addressed = [self.buffers[p] for p in distinct]
             self.buffer_reads += len(addressed)
             cardinalities = list(map(len, addressed))
@@ -252,8 +227,6 @@ class StorageBloomFilter:
                     break
                 live.intersection_update(buf)
             return SearchResult([self.table[h] for h in sorted(live)], cardinalities)
-        finally:
-            self._lock.release_read()
 
     def search_filter(self, query: BitFilter) -> SearchResult:
         if query.m != self.params.m:
@@ -266,50 +239,47 @@ class StorageBloomFilter:
     def memory_usage(self) -> tuple[int, int]:
         """(provisioned capacity in bytes: m * beta * tau / 8,
         actual buffer entries currently held)."""
-        self._lock.acquire_read()
-        try:
+        with self._lock:
             actual = sum(len(buf) for buf in self.buffers)
-        finally:
-            self._lock.release_read()
         model_bytes = self.params.m * self.params.beta * self.params.tau_bits // 8
         return model_bytes, actual
 
     def occupancy_histogram(self) -> list[tuple[int, int]]:
         """(occupancy, buffer count) pairs ascending; counts sum to m."""
-        self._lock.acquire_read()
-        try:
+        with self._lock:
             counts = Counter(map(len, self.buffers))
-        finally:
-            self._lock.release_read()
         return sorted(counts.items())
 
     # -- snapshot persistence -------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write via a synced temporary file, a rename and a sync of the
-        directory: never half-written, and the rename survives a power cut."""
-        self._lock.acquire_read()
-        try:
-            parts = [SNAPSHOT_MAGIC]
+        """Write an SBFSTOR2 snapshot via a synced temporary file, a rename
+        and a sync of the directory: never half-written, and the rename
+        survives a power cut."""
+        with self._lock:
+            handles = sorted(self.table)
+            slot_of = {h: i for i, h in enumerate(handles)}
             p = self.params
-            parts.append(struct.pack(
-                ">9I", p.l, p.r, p.gamma_count, p.q, p.m, p.s_bits, p.n_bits, p.beta, p.tau_bits
-            ))
-            parts.append(struct.pack(">B", len(self.zone)) + self.zone)
-            parts.append(struct.pack(">I", len(self.table)))
-            for handle in sorted(self.table):
-                ct = self.table[handle].ciphertext
-                parts.append(handle + struct.pack(">I", len(ct)) + ct)
-            nonempty = [(i, buf) for i, buf in enumerate(self.buffers) if buf]
-            parts.append(struct.pack(">I", len(nonempty)))
-            for i, buf in nonempty:
-                parts.append(struct.pack(">II", i, len(buf)) + b"".join(buf))
-        finally:
-            self._lock.release_read()
+            parts = [SNAPSHOT_MAGIC,
+                     struct.pack(">9IB", p.l, p.r, p.gamma_count, p.q, p.m, p.s_bits, p.n_bits, p.beta,
+                                 p.tau_bits, len(self.zone)),
+                     self.zone,
+                     struct.pack(">QI", 0, len(handles))]  # journal position 0: no journal yet
+            for h in handles:
+                ct = self.table[h].ciphertext
+                parts.append(h + struct.pack(">I", len(ct)) + ct)
+            lengths = np.array(list(map(len, self.buffers)))
+            positions = np.flatnonzero(lengths)
+            parts.append(struct.pack(">I", positions.size))
+            parts.append(np.concatenate([positions, lengths[positions]]).astype(">u4").tobytes())
+            slots = array("I", map(slot_of.__getitem__, chain.from_iterable(self.buffers)))
+            parts.append(np.frombuffer(slots, np.uintc).astype(">u4").tobytes())
+        body = b"".join(parts)
         fd, tmp = tempfile.mkstemp(dir=Path(path).parent, prefix=f".{Path(path).name}.")
         try:
             with open(fd, "wb") as f:
-                f.write(b"".join(parts))
+                f.write(body)
+                f.write(hashlib.sha256(body).digest())
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, path)
@@ -325,12 +295,19 @@ class StorageBloomFilter:
 
     @classmethod
     def load(cls, path: str | Path) -> "StorageBloomFilter":
-        """Read a snapshot under ingest's rules: every record known, in at
-        least one and at most q*r buffers, no longer than tau allows, and
-        no buffer over beta or holding a handle twice."""
-        rd = Reader(Path(path).read_bytes(), StoreError)
-        if rd.take(8) != SNAPSHOT_MAGIC:
+        """Read an SBFSTOR2 or SBFSTOR1 snapshot under ingest's rules: every
+        record known, in at least one and at most q*r buffers, no longer
+        than tau allows, and no buffer over beta or holding a handle twice.
+        A v2 file's SHA-256 trailer is checked before anything is parsed."""
+        data = Path(path).read_bytes()
+        v2 = data[:8] == SNAPSHOT_MAGIC
+        if v2 and (len(data) < 8 + DIGEST_BYTES
+                   or hashlib.sha256(memoryview(data)[:-DIGEST_BYTES]).digest() != data[-DIGEST_BYTES:]):
+            raise StoreError("snapshot checksum mismatch")
+        if not v2 and data[:8] != SNAPSHOT_V1_MAGIC:
             raise StoreError("bad snapshot magic")
+        rd = Reader(data, StoreError)
+        rd.take(8)
         l, r, gamma, q, m, s_bits, n_bits, beta, tau = struct.unpack(">9I", rd.take(36))
         try:
             params = SystemParams(l=l, r=r, gamma_count=gamma, q=q, m=m,
@@ -338,31 +315,79 @@ class StorageBloomFilter:
         except ParamsError as exc:
             raise StoreError(f"bad snapshot parameters: {exc}") from exc
         store = cls(params, rd.take(rd.u8()))
+        if v2 and (journal := int.from_bytes(rd.take(8), "big")):
+            raise StoreError(f"snapshot journal position {journal} is not 0")
+        table = store.table
         for _ in range(rd.u32()):
             handle = rd.take(HANDLE_BYTES)
-            if handle in store.table:
+            if handle in table:
                 raise StoreError("duplicate handle in snapshot")
+            if v2 and table and handle < next(reversed(table)):
+                raise StoreError("snapshot records out of handle order")
             size = rd.u32()
             _check_sealed_size(size, params)
-            store.table[handle] = SealedRecord(handle=handle, ciphertext=rd.take(size))
-        for _ in range(rd.u32()):
-            pos, count = struct.unpack(">II", rd.take(8))
-            if pos >= m:
-                raise StoreError(f"snapshot buffer position {pos} out of range")
-            if count > beta:
-                raise StoreError(f"snapshot buffer {pos} exceeds capacity")
-            blob = rd.take(HANDLE_BYTES * count)
-            handles = [blob[i : i + HANDLE_BYTES] for i in range(0, len(blob), HANDLE_BYTES)]
-            distinct = set(handles)
-            if not store.table.keys() >= distinct:
-                raise StoreError("snapshot buffer references unknown handle")
-            if len(distinct) != count:
-                raise StoreError(f"snapshot buffer {pos} repeats a handle")
-            store.buffers[pos] = handles
+            table[handle] = SealedRecord(handle=handle, ciphertext=rd.take(size))
+        handles = list(table)  # slot -> handle
+        k = rd.u32()
+        if v2:
+            positions, counts = np.frombuffer(rd.take(8 * k), ">u4").reshape(2, k).astype(np.int64)
+            _check_buffer_heads(positions, counts, params)
+            slots = np.frombuffer(rd.take(4 * int(counts.sum())), ">u4").astype(np.int64)
+            rd.take(DIGEST_BYTES)
+        else:
+            positions, counts, slots = _read_v1_buffers(rd, k, handles)
+            _check_buffer_heads(positions, counts, params)
         rd.done()
-        store._live.update(chain.from_iterable(store.buffers))  # one call: counted in C
-        if store._live.keys() != store.table.keys():
+        if slots.size and slots.max() >= len(handles):
+            raise StoreError("snapshot buffer references unknown handle")
+        # a repeat within a buffer: sort the pairs (buffer, slot) as one key
+        # buffer * n + slot, which orders them as a lexsort would
+        owner = np.repeat(np.arange(k), counts)
+        key = np.sort(owner * len(handles) + slots)
+        repeats = np.flatnonzero(key[1:] == key[:-1])
+        if repeats.size:
+            raise StoreError(f"snapshot buffer {positions[key[repeats[0]] // len(handles)]} repeats a handle")
+        live = np.bincount(slots, minlength=len(handles))
+        if live.size and not live.all():
             raise StoreError("snapshot table holds records absent from every buffer")
-        if store._live and max(store._live.values()) > params.max_positions:
+        if live.size and live.max() > params.max_positions:
             raise StoreError(f"snapshot record held by more than q*r = {params.max_positions} buffers")
+        # every entry is the table's own handle object: one bytes object per record
+        entries = np.array(handles, dtype=object)[slots].tolist()
+        ends = np.cumsum(counts).tolist()
+        for p, start, end in zip(positions.tolist(), [0] + ends, ends):
+            store.buffers[p] = entries[start:end]
+        store._live = Counter(dict(zip(handles, live.tolist())))
         return store
+
+
+def _check_buffer_heads(positions: np.ndarray, counts: np.ndarray, params: SystemParams) -> None:
+    """Buffer positions in range and strictly ascending; each count in 1..beta."""
+    out_of_range = np.flatnonzero(positions >= params.m)
+    if out_of_range.size:
+        raise StoreError(f"snapshot buffer position {positions[out_of_range[0]]} out of range")
+    if (np.diff(positions) <= 0).any():
+        raise StoreError("snapshot buffer positions not strictly ascending")
+    bad = np.flatnonzero((counts < 1) | (counts > params.beta))
+    if bad.size:
+        i = bad[0]
+        problem = "exceeds capacity" if counts[i] > params.beta else "is listed but empty"
+        raise StoreError(f"snapshot buffer {positions[i]} {problem}")
+
+
+def _read_v1_buffers(rd: Reader, k: int, handles: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SBFSTOR1's k (position, count, handles) buffers as the v2 columns:
+    each 16-byte entry maps through one dict to its record's slot."""
+    slot_of = {h: i for i, h in enumerate(handles)}
+    heads, slots = [], []
+    for _ in range(k):
+        pos, count = struct.unpack(">II", rd.take(8))
+        blob = rd.take(HANDLE_BYTES * count)
+        try:
+            slots.extend(map(slot_of.__getitem__,
+                             (blob[i : i + HANDLE_BYTES] for i in range(0, len(blob), HANDLE_BYTES))))
+        except KeyError:
+            raise StoreError("snapshot buffer references unknown handle") from None
+        heads.append((pos, count))
+    positions, counts = np.array(heads, dtype=np.int64).reshape(-1, 2).T
+    return positions, counts, np.array(slots, dtype=np.int64)

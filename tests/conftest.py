@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import pytest
@@ -10,6 +11,12 @@ from sbfsearch.params import derive_params
 # examples, and the same tier-1 time, on every run; tests set only budgets
 settings.register_profile("sbfsearch", deadline=None, database=None, derandomize=True)
 settings.load_profile("sbfsearch")
+
+
+def resealed(snapshot: bytes) -> bytes:
+    """An SBFSTOR2 snapshot edited by a test, with its SHA-256 trailer
+    recomputed, so load gets past the checksum to the check under test."""
+    return snapshot[:-32] + hashlib.sha256(snapshot[:-32]).digest()
 
 
 @pytest.fixture

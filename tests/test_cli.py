@@ -130,6 +130,22 @@ def test_snapshot_init_and_inspect(workdir, capsys):
     code, out, _ = _run(["snapshot", "inspect", "--file", workdir / "zone.sbf"], capsys)
     assert code == 0
     assert "records = 0" in out and "m = 231" in out
+    assert "format = SBFSTOR2" in out and "bytes_per_record = n/a" in out
+
+
+def test_snapshot_inspect_prints_format_and_size(tmp_path, capsys):
+    v1 = Path(__file__).parent / "data" / "snapshot_v1.sbf"
+    v2 = tmp_path / "zone.sbf"
+    store = StorageBloomFilter.load(v1)
+    store.save(v2)
+    for path, fmt in ((v1, "SBFSTOR1"), (v2, "SBFSTOR2")):
+        code, out, _ = _run(["snapshot", "inspect", "--file", path], capsys)
+        assert code == 0
+        assert f"format = {fmt}" in out
+        assert f"bytes = {path.stat().st_size}" in out
+        assert f"bytes_per_record = {path.stat().st_size / 4:.1f}" in out and "records = 4" in out
+        # handles are access-pattern data: inspect names none of them
+        assert not any(h.hex() in out for h in store.table)
 
 
 def test_simulate_overlap_csv(workdir, capsys):

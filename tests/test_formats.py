@@ -92,7 +92,9 @@ def _indexes(draw):
 
     cbf = CountingFilter(m)
     cbf.counters.update(draw(st.dictionaries(st.integers(0, m - 1), st.integers(1, 2**32 - 1))))
-    return UserIndex(draw(st.binary(max_size=9)), bits(), cbf, bits(),
+    obf = bits()
+    # load_index holds the file to bf = (cbf > 0) | obf
+    return UserIndex(draw(st.binary(max_size=9)), cbf.nonzero_bits() | obf, cbf, obf,
                      draw(st.lists(st.binary(max_size=12), max_size=4)))
 
 

@@ -438,6 +438,48 @@ class TestRemoval:
         assert not store.search_positions(keyword_positions(kr, w, loc, params)).matches
 
 
+
+class TestLoadedIndexIntegrity:
+    """One flipped bit in a saved index (m=231) is refused: in a dense
+    filter by `load_index`, in a blinding element by the first removal,
+    before the damaged element could reach the obfuscating filter."""
+
+    def _saved(self, system, tmp_path):
+        kr, idx = system.user([0, 1])  # q=6 leaves four blinding elements
+        path = tmp_path / "user.idx"
+        files.save_index(idx, path)
+        return kr, idx, path
+
+    def test_flipped_blinding_element_refused_by_first_removal(self, system, tmp_path):
+        kr, idx, path = self._saved(system, tmp_path)
+        args = (kr, system.vocab[0], system.locations[0], b"h" * 16, system.params)
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0x01  # one bit of the last blinding element
+        path.write_bytes(bytes(data))
+        damaged = files.load_index(path)
+        before = (damaged.bf, damaged.cbf.counters.copy(), damaged.obf, list(damaged.obf_elements))
+        with pytest.raises(SchemeError, match="blinding elements"):
+            build_removal_request(damaged, *args, Random(1))
+        assert (damaged.bf, damaged.cbf.counters, damaged.obf, damaged.obf_elements) == before
+        assert damaged.obf_positions is None
+        # the same removal goes through on the undamaged file
+        files.save_index(idx, path)
+        build_removal_request(files.load_index(path), *args, Random(1))
+
+    @pytest.mark.parametrize("which", ["bf", "obf"])
+    def test_flipped_filter_bit_refused_at_load(self, system, tmp_path, which):
+        _, idx, path = self._saved(system, tmp_path)
+        m = system.params.m
+        p = next(p for p in idx.obf.positions() if not idx.cbf.counters[p])  # set by blinding alone
+        at = 8 + 4 + 1 + len(idx.zone) + 8  # magic, m, zone, then bf's own length header
+        if which == "obf":
+            at += (m + 7) // 8 + 4 * m + 8  # past bf, the counters and obf's length header
+        data = bytearray(path.read_bytes())
+        data[at + p // 8] ^= 1 << (p % 8)
+        path.write_bytes(bytes(data))
+        with pytest.raises(files.FileFormatError, match="cbf"):
+            files.load_index(path)
+
 class TestConjunctiveQuery:
     def test_single_keyword_equals_positions(self, system):
         kr = register_user(system.secrets, system.vocab[:1], system.zone, system.params)

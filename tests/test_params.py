@@ -11,6 +11,8 @@ from sbfsearch.params import (
 )
 from sbfsearch.store import StorageBloomFilter, StoreError
 
+from conftest import resealed
+
 
 def test_filter_length_reference_values():
     assert filter_length(100, 10, 1) == 1443
@@ -67,7 +69,7 @@ def test_s_bits_cap_in_params_file_and_snapshot(tmp_path):
     s_bits_at = 8 + 5 * 4  # magic, then l, r, gamma, q, m before s_bits
     assert int.from_bytes(data[s_bits_at : s_bits_at + 4], "big") == 512
     data[s_bits_at : s_bits_at + 4] = (520).to_bytes(4, "big")
-    snap.write_bytes(bytes(data))
+    snap.write_bytes(resealed(bytes(data)))
     with pytest.raises(StoreError, match="512"):
         StorageBloomFilter.load(snap)
 

@@ -2,8 +2,10 @@ import dataclasses
 import errno
 import os
 import stat
+import sys
 import tempfile
 import threading
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -33,7 +35,7 @@ from sbfsearch.store import (
     ZoneMismatch,
 )
 
-from conftest import SystemFixture
+from conftest import SystemFixture, resealed
 
 
 @pytest.fixture
@@ -527,10 +529,10 @@ class TestSnapshot:
         path = tmp_path / "zone.sbf"
         store.save(path)
         data = bytearray(path.read_bytes())
-        # corrupt one stored handle inside a buffer list (trailing bytes)
-        data[-1] ^= 0xFF
-        path.write_bytes(bytes(data))
-        with pytest.raises(StoreError):
+        # the last slot, just before the trailer, names a record past the table
+        data[-36:-32] = len(store.table).to_bytes(4, "big")
+        path.write_bytes(resealed(bytes(data)))
+        with pytest.raises(StoreError, match="unknown handle"):
             StorageBloomFilter.load(path)
 
     def test_load_rejects_repeated_handle_in_buffer(self, system, loaded, tmp_path):
@@ -636,7 +638,7 @@ class TestSnapshot:
         q_at = 8 + 4 * 3  # magic, then l, r, gamma_count, q, ... as u32
         assert int.from_bytes(data[q_at : q_at + 4], "big") == system.params.q
         data[q_at : q_at + 4] = (99).to_bytes(4, "big")  # q > l = 20
-        path.write_bytes(bytes(data))
+        path.write_bytes(resealed(bytes(data)))
         with pytest.raises(StoreError, match="q=99 exceeds"):
             StorageBloomFilter.load(path)
 
@@ -646,6 +648,105 @@ class TestSnapshot:
         store.save(path)
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(StoreError):
+            StorageBloomFilter.load(path)
+
+
+V1_FIXTURE = Path(__file__).parent / "data" / "snapshot_v1.sbf"
+
+
+def _v1_fixture_store():
+    """The store that tests/data/snapshot_v1.sbf holds: written by the
+    SBFSTOR1 `save` after these same ingests and this removal."""
+    params = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64)
+    store = StorageBloomFilter(params, b"zone-v1")
+    for name, positions in (("d", [3, 7]), ("a", [0, 1, 2, 3]), ("c", [5, 6, 200]), ("b", [3, 4, 5])):
+        store.ingest(_raw_packet(b"zone-v1", params.m, name, positions))
+    store.remove(RemovalRequest(zone=b"zone-v1", rbf_prime=BitFilter(params.m, [1, 3]), handle=_handle("a")))
+    return store
+
+
+def _shares_table_handles(store):
+    own = {h: h for h in store.table}
+    return all(h is own[h] for buf in store.buffers for h in buf)
+
+
+def _column_offsets(store):
+    """Where an SBFSTOR2 file of `store` keeps its positions and counts
+    columns, counted from the end of the file."""
+    k = sum(1 for buf in store.buffers if buf)
+    slots_at = -32 - 4 * sum(map(len, store.buffers))
+    return slots_at - 8 * k, slots_at - 4 * k
+
+
+class TestSnapshotFormats:
+    def test_v1_file_loads_to_the_same_store(self, tmp_path):
+        expected = _v1_fixture_store()
+        assert V1_FIXTURE.read_bytes()[:8] == b"SBFSTOR1"
+        store = StorageBloomFilter.load(V1_FIXTURE)
+        assert (store.params, store.zone) == (expected.params, expected.zone)
+        assert store.table == expected.table
+        assert store.buffers == expected.buffers
+        assert _shares_table_handles(store)
+        # written back as v2, it matches a v2 file of the same store
+        store.save(tmp_path / "from_v1.sbf")
+        expected.save(tmp_path / "fresh.sbf")
+        assert (tmp_path / "from_v1.sbf").read_bytes() == (tmp_path / "fresh.sbf").read_bytes()
+        assert (tmp_path / "fresh.sbf").read_bytes()[:8] == b"SBFSTOR2"
+
+    def test_v1_unknown_handle_refused(self, tmp_path):
+        data = bytearray(V1_FIXTURE.read_bytes())
+        data[-1] ^= 0x01  # a byte of the last buffer's handle
+        path = tmp_path / "zone.sbf"
+        path.write_bytes(bytes(data))
+        with pytest.raises(StoreError, match="unknown handle"):
+            StorageBloomFilter.load(path)
+
+    def test_v2_load_shares_the_table_handles(self, loaded, tmp_path):
+        store, _ = loaded
+        store.save(tmp_path / "zone.sbf")
+        again = StorageBloomFilter.load(tmp_path / "zone.sbf")
+        assert again.buffers == store.buffers
+        assert _shares_table_handles(again)
+
+    def test_every_flipped_byte_is_refused(self, loaded, tmp_path):
+        store, _ = loaded
+        path = tmp_path / "zone.sbf"
+        store.save(path)
+        data = path.read_bytes()
+        for at in range(len(data)):
+            for mask in (0x01, 0xFF):
+                damaged = bytearray(data)
+                damaged[at] ^= mask
+                path.write_bytes(bytes(damaged))
+                with pytest.raises(StoreError):
+                    StorageBloomFilter.load(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        ("journal", "journal position 1"),
+        ("position-range", "out of range"),
+        ("position-order", "not strictly ascending"),
+        ("count-zero", "listed but empty"),
+        ("count-over-beta", "exceeds capacity"),
+    ])
+    def test_resealed_bad_columns_refused(self, system, loaded, tmp_path, edit, match):
+        """A file with a valid trailer is still held to ingest's rules."""
+        store, _ = loaded
+        path = tmp_path / "zone.sbf"
+        store.save(path)
+        data = bytearray(path.read_bytes())
+        positions_at, counts_at = _column_offsets(store)
+        if edit == "journal":
+            at = 8 + 36 + 1 + len(store.zone)
+            data[at : at + 8] = (1).to_bytes(8, "big")
+        elif edit == "position-range":
+            data[counts_at - 4 : counts_at] = system.params.m.to_bytes(4, "big")
+        elif edit == "position-order":
+            data[positions_at : positions_at + 8] = data[positions_at + 4 : positions_at + 8] * 2
+        else:
+            count = 0 if edit == "count-zero" else system.params.beta + 1
+            data[counts_at : counts_at + 4] = count.to_bytes(4, "big")
+        path.write_bytes(resealed(bytes(data)))
+        with pytest.raises(StoreError, match=match):
             StorageBloomFilter.load(path)
 
 
@@ -683,6 +784,33 @@ class TestConcurrency:
                 t.join(timeout=5)
         assert not errors
         assert len(store.table) == 30
+
+    def test_buffer_reads_exact_under_concurrent_searches(self, system, loaded):
+        """Eight threads search at once; no search's count is lost."""
+        store, packets = loaded
+        kr, _, _ = packets["a"]
+        ps = _probe(system, kr, 0)
+        searches = 400
+        start = threading.Barrier(8, timeout=10)
+
+        def searcher():
+            start.wait()
+            for _ in range(searches):
+                store.search_positions(ps)
+
+        mark = store.buffer_reads
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so the searches interleave
+        try:
+            threads = [threading.Thread(target=searcher) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert store.buffer_reads - mark == 8 * searches * len(set(ps))
 
 
 MODEL_ZONE = token_from_text("zone-model", 64)
@@ -832,9 +960,14 @@ class StoreModel(RuleBasedStateMachine):
 
     @rule()
     def save_and_load(self):
-        path = f"{self.dir.name}/zone.sbf"
+        """An SBFSTOR2 round trip: the loaded store saves the same bytes."""
+        path = Path(self.dir.name) / "zone.sbf"
         self.store.save(path)
+        data = path.read_bytes()
+        assert data[:8] == b"SBFSTOR2"
         self.store = StorageBloomFilter.load(path)
+        self.store.save(path)
+        assert path.read_bytes() == data
 
     @invariant()
     def table_matches_model(self):

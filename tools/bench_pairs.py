@@ -10,6 +10,10 @@ keeps, per workload, every run's result line, op-stream digest and
 environment, and per gated metric each side's median and quartiles and
 the number of pairs the change won. Running another workload into the
 same file adds it beside the ones already there.
+
+A pair whose two runs report different op-stream digests, or a run that
+reports `correct=false` or `failed>0`, stops the tool with exit status 1
+before it writes anything: such a pair did not compare the same work.
 """
 
 from __future__ import annotations
@@ -37,6 +41,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "environment": env and env.group(1).strip()}
 
 
+def pair_problems(parent: dict, change: dict) -> list[str]:
+    """Why a pair of runs cannot be compared; empty when it can."""
+    problems = []
+    if parent["op_stream_sha256"] is None or parent["op_stream_sha256"] != change["op_stream_sha256"]:
+        problems.append(f"seed {parent['seed']}: op-stream digests differ "
+                        f"({parent['op_stream_sha256']} against {change['op_stream_sha256']})")
+    for side, run in (("parent", parent), ("change", change)):
+        result = run["result"]
+        if result["correct"] is not True or result["failed"]:
+            problems.append(f"seed {run['seed']} {side}: correct={result['correct']} failed={result['failed']}")
+    return problems
+
+
 def summary(runs: list[dict], metric: str) -> dict:
     values = [r["result"]["metrics"][metric]["value"] for r in runs]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -60,6 +77,10 @@ def main(argv: list[str] | None = None) -> int:
             sides[side].append(run_once(getattr(args, side), args.workload, seed, args.seconds))
             metrics = sides[side][-1]["result"]["metrics"]
             print(seed, side, {k: round(metrics[k]["value"], 4) for k in GATED}, flush=True)
+        problems = pair_problems(sides["parent"][-1], sides["change"][-1])
+        if problems:
+            print("\n".join(problems), file=sys.stderr)
+            return 1
     gated = {}
     for metric, better in GATED.items():
         values = [[r["result"]["metrics"][metric]["value"] for r in sides[s]] for s in ("parent", "change")]
