@@ -1,6 +1,6 @@
 """Closed-form evaluators for the scheme's privacy and resource
-quantities, plus exact enumeration oracles used to validate them on
-small instances.
+quantities. The exact enumeration oracles that validate them on small
+instances live with the tests (`tests/oracles.py`).
 
 The combinatorial model: a user's index marks `occupied` distinct
 positions out of m (the expected distinct count, rounded to nearest
@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .crypto import HANDLE_BYTES, SEAL_OVERHEAD_BYTES, position_width
 from .params import SystemParams
@@ -105,29 +104,6 @@ def blinding_collision_bound(
         t=t, l=l, gamma_count=gamma_count, r=r, m=m, occupied=occupied,
         bound=float(min(raw, Fraction(1))), clamped=clamped,
     )
-
-
-# --- exact enumeration oracles (small m only) --------------------------------
-
-def enumerate_overlap(m: int, occupied: int, r: int) -> Fraction:
-    """Exhaustively place one occupied-subset against a fixed occupied-subset and
-    count placements intersecting in >= r positions. Exact; O(C(m, occupied))."""
-    _check_overlap_args(m, occupied, r)
-    fixed = set(range(occupied))
-    hits = sum(1 for a in combinations(range(m), occupied) if len(fixed.intersection(a)) >= r)
-    return Fraction(hits, math.comb(m, occupied))
-
-
-def enumerate_keyword_cover(m: int, occupied: int, r: int, q: int) -> Fraction:
-    """Same exhaustive placement, accumulating C(|intersection|, r)
-    weights: the expected number of covered r-subsets, scaled to q
-    keywords out of the C(occupied, r) possible position sets."""
-    _check_overlap_args(m, occupied, r)
-    fixed = set(range(occupied))
-    weight = sum(
-        math.comb(len(fixed.intersection(a)), r) for a in combinations(range(m), occupied)
-    )
-    return Fraction(q * weight, math.comb(m, occupied) * math.comb(occupied, r))
 
 
 # --- communication and memory models ----------------------------------------

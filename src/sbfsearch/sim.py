@@ -8,9 +8,16 @@ sweep point's sizes, never on the trial count, and block b draws all
 its randomness from one generator seeded with (master_seed, b). No two
 blocks share draws, results do not depend on the order in which blocks
 run, and identical (config, seed) pairs produce bit-identical CSV
-output. The overflow experiment models position load directly with
-uniform random positions rather than running the PRF chain per trial;
-a cross-check mode pushes a small fixture through the real stack and
+output. A block makes one draw: an overlap block draws its blinding
+positions, its keyword layout and a few spare rows for the layout in
+one `integers` call, and draws again only if the spares run out.
+numpy's bounded draws form one stream across calls, so this gives the
+same values as drawing each part, and each redraw pass, on its own. The
+generator may be left past the layout; nothing draws from it after.
+
+The overflow experiment models position load directly with uniform
+random positions rather than running the PRF chain per trial; a
+cross-check mode pushes a small fixture through the real stack and
 compares occupancy distributions. That model assumes users whose
 keywords are disjoint. Every user holding keyword w at sub-location g
 fills the same r buffers, so where users share a keyword at a
@@ -92,18 +99,60 @@ def _binomial_stderr(p: float, n: int) -> float:
     return math.sqrt(p * (1 - p) / n)
 
 
+def _spare_rows(rows: int) -> int:
+    """Rows drawn beyond a layout's own, to replace the ones that repeat
+    a position: well above the few percent that do at m=432, r=6."""
+    return rows // 16 + 8
+
+
+def _repeats(positions: np.ndarray) -> np.ndarray:
+    """Flag the rows of a rows x r array that hold some position twice."""
+    lanes = positions.T.copy()
+    flagged = np.zeros(len(positions), dtype=bool)
+    for i in range(len(lanes) - 1):
+        flagged |= (lanes[i + 1 :] == lanes[i]).any(axis=0)
+    return flagged
+
+
+def _fill_layout(rng: np.random.Generator, drawn: np.ndarray, rows: int, m: int) -> np.ndarray:
+    """The first `rows` rows of `drawn`, each row that repeats a position
+    replaced by the spare rows after them.
+
+    The spares go out in draw order: first to the flagged rows in row
+    order, then to those whose spare repeats too, and so on. That is the
+    order in which a redraw pass by pass, one `rng.integers` call per
+    pass, would have used the same stream. Only when the spares run out
+    does `rng` draw more."""
+    r = drawn.shape[1]
+    flagged = _repeats(drawn)
+    layout, spares = drawn[:rows], drawn[rows:]
+    redo = np.flatnonzero(flagged[:rows])
+    flagged = flagged[rows:]
+    used = 0
+    while redo.size:
+        end = used + redo.size
+        if end > len(spares):
+            more = rng.integers(0, m, size=(max(end, 2 * len(spares)) - len(spares), r), dtype=np.int64)
+            spares = np.concatenate([spares, more])
+            flagged = np.concatenate([flagged, _repeats(more)])
+        layout[redo] = spares[used:end]
+        redo = redo[flagged[used:end]]
+        used = end
+    return layout
+
+
+def _check_lanes(r: int, m: int) -> None:
+    if not 1 <= r <= m:
+        raise SimError(f"a row needs 1 <= r <= m distinct positions, got r={r}, m={m}")
+
+
 def draw_keyword_layout(rng: np.random.Generator, rows: int, r: int, m: int) -> np.ndarray:
-    """rows x r positions, rows redrawn until their positions are
-    distinct within the row (a keyword occupies r distinct positions)."""
-    layout = rng.integers(0, m, size=(rows, r), dtype=np.int64)
-    redo = np.arange(rows)
-    while True:
-        # only the rows redrawn last pass can still hold a duplicate
-        ordered = np.sort(layout[redo], axis=1)
-        redo = redo[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
-        if not redo.size:
-            return layout
-        layout[redo] = rng.integers(0, m, size=(redo.size, r), dtype=np.int64)
+    """rows x r positions, distinct within each row (a keyword occupies r
+    distinct positions). Draws the rows and their spares in one call, so
+    `rng` may be left past the layout's last row."""
+    _check_lanes(r, m)
+    drawn = rng.integers(0, m, size=(rows + _spare_rows(rows), r), dtype=np.int64)
+    return _fill_layout(rng, drawn, rows, m)
 
 
 # --- blinding overlap ---------------------------------------------------------
@@ -115,17 +164,31 @@ def overlap_estimate(
     """Fraction of trials in which some keyword row is fully covered by
     oe_count blinding elements of r uniform positions each. A fresh
     layout is drawn per trial unless fixed_layout pins one. Blocks hold
-    CHUNK_TRIALS trials."""
+    CHUNK_TRIALS trials; a block makes one draw for its blinding
+    positions, its layout and the layout's spare rows, in that order."""
+    if trials < 1:
+        raise SimError("trials must be at least 1")
+    if oe_count < 0:
+        raise SimError("oe_count must be non-negative")
+    _check_lanes(r, m)
+    # the trials' filters lie end to end, so a position outside [0, m)
+    # would read a neighbouring trial's filter
+    if fixed_layout is not None and ((fixed_layout < 0) | (fixed_layout >= m)).any():
+        raise SimError("fixed layout positions must lie in [0, m)")
     if oe_count == 0:
         return 0.0, 0.0
+    k = oe_count * r
     hits = 0
     for block, start in enumerate(range(0, trials, CHUNK_TRIALS)):
         n = min(CHUNK_TRIALS, trials - start)
         rng = _block_rng(seed, block)
-        oe = rng.integers(0, m, size=(n, oe_count * r), dtype=np.int64)
         if fixed_layout is None:
-            layouts = draw_keyword_layout(rng, n * l, r, m).reshape(n, l, r)
+            rows = n * l
+            drawn = rng.integers(0, m, size=n * k + (rows + _spare_rows(rows)) * r, dtype=np.int64)
+            oe = drawn[: n * k].reshape(n, k)
+            layouts = _fill_layout(rng, drawn[n * k :].reshape(-1, r), rows, m).reshape(n, l, r)
         else:
+            oe = rng.integers(0, m, size=(n, k), dtype=np.int64)
             layouts = np.broadcast_to(fixed_layout, (n, l, r))
         hits += int(kernels.cover_hits(oe, layouts, m).sum())
     p = hits / trials
@@ -138,8 +201,6 @@ def overlap_probability_mc(
     """Monte Carlo estimate (with standard error) of blinding elements
     covering some keyword of a fixed layout; the independent oracle for
     the closed-form bound."""
-    if trials < 1:
-        raise SimError("trials must be at least 1")
     rows, r = keyword_layout.shape
     if r != params.r:
         raise SimError("layout row width must equal the lane count")
@@ -173,6 +234,8 @@ def max_occupancies(
 ) -> np.ndarray:
     """Per-trial maximum buffer occupancy when t users each insert q
     elements of r uniform positions."""
+    if t < 0:
+        raise SimError("the user count t must be non-negative")
     out = np.empty(trials, dtype=np.int64)
     for start, positions in _uniform_blocks(m, t * q * r, trials, seed):
         out[start : start + len(positions)] = kernels.max_occupancy(positions, m)
@@ -348,33 +411,6 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     arg = (en + 0.12 + 0.11 / en) * d
     p = 2 * sum((-1) ** (j - 1) * math.exp(-2 * (j * arg) ** 2) for j in range(1, 101))
     return d, float(min(max(p, 0.0), 1.0))
-
-
-def spearman_rho(x: list[float], y: list[float]) -> float:
-    """Rank correlation with average ranks for ties."""
-    if len(x) != len(y) or len(x) < 2:
-        raise SimError("rank correlation needs two equal-length samples")
-
-    def ranks(values: list[float]) -> np.ndarray:
-        arr = np.asarray(values, dtype=float)
-        order = np.argsort(arr, kind="mergesort")
-        rank = np.empty(len(arr), dtype=float)
-        i = 0
-        while i < len(arr):
-            j = i
-            while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
-                j += 1
-            rank[order[i : j + 1]] = (i + j) / 2 + 1
-            i = j + 1
-        return rank
-
-    rx, ry = ranks(x), ranks(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = math.sqrt(float((rx**2).sum() * (ry**2).sum()))
-    if denom == 0:
-        return 0.0
-    return float((rx * ry).sum() / denom)
 
 
 # --- CSV output ------------------------------------------------------------------

@@ -32,8 +32,6 @@ from sbfsearch import analysis, crypto, net, sim
 from sbfsearch.analysis import (
     blinding_collision_bound,
     capacity_model_bytes,
-    enumerate_keyword_cover,
-    enumerate_overlap,
     prob_index_overlap,
     prob_keyword_cover,
     upload_size_bits,
@@ -51,6 +49,7 @@ from sbfsearch.params import derive_params, expected_distinct_positions
 from sbfsearch.store import StorageBloomFilter
 
 from conftest import SystemFixture
+from oracles import enumerate_keyword_cover, enumerate_overlap, spearman_rho
 
 
 def _report(criterion: str, checks: list[tuple[str, bool, str]]) -> None:
@@ -109,8 +108,8 @@ def test_criterion_3_overlap_probability_sweep():
                                trials=100_000, seed=20260808)
     rows = sim.run_overlap_experiment(cfg)
     final = rows[-1]
-    rho = sim.spearman_rho([float(r.sweep_value) for r in rows],
-                           [r.estimate for r in rows])
+    rho = spearman_rho([float(r.sweep_value) for r in rows],
+                       [r.estimate for r in rows])
     bounded = all(r.estimate <= r.analytic + 3 * r.stderr for r in rows)
     checks = [
         ("estimate(oe=20)=0.008+-0.003", abs(final.estimate - 0.008) <= 0.003,

@@ -8,8 +8,6 @@ from sbfsearch.analysis import (
     AnalysisError,
     blinding_collision_bound,
     capacity_model_bytes,
-    enumerate_keyword_cover,
-    enumerate_overlap,
     prob_index_overlap,
     prob_keyword_cover,
     meta_record_bytes,
@@ -18,6 +16,8 @@ from sbfsearch.analysis import (
     upload_size_bits,
 )
 from sbfsearch.params import derive_params
+
+from oracles import enumerate_keyword_cover, enumerate_overlap
 
 
 class TestOverlapProbability:

@@ -1,6 +1,8 @@
 """tools/bench_pairs.py refuses pairs that did not compare the same work:
 different op-stream digests, an incorrect run or a failed operation
-exit with status 1 and leave the output file unwritten."""
+exit with status 1 and leave the output file unwritten. After the
+untraced pairs it makes one traced run per side, on the first seed, and
+keeps its per-layer metrics."""
 
 import importlib.util
 import json
@@ -14,22 +16,27 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
-def _fake_runs(monkeypatch, bad_seed=None, bad_side=None, **bad):
-    """run_once answers from canned results; on `bad_seed`, `bad_side`'s
-    run carries the fields in `bad`."""
+def _fake_runs(monkeypatch, bad_seed=None, bad_side=None, bad_trace=False, **bad):
+    """run_once answers from canned results and returns the list of its
+    calls; on `bad_seed`, `bad_side`'s run (its traced one if
+    `bad_trace`) carries the fields in `bad`."""
+    calls = []
 
-    def run_once(checkout, workload, seed, seconds):
+    def run_once(checkout, workload, seed, seconds, trace=False):
         side = checkout.name
+        calls.append((side, seed, trace))
         value = 1.0 if side == "parent" else 0.9
+        names = ["sim.draw_share"] if trace else bench_pairs.GATED
         run = {"seed": seed, "op_stream_sha256": f"{seed:064x}", "environment": "test",
                "result": {"correct": True, "attempted": 10, "failed": 0,
-                          "metrics": {k: {"value": value, "unit": "-"} for k in bench_pairs.GATED}}}
-        if seed == bad_seed and side == bad_side:
+                          "metrics": {k: {"value": value, "unit": "-"} for k in names}}}
+        if seed == bad_seed and side == bad_side and trace == bad_trace:
             run.update({k: v for k, v in bad.items() if k == "op_stream_sha256"})
             run["result"].update({k: v for k, v in bad.items() if k != "op_stream_sha256"})
         return run
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return calls
 
 
 def _main(tmp_path):
@@ -40,12 +47,19 @@ def _main(tmp_path):
 
 
 def test_agreeing_pairs_are_written(tmp_path, monkeypatch):
-    _fake_runs(monkeypatch)
+    calls = _fake_runs(monkeypatch)
     code, out = _main(tmp_path)
     assert code == 0
-    gated = json.loads(out.read_text())["w"]["gated"]
+    doc = json.loads(out.read_text())["w"]
+    gated = doc["gated"]
     assert gated["op_cpu_p50_ms"]["pairs_won_by_change"] == 4
     assert gated["ops_per_cpu_s"]["pairs_won_by_change"] == 0
+    # one traced run per side, on the first seed, after the untraced pairs
+    assert [c for c in calls if c[2]] == [("parent", 1, True), ("change", 1, True)]
+    assert calls[-2:] == [("parent", 1, True), ("change", 1, True)]
+    assert doc["per_layer"] == {"seed": 1,
+                                "parent": {"sim.draw_share": {"value": 1.0, "unit": "-"}},
+                                "change": {"sim.draw_share": {"value": 0.9, "unit": "-"}}}
 
 
 @pytest.mark.parametrize("bad", [
@@ -61,3 +75,13 @@ def test_a_bad_pair_writes_nothing(tmp_path, monkeypatch, capsys, bad, side):
     assert code == 1
     assert not out.exists()
     assert "seed 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [{"op_stream_sha256": None}, {"correct": False}],
+                         ids=["digest-missing", "incorrect"])
+def test_a_bad_traced_run_writes_nothing(tmp_path, monkeypatch, capsys, bad):
+    _fake_runs(monkeypatch, bad_seed=1, bad_side="change", bad_trace=True, **bad)
+    code, out = _main(tmp_path)
+    assert code == 1
+    assert not out.exists()
+    assert "traced seed 1" in capsys.readouterr().err

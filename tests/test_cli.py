@@ -159,6 +159,32 @@ def test_simulate_overlap_csv(workdir, capsys):
     assert len(lines) == 3
 
 
+def test_simulate_overlap_refuses_more_lanes_than_positions(workdir):
+    """m_override below r leaves no row r distinct positions to hold:
+    the command must fail at once, not redraw for ever."""
+    cfg = workdir / "fig.cfg"
+    cfg.write_text("l=50\nr=6\ngamma=1\nq=20\nbeta=10\ntau_kbits=5\n")
+    src = str(Path(sbfsearch.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sbfsearch", "simulate-overlap", "--params", str(cfg),
+         "--m-override", "4", "--oe", "3", "--trials", "10"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "SimError" in proc.stderr and "r=6, m=4" in proc.stderr
+
+
+def test_simulate_overlap_refuses_a_negative_count(workdir, capsys):
+    cfg = workdir / "fig.cfg"
+    cfg.write_text("l=50\nr=6\ngamma=1\nq=20\nbeta=10\ntau_kbits=5\nm_override=432\n")
+    code, out, err = _run(["simulate-overlap", "--params", cfg, "--oe", "-1",
+                           "--trials", "10"], capsys)
+    assert code == 1 and out == ""
+    assert "SimError: oe_count must be non-negative" in err
+
+
 def test_simulate_overflow_out_file(workdir, capsys):
     out_path = workdir / "overflow.csv"
     code, _, _ = _run(["simulate-overflow", "--params", workdir / "sys.cfg",

@@ -1,5 +1,10 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sbfsearch import kernels, sim
 from sbfsearch.params import derive_params
@@ -12,8 +17,9 @@ from sbfsearch.sim import (
     run_accuracy_experiment,
     run_overflow_experiment,
     run_overlap_experiment,
-    spearman_rho,
 )
+
+from oracles import draw_keyword_layout_by_passes, spearman_rho
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +86,85 @@ class TestOverlapExperiment:
         layout = sim.draw_keyword_layout(rng, 200, 6, 64)
         for row in layout:
             assert len(set(row.tolist())) == 6
+
+
+class TestGoldenDraws:
+    """Values pinned from the pass-by-pass layout draw (kept in
+    `tests/oracles.py`), before a block made one draw: the single draw
+    must reproduce every one of them bit for bit."""
+
+    @pytest.mark.parametrize("oe, hits", [(12, 2), (14, 2), (16, 13), (18, 27), (20, 27)])
+    def test_bench_sweep_points(self, oe, hits):
+        est, se = sim.overlap_estimate(432, 50, 6, oe, 3000, seed=1400 + oe)
+        assert (est, se) == (hits / 3000, sim._binomial_stderr(hits / 3000, 3000))
+
+    def test_two_blocks(self):
+        est, _ = sim.overlap_estimate(97, 8, 4, 10, 2 * sim.CHUNK_TRIALS, seed=24)
+        assert est == 374 / (2 * sim.CHUNK_TRIALS)
+
+    def test_fixed_layout(self, small_sweep_params):
+        layout = sim.draw_keyword_layout(np.random.default_rng(4), 50, 6, 432)
+        digest = hashlib.sha256(layout.tobytes()).hexdigest()
+        assert digest == "42a0b8dd93168d1f475c6245fe991f570826126d1507b9a9a37becc20c94b9bc"
+        assert overlap_probability_mc(small_sweep_params, 20, layout, 4000, seed=7)[0] == 25 / 4000
+
+    def test_tight_layout_tops_up_its_spare_rows(self):
+        # at m=8, r=6 most rows repeat a position, so the spare rows run out
+        layout = sim.draw_keyword_layout(np.random.default_rng(31), 300, 6, 8)
+        digest = hashlib.sha256(layout.tobytes()).hexdigest()
+        assert digest == "c08219409907037c72fd9bd49d9371cd88e0dd26cd1f8ba15bf7c77c17f2c8ae"
+
+    def test_criterion_3_csv(self, small_sweep_params):
+        cfg = ExperimentConfig(params=small_sweep_params, sweep_name="oe_count",
+                               sweep_values=(12, 14, 16, 18, 20), trials=100_000, seed=20260808)
+        csv = rows_to_csv(run_overlap_experiment(cfg))
+        digest = hashlib.sha256(csv.encode()).hexdigest()
+        assert digest == "2cea98c9a83d19e6a1b590dc90abcd303ecc0cac848ec9f75450727eebb1f78e"
+
+
+class TestLayoutDraw:
+    @settings(max_examples=300)
+    @given(rows=st.integers(0, 300), r=st.integers(1, 8),
+           extra=st.one_of(st.integers(0, 3), st.integers(4, 600)), seed=st.integers(0, 2**64 - 1))
+    def test_single_draw_matches_pass_by_pass_oracle(self, rows, r, extra, seed):
+        # m close to r makes most rows repeat a position, so the spare rows
+        # run out and get topped up; rows that almost never come out
+        # distinct would only slow the oracle down
+        m = r + extra
+        assume(math.prod((m - i) / m for i in range(r)) >= 0.01)
+        got = sim.draw_keyword_layout(np.random.default_rng(seed), rows, r, m)
+        want = draw_keyword_layout_by_passes(np.random.default_rng(seed), rows, r, m)
+        assert np.array_equal(got, want)
+
+
+class TestArgumentChecks:
+    def test_more_lanes_than_positions_is_refused_before_any_draw(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(SimError):
+            sim.draw_keyword_layout(rng, 5, 6, 4)
+        assert rng.bit_generator.state == state
+        monkeypatch.setattr(sim, "_block_rng", None)  # any draw fails with TypeError
+        for oe in (0, 3):
+            with pytest.raises(SimError):
+                sim.overlap_estimate(4, 5, 6, oe, 10, seed=0)
+
+    def test_trial_and_element_counts(self, monkeypatch):
+        monkeypatch.setattr(sim, "_block_rng", None)
+        for trials, oe in ((0, 3), (-2, 3), (10, -1)):
+            with pytest.raises(SimError):
+                sim.overlap_estimate(432, 50, 6, oe, trials, seed=0)
+        assert sim.overlap_estimate(432, 50, 6, 0, 10, seed=0) == (0.0, 0.0)  # drew nothing
+        with pytest.raises(SimError):
+            sim.max_occupancies(97, -1, 3, 4, 10, seed=0)
+
+    def test_fixed_layout_positions_in_range(self, small_sweep_params):
+        layout = sim.draw_keyword_layout(np.random.default_rng(4), 50, 6, 432)
+        for bad in (-1, 432):
+            wrong = layout.copy()
+            wrong[7, 2] = bad
+            with pytest.raises(SimError):
+                overlap_probability_mc(small_sweep_params, 20, wrong, 100, seed=7)
 
 
 class TestOverflowExperiment:
@@ -150,17 +235,23 @@ class TestAccuracyExperiment:
 
 class TestKernels:
     def test_cover_hits_against_set_containment(self):
-        rng = np.random.default_rng(18)
-        oe = rng.integers(0, 97, size=(50, 40), dtype=np.int64)
-        layouts = rng.integers(0, 97, size=(50, 12, 4), dtype=np.int64)
-        fixed = np.broadcast_to(layouts[0], layouts.shape)
-        for rows in (layouts, fixed):
-            expected = [
-                int(any(set(row) <= set(oe[i].tolist()) for row in rows[i].tolist()))
-                for i in range(50)
-            ]
-            assert kernels.cover_hits(oe, rows, 97).tolist() == expected
-            assert 0 < sum(expected) < 50  # both outcomes occur
+        # r=300 needs a lane count wider than one byte
+        for r, m in ((1, 97), (4, 97), (6, 97), (10, 97), (300, 1009)):
+            rng = np.random.default_rng(18)
+            oe = rng.integers(0, m, size=(50, max(40, r)), dtype=np.int64)
+            layouts = rng.integers(0, m, size=(50, 12, r), dtype=np.int64)
+            for i in range(0, 50, 3):
+                layouts[i, 5] = oe[i, :r]  # covered
+            for i in range(1, 50, 3):
+                layouts[i, :, 0] = min(set(range(m)) - set(oe[i].tolist()))  # never covered
+            fixed = np.broadcast_to(layouts[0], layouts.shape)
+            for rows in (layouts, fixed):
+                expected = [
+                    int(any(set(row) <= set(oe[i].tolist()) for row in rows[i].tolist()))
+                    for i in range(50)
+                ]
+                assert kernels.cover_hits(oe, rows, m).tolist() == expected
+            assert 0 < kernels.cover_hits(oe, layouts, m).sum() < 50  # both outcomes occur
 
     def test_max_occupancy_against_bincount(self):
         rng = np.random.default_rng(19)

@@ -8,12 +8,15 @@ Each seed runs `perfbench/run.py` once in each checkout, untraced, the
 parent first on even pairs and the change first on odd ones. The file
 keeps, per workload, every run's result line, op-stream digest and
 environment, and per gated metric each side's median and quartiles and
-the number of pairs the change won. Running another workload into the
-same file adds it beside the ones already there.
+the number of pairs the change won. After the pairs, each side makes
+one traced run on the first seed, and the file keeps its per-layer
+metrics under `per_layer`. Running another workload into the same file
+adds it beside the ones already there.
 
 A pair whose two runs report different op-stream digests, or a run that
 reports `correct=false` or `failed>0`, stops the tool with exit status 1
 before it writes anything: such a pair did not compare the same work.
+The traced pair is checked the same way.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from pathlib import Path
 GATED = {"setup_s": "lower", "ops_per_cpu_s": "higher", "op_cpu_p50_ms": "lower", "op_cpu_p95_ms": "lower"}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(int(trace))]
     out = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True).stdout
     *report, last = out.rstrip("\n").split("\n")
     text = "\n".join(report)
@@ -81,6 +84,12 @@ def main(argv: list[str] | None = None) -> int:
         if problems:
             print("\n".join(problems), file=sys.stderr)
             return 1
+    traced = {side: run_once(getattr(args, side), args.workload, first, args.seconds, trace=True)
+              for side in ("parent", "change")}
+    problems = pair_problems(traced["parent"], traced["change"])
+    if problems:
+        print("\n".join(f"traced {p}" for p in problems), file=sys.stderr)
+        return 1
     gated = {}
     for metric, better in GATED.items():
         values = [[r["result"]["metrics"][metric]["value"] for r in sides[s]] for s in ("parent", "change")]
@@ -88,7 +97,9 @@ def main(argv: list[str] | None = None) -> int:
         gated[metric] = {"better": better, "parent": summary(sides["parent"], metric),
                          "change": summary(sides["change"], metric), "pairs_won_by_change": won}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc[args.workload] = {"seconds": args.seconds, "seeds": [first, last], "gated": gated, "runs": sides}
+    per_layer = {"seed": first, **{side: run["result"]["metrics"] for side, run in traced.items()}}
+    doc[args.workload] = {"seconds": args.seconds, "seeds": [first, last], "gated": gated,
+                          "per_layer": per_layer, "runs": sides}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
