@@ -146,13 +146,22 @@ def _check_lanes(r: int, m: int) -> None:
         raise SimError(f"a row needs 1 <= r <= m distinct positions, got r={r}, m={m}")
 
 
+def _draw_with_layout(
+    rng: np.random.Generator, lead: int, rows: int, r: int, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`lead` uniform positions, then a rows x r layout, both from one
+    draw that also holds the layout's spare rows."""
+    drawn = rng.integers(0, m, size=lead + (rows + _spare_rows(rows)) * r, dtype=np.int64)
+    return drawn[:lead], _fill_layout(rng, drawn[lead:].reshape(-1, r), rows, m)
+
+
 def draw_keyword_layout(rng: np.random.Generator, rows: int, r: int, m: int) -> np.ndarray:
     """rows x r positions, distinct within each row (a keyword occupies r
-    distinct positions). Draws the rows and their spares in one call, so
-    `rng` may be left past the layout's last row."""
+    distinct positions), for callers that pin one layout across trials.
+    Draws the rows and their spares in one call, so `rng` may be left
+    past the layout's last row."""
     _check_lanes(r, m)
-    drawn = rng.integers(0, m, size=(rows + _spare_rows(rows), r), dtype=np.int64)
-    return _fill_layout(rng, drawn, rows, m)
+    return _draw_with_layout(rng, 0, rows, r, m)[1]
 
 
 # --- blinding overlap ---------------------------------------------------------
@@ -183,10 +192,8 @@ def overlap_estimate(
         n = min(CHUNK_TRIALS, trials - start)
         rng = _block_rng(seed, block)
         if fixed_layout is None:
-            rows = n * l
-            drawn = rng.integers(0, m, size=n * k + (rows + _spare_rows(rows)) * r, dtype=np.int64)
-            oe = drawn[: n * k].reshape(n, k)
-            layouts = _fill_layout(rng, drawn[n * k :].reshape(-1, r), rows, m).reshape(n, l, r)
+            oe, layouts = _draw_with_layout(rng, n * k, n * l, r, m)
+            oe, layouts = oe.reshape(n, k), layouts.reshape(n, l, r)
         else:
             oe = rng.integers(0, m, size=(n, k), dtype=np.int64)
             layouts = np.broadcast_to(fixed_layout, (n, l, r))

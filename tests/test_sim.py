@@ -240,10 +240,16 @@ class TestKernels:
             rng = np.random.default_rng(18)
             oe = rng.integers(0, m, size=(50, max(40, r)), dtype=np.int64)
             layouts = rng.integers(0, m, size=(50, 12, r), dtype=np.int64)
+            # every row of the fixed layout (layouts[0]) holds position 0,
+            # which trials 1, 4, ... lack and trial 0 holds
+            oe[0, 0] = 0
+            for i in range(1, 50, 3):
+                oe[i][oe[i] == 0] = 1
             for i in range(0, 50, 3):
                 layouts[i, 5] = oe[i, :r]  # covered
             for i in range(1, 50, 3):
                 layouts[i, :, 0] = min(set(range(m)) - set(oe[i].tolist()))  # never covered
+            layouts[0, :, 0] = 0
             fixed = np.broadcast_to(layouts[0], layouts.shape)
             for rows in (layouts, fixed):
                 expected = [
@@ -251,7 +257,7 @@ class TestKernels:
                     for i in range(50)
                 ]
                 assert kernels.cover_hits(oe, rows, m).tolist() == expected
-            assert 0 < kernels.cover_hits(oe, layouts, m).sum() < 50  # both outcomes occur
+                assert 0 < sum(expected) < 50  # both outcomes occur
 
     def test_max_occupancy_against_bincount(self):
         rng = np.random.default_rng(19)
