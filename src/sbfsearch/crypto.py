@@ -14,7 +14,12 @@ Primitive choices (sizes matter for the communication accounting):
 - Record sealing: hybrid public-key encryption. X25519 ephemeral key
   agreement, HKDF-SHA256, AES-128-GCM over the serialized record.
   Overhead per record: 32-byte ephemeral public key + 12-byte nonce +
-  16-byte tag = 60 bytes (480 bits). One asymmetric operation per record.
+  16-byte tag = 60 bytes (480 bits). One asymmetric operation per record
+  sealed. Opening keeps the derived AEAD keys of the last 4096 (agent
+  private key, ephemeral public key) pairs, never plaintext, so an agent
+  re-opening a record it saw recently skips the exchange; the AES-GCM tag
+  is still checked on every open. A process that opens each record once,
+  such as one `sbfsearch search`, gains nothing from it.
 - Transport wrapping: AES-128-GCM under a per-session channel key.
   Overhead: 12-byte nonce + 16-byte tag = 28 bytes (224 bits).
 - Sparse filter codec: a 4-byte count, then each set position in
@@ -237,18 +242,29 @@ def _agent_key(agent_private: bytes) -> X25519PrivateKey:
     return X25519PrivateKey.from_private_bytes(agent_private)
 
 
+@functools.lru_cache(maxsize=4096)
+def _record_key(agent_private: bytes, eph_pub: bytes) -> bytes:
+    """The AEAD key of a record sealed with ephemeral key `eph_pub`. The
+    exchange is a pure function of the two keys and most of an open's
+    cost, and an agent that searches a zone again gets the same records
+    back, so keep the keys of the last 4096 pairs (about 1 MB when full):
+    derived keys only, never plaintext."""
+    shared = _agent_key(agent_private).exchange(X25519PublicKey.from_public_bytes(eph_pub))
+    return _session_key(shared, b"sbfsearch record seal")
+
+
 def open_record(agent_private: bytes, rec: SealedRecord, n_bits: int) -> MetaInfo:
     """Invert seal_record. Raises CryptoError on wrong key, tamper, or
-    truncation; never returns garbage."""
+    truncation; never returns garbage. The record key comes from
+    `_record_key`, so re-opening one of the last 4096 records seen skips
+    the X25519 exchange; the AES-GCM tag is checked on every open, warm
+    or cold. A process that opens each record once gains nothing."""
     ct = rec.ciphertext
     if len(ct) < 32 + 12 + 16:
         raise CryptoError("sealed record too short")
-    eph_pub, nonce, body = ct[:32], ct[32:44], ct[44:]
+    eph_pub, nonce, body = bytes(ct[:32]), ct[32:44], ct[44:]
     try:
-        shared = _agent_key(bytes(agent_private)).exchange(
-            X25519PublicKey.from_public_bytes(eph_pub)
-        )
-        plain = AESGCM(_session_key(shared, b"sbfsearch record seal")).decrypt(nonce, body, None)
+        plain = AESGCM(_record_key(bytes(agent_private), eph_pub)).decrypt(nonce, body, None)
     except (InvalidTag, ValueError) as exc:
         raise CryptoError("record decryption failed") from exc
     return MetaInfo.from_bytes(plain, n_bits)

@@ -13,6 +13,14 @@ settings.register_profile("sbfsearch", deadline=None, database=None, derandomize
 settings.load_profile("sbfsearch")
 
 
+@pytest.fixture(autouse=True)
+def _cold_key_memos():
+    """Seeded records repeat across tests; start each test with empty key
+    memos so no outcome depends on the order tests run in."""
+    crypto._agent_key.cache_clear()
+    crypto._record_key.cache_clear()
+
+
 def resealed(snapshot: bytes) -> bytes:
     """An SBFSTOR2 snapshot edited by a test, with its SHA-256 trailer
     recomputed, so load gets past the checksum to the check under test."""

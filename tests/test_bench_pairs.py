@@ -1,8 +1,8 @@
 """tools/bench_pairs.py refuses pairs that did not compare the same work:
 different op-stream digests, an incorrect run or a failed operation
 exit with status 1 and leave the output file unwritten. After the
-untraced pairs it makes one traced run per side, on the first seed, and
-keeps its per-layer metrics."""
+untraced pairs it makes three traced pairs, on the first three seeds,
+checks them the same way, and keeps each side's per-layer spread."""
 
 import importlib.util
 import json
@@ -26,6 +26,8 @@ def _fake_runs(monkeypatch, bad_seed=None, bad_side=None, bad_trace=False, **bad
         side = checkout.name
         calls.append((side, seed, trace))
         value = 1.0 if side == "parent" else 0.9
+        if trace:  # a per-layer figure that moves from seed to seed
+            value = seed * (1.0 if side == "parent" else 0.5)
         names = ["sim.draw_share"] if trace else bench_pairs.GATED
         run = {"seed": seed, "op_stream_sha256": f"{seed:064x}", "environment": "test",
                "result": {"correct": True, "attempted": 10, "failed": 0,
@@ -39,10 +41,10 @@ def _fake_runs(monkeypatch, bad_seed=None, bad_side=None, bad_trace=False, **bad
     return calls
 
 
-def _main(tmp_path):
+def _main(tmp_path, seeds="1-4"):
     out = tmp_path / "BENCH.json"
     code = bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-                             "--workload", "w", "--seeds", "1-4", "--seconds", "1", "--out", str(out)])
+                             "--workload", "w", "--seeds", seeds, "--seconds", "1", "--out", str(out)])
     return code, out
 
 
@@ -54,12 +56,25 @@ def test_agreeing_pairs_are_written(tmp_path, monkeypatch):
     gated = doc["gated"]
     assert gated["op_cpu_p50_ms"]["pairs_won_by_change"] == 4
     assert gated["ops_per_cpu_s"]["pairs_won_by_change"] == 0
-    # one traced run per side, on the first seed, after the untraced pairs
-    assert [c for c in calls if c[2]] == [("parent", 1, True), ("change", 1, True)]
-    assert calls[-2:] == [("parent", 1, True), ("change", 1, True)]
-    assert doc["per_layer"] == {"seed": 1,
-                                "parent": {"sim.draw_share": {"value": 1.0, "unit": "-"}},
-                                "change": {"sim.draw_share": {"value": 0.9, "unit": "-"}}}
+    # three traced pairs, on the first three seeds, alternating like the untraced ones
+    traced = [("parent", 1, True), ("change", 1, True), ("change", 2, True), ("parent", 2, True),
+              ("parent", 3, True), ("change", 3, True)]
+    assert [c for c in calls if c[2]] == traced
+    assert calls[-6:] == traced
+    assert doc["per_layer"] == {
+        "seeds": [1, 2, 3],
+        "parent": {"sim.draw_share": {"unit": "-", "median": 2.0, "min": 1.0, "max": 3.0}},
+        "change": {"sim.draw_share": {"unit": "-", "median": 1.0, "min": 0.5, "max": 1.5}},
+    }
+
+
+def test_fewer_than_three_seeds_trace_each_seed(tmp_path, monkeypatch):
+    calls = _fake_runs(monkeypatch)
+    code, out = _main(tmp_path, seeds="5-6")
+    assert code == 0
+    assert [c for c in calls if c[2]] == [("parent", 5, True), ("change", 5, True),
+                                          ("change", 6, True), ("parent", 6, True)]
+    assert json.loads(out.read_text())["w"]["per_layer"]["seeds"] == [5, 6]
 
 
 @pytest.mark.parametrize("bad", [
@@ -79,9 +94,10 @@ def test_a_bad_pair_writes_nothing(tmp_path, monkeypatch, capsys, bad, side):
 
 @pytest.mark.parametrize("bad", [{"op_stream_sha256": None}, {"correct": False}],
                          ids=["digest-missing", "incorrect"])
-def test_a_bad_traced_run_writes_nothing(tmp_path, monkeypatch, capsys, bad):
-    _fake_runs(monkeypatch, bad_seed=1, bad_side="change", bad_trace=True, **bad)
+@pytest.mark.parametrize("seed", [1, 3])
+def test_a_bad_traced_run_writes_nothing(tmp_path, monkeypatch, capsys, bad, seed):
+    _fake_runs(monkeypatch, bad_seed=seed, bad_side="change", bad_trace=True, **bad)
     code, out = _main(tmp_path)
     assert code == 1
     assert not out.exists()
-    assert "traced seed 1" in capsys.readouterr().err
+    assert f"traced seed {seed}" in capsys.readouterr().err

@@ -3,6 +3,8 @@ import hmac
 from random import Random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import given, settings
@@ -235,6 +237,82 @@ class TestSealing:
         rec = seal_record(pub, mi, 4096)
         overhead = crypto.SEAL_OVERHEAD_BYTES + crypto.HANDLE_BYTES
         assert rec.size_bits == (len(mi.to_bytes()) + overhead) * 8
+
+
+class TestRecordKeyMemo:
+    """open_record keeps derived record keys, bounded, and still checks
+    the tag on every open. conftest clears the memo before each test."""
+
+    def test_reopening_a_record_derives_its_key_once(self, monkeypatch):
+        pub, priv = generate_agent_keypair(Random(31))
+        rec = seal_record(pub, _mi(), 4096, Random(32))
+        exchanges = []
+        real = crypto.X25519PublicKey
+
+        class CountingPublicKey:
+            @staticmethod
+            def from_public_bytes(data):
+                exchanges.append(data)
+                return real.from_public_bytes(data)
+
+        monkeypatch.setattr(crypto, "X25519PublicKey", CountingPublicKey)
+        for _ in range(5):
+            assert open_record(priv, rec, 64) == _mi()
+        assert exchanges == [rec.ciphertext[:32]]
+        info = crypto._record_key.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+
+    @pytest.mark.parametrize("offset", [32, 43, 44, -17, -16, -1], ids=[
+        "nonce-first", "nonce-last", "body-first", "body-last", "tag-first", "tag-last"])
+    def test_a_changed_byte_fails_after_a_warm_open(self, offset):
+        pub, priv = generate_agent_keypair(Random(33))
+        rec = seal_record(pub, _mi(), 4096, Random(34))
+        assert open_record(priv, rec, 64) == _mi()
+        ct = bytearray(rec.ciphertext)
+        ct[offset] ^= 0x01
+        with pytest.raises(CryptoError):
+            open_record(priv, crypto.SealedRecord(rec.handle, bytes(ct)), 64)
+        with pytest.raises(CryptoError):
+            open_record(priv, crypto.SealedRecord(rec.handle, rec.ciphertext[:-1]), 64)
+        assert crypto._record_key.cache_info().misses == 1
+        assert open_record(priv, rec, 64) == _mi()
+
+    def test_a_wrong_key_fails_after_the_right_entry_is_warm(self):
+        pub, priv = generate_agent_keypair(Random(35))
+        _, other_priv = generate_agent_keypair(Random(36))
+        rec = seal_record(pub, _mi(), 4096, Random(37))
+        for _ in range(2):
+            assert open_record(priv, rec, 64) == _mi()
+        for wrong in (other_priv, bytearray(other_priv), priv[:31]):
+            with pytest.raises(CryptoError):
+                open_record(wrong, rec, 64)
+        assert open_record(priv, rec, 64) == _mi()
+
+    def test_memoised_key_matches_an_independent_derivation(self):
+        pub, priv = generate_agent_keypair(Random(38))
+        rec = seal_record(pub, _mi(), 4096, Random(39))
+        cold = open_record(priv, rec, 64)
+        warm = open_record(priv, rec, 64)
+        assert cold == warm == _mi()
+        eph_pub = rec.ciphertext[:32]
+        shared = X25519PrivateKey.from_private_bytes(priv).exchange(X25519PublicKey.from_public_bytes(eph_pub))
+        expected = hkdf_sha256(shared, b"sbfsearch record seal")
+        assert crypto._record_key(priv, eph_pub) == expected
+        plain = AESGCM(expected).decrypt(rec.ciphertext[32:44], rec.ciphertext[44:], None)
+        assert MetaInfo.from_bytes(plain, 64) == cold
+
+    def test_the_memo_is_bounded(self):
+        size = crypto._record_key.cache_info().maxsize
+        assert size == 4096
+        pub, priv = generate_agent_keypair(Random(40))
+        rng = Random(41)
+        records = [seal_record(pub, _mi(), 4096, rng) for _ in range(size + 8)]
+        for rec in records:
+            assert open_record(priv, rec, 64) == _mi()
+        info = crypto._record_key.cache_info()
+        assert (info.currsize, info.misses) == (size, size + 8)
+        assert open_record(priv, records[0], 64) == _mi()  # evicted: derived again
+        assert crypto._record_key.cache_info().misses == size + 9
 
 
 class TestMetaInfo:

@@ -9,14 +9,16 @@ parent first on even pairs and the change first on odd ones. The file
 keeps, per workload, every run's result line, op-stream digest and
 environment, and per gated metric each side's median and quartiles and
 the number of pairs the change won. After the pairs, each side makes
-one traced run on the first seed, and the file keeps its per-layer
-metrics under `per_layer`. Running another workload into the same file
-adds it beside the ones already there.
+three traced runs, on the first three seeds, in the same alternating
+order; one traced run swings per-layer figures by several times, so the
+file keeps, under `per_layer`, the traced seeds and each side's median,
+minimum and maximum of every per-layer metric. Running another workload
+into the same file adds it beside the ones already there.
 
 A pair whose two runs report different op-stream digests, or a run that
 reports `correct=false` or `failed>0`, stops the tool with exit status 1
 before it writes anything: such a pair did not compare the same work.
-The traced pair is checked the same way.
+Each traced pair is checked the same way.
 """
 
 from __future__ import annotations
@@ -63,6 +65,35 @@ def summary(runs: list[dict], metric: str) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def spread(runs: list[dict]) -> dict:
+    """Median, minimum and maximum of every metric the runs report."""
+    out = {}
+    for name, first in runs[0]["result"]["metrics"].items():
+        values = [r["result"]["metrics"][name]["value"] for r in runs]
+        out[name] = {"unit": first["unit"], "median": statistics.median(values),
+                     "min": min(values), "max": max(values)}
+    return out
+
+
+def run_pairs(args: argparse.Namespace, seeds: list[int], trace: bool = False) -> dict | None:
+    """Each seed once per side, the parent first on even pairs and the
+    change first on odd ones. Prints why and returns None at the first
+    pair that did not compare the same work."""
+    sides = {"parent": [], "change": []}
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            sides[side].append(run_once(getattr(args, side), args.workload, seed, args.seconds, trace))
+            metrics = sides[side][-1]["result"]["metrics"]
+            print(seed, side, "traced" if trace else {k: round(metrics[k]["value"], 4) for k in GATED},
+                  flush=True)
+        problems = pair_problems(sides["parent"][-1], sides["change"][-1])
+        if problems:
+            print("\n".join(("traced " if trace else "") + p for p in problems), file=sys.stderr)
+            return None
+    return sides
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -73,22 +104,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     first, last = map(int, args.seeds.split("-"))
-    sides = {"parent": [], "change": []}
-    for i, seed in enumerate(range(first, last + 1)):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            sides[side].append(run_once(getattr(args, side), args.workload, seed, args.seconds))
-            metrics = sides[side][-1]["result"]["metrics"]
-            print(seed, side, {k: round(metrics[k]["value"], 4) for k in GATED}, flush=True)
-        problems = pair_problems(sides["parent"][-1], sides["change"][-1])
-        if problems:
-            print("\n".join(problems), file=sys.stderr)
-            return 1
-    traced = {side: run_once(getattr(args, side), args.workload, first, args.seconds, trace=True)
-              for side in ("parent", "change")}
-    problems = pair_problems(traced["parent"], traced["change"])
-    if problems:
-        print("\n".join(f"traced {p}" for p in problems), file=sys.stderr)
+    seeds = list(range(first, last + 1))
+    sides = run_pairs(args, seeds)
+    if sides is None:
+        return 1
+    traced = run_pairs(args, seeds[:3], trace=True)
+    if traced is None:
         return 1
     gated = {}
     for metric, better in GATED.items():
@@ -97,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         gated[metric] = {"better": better, "parent": summary(sides["parent"], metric),
                          "change": summary(sides["change"], metric), "pairs_won_by_change": won}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    per_layer = {"seed": first, **{side: run["result"]["metrics"] for side, run in traced.items()}}
+    per_layer = {"seeds": seeds[:3], **{side: spread(runs) for side, runs in traced.items()}}
     doc[args.workload] = {"seconds": args.seconds, "seeds": [first, last], "gated": gated,
                           "per_layer": per_layer, "runs": sides}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
