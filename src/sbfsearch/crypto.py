@@ -247,8 +247,7 @@ def _record_key(agent_private: bytes, eph_pub: bytes) -> bytes:
     """The AEAD key of a record sealed with ephemeral key `eph_pub`. The
     exchange is a pure function of the two keys and most of an open's
     cost, and an agent that searches a zone again gets the same records
-    back, so keep the keys of the last 4096 pairs (about 1 MB when full):
-    derived keys only, never plaintext."""
+    back, so keep the last 4096 keys (about 1 MB when full)."""
     shared = _agent_key(agent_private).exchange(X25519PublicKey.from_public_bytes(eph_pub))
     return _session_key(shared, b"sbfsearch record seal")
 

@@ -92,9 +92,9 @@ def test_a_bad_pair_writes_nothing(tmp_path, monkeypatch, capsys, bad, side):
     assert "seed 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", [{"op_stream_sha256": None}, {"correct": False}],
-                         ids=["digest-missing", "incorrect"])
-@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize(("bad", "seed"), [({"op_stream_sha256": None}, 1), ({"correct": False}, 1),
+                                           ({"correct": False}, 3)],
+                         ids=["digest-missing", "incorrect", "incorrect-third-pair"])
 def test_a_bad_traced_run_writes_nothing(tmp_path, monkeypatch, capsys, bad, seed):
     _fake_runs(monkeypatch, bad_seed=seed, bad_side="change", bad_trace=True, **bad)
     code, out = _main(tmp_path)

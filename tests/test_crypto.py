@@ -190,6 +190,7 @@ class TestSealing:
         _, other_priv = generate_agent_keypair(Random(12))
         rec = seal_record(pub, _mi(), 4096)
         assert open_record(priv, rec, 64) == _mi()
+        assert crypto._record_key.cache_info().currsize == 1  # the right key's entry is warm
         for wrong in (other_priv, bytearray(other_priv), priv[:31]):
             with pytest.raises(CryptoError):
                 open_record(wrong, rec, 64)
@@ -275,17 +276,6 @@ class TestRecordKeyMemo:
         with pytest.raises(CryptoError):
             open_record(priv, crypto.SealedRecord(rec.handle, rec.ciphertext[:-1]), 64)
         assert crypto._record_key.cache_info().misses == 1
-        assert open_record(priv, rec, 64) == _mi()
-
-    def test_a_wrong_key_fails_after_the_right_entry_is_warm(self):
-        pub, priv = generate_agent_keypair(Random(35))
-        _, other_priv = generate_agent_keypair(Random(36))
-        rec = seal_record(pub, _mi(), 4096, Random(37))
-        for _ in range(2):
-            assert open_record(priv, rec, 64) == _mi()
-        for wrong in (other_priv, bytearray(other_priv), priv[:31]):
-            with pytest.raises(CryptoError):
-                open_record(wrong, rec, 64)
         assert open_record(priv, rec, 64) == _mi()
 
     def test_memoised_key_matches_an_independent_derivation(self):
