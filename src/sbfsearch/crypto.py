@@ -6,7 +6,14 @@ Primitive choices (sizes matter for the communication accounting):
 - PRF: HMAC over SHA-256/384/512, output truncated to s bits. Keys are
   s/8-byte strings; PRF outputs double as keys for the next derivation
   stage. s is at most 512 bits (`SystemParams` refuses more), so a key
-  never exceeds the hash's block size.
+  never exceeds the hash's block size. Outputs are memoised, the last
+  32,768 (key, message, s) inputs: the search chain k_i, z_i, y_i has
+  r*l*(gamma+2) inputs, 22,000 at the paper's parameters, so one zone's
+  whole chain fits, in 7-11 MB when full. The memo holds only values the
+  process can already derive from the secrets it holds. `prf_calls`
+  counts the evaluations the scheme requests, not the HMACs computed, so
+  the paper's PRF budgets read the same warm or cold. A process that
+  derives each value once, such as one `sbfsearch search`, gains nothing.
 - HMAC and HKDF: `hmac_digest` is RFC 2104 and `hkdf_sha256` is RFC 5869
   (SHA-256, zero salt, one expand block), both computed on `hashlib`.
   Their output is byte-identical to `hmac` and to `cryptography`'s HKDF;
@@ -20,8 +27,9 @@ Primitive choices (sizes matter for the communication accounting):
   re-opening a record it saw recently skips the exchange; the AES-GCM tag
   is still checked on every open. A process that opens each record once,
   such as one `sbfsearch search`, gains nothing from it.
-- Transport wrapping: AES-128-GCM under a per-session channel key.
-  Overhead: 12-byte nonce + 16-byte tag = 28 bytes (224 bits).
+- Transport wrapping: AES-128-GCM under a per-session channel key, whose
+  AEAD object the session builds once. Overhead: 12-byte random nonce +
+  16-byte tag = 28 bytes (224 bits).
 - Sparse filter codec: a 4-byte count, then each set position in
   position_width(m) bits. Encoding and decoding cost time linear in the
   count, and the decoder refuses a count above the caller's bound before
@@ -113,10 +121,20 @@ def _hash_for_width(s_bits: int):
 
 
 def prf(key: bytes, message: bytes, s_bits: int) -> bytes:
-    """Keyed PRF: HMAC truncated to s bits. Deterministic in (key, message)."""
+    """Keyed PRF: HMAC truncated to s bits. Deterministic in (key, message).
+    Every call counts in `prf_calls`, whether `_prf` computes it or
+    returns it from its memo."""
     if len(key) != s_bits // 8:
         raise CryptoError(f"PRF key must be {s_bits // 8} bytes, got {len(key)}")
     prf_calls.count += 1
+    return _prf(bytes(key), bytes(message), s_bits)
+
+
+@functools.lru_cache(maxsize=1 << 15)
+def _prf(key: bytes, message: bytes, s_bits: int) -> bytes:
+    """The HMAC behind `prf`. Every party holding keyword w derives the
+    same chain values for (w, g), and a search or build repeats them, so
+    keep the last 32,768 outputs (see the module docstring for the bound)."""
     return hmac_digest(key, message, *_hash_for_width(s_bits))[: s_bits // 8]
 
 
@@ -286,14 +304,16 @@ class TransportEnvelope:
         return cls(nonce=data[:12], ciphertext=data[12:])
 
 
-def wrap_transport(channel_key: bytes, payload: bytes, rng: Random | None = None) -> TransportEnvelope:
+def wrap_transport(aead: AESGCM, payload: bytes, rng: Random | None = None) -> TransportEnvelope:
+    """Encrypt one message under a session's AEAD object, built once from
+    its channel key, with a fresh random nonce."""
     nonce = rand_bytes(rng, 12)
-    return TransportEnvelope(nonce, AESGCM(channel_key).encrypt(nonce, payload, None))
+    return TransportEnvelope(nonce, aead.encrypt(nonce, payload, None))
 
 
-def unwrap_transport(channel_key: bytes, env: TransportEnvelope) -> bytes:
+def unwrap_transport(aead: AESGCM, env: TransportEnvelope) -> bytes:
     try:
-        return AESGCM(channel_key).decrypt(env.nonce, env.ciphertext, None)
+        return aead.decrypt(env.nonce, env.ciphertext, None)
     except InvalidTag as exc:
         raise CryptoError("transport authentication failed") from exc
 

@@ -54,10 +54,11 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .crypto import (HANDLE_BYTES, CryptoError, Reader, SealedRecord, TransportEnvelope, hkdf_sha256,
@@ -148,8 +149,15 @@ def _confirmation(key: bytes, transcript: bytes) -> bytes:
 
 @dataclass
 class Session:
+    """An established channel: its key, the AEAD object built from it once
+    at the handshake for every later message, and the peer's role."""
+
     channel_key: bytes
     role: int
+    aead: AESGCM = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.aead = AESGCM(self.channel_key)
 
 
 def client_handshake(sock: socket.socket, role: int, rng: Random | None = None) -> Session:
@@ -407,7 +415,7 @@ class NetServer:
     def _dispatch(self, session: Session, ftype: int, payload: bytes) -> bytes:
         """The reply frame to one request frame of an established session."""
         try:
-            plain = unwrap_transport(session.channel_key, TransportEnvelope.from_bytes(payload))
+            plain = unwrap_transport(session.aead, TransportEnvelope.from_bytes(payload))
         except CryptoError:
             return self._reply_error(session, 0, E_MALFORMED, "cannot decrypt request")
         if not plain:
@@ -478,7 +486,7 @@ class NetServer:
                  T_SEARCH_BF: (_handle_search_bf, _ANY_ROLE), T_REMOVE: (_handle_remove, _OWNER_ONLY)}
 
     def _reply(self, session: Session, ftype: int, corr: int, body: bytes) -> bytes:
-        return _frame(ftype, wrap_transport(session.channel_key, bytes([corr]) + body).to_bytes())
+        return _frame(ftype, wrap_transport(session.aead, bytes([corr]) + body).to_bytes())
 
     def _reply_error(self, session: Session, corr: int, code: int, message: str) -> bytes:
         return self._reply(session, T_ERROR, corr, struct.pack(">H", code) + message.encode("utf-8"))
@@ -522,10 +530,10 @@ class NetClient:
     def _round_trip(self, ftype: int, body: bytes, expect: int) -> Reader:
         """Send one request; return a reader over the reply's body."""
         self._corr = (self._corr + 1) % 256
-        env = wrap_transport(self._session.channel_key, bytes([self._corr]) + body, self._rng)
+        env = wrap_transport(self._session.aead, bytes([self._corr]) + body, self._rng)
         send_frame(self._sock, ftype, env.to_bytes())
         rtype, payload = recv_frame(self._sock)
-        rd = Reader(unwrap_transport(self._session.channel_key, TransportEnvelope.from_bytes(payload)), WireError)
+        rd = Reader(unwrap_transport(self._session.aead, TransportEnvelope.from_bytes(payload)), WireError)
         if rd.u8() != self._corr:
             raise WireError("response correlation mismatch")
         if rtype == T_ERROR:

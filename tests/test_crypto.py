@@ -28,6 +28,7 @@ from sbfsearch.crypto import (
     unwrap_transport,
     wrap_transport,
 )
+from sbfsearch.params import derive_params
 
 
 def _mi(n_bits=64, attrs=2, emergency=1):
@@ -128,15 +129,80 @@ class TestHmacHkdf:
     @settings(max_examples=50)
     @given(key=st.binary(min_size=64, max_size=64), msg=st.binary(max_size=300))
     def test_prf_equals_stdlib_hmac_at_every_width(self, key, msg):
-        for s in range(128, 513, 8):
-            k = key[: s // 8]
-            assert prf(k, msg, s) == hmac.new(k, msg, _reference_hash(s)).digest()[: s // 8]
+        """On a cold memo, a warm one, and one cleared after use."""
+        widths = range(128, 513, 8)
+        crypto._prf.cache_clear()
+        for expect_hits in (0, len(widths), 0):
+            for s in widths:
+                k = key[: s // 8]
+                assert prf(k, msg, s) == hmac.new(k, msg, _reference_hash(s)).digest()[: s // 8]
+            assert crypto._prf.cache_info().hits == expect_hits
+            if expect_hits:
+                crypto._prf.cache_clear()
 
     @settings(max_examples=50)
     @given(secret=st.binary(max_size=100), info=st.binary(max_size=100))
     def test_hkdf_equals_cryptography(self, secret, info):
         expected = HKDF(algorithm=SHA256(), length=16, salt=None, info=info).derive(secret)
         assert hkdf_sha256(secret, info) == expected
+
+
+class TestPrfMemo:
+    """`prf` returns `_prf`'s memoised HMAC; the memo must change no output,
+    no refusal and no count."""
+
+    def test_bound_holds_one_zone_chain_at_the_paper_parameters(self):
+        """k_i and z_i per (keyword, lane), y_i per sub-location too."""
+        p = derive_params(l=100, r=10, gamma_count=20, q=15, beta=50, tau_bits=5120)
+        assert p.r * p.l * (p.gamma_count + 2) == 22_000
+        assert crypto._prf.cache_info().maxsize == 1 << 15 > 22_000
+
+    @settings(max_examples=60)
+    @given(s=st.sampled_from([128, 256, 384, 512]), data=st.data())
+    def test_every_call_counts_once_hit_or_miss(self, s, data):
+        """A call sequence over a few keys and messages, so inputs repeat:
+        every output equals stdlib HMAC, each distinct input is computed
+        once, and every call counts once in `prf_calls`."""
+        keys = data.draw(st.lists(st.binary(min_size=s // 8, max_size=s // 8), min_size=1, max_size=3))
+        msgs = data.draw(st.lists(st.binary(max_size=40), min_size=1, max_size=3))
+        steps = data.draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(msgs)), max_size=30))
+        crypto._prf.cache_clear()
+        calls = crypto.prf_calls.count
+        for key, msg in steps:
+            assert prf(key, msg, s) == hmac.new(key, msg, _reference_hash(s)).digest()[: s // 8]
+        info = crypto._prf.cache_info()
+        assert crypto.prf_calls.count - calls == len(steps) == info.hits + info.misses
+        assert info.misses == len(set(steps))
+
+    @settings(max_examples=40)
+    @given(s=st.sampled_from([128, 256, 384, 512]), data=st.data(), msg=st.binary(max_size=40))
+    def test_wrong_length_key_refused_after_a_valid_key_was_cached(self, s, data, msg):
+        key = data.draw(st.binary(min_size=s // 8, max_size=s // 8))
+        prf(key, msg, s)
+        calls = crypto.prf_calls.count
+        for bad in (key[:-1], key + b"\0"):
+            with pytest.raises(CryptoError):
+                prf(bad, msg, s)
+        other = 256 if s != 256 else 512
+        with pytest.raises(CryptoError):
+            prf(key, msg, other)
+        assert crypto.prf_calls.count == calls
+
+    @settings(max_examples=40)
+    @given(s=st.sampled_from([128, 256, 384, 512]), data=st.data(), msg=st.binary(max_size=40),
+           key_type=st.sampled_from([bytes, bytearray, memoryview]),
+           msg_type=st.sampled_from([bytes, bytearray, memoryview]))
+    def test_buffer_arguments_match_bytes(self, s, data, msg, key_type, msg_type):
+        """A bytearray or memoryview key or message, cold or warm, gives
+        the output of the same bytes."""
+        key = data.draw(st.binary(min_size=s // 8, max_size=s // 8))
+        expected = hmac.new(key, msg, _reference_hash(s)).digest()[: s // 8]
+        crypto._prf.cache_clear()
+        for _ in ("cold", "warm"):
+            out = prf(key_type(key), msg_type(msg), s)
+            assert type(out) is bytes and out == expected
+        assert prf(key, msg, s) == expected
+        assert crypto._prf.cache_info().misses == 1
 
 
 class TestTokens:
@@ -328,25 +394,25 @@ class TestMetaInfo:
 
 class TestTransport:
     def test_round_trip(self):
-        key = bytes(16)
-        env = wrap_transport(key, b"payload", Random(1))
-        assert unwrap_transport(key, env) == b"payload"
+        aead = AESGCM(bytes(16))
+        env = wrap_transport(aead, b"payload", Random(1))
+        assert unwrap_transport(aead, env) == b"payload"
 
     def test_tamper_rejected(self):
-        key = bytes(16)
-        env = wrap_transport(key, b"payload")
+        aead = AESGCM(bytes(16))
+        env = wrap_transport(aead, b"payload")
         flipped = bytes([env.ciphertext[0] ^ 1]) + env.ciphertext[1:]
         with pytest.raises(CryptoError):
-            unwrap_transport(key, TransportEnvelope(env.nonce, flipped))
+            unwrap_transport(aead, TransportEnvelope(env.nonce, flipped))
 
     def test_envelope_bytes_round_trip(self):
-        env = wrap_transport(bytes(16), b"data")
+        env = wrap_transport(AESGCM(bytes(16)), b"data")
         again = TransportEnvelope.from_bytes(env.to_bytes())
         assert again == env
 
     def test_nonce_uniqueness(self):
-        key = bytes(16)
-        nonces = {wrap_transport(key, b"x").nonce for _ in range(10_000)}
+        aead = AESGCM(bytes(16))
+        nonces = {wrap_transport(aead, b"x").nonce for _ in range(10_000)}
         assert len(nonces) == 10_000
 
 

@@ -28,6 +28,7 @@ from sbfsearch.params import derive_params
 from sbfsearch.store import StorageBloomFilter
 
 from conftest import SystemFixture
+from test_acceptance import _property_e_prf_budgets
 
 SMALL_PARAMS = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64)
 PAPER_PARAMS = derive_params(l=100, r=10, gamma_count=20, q=15, beta=50, tau_bits=5120)
@@ -229,6 +230,24 @@ class TestGoldenSequence:
     @pytest.mark.parametrize("args, expected", GOLDEN_SEQUENCES, ids=["small-swaps", "paper"])
     def test_client_bytes_unchanged(self, args, expected):
         assert _golden_sequence(*args) == expected
+
+    def test_warm_prf_memo_changes_no_byte_and_no_count(self):
+        """Each sequence run twice without clearing the PRF memo: the
+        second run is served from the memo alone and gives the same
+        bytes, RNG state and `prf_calls` as the first."""
+        for args, expected in GOLDEN_SEQUENCES:
+            assert _golden_sequence(*args) == expected
+            misses = crypto._prf.cache_info().misses
+            assert _golden_sequence(*args) == expected
+            assert crypto._prf.cache_info().misses == misses
+
+    def test_prf_budgets_hold_on_a_warm_memo(self):
+        """Criterion 7(e)'s budgets count PRF evaluations requested, so a
+        warm memo reads the same counts as a cold one."""
+        cold = _property_e_prf_budgets()
+        misses = crypto._prf.cache_info().misses
+        assert _property_e_prf_budgets() == cold
+        assert cold[1] and crypto._prf.cache_info().misses == misses
 
 
 class TestDenseOracle:

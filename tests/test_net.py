@@ -231,7 +231,7 @@ class TestOperations:
     def test_unknown_message_type_gets_error(self, system, server):
         host, port = server.address
         with net.NetClient(host, port) as c:
-            env = wrap_transport(c.channel_key, bytes([7]) + b"payload")
+            env = wrap_transport(c._session.aead, bytes([7]) + b"payload")
             net.send_frame(c._sock, 0x7F, env.to_bytes())
             rtype, payload = net.recv_frame(c._sock)
             assert rtype == net.T_ERROR
@@ -256,11 +256,11 @@ class TestWireSizes:
         with net.NetClient(host, port, net.ROLE_AGENT) as c:
             c._corr += 1
             body = system.zone + struct.pack(">H", len(ps)) + struct.pack(f">{len(ps)}I", *ps)
-            env = wrap_transport(c.channel_key, bytes([c._corr]) + body)
+            env = wrap_transport(c._session.aead, bytes([c._corr]) + body)
             net.send_frame(c._sock, net.T_SEARCH_LOC, env.to_bytes())
             rtype, payload = net.recv_frame(c._sock)
             from sbfsearch.crypto import TransportEnvelope, unwrap_transport
-            plain = unwrap_transport(c.channel_key, TransportEnvelope.from_bytes(payload))
+            plain = unwrap_transport(c._session.aead, TransportEnvelope.from_bytes(payload))
         measured_bits = (len(plain) - 1) * 8  # drop the correlation byte
         sealed_bits = packet.sealed.size_bits - 8 * 16 + 8 * 16  # handle included on the wire
         assert measured_bits == result_size_bits(1, sealed_bits)
@@ -454,8 +454,8 @@ class TestRobustness:
         greedy.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         greedy.connect((host, port))
         with greedy, _client(server, net.ROLE_AGENT) as c:
-            key = net.client_handshake(greedy, net.ROLE_AGENT).channel_key
-            envelopes = [wrap_transport(key, body).to_bytes() for _ in range(3000)]
+            aead = net.client_handshake(greedy, net.ROLE_AGENT).aead
+            envelopes = [wrap_transport(aead, body).to_bytes() for _ in range(3000)]
             frames = b"".join(net.MAGIC + struct.pack(">BI", net.T_SEARCH_LOC, len(e)) + e for e in envelopes)
             greedy.settimeout(5)
 
@@ -520,11 +520,11 @@ def scripted_peer():
         def serve():
             conn, _ = listener.accept()
             with conn:
-                key = net.server_handshake(conn).channel_key
+                aead = net.server_handshake(conn).aead
                 for rtype, body in replies:
                     _, payload = net.recv_frame(conn)
-                    corr = unwrap_transport(key, TransportEnvelope.from_bytes(payload))[:1]
-                    net.send_frame(conn, rtype, wrap_transport(key, corr + body).to_bytes())
+                    corr = unwrap_transport(aead, TransportEnvelope.from_bytes(payload))[:1]
+                    net.send_frame(conn, rtype, wrap_transport(aead, corr + body).to_bytes())
 
         threads.append(threading.Thread(target=serve, daemon=True))
         threads[-1].start()
