@@ -37,23 +37,24 @@ from .index import (
     make_upload_packet,
     register_user,
 )
-from .params import ParamsError, SystemParams, expected_distinct_positions, load_params_file
+from .params import CONFIG_KEYS, ParamsError, SystemParams, expected_distinct_positions, load_params_file
 from .store import StorageBloomFilter, StoreError
 
 
 def _add_params_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--params", required=True, help="key=value parameter file")
-    for flag in ("l", "r", "gamma", "q", "beta", "tau-kbits", "s-bits", "n-bits", "m-override"):
-        p.add_argument(f"--{flag}", type=int, default=None, help=f"override {flag} from the file")
+    _add_override_flags(p, described=True)
+
+
+def _add_override_flags(p: argparse.ArgumentParser, described: bool) -> None:
+    for key in CONFIG_KEYS:
+        flag = key.replace("_", "-")
+        p.add_argument(f"--{flag}", type=int, default=None,
+                       help=f"override {flag} from the file" if described else None)
 
 
 def _params_from(args: argparse.Namespace) -> SystemParams:
-    return load_params_file(
-        args.params,
-        l=args.l, r=args.r, gamma=args.gamma, q=args.q, beta=args.beta,
-        tau_kbits=args.tau_kbits, s_bits=args.s_bits, n_bits=args.n_bits,
-        m_override=args.m_override,
-    )
+    return load_params_file(args.params, **{key: getattr(args, key) for key in CONFIG_KEYS})
 
 
 def _rng(args: argparse.Namespace) -> Random | None:
@@ -174,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True)
     p.add_argument("--params", help="required for init")
     p.add_argument("--zone", help="required for init")
-    for flag in ("l", "r", "gamma", "q", "beta", "tau-kbits", "s-bits", "n-bits", "m-override"):
-        p.add_argument(f"--{flag}", type=int, default=None)
+    _add_override_flags(p, described=False)
 
     return top
 
@@ -210,7 +210,7 @@ def _cmd_build_index(args) -> int:
     params = _params_from(args)
     kr = files.load_keyring(args.keyring)
     idx = build_user_index(kr, token_from_text(args.location, params.n_bits), params, _rng(args))
-    files.save_index(idx, args.out)
+    files.save_index(idx, args.out, params)
     print(f"index built: {idx.bf.popcount} positions marked, "
           f"{len(idx.obf_elements)} blinding elements held")
     return 0
@@ -238,7 +238,7 @@ def _read_mi_file(path: str, n_bits: int) -> MetaInfo:
 
 def _cmd_upload(args) -> int:
     params = _params_from(args)
-    idx = files.load_index(args.index)
+    idx = files.load_index(args.index, params)
     mi = _read_mi_file(args.mi, params.n_bits)
     packet = make_upload_packet(idx, mi, read_key_file(args.agent_pub),
                                 token_from_text(args.zone, params.n_bits), params, _rng(args))
@@ -295,7 +295,7 @@ def _cmd_search_and(args) -> int:
 def _cmd_remove(args) -> int:
     params = _params_from(args)
     kr = files.load_keyring(args.keyring)
-    idx = files.load_index(args.index)
+    idx = files.load_index(args.index, params)
     handle = bytes.fromhex(Path(args.receipt).read_text().strip())
     req = build_removal_request(idx, kr, token_from_text(args.keyword, params.n_bits),
                                 token_from_text(args.location, params.n_bits),
@@ -303,7 +303,7 @@ def _cmd_remove(args) -> int:
     host, port = _host_port(args.server)
     with net.NetClient(host, port, net.ROLE_OWNER) as client:
         pruned = client.remove(req)
-    files.save_index(idx, args.index)
+    files.save_index(idx, args.index, params)
     print(f"pruned {pruned} buffers; index updated")
     return 0
 
@@ -313,9 +313,12 @@ def _cmd_serve(args) -> int:
     store_dir = Path(args.store_dir)
     store_dir.mkdir(parents=True, exist_ok=True)
     stores: dict[bytes, StorageBloomFilter] = {}
+    sources: dict[bytes, Path] = {}
     for snap in sorted(store_dir.glob("*.sbf")):
         store = StorageBloomFilter.load(snap)
-        stores[store.zone] = store
+        if store.zone in sources:
+            raise StoreError(f"{sources[store.zone]} and {snap} hold the same zone {store.zone.hex()}")
+        stores[store.zone], sources[store.zone] = store, snap
     for name in args.zone:
         zone = token_from_text(name, params.n_bits)
         stores.setdefault(zone, StorageBloomFilter(params, zone))
@@ -419,6 +422,7 @@ def _cmd_snapshot(args) -> int:
             raise ParamsError("snapshot init needs --params and --zone")
         params = _params_from(args)
         store = StorageBloomFilter(params, token_from_text(args.zone, params.n_bits))
+        Path(args.file).parent.mkdir(parents=True, exist_ok=True)
         store.save(args.file)
         print(f"empty store for zone '{args.zone}' written to {args.file}")
         return 0

@@ -2,23 +2,28 @@
 user keyrings, and user indexes. Each format opens with an eight-byte
 magic tag; integers are big-endian. Loading reads through
 `crypto.Reader`, so a truncated file, trailing bytes, a repeated
-keyword token, a master-secrets file with no keyword, a dense filter
-whose length header differs from the index's m, or an index whose bit
-filter is not its counting filter's nonzero bits OR its obfuscating
-filter raise `FileFormatError`."""
+keyword token or a master-secrets file with no keyword raise
+`FileFormatError`. An index file stores only what an index cannot
+derive; SBFINDX1 files, with their dense filters, still load."""
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from pathlib import Path
+
+import numpy as np
 
 from .crypto import Reader
 from .filters import BitFilter, CountingFilter
 from .index import MasterSecrets, UserIndex, UserKeyring
+from .params import SystemParams
 
 MASTER_MAGIC = b"SBFKEYS1"
 KEYRING_MAGIC = b"SBFKRNG1"
-INDEX_MAGIC = b"SBFINDX1"
+INDEX_MAGIC = b"SBFINDX2"
+INDEX_V1_MAGIC = b"SBFINDX1"  # still loaded, never written
+DIGEST_BYTES = 32  # the SHA-256 trailer of an SBFINDX2 file
 
 
 class FileFormatError(Exception):
@@ -95,40 +100,68 @@ def _new_token(rd: Reader, token_bytes: int, seen: dict) -> bytes:
     return token
 
 
-def save_index(idx: UserIndex, path: str | Path) -> None:
-    parts = [
+def save_index(idx: UserIndex, path: str | Path, params: SystemParams) -> None:
+    """Write an SBFINDX2 file: m, params' r, the zone, the nonzero
+    counters as ascending (position, count) u32 columns, the blinding
+    elements, then a SHA-256 of all of it. obf and bf are derived on load."""
+    positions = sorted(idx.cbf.counters)
+    columns = positions + [idx.cbf.counters[p] for p in positions]
+    body = b"".join([
         INDEX_MAGIC,
-        struct.pack(">IB", idx.bf.m, len(idx.zone)),
+        struct.pack(">IHB", idx.cbf.m, params.r, len(idx.zone)),
         idx.zone,
-        idx.bf.to_bytes(),
-        idx.cbf.to_bytes(),
-        idx.obf.to_bytes(),
+        struct.pack(f">I{len(columns)}I", len(positions), *columns),
         struct.pack(">H", len(idx.obf_elements)),
-    ]
-    for value in idx.obf_elements:
-        parts.append(struct.pack(">H", len(value)) + value)
-    Path(path).write_bytes(b"".join(parts))
+        *(struct.pack(">H", len(value)) + value for value in idx.obf_elements),
+    ])
+    Path(path).write_bytes(body + hashlib.sha256(body).digest())
 
 
-def load_index(path: str | Path) -> UserIndex:
-    rd = Reader(Path(path).read_bytes(), FileFormatError)
-    if rd.take(8) != INDEX_MAGIC:
+def load_index(path: str | Path, params: SystemParams) -> UserIndex:
+    """Read an SBFINDX2 or SBFINDX1 file written under params' m and r.
+    A v2 file's SHA-256 trailer is checked before anything is parsed; a
+    v1 file's stored bf and obf must equal the derived ones."""
+    data = Path(path).read_bytes()
+    v2 = data[:8] == INDEX_MAGIC
+    if v2:
+        data, digest = data[:-DIGEST_BYTES], data[-DIGEST_BYTES:]
+        if len(data) < 8 or hashlib.sha256(data).digest() != digest:
+            raise FileFormatError("index checksum mismatch")
+    elif data[:8] != INDEX_V1_MAGIC:
         raise FileFormatError("not an index file")
+    rd = Reader(data, FileFormatError)
+    rd.take(8)
     m = rd.u32()
+    r = rd.u16() if v2 else params.r  # a v1 file's r shows only in its obf
+    if (m, r) != (params.m, params.r):
+        raise FileFormatError(f"index has m={m}, r={r} but the parameters say m={params.m}, r={params.r}")
     zone = rd.take(rd.u8())
-    bf = _dense_filter(rd, m)
-    cbf = CountingFilter.from_bytes(rd.take(4 * m))
-    obf = _dense_filter(rd, m)
+    if v2:
+        k = rd.u32()
+        positions, counts = np.frombuffer(rd.take(8 * k), ">u4").reshape(2, k).astype(np.int64)
+        if k and (positions[-1] >= m or (np.diff(positions) <= 0).any() or not counts.all()):
+            raise FileFormatError("index counters are not nonzero at ascending positions below m")
+    else:
+        bf = _dense_filter(rd, m)
+        dense = np.frombuffer(rd.take(4 * m), ">u4")
+        positions = np.flatnonzero(dense)
+        counts = dense[positions]
+        obf = _dense_filter(rd, m)
+    cbf = CountingFilter(m)
+    cbf.counters.update(dict(zip(positions.tolist(), counts.tolist())))
     elements = [rd.take(rd.u16()) for _ in range(rd.u16())]
     rd.done()
-    if bf != cbf.nonzero_bits() | obf:
-        raise FileFormatError("index bit filter is not (cbf > 0) | obf")
-    return UserIndex(zone=zone, bf=bf, cbf=cbf, obf=obf, obf_elements=elements)
+    idx = UserIndex(zone, cbf, elements, params)
+    if not v2 and (idx.bf, idx.obf) != (bf, obf):
+        raise FileFormatError("index filters are not the ones its counters and blinding elements give")
+    return idx
 
 
 def _dense_filter(rd: Reader, m: int) -> BitFilter:
-    """One dense filter whose own length header must equal the index's m."""
+    """One SBFINDX1 dense filter: a u64 length, which must equal m, then
+    ceil(m/8) bytes with position 0 in bit 0 of byte 0."""
     data = rd.take(8 + (m + 7) // 8)
-    if m < 1 or int.from_bytes(data[:8], "big") != m:
+    if int.from_bytes(data[:8], "big") != m:
         raise FileFormatError(f"dense filter length does not match the index's m={m}")
-    return BitFilter.from_bytes(data)
+    bits = np.unpackbits(np.frombuffer(data, np.uint8, offset=8), count=m, bitorder="little")
+    return BitFilter(m, np.flatnonzero(bits).tolist())

@@ -4,8 +4,7 @@ clients and the store.
 Both filters hold only what is set: a `BitFilter` is the set of its set
 positions and a `CountingFilter` a Counter of its nonzero counters. So
 every operation costs the positions it touches, never the filter length
-m. The dense m-bit and m-counter forms appear only in `to_bytes` and
-`from_bytes`, which the index file uses."""
+m, and no dense m-bit or m-counter form exists here."""
 
 from __future__ import annotations
 
@@ -13,8 +12,6 @@ import functools
 import hashlib
 from collections import Counter
 from collections.abc import Collection, Iterable
-
-import numpy as np
 
 from .crypto import compress_positions, decompress_positions
 
@@ -104,24 +101,6 @@ class BitFilter:
         """Invert compress; a count above `max_count` is refused undecoded."""
         return cls._of(m, set(decompress_positions(data, m, max_count)))  # the codec checked the range
 
-    def to_bytes(self) -> bytes:
-        """Dense form: 8-byte big-endian length, then ceil(m/8) bytes with
-        bit 0 of byte 0 holding position 0."""
-        bits = np.zeros(self.m, dtype=bool)
-        bits[list(self._positions)] = True
-        return self.m.to_bytes(8, "big") + np.packbits(bits, bitorder="little").tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BitFilter":
-        if len(data) < 8:
-            raise FilterError("dense filter missing length header")
-        m = int.from_bytes(data[:8], "big")
-        body = data[8:]
-        if len(body) != (m + 7) // 8:
-            raise FilterError("dense filter length mismatch")
-        bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=m, bitorder="little")
-        return cls(m, np.flatnonzero(bits).tolist())
-
 
 class CountingFilter:
     """Per-position counters enabling exact removal, held as a Counter of
@@ -160,19 +139,3 @@ class CountingFilter:
     @property
     def total(self) -> int:
         return self.counters.total()
-
-    def to_bytes(self) -> bytes:
-        """Dense form: m big-endian u32 counters."""
-        dense = np.zeros(self.m, dtype=">u4")
-        dense[list(self.counters)] = list(self.counters.values())
-        return dense.tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CountingFilter":
-        if not data or len(data) % 4:
-            raise FilterError("dense counters must be a positive multiple of 4 bytes")
-        dense = np.frombuffer(data, dtype=">u4")
-        cbf = cls(len(dense))
-        nonzero = np.flatnonzero(dense)
-        cbf.counters.update(dict(zip(nonzero.tolist(), dense[nonzero].tolist())))
-        return cbf

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import chain
 from random import Random
 
@@ -71,19 +71,29 @@ class UserKeyring:
 @dataclass
 class UserIndex:
     """The (counting filter, bit filter, obfuscating filter) triple a
-    user maintains per zone, all held as positions. obf_elements retains
-    the raw blinding values for later removal swaps; they are consumed,
-    never replenished. obf_positions caches each element's r positions in
-    lane order, hashed once when the index is built or on the first
-    removal after `files.load_index`, so a removal re-hashes nothing. That
-    first removal also checks that the elements still produce obf."""
+    user maintains per zone, all held as positions. Only `cbf` and
+    obf_elements, the raw blinding values kept for later removal swaps,
+    are state; the elements are consumed, never replenished.
+    obf_positions holds each element's r positions in lane order, hashed
+    once when the index is built or loaded, so a removal re-hashes
+    nothing. `derive_filters` is the one place that sets obf, the union
+    of those lanes, and bf = (cbf > 0) | obf."""
 
     zone: bytes
-    bf: BitFilter
     cbf: CountingFilter
-    obf: BitFilter
-    obf_elements: list[bytes] = field(default_factory=list)
-    obf_positions: list[list[int]] | None = field(default=None, compare=False, repr=False)
+    obf_elements: list[bytes]
+    params: InitVar[SystemParams]
+    obf_positions: list[list[int]] = field(init=False, compare=False, repr=False)
+    bf: BitFilter = field(init=False)
+    obf: BitFilter = field(init=False)
+
+    def __post_init__(self, params: SystemParams) -> None:
+        self.obf_positions = [blinding_positions(value, params) for value in self.obf_elements]
+        self.derive_filters()
+
+    def derive_filters(self) -> None:
+        self.obf = BitFilter(self.cbf.m, chain.from_iterable(self.obf_positions))
+        self.bf = self.cbf.nonzero_bits() | self.obf
 
 
 @dataclass(frozen=True)
@@ -192,10 +202,7 @@ def build_user_index(
     for w in kr.keys:
         cbf.add(keyword_positions(kr, w, location, params))
     obf_elements = [rand_bytes(rng, params.n_bytes) for _ in range(params.q - len(kr.keys))]
-    obf_positions = [blinding_positions(value, params) for value in obf_elements]
-    obf = BitFilter(params.m, chain.from_iterable(obf_positions))
-    return UserIndex(zone=kr.zone, bf=cbf.nonzero_bits() | obf, cbf=cbf, obf=obf,
-                     obf_elements=obf_elements, obf_positions=obf_positions)
+    return UserIndex(kr.zone, cbf, obf_elements, params)
 
 
 def make_upload_packet(
@@ -230,21 +237,13 @@ def build_removal_request(
     fresh position drawn from an unused blinding element; the element is
     consumed. Counters drop by one per original occurrence either way.
     Costs one `keyword_positions` plus set work over the q*r positions the
-    index holds; a refused removal leaves the index unchanged. The first
-    removal after `files.load_index` also hashes the blinding elements
-    once, and refuses an index whose elements do not produce its obf.
+    index holds; a refused removal leaves the index unchanged.
     """
     ps = keyword_positions(kr, w, location, params)
     occurrences = Counter(ps)
     counters = idx.cbf.counters
     if any(counters[p] < n for p, n in occurrences.items()):
         raise SchemeError("keyword was never inserted at this location")
-    if idx.obf_positions is None:
-        lanes = [blinding_positions(value, params) for value in idx.obf_elements]
-        if BitFilter(params.m, chain.from_iterable(lanes)) != idx.obf:
-            raise SchemeError("blinding elements do not produce the stored obfuscating filter")
-        idx.obf_positions = lanes
-
     pruned = set(ps)
     elements, lanes = list(idx.obf_elements), list(idx.obf_positions)
     pick = rng if rng is not None else Random()
@@ -254,10 +253,8 @@ def build_removal_request(
         pruned.discard(p)
         pruned.add(_draw_swap_position(elements, lanes, counters, pruned, pick))
     idx.cbf.subtract(ps)
-    # the set-relation invariants: bf = (cbf > 0) OR obf
     idx.obf_elements, idx.obf_positions = elements, lanes
-    idx.obf = BitFilter(params.m, chain.from_iterable(lanes))
-    idx.bf = idx.cbf.nonzero_bits() | idx.obf
+    idx.derive_filters()
     return RemovalRequest(zone=idx.zone, rbf_prime=BitFilter(params.m, pruned), handle=handle,
                           replacement=replacement)
 

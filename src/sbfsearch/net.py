@@ -120,13 +120,18 @@ def send_frame(sock: socket.socket, ftype: int, payload: bytes) -> None:
 
 
 def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
-    header = _recv_exact(sock, 9)
-    if header[:4] != MAGIC:
+    ftype, length = _parse_header(_recv_exact(sock, 9), 0)
+    return ftype, _recv_exact(sock, length)
+
+
+def _parse_header(buf: bytes | bytearray, start: int) -> tuple[int, int]:
+    """The type and payload length of the 9-byte frame header at `start`."""
+    if buf[start : start + 4] != MAGIC:
         raise WireError("bad frame magic")
-    ftype, length = _HEADER.unpack_from(header, 4)
+    ftype, length = _HEADER.unpack_from(buf, start + 4)
     if length > MAX_PAYLOAD:
         raise WireError("frame length exceeds limit")
-    return ftype, _recv_exact(sock, length)
+    return ftype, length
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -383,11 +388,7 @@ class NetServer:
         reply is left unsent."""
         buf, start = conn.inbuf, 0
         while not conn.outbuf and len(buf) - start >= 9:
-            if buf[start : start + 4] != MAGIC:
-                raise WireError("bad frame magic")
-            ftype, length = _HEADER.unpack_from(buf, start + 4)
-            if length > MAX_PAYLOAD:
-                raise WireError("frame length exceeds limit")
+            ftype, length = _parse_header(buf, start)
             end = start + 9 + length
             if len(buf) < end:
                 break

@@ -28,7 +28,7 @@ from pathlib import Path
 DEFAULT_S_BITS = 256
 DEFAULT_N_BITS = 160
 
-_CONFIG_KEYS = ("l", "r", "gamma", "q", "beta", "tau_kbits", "s_bits", "n_bits", "m_override")
+CONFIG_KEYS = ("l", "r", "gamma", "q", "beta", "tau_kbits", "s_bits", "n_bits", "m_override")
 
 
 class ParamsError(ValueError):
@@ -131,14 +131,14 @@ def load_params_file(path: str | Path, **overrides: int | None) -> SystemParams:
             raise ParamsError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ParamsError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             values[key] = int(val.strip())
         except ValueError:
             raise ParamsError(f"{path}:{lineno}: {key} must be an integer") from None
     for key, val in overrides.items():
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ParamsError(f"unknown parameter override {key!r}")
         if val is not None:
             values[key] = val

@@ -5,7 +5,9 @@ every filter was an m-length numpy array: m bits for the upload and
 obfuscating filters, m int64 counters, and every surviving blinding
 element re-hashed on each removal. It draws from the RNG in the order
 the scheme fixes, so the set-based client must produce the same
-uploads, pruning filters, RNG state and index files.
+uploads, pruning filters and RNG state. `file_bytes` writes the dense
+SBFINDX1 index file, the only form `files.save_index` wrote before
+SBFINDX2; `of` turns a set-based index into this dense form.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from random import Random
 import numpy as np
 
 from sbfsearch.crypto import compress_positions, rand_bytes
-from sbfsearch.files import INDEX_MAGIC
+from sbfsearch.files import INDEX_V1_MAGIC
 from sbfsearch.index import SchemeError, blinding_positions, keyword_positions
 
 
@@ -32,16 +34,26 @@ class DenseIndex:
         return compress_positions(np.flatnonzero(self.bf), len(self.bf))
 
     def file_bytes(self) -> bytes:
-        """What `files.save_index` writes for this index."""
+        """The SBFINDX1 file of this index."""
         m = len(self.bf)
 
         def dense(bits):
             return m.to_bytes(8, "big") + np.packbits(bits, bitorder="little").tobytes()
 
-        parts = [INDEX_MAGIC, struct.pack(">IB", m, len(self.zone)), self.zone, dense(self.bf),
+        parts = [INDEX_V1_MAGIC, struct.pack(">IB", m, len(self.zone)), self.zone, dense(self.bf),
                  self.counters.astype(">u4").tobytes(), dense(self.obf), struct.pack(">H", len(self.obf_elements))]
         parts.extend(struct.pack(">H", len(v)) + v for v in self.obf_elements)
         return b"".join(parts)
+
+
+def of(idx) -> DenseIndex:
+    """A `UserIndex` in dense form."""
+    dense = DenseIndex(idx.zone, idx.cbf.m)
+    dense.bf[idx.bf.positions()] = True
+    dense.obf[idx.obf.positions()] = True
+    dense.counters[list(idx.cbf.counters)] = list(idx.cbf.counters.values())
+    dense.obf_elements = list(idx.obf_elements)
+    return dense
 
 
 def build(kr, location: bytes, params, rng: Random | None = None) -> DenseIndex:

@@ -13,7 +13,10 @@ import pytest
 import sbfsearch
 from sbfsearch import files
 from sbfsearch.cli import main
+from sbfsearch.params import load_params_file
 from sbfsearch.store import StorageBloomFilter
+
+import dense_index
 
 
 PARAMS_SMALL = "l=20\nr=4\ngamma=2\nq=6\nbeta=12\ntau_kbits=4\nn_bits=64\n"
@@ -29,6 +32,13 @@ def workdir(tmp_path):
         "pseudonym=alice\nserver-id=cs-7\nmemory-index=slot-12\nattrs=kw0,kw1\nemergency=\n"
     )
     return tmp_path
+
+
+def _server_env():
+    """The environment for a server subprocess that imports the same
+    sbfsearch as this test, installed or not."""
+    src = str(Path(sbfsearch.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def _run(argv, capsys):
@@ -133,6 +143,30 @@ def test_snapshot_init_and_inspect(workdir, capsys):
     assert "format = SBFSTOR2" in out and "bytes_per_record = n/a" in out
 
 
+def test_snapshot_init_creates_the_parent_directory(workdir, capsys):
+    path = workdir / "new" / "dir" / "zone.sbf"
+    code, _, err = _run(["snapshot", "init", "--file", path, "--params", workdir / "sys.cfg",
+                         "--zone", "downtown"], capsys)
+    assert code == 0, err
+    assert StorageBloomFilter.load(path).params.m == 231
+    assert [p.name for p in path.parent.iterdir()] == ["zone.sbf"]  # no temporary file left
+
+
+def test_serve_refuses_two_snapshots_of_one_zone(workdir, capsys):
+    stores = workdir / "stores"
+    stores.mkdir()
+    code, _, _ = _run(["snapshot", "init", "--file", stores / "a.sbf", "--params", workdir / "sys.cfg",
+                       "--zone", "downtown"], capsys)
+    assert code == 0
+    (stores / "b.sbf").write_bytes((stores / "a.sbf").read_bytes())
+    # a subprocess, so a server that starts anyway fails the test by its timeout
+    done = subprocess.run([sys.executable, "-m", "sbfsearch", "serve", "--params", str(workdir / "sys.cfg"),
+                           "--store-dir", str(stores), "--listen", "127.0.0.1:0"],
+                          capture_output=True, text=True, env=_server_env(), timeout=30)
+    assert done.returncode == 1 and "listening" not in done.stdout
+    assert "StoreError" in done.stderr and "a.sbf" in done.stderr and "b.sbf" in done.stderr
+
+
 def test_snapshot_inspect_prints_format_and_size(tmp_path, capsys):
     v1 = Path(__file__).parent / "data" / "snapshot_v1.sbf"
     v2 = tmp_path / "zone.sbf"
@@ -226,10 +260,6 @@ class TestServeLoopback:
              "--location", "corner", "--seed", "12", "--out", workdir / "do.index"],
         ):
             assert main([str(a) for a in argv]) == 0
-        # the server imports the same sbfsearch as this test, installed or not
-        src = str(Path(sbfsearch.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         procs = []
 
         def start(*extra):
@@ -237,7 +267,7 @@ class TestServeLoopback:
                 [sys.executable, "-m", "sbfsearch", "serve", "--params", str(workdir / "sys.cfg"),
                  "--store-dir", str(workdir / "stores"), "--zone", "downtown",
                  "--listen", "127.0.0.1:0", *extra],
-                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=_server_env(),
             )
             procs.append(proc)
             line = proc.stdout.readline()
@@ -293,6 +323,11 @@ class TestServeLoopback:
         assert code == 0, err
         assert "pseudonym=" in out
 
+        # an SBFINDX1 index, as the dense client wrote it, is rewritten as SBFINDX2
+        index_path = workdir / "do.index"
+        params = load_params_file(workdir / "sys.cfg")
+        index_path.write_bytes(dense_index.of(files.load_index(index_path, params)).file_bytes())
+
         code, out, err = _run(["search-and", *base, "--master", workdir / "keys" / "master.keys",
                                "--keywords", "kw0,kw1", "--location", "corner",
                                "--zone", "downtown",
@@ -310,3 +345,4 @@ class TestServeLoopback:
         code, out, err = _run(search_cmd, capsys)
         assert code == 0, err
         assert "pseudonym=" not in out
+        assert index_path.read_bytes()[:8] == files.INDEX_MAGIC

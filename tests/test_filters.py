@@ -98,24 +98,6 @@ class TestBitFilter:
         analytic = (1 - math.exp(-q * r / m)) ** r
         assert abs(hits / probes - analytic) / analytic < 0.20
 
-    def test_dense_serialization(self):
-        rng = np.random.default_rng(7)
-        set_bits = rng.random(77) < 0.3
-        bf = BitFilter(77, np.flatnonzero(set_bits).tolist())
-        data = bf.to_bytes()
-        assert data[8:] == np.packbits(set_bits, bitorder="little").tobytes()
-        assert BitFilter.from_bytes(data) == bf
-        # position 0 occupies bit 0 of byte 0
-        lone = BitFilter(16)
-        lone.insert([0])
-        assert lone.to_bytes()[8] == 0x01
-
-    def test_dense_serialization_errors(self):
-        with pytest.raises(FilterError):
-            BitFilter.from_bytes(b"\x00" * 7)
-        with pytest.raises(FilterError):
-            BitFilter.from_bytes((16).to_bytes(8, "big") + b"\x00")
-
     def test_sparse_round_trip(self):
         rng = np.random.default_rng(8)
         bf = BitFilter(300, np.flatnonzero(rng.random(300) < 0.1).tolist())
@@ -192,14 +174,3 @@ class TestCountingFilter:
             bf.insert(ps)
             cbf.add(ps)
         assert bf == cbf.nonzero_bits()
-
-    def test_dense_serialization(self):
-        cbf = CountingFilter(10)
-        cbf.add([0, 3, 3, 9])
-        data = cbf.to_bytes()
-        assert data == b"".join(n.to_bytes(4, "big") for n in [1, 0, 0, 2, 0, 0, 0, 0, 0, 1])
-        again = CountingFilter.from_bytes(data)
-        assert again.m == 10 and again.counters == cbf.counters
-        for bad in (b"", b"\x00" * 5):
-            with pytest.raises(FilterError):
-                CountingFilter.from_bytes(bad)

@@ -29,6 +29,7 @@ from sbfsearch.store import StorageBloomFilter
 
 from conftest import SystemFixture
 from test_acceptance import _property_e_prf_budgets
+from test_formats import _index_fields
 
 SMALL_PARAMS = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64)
 PAPER_PARAMS = derive_params(l=100, r=10, gamma_count=20, q=15, beta=50, tau_bits=5120)
@@ -173,11 +174,18 @@ class TestGoldenVectors:
         assert got == [[148, 158, 202, 158], [115, 52, 221, 210], [123, 215, 140, 20]]
 
 
-def _index_file_bytes(idx):
+def _index_file_bytes(idx, params):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "user.idx"
-        files.save_index(idx, path)
+        files.save_index(idx, path, params)
         return path.read_bytes()
+
+
+def _load_index_bytes(data, params):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "user.idx"
+        path.write_bytes(data)
+        return files.load_index(path, params)
 
 
 def _golden_sequence(params, fixture_seed, kw_ids, order, build_seed, remove_seed):
@@ -199,14 +207,14 @@ def _golden_sequence(params, fixture_seed, kw_ids, order, build_seed, remove_see
     agent = register_user(sys.secrets, sys.vocab[:2], sys.zone, params)
     query = build_conjunctive_query(agent, sys.vocab[:2], sys.locations[1], params).compress()
     return dict(upload_sha256=hashlib.sha256(upload).hexdigest(), prunes=prunes, swaps=swaps,
-                rng_after=rng.random(), index_sha256=hashlib.sha256(_index_file_bytes(idx)).hexdigest(),
+                rng_after=rng.random(), index_sha256=hashlib.sha256(dense_index.of(idx).file_bytes()).hexdigest(),
                 query=query.hex(), prf_calls=prf_calls.count - mark)
 
 
 # golden bytes of a whole client sequence, pinned before filters held
 # positions instead of m-bit arrays: upload filter, each pruning filter
 # (the small case swaps twice), the RNG state after the removals, the
-# index file, one conjunctive query and the PRF calls spent
+# index in its SBFINDX1 form, one conjunctive query and the PRF calls spent
 GOLDEN_SEQUENCES = [
     ((SMALL_PARAMS, 26, [0, 1, 2, 3], [2, 0, 3, 1], 126, 226), dict(
         upload_sha256=hashlib.sha256(bytes.fromhex(
@@ -252,12 +260,14 @@ class TestGoldenSequence:
 
 class TestDenseOracle:
     """The set-based client against the dense builder it replaced
-    (`tests/dense_index.py`): same upload, pruning filters, RNG draws and
-    index file after every step, over random keyword sets, removal orders
-    (a keyword removed twice included), seeds and small m, where swaps and
-    exhausted blinding elements are common; a refused removal must leave
-    the index as it was. Some steps reload the index from its file first,
-    so the positions recomputed after a load are covered too."""
+    (`tests/dense_index.py`): same upload, pruning filters and RNG draws,
+    and the oracle's SBFINDX1 file loads to our index, after every step,
+    over random keyword sets, removal orders (a keyword removed twice
+    included), seeds and small m, where swaps and exhausted blinding
+    elements are common; a refused removal must leave the index as it
+    was. Some steps first reload the index from its SBFINDX2 file, or from
+    the oracle's SBFINDX1 file, so removals from a loaded index of either
+    version are covered too."""
 
     @settings(max_examples=100)
     @given(st.data())
@@ -274,26 +284,27 @@ class TestDenseOracle:
         idx = build_user_index(kr, loc, params, Random(build_seed))
         want = dense_index.build(kr, loc, params, Random(build_seed))
         assert idx.bf.compress() == want.upload_filter()
-        assert _index_file_bytes(idx) == want.file_bytes()
+        assert _index_fields(_load_index_bytes(want.file_bytes(), params)) == _index_fields(idx)
         ours, theirs = Random(remove_seed), Random(remove_seed)
         for i in order:
-            if data.draw(st.booleans(), label="reload"):
-                with tempfile.TemporaryDirectory() as d:
-                    files.save_index(idx, Path(d) / "user.idx")
-                    idx = files.load_index(Path(d) / "user.idx")
+            reload = data.draw(st.sampled_from([None, "v2", "v1"]), label="reload")
+            if reload == "v2":
+                idx = _load_index_bytes(_index_file_bytes(idx, params), params)
+            elif reload == "v1":
+                idx = _load_index_bytes(want.file_bytes(), params)
             w = sys.vocab[i]
             try:
                 expected = dense_index.remove(want, kr, w, loc, params, theirs)
             except SchemeError:
-                before = _index_file_bytes(idx)
+                before = _index_file_bytes(idx, params)
                 with pytest.raises(SchemeError):
                     build_removal_request(idx, kr, w, loc, b"h" * 16, params, ours)
-                assert _index_file_bytes(idx) == before  # a refused removal changes nothing
+                assert _index_file_bytes(idx, params) == before  # a refused removal changes nothing
                 break
             req = build_removal_request(idx, kr, w, loc, b"h" * 16, params, ours)
             assert req.rbf_prime.compress() == expected
             assert ours.getstate() == theirs.getstate()
-            assert _index_file_bytes(idx) == want.file_bytes()
+            assert _index_fields(_load_index_bytes(want.file_bytes(), params)) == _index_fields(idx)
 
 
 class TestBuildIndex:
@@ -400,7 +411,7 @@ class TestRemoval:
 
     def test_removal_rehashes_no_blinding_element(self, system, monkeypatch, tmp_path):
         """Blinding positions are hashed once per element: when the index is
-        built, or on the first removal after `load_index`; never again."""
+        built or loaded; never by a removal."""
         kr, loc, w1, w2, _ = _colliding_pair(system, d=system.params.q - 3)
         idx = build_user_index(kr, loc, system.params, Random(14))
         hashed = []
@@ -409,9 +420,10 @@ class TestRemoval:
         req = build_removal_request(idx, kr, w1, loc, b"h" * 16, system.params, Random(15))
         assert set(req.rbf_prime.positions()) != set(keyword_positions(kr, w1, loc, system.params))  # swapped
         assert hashed == []
-        files.save_index(idx, tmp_path / "user.idx")
-        idx = files.load_index(tmp_path / "user.idx")
+        files.save_index(idx, tmp_path / "user.idx", system.params)
+        idx = files.load_index(tmp_path / "user.idx", system.params)
         survivors = list(idx.obf_elements)
+        assert hashed == survivors
         build_removal_request(idx, kr, w2, loc, b"h" * 16, system.params, Random(16))
         assert hashed == survivors
         third = next(w for w in kr.keys if w not in (w1, w2))
@@ -459,35 +471,32 @@ class TestRemoval:
 
 
 class TestLoadedIndexIntegrity:
-    """One flipped bit in a saved index (m=231) is refused: in a dense
-    filter by `load_index`, in a blinding element by the first removal,
-    before the damaged element could reach the obfuscating filter."""
+    """One flipped bit in a saved index (m=231) is refused by `load_index`.
+    In an SBFINDX1 file, as the dense oracle writes it, a flipped bit in a
+    dense filter or a blinding element makes the stored filters differ
+    from the derived ones, so a damaged element never reaches a removal.
+    In an SBFINDX2 file the checksum refuses any flipped bit."""
 
-    def _saved(self, system, tmp_path):
-        kr, idx = system.user([0, 1])  # q=6 leaves four blinding elements
+    def _v1_file(self, system, tmp_path):
+        kr = register_user(system.secrets, system.vocab[:2], system.zone, system.params)  # four blinding elements
+        idx = build_user_index(kr, system.locations[0], system.params, Random(5))
         path = tmp_path / "user.idx"
-        files.save_index(idx, path)
+        path.write_bytes(dense_index.build(kr, system.locations[0], system.params, Random(5)).file_bytes())
         return kr, idx, path
 
-    def test_flipped_blinding_element_refused_by_first_removal(self, system, tmp_path):
-        kr, idx, path = self._saved(system, tmp_path)
+    def test_flipped_blinding_element_refused_at_load(self, system, tmp_path):
+        kr, _, path = self._v1_file(system, tmp_path)
         args = (kr, system.vocab[0], system.locations[0], b"h" * 16, system.params)
         data = bytearray(path.read_bytes())
+        build_removal_request(files.load_index(path, system.params), *args, Random(1))  # undamaged
         data[-1] ^= 0x01  # one bit of the last blinding element
         path.write_bytes(bytes(data))
-        damaged = files.load_index(path)
-        before = (damaged.bf, damaged.cbf.counters.copy(), damaged.obf, list(damaged.obf_elements))
-        with pytest.raises(SchemeError, match="blinding elements"):
-            build_removal_request(damaged, *args, Random(1))
-        assert (damaged.bf, damaged.cbf.counters, damaged.obf, damaged.obf_elements) == before
-        assert damaged.obf_positions is None
-        # the same removal goes through on the undamaged file
-        files.save_index(idx, path)
-        build_removal_request(files.load_index(path), *args, Random(1))
+        with pytest.raises(files.FileFormatError, match="blinding elements"):
+            files.load_index(path, system.params)
 
     @pytest.mark.parametrize("which", ["bf", "obf"])
     def test_flipped_filter_bit_refused_at_load(self, system, tmp_path, which):
-        _, idx, path = self._saved(system, tmp_path)
+        _, idx, path = self._v1_file(system, tmp_path)
         m = system.params.m
         p = next(p for p in idx.obf.positions() if not idx.cbf.counters[p])  # set by blinding alone
         at = 8 + 4 + 1 + len(idx.zone) + 8  # magic, m, zone, then bf's own length header
@@ -496,8 +505,20 @@ class TestLoadedIndexIntegrity:
         data = bytearray(path.read_bytes())
         data[at + p // 8] ^= 1 << (p % 8)
         path.write_bytes(bytes(data))
-        with pytest.raises(files.FileFormatError, match="cbf"):
-            files.load_index(path)
+        with pytest.raises(files.FileFormatError, match="blinding elements"):
+            files.load_index(path, system.params)
+
+    def test_flipped_bit_in_v2_file_refused(self, system, tmp_path):
+        _, idx, path = self._v1_file(system, tmp_path)
+        files.save_index(idx, path, system.params)
+        data = path.read_bytes()
+        for at in range(len(data)):
+            damaged = bytearray(data)
+            damaged[at] ^= 0x01
+            path.write_bytes(bytes(damaged))
+            with pytest.raises(files.FileFormatError):
+                files.load_index(path, system.params)
+
 
 class TestConjunctiveQuery:
     def test_single_keyword_equals_positions(self, system):
