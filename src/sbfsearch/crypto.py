@@ -6,14 +6,11 @@ Primitive choices (sizes matter for the communication accounting):
 - PRF: HMAC over SHA-256/384/512, output truncated to s bits. Keys are
   s/8-byte strings; PRF outputs double as keys for the next derivation
   stage. s is at most 512 bits (`SystemParams` refuses more), so a key
-  never exceeds the hash's block size. Outputs are memoised, the last
-  32,768 (key, message, s) inputs: the search chain k_i, z_i, y_i has
-  r*l*(gamma+2) inputs, 22,000 at the paper's parameters, so one zone's
-  whole chain fits, in 7-11 MB when full. The memo holds only values the
-  process can already derive from the secrets it holds. `prf_calls`
-  counts the evaluations the scheme requests, not the HMACs computed, so
-  the paper's PRF budgets read the same warm or cold. A process that
-  derives each value once, such as one `sbfsearch search`, gains nothing.
+  never exceeds the hash's block size. `prf` checks the key, counts one
+  evaluation in `prf_calls` and computes the HMAC on every call; it keeps
+  no memo. `index` memoises the two points of its key schedule that
+  repeat, keyword subkeys and (w, g) positions, and counts in `prf_calls`
+  the evaluations each of those calls stands for, hit or miss.
 - HMAC and HKDF: `hmac_digest` is RFC 2104 and `hkdf_sha256` is RFC 5869
   (SHA-256, zero salt, one expand block), both computed on `hashlib`.
   Their output is byte-identical to `hmac` and to `cryptography`'s HKDF;
@@ -81,9 +78,6 @@ class PrfCallCounter:
     def __init__(self) -> None:
         self.count = 0
 
-    def delta_since(self, mark: int) -> int:
-        return self.count - mark
-
 
 prf_calls = PrfCallCounter()
 
@@ -122,20 +116,22 @@ def _hash_for_width(s_bits: int):
 
 def prf(key: bytes, message: bytes, s_bits: int) -> bytes:
     """Keyed PRF: HMAC truncated to s bits. Deterministic in (key, message).
-    Every call counts in `prf_calls`, whether `_prf` computes it or
-    returns it from its memo."""
+    Every call counts once in `prf_calls`."""
+    check_prf_key(key, s_bits)
+    prf_calls.count += 1
+    return hmac_prf(key, message, s_bits)
+
+
+def check_prf_key(key: bytes, s_bits: int) -> None:
     if len(key) != s_bits // 8:
         raise CryptoError(f"PRF key must be {s_bits // 8} bytes, got {len(key)}")
-    prf_calls.count += 1
-    return _prf(bytes(key), bytes(message), s_bits)
 
 
-@functools.lru_cache(maxsize=1 << 15)
-def _prf(key: bytes, message: bytes, s_bits: int) -> bytes:
-    """The HMAC behind `prf`. Every party holding keyword w derives the
-    same chain values for (w, g), and a search or build repeats them, so
-    keep the last 32,768 outputs (see the module docstring for the bound)."""
-    return hmac_digest(key, message, *_hash_for_width(s_bits))[: s_bits // 8]
+def hmac_prf(key: bytes, message: bytes, s_bits: int) -> bytes:
+    """The HMAC behind `prf`, without its key check or its count, for a
+    caller that checks and counts itself. A `bytearray` or `memoryview`
+    key gives the output of the same bytes."""
+    return hmac_digest(bytes(key), message, *_hash_for_width(s_bits))[: s_bits // 8]
 
 
 def rand_bytes(rng: Random | None, k: int) -> bytes:

@@ -4,12 +4,16 @@ magic tag; integers are big-endian. Loading reads through
 `crypto.Reader`, so a truncated file, trailing bytes, a repeated
 keyword token or a master-secrets file with no keyword raise
 `FileFormatError`. An index file stores only what an index cannot
-derive; SBFINDX1 files, with their dense filters, still load."""
+derive; SBFINDX1 files, with their dense filters, still load. Index
+files and store snapshots are written by `write_atomically`, so a crash
+or a failed write leaves the old file whole."""
 
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +32,31 @@ DIGEST_BYTES = 32  # the SHA-256 trailer of an SBFINDX2 file
 
 class FileFormatError(Exception):
     pass
+
+
+def write_atomically(path: str | Path, *parts: bytes) -> None:
+    """Write `parts` to `path` via a synced temporary file beside it, a
+    rename and a sync of the directory: the file is never half-written,
+    the rename survives a power cut, and a failed write leaves the old
+    file as it was and no temporary file behind."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with open(fd, "wb") as f:
+            for part in parts:
+                f.write(part)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    # the rename is durable only once the directory entry is synced too
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def save_master_secrets(ms: MasterSecrets, path: str | Path) -> None:
@@ -101,9 +130,10 @@ def _new_token(rd: Reader, token_bytes: int, seen: dict) -> bytes:
 
 
 def save_index(idx: UserIndex, path: str | Path, params: SystemParams) -> None:
-    """Write an SBFINDX2 file: m, params' r, the zone, the nonzero
-    counters as ascending (position, count) u32 columns, the blinding
-    elements, then a SHA-256 of all of it. obf and bf are derived on load."""
+    """Write an SBFINDX2 file atomically: m, params' r, the zone, the
+    nonzero counters as ascending (position, count) u32 columns, the
+    blinding elements, then a SHA-256 of all of it. obf and bf are
+    derived on load."""
     positions = sorted(idx.cbf.counters)
     columns = positions + [idx.cbf.counters[p] for p in positions]
     body = b"".join([
@@ -114,7 +144,7 @@ def save_index(idx: UserIndex, path: str | Path, params: SystemParams) -> None:
         struct.pack(">H", len(idx.obf_elements)),
         *(struct.pack(">H", len(value)) + value for value in idx.obf_elements),
     ])
-    Path(path).write_bytes(body + hashlib.sha256(body).digest())
+    write_atomically(path, body, hashlib.sha256(body).digest())
 
 
 def load_index(path: str | Path, params: SystemParams) -> UserIndex:

@@ -39,9 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import os
 import struct
-import tempfile
 import threading
 from array import array
 from collections import Counter
@@ -53,6 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .crypto import HANDLE_BYTES, SEAL_OVERHEAD_BYTES, Reader, SealedRecord, decompress_positions
+from .files import write_atomically
 from .filters import BitFilter
 from .index import RemovalRequest, UploadPacket
 from .params import ParamsError, SystemParams
@@ -253,9 +252,8 @@ class StorageBloomFilter:
     # -- snapshot persistence -------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write an SBFSTOR2 snapshot via a synced temporary file, a rename
-        and a sync of the directory: never half-written, and the rename
-        survives a power cut."""
+        """Write an SBFSTOR2 snapshot with `files.write_atomically`: never
+        half-written, and the rename survives a power cut."""
         with self._lock:
             handles = sorted(self.table)
             slot_of = {h: i for i, h in enumerate(handles)}
@@ -275,23 +273,7 @@ class StorageBloomFilter:
             slots = array("I", map(slot_of.__getitem__, chain.from_iterable(self.buffers)))
             parts.append(np.frombuffer(slots, np.uintc).astype(">u4").tobytes())
         body = b"".join(parts)
-        fd, tmp = tempfile.mkstemp(dir=Path(path).parent, prefix=f".{Path(path).name}.")
-        try:
-            with open(fd, "wb") as f:
-                f.write(body)
-                f.write(hashlib.sha256(body).digest())
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        # the rename is durable only once the directory entry is synced too
-        dir_fd = os.open(Path(path).parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        write_atomically(path, body, hashlib.sha256(body).digest())
 
     @classmethod
     def load(cls, path: str | Path) -> "StorageBloomFilter":

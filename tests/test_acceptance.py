@@ -313,17 +313,17 @@ def _property_e_prf_budgets() -> tuple[str, bool, str]:
     d, r = 4, params.r
     mark = prf_calls.count
     kr = register_user(sys.secrets, sys.vocab[:d], sys.zone, params)
-    register_calls = prf_calls.delta_since(mark)
+    register_calls = prf_calls.count - mark
     mark = prf_calls.count
     build_user_index(kr, sys.locations[0], params, Random(7802))
-    build_calls = prf_calls.delta_since(mark)
+    build_calls = prf_calls.count - mark
     mark = prf_calls.count
     from sbfsearch.index import derive_location_vector, keyword_trapdoor
     trapdoor = keyword_trapdoor(kr, sys.vocab[0], params)
-    trapdoor_calls = prf_calls.delta_since(mark)
+    trapdoor_calls = prf_calls.count - mark
     mark = prf_calls.count
     derive_location_vector(trapdoor, sys.locations[0], params)
-    location_calls = prf_calls.delta_since(mark)
+    location_calls = prf_calls.count - mark
     ok = (register_calls == d * r and build_calls == 2 * d * r
           and trapdoor_calls == r and location_calls == r)
     return ("(e) PRF budgets: 3r per keyword, r per search stage", ok,

@@ -10,7 +10,7 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbfsearch import crypto
+from sbfsearch import crypto, index
 from sbfsearch.crypto import (
     CryptoError,
     MetaInfo,
@@ -73,7 +73,7 @@ class TestPrf:
         mark = crypto.prf_calls.count
         prf(bytes(32), b"m", 256)
         prf(bytes(32), b"m", 256)
-        assert crypto.prf_calls.delta_since(mark) == 2
+        assert crypto.prf_calls.count - mark == 2
 
 
 # RFC 4231 test cases 1-4: (key, data, HMAC-SHA-256, HMAC-SHA-384, HMAC-SHA-512)
@@ -129,16 +129,14 @@ class TestHmacHkdf:
     @settings(max_examples=50)
     @given(key=st.binary(min_size=64, max_size=64), msg=st.binary(max_size=300))
     def test_prf_equals_stdlib_hmac_at_every_width(self, key, msg):
-        """On a cold memo, a warm one, and one cleared after use."""
-        widths = range(128, 513, 8)
-        crypto._prf.cache_clear()
-        for expect_hits in (0, len(widths), 0):
-            for s in widths:
-                k = key[: s // 8]
-                assert prf(k, msg, s) == hmac.new(k, msg, _reference_hash(s)).digest()[: s // 8]
-            assert crypto._prf.cache_info().hits == expect_hits
-            if expect_hits:
-                crypto._prf.cache_clear()
+        """Twice per width: `prf` keeps no memo, and a repeat call gives
+        the same bytes and counts again."""
+        for s in range(128, 513, 8):
+            k = key[: s // 8]
+            expected = hmac.new(k, msg, _reference_hash(s)).digest()[: s // 8]
+            calls = crypto.prf_calls.count
+            assert prf(k, msg, s) == expected == prf(k, msg, s)
+            assert crypto.prf_calls.count - calls == 2
 
     @settings(max_examples=50)
     @given(secret=st.binary(max_size=100), info=st.binary(max_size=100))
@@ -147,62 +145,105 @@ class TestHmacHkdf:
         assert hkdf_sha256(secret, info) == expected
 
 
+def _authority(s_bits, r, seed):
+    """Master secrets for a small vocabulary at PRF width s and r lanes."""
+    params = derive_params(l=8, r=r, gamma_count=2, q=4, beta=8, tau_bits=2048, n_bits=64, s_bits=s_bits)
+    vocab = [token_from_text(f"kw{i}", 64) for i in range(params.l)]
+    locations = [token_from_text(f"loc{i}", 64) for i in range(params.gamma_count)]
+    return params, vocab, locations, index.generate_master_secrets(params, vocab, Random(seed))
+
+
+def _cold_memos():
+    index._subkeys.cache_clear()
+    index._positions.cache_clear()
+
+
+def _memo_misses():
+    return index._subkeys.cache_info().misses, index._positions.cache_info().misses
+
+
 class TestPrfMemo:
-    """`prf` returns `_prf`'s memoised HMAC; the memo must change no output,
-    no refusal and no count."""
+    """The memos of PRF outputs: `index` keeps keyword subkeys and (w, g)
+    positions, and `prf` itself keeps none. The memos must change no
+    output, no refusal and no count."""
 
     def test_bound_holds_one_zone_chain_at_the_paper_parameters(self):
-        """k_i and z_i per (keyword, lane), y_i per sub-location too."""
+        """Subkeys per keyword, positions per (keyword, sub-location)."""
         p = derive_params(l=100, r=10, gamma_count=20, q=15, beta=50, tau_bits=5120)
-        assert p.r * p.l * (p.gamma_count + 2) == 22_000
-        assert crypto._prf.cache_info().maxsize == 1 << 15 > 22_000
-
-    @settings(max_examples=60)
-    @given(s=st.sampled_from([128, 256, 384, 512]), data=st.data())
-    def test_every_call_counts_once_hit_or_miss(self, s, data):
-        """A call sequence over a few keys and messages, so inputs repeat:
-        every output equals stdlib HMAC, each distinct input is computed
-        once, and every call counts once in `prf_calls`."""
-        keys = data.draw(st.lists(st.binary(min_size=s // 8, max_size=s // 8), min_size=1, max_size=3))
-        msgs = data.draw(st.lists(st.binary(max_size=40), min_size=1, max_size=3))
-        steps = data.draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(msgs)), max_size=30))
-        crypto._prf.cache_clear()
-        calls = crypto.prf_calls.count
-        for key, msg in steps:
-            assert prf(key, msg, s) == hmac.new(key, msg, _reference_hash(s)).digest()[: s // 8]
-        info = crypto._prf.cache_info()
-        assert crypto.prf_calls.count - calls == len(steps) == info.hits + info.misses
-        assert info.misses == len(set(steps))
+        assert index._subkeys.cache_info().maxsize == index.SUBKEY_MEMO_ENTRIES >= p.l
+        assert index._positions.cache_info().maxsize == index.POSITION_MEMO_ENTRIES >= p.l * p.gamma_count
+        assert not hasattr(prf, "cache_info")
 
     @settings(max_examples=40)
-    @given(s=st.sampled_from([128, 256, 384, 512]), data=st.data(), msg=st.binary(max_size=40))
-    def test_wrong_length_key_refused_after_a_valid_key_was_cached(self, s, data, msg):
-        key = data.draw(st.binary(min_size=s // 8, max_size=s // 8))
-        prf(key, msg, s)
+    @given(s=st.sampled_from([128, 256, 384, 512]), r=st.integers(1, 4), data=st.data())
+    def test_every_call_counts_once_hit_or_miss(self, s, r, data):
+        """A sequence of registrations and position lookups over a few
+        keywords and locations, so inputs repeat: each registered keyword
+        counts r PRF calls and each lookup 2r, hit or miss, and each
+        distinct input misses once."""
+        params, vocab, locations, ms = _authority(s, r, seed=data.draw(st.integers(0, 99)))
+        steps = data.draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(locations)), max_size=20))
+        _cold_memos()
         calls = crypto.prf_calls.count
-        for bad in (key[:-1], key + b"\0"):
+        for i, g in steps:
+            kr = index.register_user(ms, [vocab[i]], b"zone", params)
+            index.keyword_positions(kr, vocab[i], g, params)
+        assert crypto.prf_calls.count - calls == 3 * r * len(steps)
+        assert _memo_misses() == (len({i for i, _ in steps}), len(set(steps)))
+        subkeys, positions = index._subkeys.cache_info(), index._positions.cache_info()
+        assert subkeys.hits + subkeys.misses == positions.hits + positions.misses == len(steps)
+
+    @settings(max_examples=40)
+    @given(s=st.sampled_from([128, 256, 384, 512]), r=st.integers(1, 4))
+    def test_wrong_length_key_refused_after_a_valid_key_was_cached(self, s, r):
+        """Warm entries for a keyword, then a keyring whose subkeys, or a
+        keyword secret, are a byte short or long, or params of another
+        width: each is refused and counts nothing."""
+        params, vocab, locations, ms = _authority(s, r, seed=5)
+        w, g = vocab[0], locations[0]
+        _cold_memos()
+        kr = index.register_user(ms, [w], b"zone", params)
+        index.keyword_positions(kr, w, g, params)
+        calls = crypto.prf_calls.count
+        key, secret = kr.keys[w][-1], ms.keyword_secrets[w]
+        for bad_key, bad_secret in ((key[:-1], secret[:-1]), (key + b"\0", secret + b"\0")):
+            bad_kr = index.UserKeyring(b"zone", {w: (*kr.keys[w][:-1], bad_key)})
             with pytest.raises(CryptoError):
-                prf(bad, msg, s)
-        other = 256 if s != 256 else 512
+                index.keyword_positions(bad_kr, w, g, params)
+            bad_ms = index.MasterSecrets({**ms.keyword_secrets, w: bad_secret}, ms.init_vectors,
+                                         ms.agent_public, ms.agent_private)
+            with pytest.raises(CryptoError):
+                index.register_user(bad_ms, [w], b"zone", params)
+        other = derive_params(l=8, r=r, gamma_count=2, q=4, beta=8, tau_bits=2048, n_bits=64,
+                              s_bits=256 if s != 256 else 512)
         with pytest.raises(CryptoError):
-            prf(key, msg, other)
+            index.keyword_positions(kr, w, g, other)
+        with pytest.raises(CryptoError):
+            index.register_user(ms, [w], b"zone", other)
         assert crypto.prf_calls.count == calls
 
     @settings(max_examples=40)
-    @given(s=st.sampled_from([128, 256, 384, 512]), data=st.data(), msg=st.binary(max_size=40),
+    @given(s=st.sampled_from([128, 256, 384, 512]),
            key_type=st.sampled_from([bytes, bytearray, memoryview]),
            msg_type=st.sampled_from([bytes, bytearray, memoryview]))
-    def test_buffer_arguments_match_bytes(self, s, data, msg, key_type, msg_type):
-        """A bytearray or memoryview key or message, cold or warm, gives
-        the output of the same bytes."""
-        key = data.draw(st.binary(min_size=s // 8, max_size=s // 8))
-        expected = hmac.new(key, msg, _reference_hash(s)).digest()[: s // 8]
-        crypto._prf.cache_clear()
+    def test_buffer_arguments_match_bytes(self, s, key_type, msg_type):
+        """A bytearray or memoryview keyword secret, subkey or location,
+        cold or warm, gives the output of the same bytes and shares its
+        memo entry."""
+        params, vocab, locations, ms = _authority(s, 3, seed=9)
+        w, g = vocab[1], locations[1]
+        _cold_memos()
+        expected_kr = index.register_user(ms, [w], b"zone", params)
+        expected = index.keyword_positions(expected_kr, w, g, params)
+        odd_ms = index.MasterSecrets({w: key_type(ms.keyword_secrets[w])}, tuple(map(msg_type, ms.init_vectors)),
+                                     ms.agent_public, ms.agent_private)
         for _ in ("cold", "warm"):
-            out = prf(key_type(key), msg_type(msg), s)
-            assert type(out) is bytes and out == expected
-        assert prf(key, msg, s) == expected
-        assert crypto._prf.cache_info().misses == 1
+            kr = index.register_user(odd_ms, [w], b"zone", params)
+            assert all(type(k) is bytes for k in kr.keys[w]) and kr.keys == expected_kr.keys
+            odd_kr = index.UserKeyring(b"zone", {w: tuple(map(key_type, kr.keys[w]))})
+            assert index.keyword_positions(odd_kr, w, msg_type(g), params) == expected
+        assert _memo_misses() == (1, 1)
+        assert prf(key_type(ms.keyword_secrets[w]), msg_type(g), s) == prf(ms.keyword_secrets[w], g, s)
 
 
 class TestTokens:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from sbfsearch import files
 from sbfsearch.crypto import CryptoError, MetaInfo, SealedRecord, compress_positions
 from sbfsearch.filters import CountingFilter
-from sbfsearch.index import MasterSecrets, SchemeError, UploadPacket, UserIndex, UserKeyring
+from sbfsearch.index import (MasterSecrets, SchemeError, UploadPacket, UserIndex, UserKeyring, build_removal_request,
+                             make_upload_packet)
 from sbfsearch.params import derive_params
 from sbfsearch.store import StorageBloomFilter, StoreError
 
@@ -220,6 +221,41 @@ class TestIndexVersions:
         fields = dict(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64, m_override=231)
         with pytest.raises(files.FileFormatError):
             files.load_index(path, derive_params(**{**fields, **other}))
+
+
+class TestAtomicWrites:
+    """An index file or a snapshot whose write fails at the rename leaves
+    the old file byte-identical and no temporary file behind."""
+
+    @pytest.mark.parametrize("kind", ["index", "snapshot"])
+    def test_failed_rename_keeps_the_old_file(self, system, tmp_path, monkeypatch, kind):
+        kr, idx = system.user([0, 1, 2], seed=6)
+        store = StorageBloomFilter(system.params, system.zone)
+        if kind == "index":
+            path = tmp_path / "user.idx"
+            save, change = (lambda: files.save_index(idx, path, system.params),
+                            lambda: build_removal_request(idx, kr, system.vocab[0], system.locations[0],
+                                                          b"h" * 16, system.params, Random(7)))
+        else:
+            path = tmp_path / "zone.sbf"
+            packet = make_upload_packet(idx, system.meta(), system.secrets.agent_public, system.zone,
+                                        system.params, Random(8))
+            save, change = (lambda: store.save(path), lambda: store.ingest(packet))
+        save()
+        before = path.read_bytes()
+        change()
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(files.os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            save()
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == [path.name]
+        monkeypatch.undo()
+        save()
+        assert path.read_bytes() != before
 
 
 class TestKeywordTokens:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import dense_index
 from sbfsearch import crypto, files, index
 from sbfsearch.crypto import prf_calls, token_from_text
-from sbfsearch.filters import BitFilter
+from sbfsearch.filters import BitFilter, hash_positions
 from sbfsearch.index import (
     SchemeError,
     blinding_positions,
@@ -29,6 +29,7 @@ from sbfsearch.store import StorageBloomFilter
 
 from conftest import SystemFixture
 from test_acceptance import _property_e_prf_budgets
+from test_crypto import _cold_memos, _memo_misses
 from test_formats import _index_fields
 
 SMALL_PARAMS = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64)
@@ -68,7 +69,7 @@ class TestRegistration:
         sys = SystemFixture(params, seed=5)
         mark = prf_calls.count
         kr = register_user(sys.secrets, sys.vocab[:1], sys.zone, params)
-        assert prf_calls.delta_since(mark) == 3
+        assert prf_calls.count - mark == 3
         assert len(kr.keys[sys.vocab[0]]) == 3
 
     def test_large_registration_budget(self):
@@ -76,7 +77,7 @@ class TestRegistration:
         sys = SystemFixture(params, seed=6)
         mark = prf_calls.count
         register_user(sys.secrets, sys.vocab[:15], sys.zone, params)
-        assert prf_calls.delta_since(mark) == 150
+        assert prf_calls.count - mark == 150
 
     def test_cross_user_keys_identical(self, system):
         kr_a = register_user(system.secrets, system.vocab[:2], system.zone, system.params)
@@ -98,7 +99,7 @@ class TestDerivations:
         kr = register_user(system.secrets, system.vocab[:1], system.zone, system.params)
         mark = prf_calls.count
         t1 = keyword_trapdoor(kr, system.vocab[0], system.params)
-        assert prf_calls.delta_since(mark) == system.params.r
+        assert prf_calls.count - mark == system.params.r
         assert t1 == keyword_trapdoor(kr, system.vocab[0], system.params)
 
     def test_trapdoors_differ_in_every_lane(self, system):
@@ -140,7 +141,7 @@ class TestDerivations:
         t = keyword_trapdoor(kr, system.vocab[0], system.params)
         mark = prf_calls.count
         derive_location_vector(t, system.locations[0], system.params)
-        assert prf_calls.delta_since(mark) == system.params.r
+        assert prf_calls.count - mark == system.params.r
 
 
 # golden values at every HMAC hash width: a change to the PRF chain,
@@ -240,22 +241,58 @@ class TestGoldenSequence:
         assert _golden_sequence(*args) == expected
 
     def test_warm_prf_memo_changes_no_byte_and_no_count(self):
-        """Each sequence run twice without clearing the PRF memo: the
-        second run is served from the memo alone and gives the same
-        bytes, RNG state and `prf_calls` as the first."""
+        """Each sequence run twice without clearing the subkey and
+        position memos: the second run is served from the memos alone and
+        gives the same bytes, RNG state and `prf_calls` as the first."""
         for args, expected in GOLDEN_SEQUENCES:
             assert _golden_sequence(*args) == expected
-            misses = crypto._prf.cache_info().misses
+            misses = _memo_misses()
             assert _golden_sequence(*args) == expected
-            assert crypto._prf.cache_info().misses == misses
+            assert _memo_misses() == misses
 
     def test_prf_budgets_hold_on_a_warm_memo(self):
-        """Criterion 7(e)'s budgets count PRF evaluations requested, so a
-        warm memo reads the same counts as a cold one."""
+        """Criterion 7(e)'s budgets count PRF evaluations requested, so
+        warm memos read the same counts as cold ones."""
         cold = _property_e_prf_budgets()
-        misses = crypto._prf.cache_info().misses
+        misses = _memo_misses()
         assert _property_e_prf_budgets() == cold
-        assert cold[1] and crypto._prf.cache_info().misses == misses
+        assert cold[1] and _memo_misses() == misses
+
+
+class TestKeyScheduleOracle:
+    """The memoised `register_user` and `keyword_positions` against the
+    uncached chain: k_i = prf(secret_w, v_i), then `keyword_trapdoor`,
+    `derive_location_vector` and `hash_positions`, which keep no memo."""
+
+    @settings(max_examples=60)
+    @given(s=st.sampled_from([128, 256, 384, 512]), r=st.integers(1, 6), data=st.data())
+    def test_memoised_chain_equals_uncached_chain(self, s, r, data):
+        params = derive_params(l=6, r=r, gamma_count=2, q=4, beta=8, tau_bits=2048, n_bits=64, s_bits=s)
+        seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=2, max_size=2, unique=True), label="seeds")
+        authorities = [SystemFixture(params, seed) for seed in seeds]  # the same tokens, their own secrets
+        _cold_memos()
+        for _ in ("cold", "warm"):
+            for sys in authorities:
+                kw = data.draw(st.lists(st.sampled_from(sys.vocab), unique=True, min_size=1, max_size=params.q))
+                kr = register_user(sys.secrets, kw, sys.zone, params)
+                for w in kw:
+                    secret = sys.secrets.keyword_secrets[w]
+                    assert kr.keys[w] == tuple(crypto.prf(secret, v, s) for v in sys.secrets.init_vectors)
+                    for g in sys.locations:
+                        chain = derive_location_vector(keyword_trapdoor(kr, w, params), g, params)
+                        got = keyword_positions(kr, w, g, params)
+                        assert got == hash_positions(chain, params.m, r)
+                        got.append(-1)  # the caller's list, not the memo's entry
+                        assert keyword_positions(kr, w, g, params) == got[:-1]
+                absent = next((w for w in sys.vocab if w not in kw), None)
+                if absent is not None:
+                    with pytest.raises(SchemeError):
+                        keyword_positions(kr, absent, sys.locations[0], params)
+                with pytest.raises(SchemeError):
+                    register_user(sys.secrets, [token_from_text("absent", 64)], sys.zone, params)
+        a, b = authorities
+        w = a.vocab[0]
+        assert register_user(a.secrets, [w], a.zone, params).keys != register_user(b.secrets, [w], b.zone, params).keys
 
 
 class TestDenseOracle:
@@ -327,7 +364,7 @@ class TestBuildIndex:
         kr = register_user(system.secrets, system.vocab[:3], system.zone, system.params)
         mark = prf_calls.count
         build_user_index(kr, system.locations[0], system.params, Random(9))
-        assert prf_calls.delta_since(mark) == 3 * 2 * system.params.r
+        assert prf_calls.count - mark == 3 * 2 * system.params.r
 
     def test_set_relations(self, system):
         for d in (0, 2, system.params.q):

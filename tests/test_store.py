@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from sbfsearch import store as store_module
+from sbfsearch import files
 from sbfsearch.crypto import SEAL_OVERHEAD_BYTES, CryptoError, SealedRecord, token_from_text
 from sbfsearch.filters import BitFilter
 from sbfsearch.index import (
@@ -600,7 +600,7 @@ class TestSnapshot:
                 raise OSError(errno.ENOSPC, "no space left on device")
 
         real_open = open
-        monkeypatch.setattr(store_module, "open", lambda *a, **k: DiskFullHalfway(real_open(*a, **k)),
+        monkeypatch.setattr(files, "open", lambda *a, **k: DiskFullHalfway(real_open(*a, **k)),
                             raising=False)
         with pytest.raises(OSError):
             store.save(path)
