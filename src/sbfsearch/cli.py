@@ -18,14 +18,7 @@ from pathlib import Path
 from random import Random
 
 from . import analysis, files, net, sim
-from .crypto import (
-    CryptoError,
-    MetaInfo,
-    open_record,
-    read_key_file,
-    token_from_text,
-    write_key_file,
-)
+from .crypto import CryptoError, MetaInfo, open_record, token_from_text
 from .filters import FilterError
 from .index import (
     SchemeError,
@@ -37,24 +30,12 @@ from .index import (
     make_upload_packet,
     register_user,
 )
-from .params import CONFIG_KEYS, ParamsError, SystemParams, expected_distinct_positions, load_params_file
+from .params import ParamsError, expected_distinct_positions, load_params_file
 from .store import StorageBloomFilter, StoreError
 
 
 def _add_params_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--params", required=True, help="key=value parameter file")
-    _add_override_flags(p, described=True)
-
-
-def _add_override_flags(p: argparse.ArgumentParser, described: bool) -> None:
-    for key in CONFIG_KEYS:
-        flag = key.replace("_", "-")
-        p.add_argument(f"--{flag}", type=int, default=None,
-                       help=f"override {flag} from the file" if described else None)
-
-
-def _params_from(args: argparse.Namespace) -> SystemParams:
-    return load_params_file(args.params, **{key: getattr(args, key) for key in CONFIG_KEYS})
 
 
 def _rng(args: argparse.Namespace) -> Random | None:
@@ -175,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True)
     p.add_argument("--params", help="required for init")
     p.add_argument("--zone", help="required for init")
-    _add_override_flags(p, described=False)
 
     return top
 
@@ -183,21 +163,21 @@ def build_parser() -> argparse.ArgumentParser:
 # --- handlers ---------------------------------------------------------------
 
 def _cmd_setup(args) -> int:
-    params = _params_from(args)
+    params = load_params_file(args.params)
     words = [w.strip() for w in Path(args.vocab).read_text().splitlines() if w.strip()]
     vocab = [token_from_text(w, params.n_bits) for w in words]
     ms = generate_master_secrets(params, vocab, _rng(args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files.save_master_secrets(ms, out / "master.keys")
-    write_key_file(out / "agent.pub", ms.agent_public)
-    write_key_file(out / "agent.key", ms.agent_private)
+    files.write_key_file(out / "agent.pub", ms.agent_public)
+    files.write_key_file(out / "agent.key", ms.agent_private)
     print(f"vocabulary of {len(vocab)} keywords; material written to {out}")
     return 0
 
 
 def _cmd_register(args) -> int:
-    params = _params_from(args)
+    params = load_params_file(args.params)
     ms = files.load_master_secrets(args.master)
     kr = register_user(ms, _tokens(args.keywords, params.n_bits),
                        token_from_text(args.zone, params.n_bits), params)
@@ -207,7 +187,7 @@ def _cmd_register(args) -> int:
 
 
 def _cmd_build_index(args) -> int:
-    params = _params_from(args)
+    params = load_params_file(args.params)
     kr = files.load_keyring(args.keyring)
     idx = build_user_index(kr, token_from_text(args.location, params.n_bits), params, _rng(args))
     files.save_index(idx, args.out, params)
@@ -237,15 +217,15 @@ def _read_mi_file(path: str, n_bits: int) -> MetaInfo:
 
 
 def _cmd_upload(args) -> int:
-    params = _params_from(args)
+    params = load_params_file(args.params)
     idx = files.load_index(args.index, params)
     mi = _read_mi_file(args.mi, params.n_bits)
-    packet = make_upload_packet(idx, mi, read_key_file(args.agent_pub),
+    packet = make_upload_packet(idx, mi, files.read_key_file(args.agent_pub),
                                 token_from_text(args.zone, params.n_bits), params, _rng(args))
     host, port = _host_port(args.server)
     with net.NetClient(host, port, net.ROLE_OWNER) as client:
         written = client.upload(packet)
-    Path(args.receipt).write_text(packet.sealed.handle.hex() + "\n")
+    files.write_key_file(args.receipt, packet.sealed.handle)
     print(f"stored in {written} buffers; receipt written to {args.receipt}")
     return 0
 
@@ -265,7 +245,7 @@ def _print_records(records, agent_priv: bytes, n_bits: int, fmt: str) -> None:
 
 
 def _cmd_search(args) -> int:
-    params = _params_from(args)
+    params = load_params_file(args.params)
     ms = files.load_master_secrets(args.master)
     zone = token_from_text(args.zone, params.n_bits)
     w = token_from_text(args.keyword, params.n_bits)
@@ -274,12 +254,12 @@ def _cmd_search(args) -> int:
     host, port = _host_port(args.server)
     with net.NetClient(host, port, net.ROLE_AGENT) as client:
         records = client.search_location(zone, positions)
-    _print_records(records, read_key_file(args.agent_priv), params.n_bits, args.format)
+    _print_records(records, files.read_key_file(args.agent_priv), params.n_bits, args.format)
     return 0
 
 
 def _cmd_search_and(args) -> int:
-    params = _params_from(args)
+    params = load_params_file(args.params)
     ms = files.load_master_secrets(args.master)
     zone = token_from_text(args.zone, params.n_bits)
     keywords = _tokens(args.keywords, params.n_bits)
@@ -288,15 +268,15 @@ def _cmd_search_and(args) -> int:
     host, port = _host_port(args.server)
     with net.NetClient(host, port, net.ROLE_AGENT) as client:
         records = client.search_conjunctive(zone, query)
-    _print_records(records, read_key_file(args.agent_priv), params.n_bits, args.format)
+    _print_records(records, files.read_key_file(args.agent_priv), params.n_bits, args.format)
     return 0
 
 
 def _cmd_remove(args) -> int:
-    params = _params_from(args)
+    params = load_params_file(args.params)
     kr = files.load_keyring(args.keyring)
     idx = files.load_index(args.index, params)
-    handle = bytes.fromhex(Path(args.receipt).read_text().strip())
+    handle = files.read_key_file(args.receipt)
     req = build_removal_request(idx, kr, token_from_text(args.keyword, params.n_bits),
                                 token_from_text(args.location, params.n_bits),
                                 handle, params, _rng(args))
@@ -309,7 +289,7 @@ def _cmd_remove(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    params = _params_from(args)
+    params = load_params_file(args.params)
     store_dir = Path(args.store_dir)
     store_dir.mkdir(parents=True, exist_ok=True)
     stores: dict[bytes, StorageBloomFilter] = {}
@@ -340,7 +320,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    params = _params_from(args)
+    params = load_params_file(args.params)
     occupied = round(expected_distinct_positions(params.m, params.r, params.q))
     collision = analysis.blinding_collision_bound(args.t, occupied, params.r, params.l,
                                             params.gamma_count, params.m)
@@ -376,7 +356,7 @@ def _emit_csv(rows, out: str | None) -> None:
 
 
 def _cmd_simulate_overlap(args) -> int:
-    params = _params_from(args)
+    params = load_params_file(args.params)
     cfg = sim.ExperimentConfig(params=params, sweep_name="oe_count",
                                sweep_values=_int_list(args.oe),
                                trials=args.trials, seed=args.seed)
@@ -385,7 +365,7 @@ def _cmd_simulate_overlap(args) -> int:
 
 
 def _cmd_simulate_overflow(args) -> int:
-    params = _params_from(args)
+    params = load_params_file(args.params)
     if args.betas:
         if args.t is None:
             raise sim.SimError("a beta sweep needs --t")
@@ -405,7 +385,7 @@ def _cmd_simulate_overflow(args) -> int:
 
 
 def _cmd_simulate_accuracy(args) -> int:
-    params = _params_from(args)
+    params = load_params_file(args.params)
     report = sim.run_accuracy_experiment(params, args.t, args.seed)
     print(f"users = {report.users}")
     print(f"probes = {report.probes}")
@@ -420,7 +400,7 @@ def _cmd_snapshot(args) -> int:
     if args.action == "init":
         if not args.params or not args.zone:
             raise ParamsError("snapshot init needs --params and --zone")
-        params = _params_from(args)
+        params = load_params_file(args.params)
         store = StorageBloomFilter(params, token_from_text(args.zone, params.n_bits))
         Path(args.file).parent.mkdir(parents=True, exist_ok=True)
         store.save(args.file)

@@ -25,8 +25,9 @@ Primitive choices (sizes matter for the communication accounting):
   is still checked on every open. A process that opens each record once,
   such as one `sbfsearch search`, gains nothing from it.
 - Transport wrapping: AES-128-GCM under a per-session channel key, whose
-  AEAD object the session builds once. Overhead: 12-byte random nonce +
-  16-byte tag = 28 bytes (224 bits).
+  AEAD object the session builds once. An envelope is the 12-byte random
+  nonce, then the ciphertext with its 16-byte tag: 28 bytes (224 bits)
+  of overhead.
 - Sparse filter codec: a 4-byte count, then each set position in
   position_width(m) bits. Encoding and decoding cost time linear in the
   count, and the decoder refuses a count above the caller's bound before
@@ -49,7 +50,6 @@ import functools
 import hashlib
 import secrets
 from dataclasses import dataclass
-from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -211,10 +211,6 @@ class SealedRecord:
     handle: bytes
     ciphertext: bytes
 
-    @property
-    def size_bits(self) -> int:
-        return (HANDLE_BYTES + len(self.ciphertext)) * 8
-
 
 def generate_agent_keypair(rng: Random | None = None) -> tuple[bytes, bytes]:
     """Agent key pair as raw 32-byte strings: (public, private)."""
@@ -285,31 +281,19 @@ def open_record(agent_private: bytes, rec: SealedRecord, n_bits: int) -> MetaInf
 
 # --- transport -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransportEnvelope:
-    nonce: bytes
-    ciphertext: bytes
-
-    def to_bytes(self) -> bytes:
-        return self.nonce + self.ciphertext
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "TransportEnvelope":
-        if len(data) < 12 + 16:
-            raise CryptoError("transport envelope too short")
-        return cls(nonce=data[:12], ciphertext=data[12:])
-
-
-def wrap_transport(aead: AESGCM, payload: bytes, rng: Random | None = None) -> TransportEnvelope:
+def wrap_transport(aead: AESGCM, payload: bytes, rng: Random | None = None) -> bytes:
     """Encrypt one message under a session's AEAD object, built once from
-    its channel key, with a fresh random nonce."""
+    its channel key, with a fresh random nonce: nonce(12) || ciphertext."""
     nonce = rand_bytes(rng, 12)
-    return TransportEnvelope(nonce, aead.encrypt(nonce, payload, None))
+    return nonce + aead.encrypt(nonce, payload, None)
 
 
-def unwrap_transport(aead: AESGCM, env: TransportEnvelope) -> bytes:
+def unwrap_transport(aead: AESGCM, envelope: bytes) -> bytes:
+    """Invert wrap_transport; a short or forged envelope raises CryptoError."""
+    if len(envelope) < 12 + 16:
+        raise CryptoError("transport envelope too short")
     try:
-        return aead.decrypt(env.nonce, env.ciphertext, None)
+        return aead.decrypt(envelope[:12], envelope[12:], None)
     except InvalidTag as exc:
         raise CryptoError("transport authentication failed") from exc
 
@@ -393,13 +377,3 @@ def decompress_positions(data: bytes, m: int, max_count: int | None = None) -> l
     if count and p[-1] >= m:
         raise CryptoError(f"decoded position {int(p[-1])} out of range for m={m}")
     return p.tolist()
-
-
-# --- key files -------------------------------------------------------------
-
-def write_key_file(path: str | Path, key: bytes) -> None:
-    Path(path).write_text(key.hex() + "\n")
-
-
-def read_key_file(path: str | Path) -> bytes:
-    return bytes.fromhex(Path(path).read_text().strip())

@@ -1,12 +1,13 @@
-"""Binary file formats for client-side artifacts: master secrets,
-user keyrings, and user indexes. Each format opens with an eight-byte
-magic tag; integers are big-endian. Loading reads through
-`crypto.Reader`, so a truncated file, trailing bytes, a repeated
-keyword token or a master-secrets file with no keyword raise
+"""File formats for client-side artifacts: binary master secrets, user
+keyrings and user indexes, and one-line hex key files. A binary format
+opens with an eight-byte magic tag; integers are big-endian. Loading
+reads through `crypto.Reader`, so a truncated file, trailing bytes, a
+repeated keyword token or a master-secrets file with no keyword raise
 `FileFormatError`. An index file stores only what an index cannot
-derive; SBFINDX1 files, with their dense filters, still load. Index
-files and store snapshots are written by `write_atomically`, so a crash
-or a failed write leaves the old file whole."""
+derive; SBFINDX1 files, with their dense filters, still load. A key
+file holds one key, or an upload receipt's record handle, as hex. Every
+file here, and every store snapshot, is written by `write_atomically`,
+so a crash or a failed write leaves the old file whole."""
 
 from __future__ import annotations
 
@@ -70,7 +71,7 @@ def save_master_secrets(ms: MasterSecrets, path: str | Path) -> None:
         parts.append(token + ms.keyword_secrets[token])
     parts.extend(ms.init_vectors)
     parts.append(ms.agent_public + ms.agent_private)
-    Path(path).write_bytes(b"".join(parts))
+    write_atomically(path, *parts)
 
 
 def load_master_secrets(path: str | Path) -> MasterSecrets:
@@ -104,7 +105,7 @@ def save_keyring(kr: UserKeyring, path: str | Path) -> None:
     parts.append(kr.zone)
     for token in kr.keys:
         parts.append(token + b"".join(kr.keys[token]))
-    Path(path).write_bytes(b"".join(parts))
+    write_atomically(path, *parts)
 
 
 def load_keyring(path: str | Path) -> UserKeyring:
@@ -127,6 +128,14 @@ def _new_token(rd: Reader, token_bytes: int, seen: dict) -> bytes:
     if token in seen:
         raise FileFormatError("keyword token repeated")
     return token
+
+
+def write_key_file(path: str | Path, key: bytes) -> None:
+    write_atomically(path, key.hex().encode("ascii") + b"\n")
+
+
+def read_key_file(path: str | Path) -> bytes:
+    return bytes.fromhex(Path(path).read_text().strip())
 
 
 def save_index(idx: UserIndex, path: str | Path, params: SystemParams) -> None:

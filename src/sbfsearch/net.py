@@ -46,9 +46,11 @@ timeout. The client is synchronous, one round trip per operation.
 
 from __future__ import annotations
 
+import errno
 import hmac as hmac_mod
 import hashlib
 import logging
+import math
 import selectors
 import socket
 import struct
@@ -61,8 +63,8 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .crypto import (HANDLE_BYTES, CryptoError, Reader, SealedRecord, TransportEnvelope, hkdf_sha256,
-                     hmac_digest, rand_bytes, unwrap_transport, wrap_transport)
+from .crypto import (HANDLE_BYTES, CryptoError, Reader, SealedRecord, hkdf_sha256, hmac_digest, rand_bytes,
+                     unwrap_transport, wrap_transport)
 from .filters import BitFilter
 from .index import RemovalRequest, UploadPacket
 from .store import BufferOverflow, DuplicateHandle, StorageBloomFilter, StoreError, UnknownHandle, ZoneMismatch
@@ -93,7 +95,6 @@ E_MALFORMED = 0x0003
 E_DUPLICATE_HANDLE = 0x0004
 E_UNKNOWN_HANDLE = 0x0005
 E_BAD_REQUEST = 0x0006
-E_INTERNAL = 0x0007
 
 
 class WireError(Exception):
@@ -210,6 +211,9 @@ def server_handshake(sock: socket.socket, rng: Random | None = None) -> Session:
 # --- server -----------------------------------------------------------------
 
 IDLE_TIMEOUT_S = 0.5
+ACCEPT_RETRY_S = 1.0  # as asyncio's ACCEPT_RETRY_DELAY
+# accept errors that leave the connection queued: the listener stays readable
+_ACCEPT_EXHAUSTED = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM})
 _RECV_BYTES = 1 << 16
 _OWNER_ONLY = frozenset({ROLE_OWNER})
 _ANY_ROLE = frozenset({ROLE_OWNER, ROLE_AGENT})
@@ -243,8 +247,10 @@ class NetServer:
     cannot take at once is flushed when it becomes writable, with reading
     paused meanwhile. A peer that is silent before HELLO, stalls
     mid-frame or stops taking a reply for IDLE_TIMEOUT_S is dropped; an
-    idle session between frames is kept. Requests run one at a time, so
-    a store never sees two at once."""
+    idle session between frames is kept. When accept runs out of file
+    descriptors or memory, the listener rests for ACCEPT_RETRY_S, so the
+    loop does not spin on a connection it cannot take. Requests run one
+    at a time, so a store never sees two at once."""
 
     def __init__(self, stores: dict[bytes, StorageBloomFilter], host: str = "127.0.0.1", port: int = 0):
         self.stores = stores
@@ -259,6 +265,7 @@ class NetServer:
         # connections the server waits on, by deadline: each is set to now plus
         # IDLE_TIMEOUT_S and moved to the end, so the first entry expires first
         self._deadlines: dict[_Connection, float] = {}
+        self._accept_resume = math.inf  # when a resting listener is watched again
         self._loop_thread: threading.Thread | None = None
         self._stopping = False
         self._closed = threading.Event()
@@ -301,19 +308,22 @@ class NetServer:
         deadlines = self._deadlines
         try:
             while not self._stopping:
-                # wait for traffic, or until the first deadline when a peer is waited on
-                timeout = max(0.0, next(iter(deadlines.values())) - time.monotonic()) if deadlines else None
+                # wait for traffic, or until the first deadline: a peer waited
+                # on, or the listener resting
+                wake = min(next(iter(deadlines.values()), math.inf), self._accept_resume)
+                timeout = None if wake == math.inf else max(0.0, wake - time.monotonic())
                 for key, _ in self._selector.select(timeout):
                     if isinstance(key.data, _Connection):
                         self._on_event(key.data)
                     else:
                         key.data()
-                if deadlines:
+                if timeout is not None:
                     self._expire()
         finally:
             self._close_all()
 
     def _close_all(self) -> None:
+        self._listener.close()  # registered or resting
         for key in list(self._selector.get_map().values()):
             key.fileobj.close()
         self._selector.close()
@@ -321,6 +331,9 @@ class NetServer:
         self._closed.set()
 
     def _expire(self) -> None:
+        if self._accept_resume <= time.monotonic():
+            self._accept_resume = math.inf
+            self._selector.register(self._listener, selectors.EVENT_READ, self._accept)
         while self._deadlines:
             conn, deadline = next(iter(self._deadlines.items()))
             if deadline > time.monotonic():
@@ -340,8 +353,13 @@ class NetServer:
             sock, _ = self._listener.accept()
         except BlockingIOError:
             return
-        except OSError:
-            log.exception("accept failed")
+        except OSError as exc:
+            if exc.errno not in _ACCEPT_EXHAUSTED:
+                log.exception("accept failed")
+                return
+            log.error("accept failed (%s); not accepting for %.1f s", exc, ACCEPT_RETRY_S)
+            self._selector.unregister(self._listener)
+            self._accept_resume = time.monotonic() + ACCEPT_RETRY_S
             return
         sock.setblocking(False)
         conn = _Connection(sock)
@@ -416,7 +434,7 @@ class NetServer:
     def _dispatch(self, session: Session, ftype: int, payload: bytes) -> bytes:
         """The reply frame to one request frame of an established session."""
         try:
-            plain = unwrap_transport(session.aead, TransportEnvelope.from_bytes(payload))
+            plain = unwrap_transport(session.aead, payload)
         except CryptoError:
             return self._reply_error(session, 0, E_MALFORMED, "cannot decrypt request")
         if not plain:
@@ -487,7 +505,7 @@ class NetServer:
                  T_SEARCH_BF: (_handle_search_bf, _ANY_ROLE), T_REMOVE: (_handle_remove, _OWNER_ONLY)}
 
     def _reply(self, session: Session, ftype: int, corr: int, body: bytes) -> bytes:
-        return _frame(ftype, wrap_transport(session.aead, bytes([corr]) + body).to_bytes())
+        return _frame(ftype, wrap_transport(session.aead, bytes([corr]) + body))
 
     def _reply_error(self, session: Session, corr: int, code: int, message: str) -> bytes:
         return self._reply(session, T_ERROR, corr, struct.pack(">H", code) + message.encode("utf-8"))
@@ -531,10 +549,9 @@ class NetClient:
     def _round_trip(self, ftype: int, body: bytes, expect: int) -> Reader:
         """Send one request; return a reader over the reply's body."""
         self._corr = (self._corr + 1) % 256
-        env = wrap_transport(self._session.aead, bytes([self._corr]) + body, self._rng)
-        send_frame(self._sock, ftype, env.to_bytes())
+        send_frame(self._sock, ftype, wrap_transport(self._session.aead, bytes([self._corr]) + body, self._rng))
         rtype, payload = recv_frame(self._sock)
-        rd = Reader(unwrap_transport(self._session.aead, TransportEnvelope.from_bytes(payload)), WireError)
+        rd = Reader(unwrap_transport(self._session.aead, payload), WireError)
         if rd.u8() != self._corr:
             raise WireError("response correlation mismatch")
         if rtype == T_ERROR:

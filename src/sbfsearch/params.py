@@ -16,7 +16,7 @@ Every other module consumes a SystemParams value. The parameters are:
                 refuses a sealed record longer than tau/8 + 60 bytes
 
 m is derived with ceil; configurations tuned against a specific filter
-length can force it with an explicit override.
+length can force it with the params file's m_override key.
 """
 
 from __future__ import annotations
@@ -114,13 +114,12 @@ def expected_distinct_positions(m: int, r: int, inserted: int) -> float:
     return m - m * math.exp(-r * inserted / m)
 
 
-def load_params_file(path: str | Path, **overrides: int | None) -> SystemParams:
-    """Load parameters from a key=value text file.
+def load_params_file(path: str | Path) -> SystemParams:
+    """Load the public parameters, which every party must share, from a
+    key=value text file.
 
     Recognised keys: l, r, gamma, q, beta, tau_kbits, s_bits, n_bits,
-    m_override. Lines starting with '#' are comments. Keyword overrides
-    (e.g. from CLI flags) take precedence over file values; pass None to
-    keep the file value.
+    m_override. Lines starting with '#' are comments.
     """
     values: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -137,11 +136,6 @@ def load_params_file(path: str | Path, **overrides: int | None) -> SystemParams:
             values[key] = int(val.strip())
         except ValueError:
             raise ParamsError(f"{path}:{lineno}: {key} must be an integer") from None
-    for key, val in overrides.items():
-        if key not in CONFIG_KEYS:
-            raise ParamsError(f"unknown parameter override {key!r}")
-        if val is not None:
-            values[key] = val
     missing = [k for k in ("l", "r", "gamma", "q", "beta", "tau_kbits") if k not in values]
     if missing:
         raise ParamsError(f"missing required parameter(s): {', '.join(missing)}")

@@ -16,13 +16,13 @@ same values as drawing each part, and each redraw pass, on its own. The
 generator may be left past the layout; nothing draws from it after.
 
 The overflow experiment models position load directly with uniform
-random positions rather than running the PRF chain per trial; a
-cross-check mode pushes a small fixture through the real stack and
-compares occupancy distributions. That model assumes users whose
-keywords are disjoint. Every user holding keyword w at sub-location g
-fills the same r buffers, so where users share a keyword at a
-sub-location the store's load is uneven and the model understates its
-overflow probability.
+random positions rather than running the PRF chain per trial. The
+tests check that model against occupancies from a small fixture pushed
+through the real stack (`overflow_cross_check` in `tests/oracles.py`).
+That model assumes users whose keywords are disjoint. Every user
+holding keyword w at sub-location g fills the same r buffers, so where
+users share a keyword at a sub-location the store's load is uneven and
+the model understates its overflow probability.
 """
 
 from __future__ import annotations
@@ -155,15 +155,6 @@ def _draw_with_layout(
     return drawn[:lead], _fill_layout(rng, drawn[lead:].reshape(-1, r), rows, m)
 
 
-def draw_keyword_layout(rng: np.random.Generator, rows: int, r: int, m: int) -> np.ndarray:
-    """rows x r positions, distinct within each row (a keyword occupies r
-    distinct positions), for callers that pin one layout across trials.
-    Draws the rows and their spares in one call, so `rng` may be left
-    past the layout's last row."""
-    _check_lanes(r, m)
-    return _draw_with_layout(rng, 0, rows, r, m)[1]
-
-
 # --- blinding overlap ---------------------------------------------------------
 
 def overlap_estimate(
@@ -200,19 +191,6 @@ def overlap_estimate(
         hits += int(kernels.cover_hits(oe, layouts, m).sum())
     p = hits / trials
     return p, _binomial_stderr(p, trials)
-
-
-def overlap_probability_mc(
-    params: SystemParams, oe_count: int, keyword_layout: np.ndarray, trials: int, seed: int = 0
-) -> tuple[float, float]:
-    """Monte Carlo estimate (with standard error) of blinding elements
-    covering some keyword of a fixed layout; the independent oracle for
-    the closed-form bound."""
-    rows, r = keyword_layout.shape
-    if r != params.r:
-        raise SimError("layout row width must equal the lane count")
-    return overlap_estimate(params.m, rows, params.r, oe_count, trials, seed,
-                            fixed_layout=np.asarray(keyword_layout, dtype=np.int64))
 
 
 def run_overlap_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
@@ -277,55 +255,6 @@ def run_overflow_experiment(cfg: ExperimentConfig, t: int | None = None) -> list
     else:
         raise SimError(f"overflow experiment cannot sweep {cfg.sweep_name!r}")
     return rows
-
-
-def real_stack_occupancies(
-    params: SystemParams, t: int, trials: int, seed: int
-) -> np.ndarray:
-    """Buffer occupancies produced by genuine uploads: fresh secrets per
-    trial, every user holding q distinct private keywords. Used to
-    validate the uniform position model against the PRF chain."""
-    all_occ = []
-    for trial in range(trials):
-        rng = Random((seed << 32) ^ trial)
-        vocab = [random_token(rng, params.n_bits) for _ in range(params.l)]
-        ms = generate_master_secrets(params, vocab, rng)
-        zone = random_token(rng, params.n_bits)
-        store = StorageBloomFilter(params, zone)
-        slots = list(range(params.l))
-        rng.shuffle(slots)
-        per_user = [slots[i * params.q : (i + 1) * params.q] for i in range(t)]
-        for keywords in per_user:
-            kr = register_user(ms, [vocab[i] for i in keywords], zone, params)
-            idx = build_user_index(kr, random_token(rng, params.n_bits), params, rng)
-            mi = MetaInfo(random_token(rng, params.n_bits), (), random_token(rng, params.n_bits),
-                          random_token(rng, params.n_bits), ())
-            store.ingest(make_upload_packet(idx, mi, ms.agent_public, zone, params, rng))
-        all_occ.append([len(buf) for buf in store.buffers])
-    return np.asarray(all_occ, dtype=np.int64)
-
-
-def model_occupancies(params: SystemParams, t: int, trials: int, seed: int) -> np.ndarray:
-    occ = np.empty((trials, params.m), dtype=np.int64)
-    for start, positions in _uniform_blocks(params.m, t * params.q * params.r, trials, seed):
-        for j, row in enumerate(positions):
-            occ[start + j] = np.bincount(row, minlength=params.m)
-    return occ
-
-
-def overflow_cross_check(params: SystemParams, t: int, trials: int, seed: int) -> tuple[float, float]:
-    """(KS statistic, p-value) comparing occupancy distributions from the
-    real stack and the uniform position model. The fixture gives every
-    user distinct keywords so position sharing cannot occur; with that
-    removed the hashed load must be statistically uniform. The check says
-    nothing of populations that share a keyword at a sub-location: there
-    the real load exceeds the uniform model's, and the overflow estimate
-    is too low."""
-    if t * params.q > params.l:
-        raise SimError("cross-check fixture needs t*q <= l so keywords are disjoint")
-    real = real_stack_occupancies(params, t, trials, seed).ravel()
-    model = model_occupancies(params, t, trials, seed + 1).ravel()
-    return ks_two_sample(real, model)
 
 
 # --- end-to-end accuracy --------------------------------------------------------
@@ -400,24 +329,6 @@ def run_accuracy_experiment(params: SystemParams, t: int, seed: int) -> Accuracy
         false_positives_blinding=fp_blind, false_positives_hash=fp_hash,
         per_user_keywords=[len(v[0]) for v in truth.values()],
     )
-
-
-# --- statistics helpers ---------------------------------------------------------
-
-def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value.
-    Heavy ties make the p-value conservative, which is the safe direction
-    for an indistinguishability assertion."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    pooled = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, pooled, side="right") / len(a)
-    cdf_b = np.searchsorted(b, pooled, side="right") / len(b)
-    d = float(np.abs(cdf_a - cdf_b).max())
-    en = math.sqrt(len(a) * len(b) / (len(a) + len(b)))
-    arg = (en + 0.12 + 0.11 / en) * d
-    p = 2 * sum((-1) ** (j - 1) * math.exp(-2 * (j * arg) ** 2) for j in range(1, 101))
-    return d, float(min(max(p, 0.0), 1.0))
 
 
 # --- CSV output ------------------------------------------------------------------

@@ -1,10 +1,11 @@
+import errno
 import hashlib
 from random import Random
 
 import pytest
 from hypothesis import settings
 
-from sbfsearch import crypto, index
+from sbfsearch import crypto, files, index
 from sbfsearch.params import derive_params
 
 # every property test runs fixed cases with no example database: the same
@@ -28,6 +29,31 @@ def resealed(snapshot: bytes) -> bytes:
     """An SBFSTOR2 snapshot edited by a test, with its SHA-256 trailer
     recomputed, so load gets past the checksum to the check under test."""
     return snapshot[:-32] + hashlib.sha256(snapshot[:-32]).digest()
+
+
+class DiskFullHalfway:
+    """A file whose write stores half the bytes, then fails as a full
+    disk does."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        self.f.flush()
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+
+def fill_disk_halfway(monkeypatch):
+    """Make every file that `files.write_atomically` opens a DiskFullHalfway."""
+    real_open = open
+    monkeypatch.setattr(files, "open", lambda *a, **k: DiskFullHalfway(real_open(*a, **k)), raising=False)
 
 
 @pytest.fixture

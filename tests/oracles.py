@@ -1,8 +1,8 @@
 """Brute-force and reference implementations, kept as test oracles.
 
 None of these run in the system: the closed forms in `analysis`, the
-single-draw layout in `sim` and the acceptance checks are measured
-against them.
+single-draw layout and the uniform overflow model in `sim`, and the
+acceptance checks are measured against them.
 
 - enumerate_overlap / enumerate_keyword_cover: exhaustive placement of
   one occupied-subset against a fixed one (small m only);
@@ -12,6 +12,10 @@ against them.
   position pass after pass, one `rng.integers` call per pass. The
   single-draw layout must produce the same array from the same
   generator.
+- real_stack_occupancies / model_occupancies / overflow_cross_check:
+  buffer occupancies from genuine uploads through the PRF chain and the
+  store, and from `sim`'s uniform position model (drawn as `sim` draws
+  it), compared by ks_two_sample, a two-sample Kolmogorov-Smirnov test.
 """
 
 from __future__ import annotations
@@ -19,8 +23,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import numpy as np
+
+from sbfsearch import sim
+from sbfsearch.crypto import MetaInfo, random_token
+from sbfsearch.index import build_user_index, generate_master_secrets, make_upload_packet, register_user
+from sbfsearch.params import SystemParams
+from sbfsearch.store import StorageBloomFilter
 
 
 def _check_overlap_args(m: int, occupied: int, r: int) -> None:
@@ -88,3 +99,68 @@ def draw_keyword_layout_by_passes(rng: np.random.Generator, rows: int, r: int, m
         if not redo.size:
             return layout
         layout[redo] = rng.integers(0, m, size=(redo.size, r), dtype=np.int64)
+
+
+def real_stack_occupancies(
+    params: SystemParams, t: int, trials: int, seed: int
+) -> np.ndarray:
+    """Buffer occupancies produced by genuine uploads: fresh secrets per
+    trial, every user holding q distinct private keywords. Used to
+    validate the uniform position model against the PRF chain."""
+    all_occ = []
+    for trial in range(trials):
+        rng = Random((seed << 32) ^ trial)
+        vocab = [random_token(rng, params.n_bits) for _ in range(params.l)]
+        ms = generate_master_secrets(params, vocab, rng)
+        zone = random_token(rng, params.n_bits)
+        store = StorageBloomFilter(params, zone)
+        slots = list(range(params.l))
+        rng.shuffle(slots)
+        per_user = [slots[i * params.q : (i + 1) * params.q] for i in range(t)]
+        for keywords in per_user:
+            kr = register_user(ms, [vocab[i] for i in keywords], zone, params)
+            idx = build_user_index(kr, random_token(rng, params.n_bits), params, rng)
+            mi = MetaInfo(random_token(rng, params.n_bits), (), random_token(rng, params.n_bits),
+                          random_token(rng, params.n_bits), ())
+            store.ingest(make_upload_packet(idx, mi, ms.agent_public, zone, params, rng))
+        all_occ.append([len(buf) for buf in store.buffers])
+    return np.asarray(all_occ, dtype=np.int64)
+
+
+def model_occupancies(params: SystemParams, t: int, trials: int, seed: int) -> np.ndarray:
+    occ = np.empty((trials, params.m), dtype=np.int64)
+    for start, positions in sim._uniform_blocks(params.m, t * params.q * params.r, trials, seed):
+        for j, row in enumerate(positions):
+            occ[start + j] = np.bincount(row, minlength=params.m)
+    return occ
+
+
+def overflow_cross_check(params: SystemParams, t: int, trials: int, seed: int) -> tuple[float, float]:
+    """(KS statistic, p-value) comparing occupancy distributions from the
+    real stack and the uniform position model. The fixture gives every
+    user distinct keywords so position sharing cannot occur; with that
+    removed the hashed load must be statistically uniform. The check says
+    nothing of populations that share a keyword at a sub-location: there
+    the real load exceeds the uniform model's, and the overflow estimate
+    is too low."""
+    if t * params.q > params.l:
+        raise sim.SimError("cross-check fixture needs t*q <= l so keywords are disjoint")
+    real = real_stack_occupancies(params, t, trials, seed).ravel()
+    model = model_occupancies(params, t, trials, seed + 1).ravel()
+    return ks_two_sample(real, model)
+
+
+def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value.
+    Heavy ties make the p-value conservative, which is the safe direction
+    for an indistinguishability assertion."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / len(a)
+    cdf_b = np.searchsorted(b, pooled, side="right") / len(b)
+    d = float(np.abs(cdf_a - cdf_b).max())
+    en = math.sqrt(len(a) * len(b) / (len(a) + len(b)))
+    arg = (en + 0.12 + 0.11 / en) * d
+    p = 2 * sum((-1) ** (j - 1) * math.exp(-2 * (j * arg) ** 2) for j in range(1, 101))
+    return d, float(min(max(p, 0.0), 1.0))

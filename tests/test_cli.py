@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import re
@@ -12,8 +13,8 @@ import pytest
 
 import sbfsearch
 from sbfsearch import files
-from sbfsearch.cli import main
-from sbfsearch.params import load_params_file
+from sbfsearch.cli import build_parser, main
+from sbfsearch.params import CONFIG_KEYS, load_params_file
 from sbfsearch.store import StorageBloomFilter
 
 import dense_index
@@ -197,13 +198,13 @@ def test_simulate_overlap_refuses_more_lanes_than_positions(workdir):
     """m_override below r leaves no row r distinct positions to hold:
     the command must fail at once, not redraw for ever."""
     cfg = workdir / "fig.cfg"
-    cfg.write_text("l=50\nr=6\ngamma=1\nq=20\nbeta=10\ntau_kbits=5\n")
+    cfg.write_text("l=50\nr=6\ngamma=1\nq=20\nbeta=10\ntau_kbits=5\nm_override=4\n")
     src = str(Path(sbfsearch.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "sbfsearch", "simulate-overlap", "--params", str(cfg),
-         "--m-override", "4", "--oe", "3", "--trials", "10"],
+         "--oe", "3", "--trials", "10"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 1
@@ -243,6 +244,17 @@ def test_usage_errors(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
     assert main(["register"]) == 2  # missing required flags
+
+
+def test_parameters_come_only_from_the_params_file(workdir, capsys):
+    """Every party derives m and every position from one shared file, so
+    no subcommand takes a flag that changes a parameter for one run."""
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {f"--{key.replace('_', '-')}" for key in CONFIG_KEYS}
+    for name, sub in subcommands.items():
+        assert not flags & {opt for action in sub._actions for opt in action.option_strings}, name
+    code, out, err = _run(["analyze", "--params", workdir / "sys.cfg", "--gamma", "10"], capsys)
+    assert code == 2 and out == "" and "--gamma" in err
 
 
 class TestServeLoopback:

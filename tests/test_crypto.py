@@ -10,11 +10,10 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbfsearch import crypto, index
+from sbfsearch import crypto, files, index
 from sbfsearch.crypto import (
     CryptoError,
     MetaInfo,
-    TransportEnvelope,
     compress_positions,
     decompress_positions,
     generate_agent_keypair,
@@ -344,7 +343,7 @@ class TestSealing:
         mi = _mi()
         rec = seal_record(pub, mi, 4096)
         overhead = crypto.SEAL_OVERHEAD_BYTES + crypto.HANDLE_BYTES
-        assert rec.size_bits == (len(mi.to_bytes()) + overhead) * 8
+        assert 8 * (16 + len(rec.ciphertext)) == (len(mi.to_bytes()) + overhead) * 8
 
 
 class TestRecordKeyMemo:
@@ -442,18 +441,26 @@ class TestTransport:
     def test_tamper_rejected(self):
         aead = AESGCM(bytes(16))
         env = wrap_transport(aead, b"payload")
-        flipped = bytes([env.ciphertext[0] ^ 1]) + env.ciphertext[1:]
-        with pytest.raises(CryptoError):
-            unwrap_transport(aead, TransportEnvelope(env.nonce, flipped))
+        for at in (0, 12, len(env) - 1):  # nonce, ciphertext, tag
+            flipped = env[:at] + bytes([env[at] ^ 1]) + env[at + 1 :]
+            with pytest.raises(CryptoError):
+                unwrap_transport(aead, flipped)
 
     def test_envelope_bytes_round_trip(self):
-        env = wrap_transport(AESGCM(bytes(16)), b"data")
-        again = TransportEnvelope.from_bytes(env.to_bytes())
-        assert again == env
+        # an envelope is nonce(12) || ciphertext with its 16-byte tag
+        aead = AESGCM(bytes(16))
+        env = wrap_transport(aead, b"data", Random(2))
+        nonce = Random(2).getrandbits(96).to_bytes(12, "big")
+        assert env == nonce + aead.encrypt(nonce, b"data", None)
+        assert len(env) == 12 + 4 + 16
+        assert unwrap_transport(aead, env) == b"data"
+        for short in (b"", env[:27]):
+            with pytest.raises(CryptoError, match="too short"):
+                unwrap_transport(aead, short)
 
     def test_nonce_uniqueness(self):
         aead = AESGCM(bytes(16))
-        nonces = {wrap_transport(aead, b"x").nonce for _ in range(10_000)}
+        nonces = {wrap_transport(aead, b"x")[:12] for _ in range(10_000)}
         assert len(nonces) == 10_000
 
 
@@ -559,5 +566,6 @@ class TestSparseCodecProperties:
 
 def test_key_file_round_trip(tmp_path):
     path = tmp_path / "agent.key"
-    crypto.write_key_file(path, b"\x01\x02\xff")
-    assert crypto.read_key_file(path) == b"\x01\x02\xff"
+    files.write_key_file(path, b"\x01\x02\xff")
+    assert path.read_text() == "0102ff\n"
+    assert files.read_key_file(path) == b"\x01\x02\xff"

@@ -13,12 +13,12 @@ from sbfsearch import files
 from sbfsearch.crypto import CryptoError, MetaInfo, SealedRecord, compress_positions
 from sbfsearch.filters import CountingFilter
 from sbfsearch.index import (MasterSecrets, SchemeError, UploadPacket, UserIndex, UserKeyring, build_removal_request,
-                             make_upload_packet)
+                             generate_master_secrets, make_upload_packet)
 from sbfsearch.params import derive_params
 from sbfsearch.store import StorageBloomFilter, StoreError
 
 import dense_index
-from conftest import SystemFixture
+from conftest import SystemFixture, fill_disk_halfway
 
 format_settings = settings(max_examples=15)
 SNAPSHOT_PARAMS = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64)
@@ -224,8 +224,31 @@ class TestIndexVersions:
 
 
 class TestAtomicWrites:
-    """An index file or a snapshot whose write fails at the rename leaves
-    the old file byte-identical and no temporary file behind."""
+    """A file whose write fails, at the rename or halfway through on a
+    full disk, is left byte-identical, with no temporary file behind."""
+
+    @pytest.mark.parametrize("kind", ["master secrets", "keyring", "key file", "index"])
+    def test_failed_write_keeps_the_old_file(self, system, tmp_path, monkeypatch, kind):
+        path = tmp_path / kind.replace(" ", "_")
+        old_kr, old_idx = system.user([0, 1, 2], seed=6)
+        new_kr, new_idx = system.user([3, 4], seed=7)
+        save, old, new = {
+            "master secrets": (files.save_master_secrets, system.secrets,
+                               generate_master_secrets(system.params, system.vocab, Random(8))),
+            "keyring": (files.save_keyring, old_kr, new_kr),
+            "key file": (lambda key, p: files.write_key_file(p, key), b"\x01" * 16, b"\x02" * 16),
+            "index": (lambda idx, p: files.save_index(idx, p, system.params), old_idx, new_idx),
+        }[kind]
+        save(old, path)
+        before = path.read_bytes()
+        fill_disk_halfway(monkeypatch)
+        with pytest.raises(OSError, match="no space"):
+            save(new, path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == [path.name]
+        monkeypatch.undo()
+        save(new, path)
+        assert path.read_bytes() != before
 
     @pytest.mark.parametrize("kind", ["index", "snapshot"])
     def test_failed_rename_keeps_the_old_file(self, system, tmp_path, monkeypatch, kind):

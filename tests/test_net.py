@@ -1,19 +1,24 @@
 import gc
+import json
+import os
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
 
+import sbfsearch
 from sbfsearch import net
 from sbfsearch.analysis import result_size_bits, upload_size_bits
-from sbfsearch.crypto import (SEAL_OVERHEAD_BYTES, SealedRecord, TransportEnvelope, open_record, token_from_text,
-                              unwrap_transport, wrap_transport)
+from sbfsearch.crypto import (SEAL_OVERHEAD_BYTES, SealedRecord, open_record, token_from_text, unwrap_transport,
+                              wrap_transport)
 from sbfsearch.filters import BitFilter
 from sbfsearch.index import (
     RemovalRequest,
@@ -231,8 +236,7 @@ class TestOperations:
     def test_unknown_message_type_gets_error(self, system, server):
         host, port = server.address
         with net.NetClient(host, port) as c:
-            env = wrap_transport(c._session.aead, bytes([7]) + b"payload")
-            net.send_frame(c._sock, 0x7F, env.to_bytes())
+            net.send_frame(c._sock, 0x7F, wrap_transport(c._session.aead, bytes([7]) + b"payload"))
             rtype, payload = net.recv_frame(c._sock)
             assert rtype == net.T_ERROR
 
@@ -256,13 +260,11 @@ class TestWireSizes:
         with net.NetClient(host, port, net.ROLE_AGENT) as c:
             c._corr += 1
             body = system.zone + struct.pack(">H", len(ps)) + struct.pack(f">{len(ps)}I", *ps)
-            env = wrap_transport(c._session.aead, bytes([c._corr]) + body)
-            net.send_frame(c._sock, net.T_SEARCH_LOC, env.to_bytes())
+            net.send_frame(c._sock, net.T_SEARCH_LOC, wrap_transport(c._session.aead, bytes([c._corr]) + body))
             rtype, payload = net.recv_frame(c._sock)
-            from sbfsearch.crypto import TransportEnvelope, unwrap_transport
-            plain = unwrap_transport(c._session.aead, TransportEnvelope.from_bytes(payload))
+            plain = unwrap_transport(c._session.aead, payload)
         measured_bits = (len(plain) - 1) * 8  # drop the correlation byte
-        sealed_bits = packet.sealed.size_bits - 8 * 16 + 8 * 16  # handle included on the wire
+        sealed_bits = 8 * (16 + len(packet.sealed.ciphertext))  # handle included on the wire
         assert measured_bits == result_size_bits(1, sealed_bits)
 
 
@@ -455,7 +457,7 @@ class TestRobustness:
         greedy.connect((host, port))
         with greedy, _client(server, net.ROLE_AGENT) as c:
             aead = net.client_handshake(greedy, net.ROLE_AGENT).aead
-            envelopes = [wrap_transport(aead, body).to_bytes() for _ in range(3000)]
+            envelopes = [wrap_transport(aead, body) for _ in range(3000)]
             frames = b"".join(net.MAGIC + struct.pack(">BI", net.T_SEARCH_LOC, len(e)) + e for e in envelopes)
             greedy.settimeout(5)
 
@@ -472,6 +474,65 @@ class TestRobustness:
                 assert packet.sealed.handle in {r.handle for r in c.search_location(system.zone, ps)}
             sender.join(timeout=10)
             assert not sender.is_alive()
+
+    def test_accept_rests_when_descriptors_run_out(self):
+        """A process at its descriptor limit with a connection pending
+        cannot accept it, and the listener stays readable. The server rests
+        the listener instead of spinning on it, and serves again once
+        descriptors are free. The limit is lowered in a child process, to
+        about 12 descriptors above the highest one it holds."""
+        script = r"""
+import json, logging, os, resource, socket, time
+from sbfsearch import net
+from sbfsearch.params import derive_params
+from sbfsearch.store import StorageBloomFilter
+
+failures = []
+
+class Failures(logging.Handler):
+    def emit(self, record):
+        failures.append(record)
+
+log = logging.getLogger("sbfsearch.net")
+log.addHandler(Failures())
+log.propagate = False
+
+params = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64)
+zone = bytes(8)
+server = net.NetServer({zone: StorageBloomFilter(params, zone)})
+server.start()
+_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (max(map(int, os.listdir("/dev/fd"))) + 12, hard))
+held = []
+try:
+    while True:
+        held.append(socket.socket())
+except OSError:
+    pass
+held.pop().close()
+pending = socket.create_connection(server.address)  # the last descriptor: the server has none
+time.sleep(0.2)
+cpu = time.process_time()
+time.sleep(1.0)
+cpu = time.process_time() - cpu
+for sock in held:
+    sock.close()
+with net.NetClient(*server.address, net.ROLE_AGENT) as client:
+    served = client.search_location(zone, [])
+pending.close()
+server.shutdown()
+print(json.dumps({"held": len(held) + 1, "cpu_per_idle_s": cpu, "failures": len(failures),
+                  "served": served == []}))
+"""
+        src = str(Path(sbfsearch.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["held"] <= 16 and got["served"]
+        assert got["failures"] >= 1  # accept did fail for want of a descriptor
+        assert got["cpu_per_idle_s"] < 0.1
 
     def test_shutdown_closes_every_connection(self, system, server):
         """shutdown() returns once the loop has closed the listener and
@@ -523,8 +584,8 @@ def scripted_peer():
                 aead = net.server_handshake(conn).aead
                 for rtype, body in replies:
                     _, payload = net.recv_frame(conn)
-                    corr = unwrap_transport(aead, TransportEnvelope.from_bytes(payload))[:1]
-                    net.send_frame(conn, rtype, wrap_transport(aead, corr + body).to_bytes())
+                    corr = unwrap_transport(aead, payload)[:1]
+                    net.send_frame(conn, rtype, wrap_transport(aead, corr + body))
 
         threads.append(threading.Thread(target=serve, daemon=True))
         threads[-1].start()

@@ -61,10 +61,11 @@ def test_s_bits_cap_in_params_file_and_snapshot(tmp_path):
     cfg.write_text("l=5\nr=3\ngamma=2\nq=3\nbeta=4\ntau_kbits=2\ns_bits=520\n")
     with pytest.raises(ParamsError, match="512"):
         load_params_file(cfg)
-    assert load_params_file(cfg, s_bits=512).s_bits == 512
+    cfg.write_text("l=5\nr=3\ngamma=2\nq=3\nbeta=4\ntau_kbits=2\ns_bits=512\n")
+    assert load_params_file(cfg).s_bits == 512
     # a snapshot whose header names s_bits=520 is refused as a store error
     snap = tmp_path / "zone.sbf"
-    StorageBloomFilter(load_params_file(cfg, s_bits=512), b"zone").save(snap)
+    StorageBloomFilter(load_params_file(cfg), b"zone").save(snap)
     data = bytearray(snap.read_bytes())
     s_bits_at = 8 + 5 * 4  # magic, then l, r, gamma, q, m before s_bits
     assert int.from_bytes(data[s_bits_at : s_bits_at + 4], "big") == 512
@@ -129,9 +130,6 @@ def test_load_params_file(tmp_path):
     )
     p = load_params_file(cfg)
     assert p.m == 1443 and p.tau_bits == 5120
-    # overrides win over the file
-    p2 = load_params_file(cfg, gamma=20, beta=None)
-    assert p2.m == 28854 and p2.beta == 35
 
 
 def test_load_params_file_errors(tmp_path):

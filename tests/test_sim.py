@@ -11,15 +11,20 @@ from sbfsearch.params import derive_params
 from sbfsearch.sim import (
     ExperimentConfig,
     SimError,
-    ks_two_sample,
-    overlap_probability_mc,
     rows_to_csv,
     run_accuracy_experiment,
     run_overflow_experiment,
     run_overlap_experiment,
 )
 
-from oracles import draw_keyword_layout_by_passes, spearman_rho
+from oracles import draw_keyword_layout_by_passes, ks_two_sample, overflow_cross_check, spearman_rho
+
+
+def draw_keyword_layout(rng: np.random.Generator, rows: int, r: int, m: int) -> np.ndarray:
+    """rows x r positions, distinct within each row, as an overlap block
+    draws its layout: one draw that may leave `rng` past the last row."""
+    sim._check_lanes(r, m)
+    return sim._draw_with_layout(rng, 0, rows, r, m)[1]
 
 
 @pytest.fixture(scope="module")
@@ -67,23 +72,23 @@ class TestOverlapExperiment:
 
     def test_fixed_layout_oracle(self, small_sweep_params):
         rng = np.random.default_rng(4)
-        layout = sim.draw_keyword_layout(rng, small_sweep_params.l, small_sweep_params.r, 432)
-        est, se = overlap_probability_mc(small_sweep_params, 20, layout, 4000, seed=7)
+        layout = draw_keyword_layout(rng, small_sweep_params.l, small_sweep_params.r, 432)
+        est, se = sim.overlap_estimate(432, 50, 6, 20, 4000, seed=7, fixed_layout=layout)
         assert 0.0 <= est <= 1.0 and se > 0
-        zero, zero_se = overlap_probability_mc(small_sweep_params, 0, layout, 100, seed=8)
+        zero, zero_se = sim.overlap_estimate(432, 50, 6, 0, 100, seed=8, fixed_layout=layout)
         assert zero == 0.0 and zero_se == 0.0
 
-    def test_stderr_follows_inverse_root_law(self, small_sweep_params):
+    def test_stderr_follows_inverse_root_law(self):
         # quadrupling the trial count halves the standard error
         rng = np.random.default_rng(9)
-        layout = sim.draw_keyword_layout(rng, 50, 6, 432)
-        _, se_small = overlap_probability_mc(small_sweep_params, 20, layout, 4000, seed=10)
-        _, se_large = overlap_probability_mc(small_sweep_params, 20, layout, 16000, seed=10)
+        layout = draw_keyword_layout(rng, 50, 6, 432)
+        _, se_small = sim.overlap_estimate(432, 50, 6, 20, 4000, seed=10, fixed_layout=layout)
+        _, se_large = sim.overlap_estimate(432, 50, 6, 20, 16000, seed=10, fixed_layout=layout)
         assert se_large / se_small == pytest.approx(0.5, rel=0.2)
 
     def test_layout_rows_have_distinct_positions(self):
         rng = np.random.default_rng(11)
-        layout = sim.draw_keyword_layout(rng, 200, 6, 64)
+        layout = draw_keyword_layout(rng, 200, 6, 64)
         for row in layout:
             assert len(set(row.tolist())) == 6
 
@@ -102,15 +107,15 @@ class TestGoldenDraws:
         est, _ = sim.overlap_estimate(97, 8, 4, 10, 2 * sim.CHUNK_TRIALS, seed=24)
         assert est == 374 / (2 * sim.CHUNK_TRIALS)
 
-    def test_fixed_layout(self, small_sweep_params):
-        layout = sim.draw_keyword_layout(np.random.default_rng(4), 50, 6, 432)
+    def test_fixed_layout(self):
+        layout = draw_keyword_layout(np.random.default_rng(4), 50, 6, 432)
         digest = hashlib.sha256(layout.tobytes()).hexdigest()
         assert digest == "42a0b8dd93168d1f475c6245fe991f570826126d1507b9a9a37becc20c94b9bc"
-        assert overlap_probability_mc(small_sweep_params, 20, layout, 4000, seed=7)[0] == 25 / 4000
+        assert sim.overlap_estimate(432, 50, 6, 20, 4000, seed=7, fixed_layout=layout)[0] == 25 / 4000
 
     def test_tight_layout_tops_up_its_spare_rows(self):
         # at m=8, r=6 most rows repeat a position, so the spare rows run out
-        layout = sim.draw_keyword_layout(np.random.default_rng(31), 300, 6, 8)
+        layout = draw_keyword_layout(np.random.default_rng(31), 300, 6, 8)
         digest = hashlib.sha256(layout.tobytes()).hexdigest()
         assert digest == "c08219409907037c72fd9bd49d9371cd88e0dd26cd1f8ba15bf7c77c17f2c8ae"
 
@@ -132,7 +137,7 @@ class TestLayoutDraw:
         # distinct would only slow the oracle down
         m = r + extra
         assume(math.prod((m - i) / m for i in range(r)) >= 0.01)
-        got = sim.draw_keyword_layout(np.random.default_rng(seed), rows, r, m)
+        got = draw_keyword_layout(np.random.default_rng(seed), rows, r, m)
         want = draw_keyword_layout_by_passes(np.random.default_rng(seed), rows, r, m)
         assert np.array_equal(got, want)
 
@@ -142,7 +147,7 @@ class TestArgumentChecks:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(SimError):
-            sim.draw_keyword_layout(rng, 5, 6, 4)
+            draw_keyword_layout(rng, 5, 6, 4)
         assert rng.bit_generator.state == state
         monkeypatch.setattr(sim, "_block_rng", None)  # any draw fails with TypeError
         for oe in (0, 3):
@@ -158,13 +163,13 @@ class TestArgumentChecks:
         with pytest.raises(SimError):
             sim.max_occupancies(97, -1, 3, 4, 10, seed=0)
 
-    def test_fixed_layout_positions_in_range(self, small_sweep_params):
-        layout = sim.draw_keyword_layout(np.random.default_rng(4), 50, 6, 432)
+    def test_fixed_layout_positions_in_range(self):
+        layout = draw_keyword_layout(np.random.default_rng(4), 50, 6, 432)
         for bad in (-1, 432):
             wrong = layout.copy()
             wrong[7, 2] = bad
             with pytest.raises(SimError):
-                overlap_probability_mc(small_sweep_params, 20, wrong, 100, seed=7)
+                sim.overlap_estimate(432, 50, 6, 20, 100, seed=7, fixed_layout=wrong)
 
 
 class TestOverflowExperiment:
@@ -206,14 +211,14 @@ class TestOverflowExperiment:
     def test_cross_check_against_real_stack(self):
         params = derive_params(l=200, r=4, gamma_count=1, q=4, beta=50,
                                tau_bits=5120, n_bits=64)
-        stat, p_value = sim.overflow_cross_check(params, t=30, trials=5, seed=14)
+        stat, p_value = overflow_cross_check(params, t=30, trials=5, seed=14)
         assert p_value >= 0.05
 
     def test_cross_check_needs_disjoint_keywords(self):
         params = derive_params(l=10, r=4, gamma_count=1, q=4, beta=50,
                                tau_bits=5120, n_bits=64)
         with pytest.raises(SimError):
-            sim.overflow_cross_check(params, t=30, trials=2, seed=15)
+            overflow_cross_check(params, t=30, trials=2, seed=15)
 
 
 class TestAccuracyExperiment:

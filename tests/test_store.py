@@ -1,5 +1,4 @@
 import dataclasses
-import errno
 import os
 import stat
 import sys
@@ -13,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from sbfsearch import files
 from sbfsearch.crypto import SEAL_OVERHEAD_BYTES, CryptoError, SealedRecord, token_from_text
 from sbfsearch.filters import BitFilter
 from sbfsearch.index import (
@@ -35,7 +33,7 @@ from sbfsearch.store import (
     ZoneMismatch,
 )
 
-from conftest import SystemFixture, resealed
+from conftest import SystemFixture, fill_disk_halfway, resealed
 
 
 @pytest.fixture
@@ -581,27 +579,7 @@ class TestSnapshot:
         packet = packets["d"][2]
         store.remove(RemovalRequest(zone=system.zone, handle=packet.sealed.handle,
                                     rbf_prime=BitFilter.decompress(packet.compressed_bf, system.params.m)))
-
-        class DiskFullHalfway:
-            """A file whose write stores half the bytes, then fails."""
-
-            def __init__(self, f):
-                self.f = f
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.f.close()
-
-            def write(self, data):
-                self.f.write(data[: len(data) // 2])
-                self.f.flush()
-                raise OSError(errno.ENOSPC, "no space left on device")
-
-        real_open = open
-        monkeypatch.setattr(files, "open", lambda *a, **k: DiskFullHalfway(real_open(*a, **k)),
-                            raising=False)
+        fill_disk_halfway(monkeypatch)
         with pytest.raises(OSError):
             store.save(path)
         assert path.read_bytes() == before
