@@ -6,11 +6,11 @@ Primitive choices (sizes matter for the communication accounting):
 - PRF: HMAC over SHA-256/384/512, output truncated to s bits. Keys are
   s/8-byte strings; PRF outputs double as keys for the next derivation
   stage. s is at most 512 bits (`SystemParams` refuses more), so a key
-  never exceeds the hash's block size. `prf` checks the key, counts one
-  evaluation in `prf_calls` and computes the HMAC on every call; it keeps
-  no memo. `index` memoises the two points of its key schedule that
-  repeat, keyword subkeys and (w, g) positions, and counts in `prf_calls`
-  the evaluations each of those calls stands for, hit or miss.
+  never exceeds the hash's block size. `hmac_prf` computes the PRF and
+  `check_prf_key` checks its key. `index`, their caller, memoises the two
+  points of its key schedule that repeat, keyword subkeys and (w, g)
+  positions, and counts in `prf_calls` the evaluations each of those
+  calls stands for, hit or miss.
 - HMAC and HKDF: `hmac_digest` is RFC 2104 and `hkdf_sha256` is RFC 5869
   (SHA-256, zero salt, one expand block), both computed on `hashlib`.
   Their output is byte-identical to `hmac` and to `cryptography`'s HKDF;
@@ -19,11 +19,17 @@ Primitive choices (sizes matter for the communication accounting):
   agreement, HKDF-SHA256, AES-128-GCM over the serialized record.
   Overhead per record: 32-byte ephemeral public key + 12-byte nonce +
   16-byte tag = 60 bytes (480 bits). One asymmetric operation per record
-  sealed. Opening keeps the derived AEAD keys of the last 4096 (agent
-  private key, ephemeral public key) pairs, never plaintext, so an agent
-  re-opening a record it saw recently skips the exchange; the AES-GCM tag
-  is still checked on every open. A process that opens each record once,
-  such as one `sbfsearch search`, gains nothing from it.
+  sealed. Opening keeps the opened records of the last 4096 (agent
+  private key, ciphertext, n) triples, so an agent re-opening a record it
+  saw recently pays one lookup. A hit needs the exact ciphertext bytes an
+  earlier open verified under the same key, and a failed open is never
+  kept. The memo holds plaintext, but nothing its holder could not
+  already read: the key and the ciphertext open the same record, the
+  server stores that ciphertext and every search returns it. Full, it
+  holds 2.9 MB (711 B per entry) when the caller still holds the
+  ciphertexts, 3.9 MB when it holds their only reference (tracemalloc,
+  records with 2-6 attributes at n = 160). A process that opens each
+  record once, such as one `sbfsearch search`, gains nothing from it.
 - Transport wrapping: AES-128-GCM under a per-session channel key, whose
   AEAD object the session builds once. An envelope is the 12-byte random
   nonce, then the ciphertext with its 16-byte tag: 28 bytes (224 bits)
@@ -114,23 +120,16 @@ def _hash_for_width(s_bits: int):
     raise CryptoError(f"no standard HMAC hash covers s_bits={s_bits} (max 512)")
 
 
-def prf(key: bytes, message: bytes, s_bits: int) -> bytes:
-    """Keyed PRF: HMAC truncated to s bits. Deterministic in (key, message).
-    Every call counts once in `prf_calls`."""
-    check_prf_key(key, s_bits)
-    prf_calls.count += 1
-    return hmac_prf(key, message, s_bits)
-
-
 def check_prf_key(key: bytes, s_bits: int) -> None:
     if len(key) != s_bits // 8:
         raise CryptoError(f"PRF key must be {s_bits // 8} bytes, got {len(key)}")
 
 
 def hmac_prf(key: bytes, message: bytes, s_bits: int) -> bytes:
-    """The HMAC behind `prf`, without its key check or its count, for a
-    caller that checks and counts itself. A `bytearray` or `memoryview`
-    key gives the output of the same bytes."""
+    """Keyed PRF: HMAC truncated to s bits, deterministic in (key,
+    message). It neither checks the key nor counts: its caller checks with
+    `check_prf_key` and counts in `prf_calls`. A `bytearray` or
+    `memoryview` key gives the output of the same bytes."""
     return hmac_digest(bytes(key), message, *_hash_for_width(s_bits))[: s_bits // 8]
 
 
@@ -252,28 +251,32 @@ def _agent_key(agent_private: bytes) -> X25519PrivateKey:
     return X25519PrivateKey.from_private_bytes(agent_private)
 
 
-@functools.lru_cache(maxsize=4096)
-def _record_key(agent_private: bytes, eph_pub: bytes) -> bytes:
-    """The AEAD key of a record sealed with ephemeral key `eph_pub`. The
-    exchange is a pure function of the two keys and most of an open's
-    cost, and an agent that searches a zone again gets the same records
-    back, so keep the last 4096 keys (about 1 MB when full)."""
-    shared = _agent_key(agent_private).exchange(X25519PublicKey.from_public_bytes(eph_pub))
-    return _session_key(shared, b"sbfsearch record seal")
+RECORD_MEMO_ENTRIES = 4096
 
 
 def open_record(agent_private: bytes, rec: SealedRecord, n_bits: int) -> MetaInfo:
     """Invert seal_record. Raises CryptoError on wrong key, tamper, or
-    truncation; never returns garbage. The record key comes from
-    `_record_key`, so re-opening one of the last 4096 records seen skips
-    the X25519 exchange; the AES-GCM tag is checked on every open, warm
-    or cold. A process that opens each record once gains nothing."""
-    ct = rec.ciphertext
-    if len(ct) < 32 + 12 + 16:
+    truncation; never returns garbage and never memoises a failure. The
+    last 4096 records opened are kept by (agent private key, ciphertext,
+    n_bits), so re-opening one of them costs one lookup: a hit needs the
+    exact bytes an earlier call verified under the same key, and any
+    changed, cut or appended byte runs the exchange and the tag check
+    again. The kept plaintext is what the key already opens from the
+    ciphertext the server stores and returns; full, the memo holds
+    2.9-3.9 MB. A process that opens each record once gains nothing."""
+    return _opened_record(bytes(agent_private), bytes(rec.ciphertext), n_bits)
+
+
+@functools.lru_cache(maxsize=RECORD_MEMO_ENTRIES)
+def _opened_record(agent_private: bytes, ct: bytes, n_bits: int) -> MetaInfo:
+    """The open itself: X25519, HKDF, the AES-GCM tag check and the parse.
+    An agent that searches a zone again gets the same ciphertexts back,
+    and the record is a pure function of the key and those bytes."""
+    if len(ct) < SEAL_OVERHEAD_BYTES:
         raise CryptoError("sealed record too short")
-    eph_pub, nonce, body = bytes(ct[:32]), ct[32:44], ct[44:]
     try:
-        plain = AESGCM(_record_key(bytes(agent_private), eph_pub)).decrypt(nonce, body, None)
+        shared = _agent_key(agent_private).exchange(X25519PublicKey.from_public_bytes(ct[:32]))
+        plain = AESGCM(_session_key(shared, b"sbfsearch record seal")).decrypt(ct[32:44], ct[44:], None)
     except (InvalidTag, ValueError) as exc:
         raise CryptoError("record decryption failed") from exc
     return MetaInfo.from_bytes(plain, n_bits)

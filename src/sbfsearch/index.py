@@ -57,7 +57,6 @@ from .crypto import (
     check_prf_key,
     generate_agent_keypair,
     hmac_prf,
-    prf,
     prf_calls,
     rand_bytes,
     random_token,
@@ -201,21 +200,12 @@ def _subkeys(secret: bytes, vectors: tuple[bytes, ...], s_bits: int) -> tuple[by
     return tuple(hmac_prf(secret, v, s_bits) for v in vectors)
 
 
-def keyword_trapdoor(kr: UserKeyring, w: bytes, params: SystemParams) -> list[bytes]:
-    """z_i = PRF(k_i, w); r PRF calls."""
-    return [prf(k, w, params.s_bits) for k in _registered_subkeys(kr, w)]
-
-
-def derive_location_vector(trapdoor: list[bytes], location: bytes, params: SystemParams) -> list[bytes]:
-    """y_i = PRF(z_i, location); r PRF calls. Users and agents holding
-    the same keyword material derive identical vectors for (w, location)."""
-    return [prf(z, location, params.s_bits) for z in trapdoor]
-
-
 def keyword_positions(kr: UserKeyring, w: bytes, location: bytes, params: SystemParams) -> list[int]:
-    """hash_positions of `derive_location_vector(keyword_trapdoor(...))`,
-    from the position memo when it holds (subkeys, w, location). Counts
-    2r PRF calls, hit or miss."""
+    """hash_positions of the location vector y_i = PRF(z_i, location),
+    where z_i = PRF(k_i, w) is the trapdoor, from the position memo when
+    it holds (subkeys, w, location). Users and agents holding the same
+    keyword material derive identical positions. Counts 2r PRF calls, hit
+    or miss."""
     subkeys = _registered_subkeys(kr, w)
     for k in subkeys:
         check_prf_key(k, params.s_bits)

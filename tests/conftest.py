@@ -17,10 +17,10 @@ settings.load_profile("sbfsearch")
 @pytest.fixture(autouse=True)
 def _cold_key_memos():
     """Seeded records and keyword secrets repeat across tests; start each
-    test with empty key, subkey and position memos so no outcome depends on the order
-    tests run in."""
+    test with empty key, opened-record, subkey and position memos so no
+    outcome depends on the order tests run in."""
     crypto._agent_key.cache_clear()
-    crypto._record_key.cache_clear()
+    crypto._opened_record.cache_clear()
     index._subkeys.cache_clear()
     index._positions.cache_clear()
 

@@ -16,6 +16,12 @@ acceptance checks are measured against them.
   buffer occupancies from genuine uploads through the PRF chain and the
   store, and from `sim`'s uniform position model (drawn as `sim` draws
   it), compared by ks_two_sample, a two-sample Kolmogorov-Smirnov test.
+- prf / keyword_trapdoor / derive_location_vector: the key schedule's
+  uncached chain, one HMAC per evaluation, each counted in
+  `crypto.prf_calls`. `index` memoises the chain's repeating points, and
+  the paper's per-stage PRF budgets are read through these.
+- open_record_uncached: X25519, HKDF, AES-GCM and the parse, with no
+  memo, against which the memoised `crypto.open_record` is checked.
 """
 
 from __future__ import annotations
@@ -27,9 +33,26 @@ from random import Random
 
 import numpy as np
 
-from sbfsearch import sim
-from sbfsearch.crypto import MetaInfo, random_token
-from sbfsearch.index import build_user_index, generate_master_secrets, make_upload_packet, register_user
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+from sbfsearch import index, sim
+from sbfsearch.crypto import (
+    MetaInfo,
+    SealedRecord,
+    check_prf_key,
+    hkdf_sha256,
+    hmac_prf,
+    prf_calls,
+    random_token,
+)
+from sbfsearch.index import (
+    UserKeyring,
+    build_user_index,
+    generate_master_secrets,
+    make_upload_packet,
+    register_user,
+)
 from sbfsearch.params import SystemParams
 from sbfsearch.store import StorageBloomFilter
 
@@ -164,3 +187,33 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     arg = (en + 0.12 + 0.11 / en) * d
     p = 2 * sum((-1) ** (j - 1) * math.exp(-2 * (j * arg) ** 2) for j in range(1, 101))
     return d, float(min(max(p, 0.0), 1.0))
+
+
+def prf(key: bytes, message: bytes, s_bits: int) -> bytes:
+    """Keyed PRF: HMAC truncated to s bits. Deterministic in (key, message).
+    Every call counts once in `prf_calls`."""
+    check_prf_key(key, s_bits)
+    prf_calls.count += 1
+    return hmac_prf(key, message, s_bits)
+
+
+def keyword_trapdoor(kr: UserKeyring, w: bytes, params: SystemParams) -> list[bytes]:
+    """z_i = PRF(k_i, w); r PRF calls."""
+    return [prf(k, w, params.s_bits) for k in index._registered_subkeys(kr, w)]
+
+
+def derive_location_vector(trapdoor: list[bytes], location: bytes, params: SystemParams) -> list[bytes]:
+    """y_i = PRF(z_i, location); r PRF calls. Users and agents holding
+    the same keyword material derive identical vectors for (w, location)."""
+    return [prf(z, location, params.s_bits) for z in trapdoor]
+
+
+def open_record_uncached(agent_private: bytes, rec: SealedRecord, n_bits: int) -> MetaInfo:
+    """`seal_record` inverted step by step with no memo. Raises what the
+    library raises: `ValueError` for a bad key or point, `InvalidTag` for
+    a forged or cut record, `CryptoError` for a bad parse."""
+    ct = rec.ciphertext
+    eph_pub = X25519PublicKey.from_public_bytes(ct[:32])
+    shared = X25519PrivateKey.from_private_bytes(agent_private).exchange(eph_pub)
+    plain = AESGCM(hkdf_sha256(shared, b"sbfsearch record seal")).decrypt(ct[32:44], ct[44:], None)
+    return MetaInfo.from_bytes(plain, n_bits)

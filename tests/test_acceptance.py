@@ -49,7 +49,13 @@ from sbfsearch.params import derive_params, expected_distinct_positions
 from sbfsearch.store import StorageBloomFilter
 
 from conftest import SystemFixture
-from oracles import enumerate_keyword_cover, enumerate_overlap, spearman_rho
+from oracles import (
+    derive_location_vector,
+    enumerate_keyword_cover,
+    enumerate_overlap,
+    keyword_trapdoor,
+    spearman_rho,
+)
 
 
 def _report(criterion: str, checks: list[tuple[str, bool, str]]) -> None:
@@ -318,7 +324,6 @@ def _property_e_prf_budgets() -> tuple[str, bool, str]:
     build_user_index(kr, sys.locations[0], params, Random(7802))
     build_calls = prf_calls.count - mark
     mark = prf_calls.count
-    from sbfsearch.index import derive_location_vector, keyword_trapdoor
     trapdoor = keyword_trapdoor(kr, sys.vocab[0], params)
     trapdoor_calls = prf_calls.count - mark
     mark = prf_calls.count

@@ -3,7 +3,7 @@ import hmac
 from random import Random
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
+from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
@@ -21,13 +21,14 @@ from sbfsearch.crypto import (
     hmac_digest,
     open_record,
     position_width,
-    prf,
     seal_record,
     token_from_text,
     unwrap_transport,
     wrap_transport,
 )
 from sbfsearch.params import derive_params
+
+from oracles import open_record_uncached, prf
 
 
 def _mi(n_bits=64, attrs=2, emergency=1):
@@ -296,7 +297,7 @@ class TestSealing:
         _, other_priv = generate_agent_keypair(Random(12))
         rec = seal_record(pub, _mi(), 4096)
         assert open_record(priv, rec, 64) == _mi()
-        assert crypto._record_key.cache_info().currsize == 1  # the right key's entry is warm
+        assert crypto._opened_record.cache_info().currsize == 1  # the right key's entry is warm
         for wrong in (other_priv, bytearray(other_priv), priv[:31]):
             with pytest.raises(CryptoError):
                 open_record(wrong, rec, 64)
@@ -347,8 +348,9 @@ class TestSealing:
 
 
 class TestRecordKeyMemo:
-    """open_record keeps derived record keys, bounded, and still checks
-    the tag on every open. conftest clears the memo before each test."""
+    """open_record keeps the records it opened, bounded, keyed by the
+    exact ciphertext bytes it verified; a failed open is never kept.
+    conftest clears the memo before each test."""
 
     def test_reopening_a_record_derives_its_key_once(self, monkeypatch):
         pub, priv = generate_agent_keypair(Random(31))
@@ -366,49 +368,112 @@ class TestRecordKeyMemo:
         for _ in range(5):
             assert open_record(priv, rec, 64) == _mi()
         assert exchanges == [rec.ciphertext[:32]]
-        info = crypto._record_key.cache_info()
+        info = crypto._opened_record.cache_info()
         assert (info.misses, info.hits) == (1, 4)
 
-    @pytest.mark.parametrize("offset", [32, 43, 44, -17, -16, -1], ids=[
-        "nonce-first", "nonce-last", "body-first", "body-last", "tag-first", "tag-last"])
+    @pytest.mark.parametrize("offset", [0, 31, 32, 43, 44, -17, -16, -1], ids=[
+        "eph-first", "eph-last", "nonce-first", "nonce-last",
+        "body-first", "body-last", "tag-first", "tag-last"])
     def test_a_changed_byte_fails_after_a_warm_open(self, offset):
         pub, priv = generate_agent_keypair(Random(33))
         rec = seal_record(pub, _mi(), 4096, Random(34))
         assert open_record(priv, rec, 64) == _mi()
         ct = bytearray(rec.ciphertext)
         ct[offset] ^= 0x01
-        with pytest.raises(CryptoError):
-            open_record(priv, crypto.SealedRecord(rec.handle, bytes(ct)), 64)
-        with pytest.raises(CryptoError):
-            open_record(priv, crypto.SealedRecord(rec.handle, rec.ciphertext[:-1]), 64)
-        assert crypto._record_key.cache_info().misses == 1
+        for changed in (bytes(ct), rec.ciphertext[:-1], rec.ciphertext + b"\0"):
+            with pytest.raises(CryptoError):
+                open_record(priv, crypto.SealedRecord(rec.handle, changed), 64)
+        info = crypto._opened_record.cache_info()
+        assert (info.currsize, info.misses) == (1, 4)
         assert open_record(priv, rec, 64) == _mi()
+        assert crypto._opened_record.cache_info().hits == 1
 
     def test_memoised_key_matches_an_independent_derivation(self):
         pub, priv = generate_agent_keypair(Random(38))
         rec = seal_record(pub, _mi(), 4096, Random(39))
         cold = open_record(priv, rec, 64)
         warm = open_record(priv, rec, 64)
-        assert cold == warm == _mi()
-        eph_pub = rec.ciphertext[:32]
-        shared = X25519PrivateKey.from_private_bytes(priv).exchange(X25519PublicKey.from_public_bytes(eph_pub))
-        expected = hkdf_sha256(shared, b"sbfsearch record seal")
-        assert crypto._record_key(priv, eph_pub) == expected
-        plain = AESGCM(expected).decrypt(rec.ciphertext[32:44], rec.ciphertext[44:], None)
-        assert MetaInfo.from_bytes(plain, 64) == cold
+        assert cold == warm == _mi() == open_record_uncached(priv, rec, 64)
+        assert crypto._opened_record(priv, rec.ciphertext, 64) is cold
+        assert crypto._opened_record.cache_info().misses == 1
 
     def test_the_memo_is_bounded(self):
-        size = crypto._record_key.cache_info().maxsize
-        assert size == 4096
+        size = crypto._opened_record.cache_info().maxsize
+        assert size == crypto.RECORD_MEMO_ENTRIES == 4096
         pub, priv = generate_agent_keypair(Random(40))
         rng = Random(41)
         records = [seal_record(pub, _mi(), 4096, rng) for _ in range(size + 8)]
         for rec in records:
             assert open_record(priv, rec, 64) == _mi()
-        info = crypto._record_key.cache_info()
+        info = crypto._opened_record.cache_info()
         assert (info.currsize, info.misses) == (size, size + 8)
-        assert open_record(priv, records[0], 64) == _mi()  # evicted: derived again
-        assert crypto._record_key.cache_info().misses == size + 9
+        assert open_record(priv, records[0], 64) == _mi()  # evicted: opened again
+        assert crypto._opened_record.cache_info().misses == size + 9
+
+    @pytest.mark.parametrize("case", ["low-order-point", "short-agent-key", "wrong-agent-key"])
+    def test_a_failed_open_raises_crypto_error_and_is_not_kept(self, case):
+        """Each failure maps to CryptoError, cold and after a warm open of
+        the genuine record, and leaves the memo as it was."""
+        pub, priv = generate_agent_keypair(Random(42))
+        rec = seal_record(pub, _mi(), 4096, Random(43))
+        low_order = crypto.SealedRecord(rec.handle, bytes(32) + rec.ciphertext[32:])
+        key, bad, cause = {
+            "low-order-point": (priv, low_order, ValueError),
+            "short-agent-key": (priv[:31], rec, ValueError),
+            "wrong-agent-key": (generate_agent_keypair(Random(44))[1], rec, InvalidTag),
+        }[case]
+        for warm in (False, True):
+            if warm:
+                assert open_record(priv, rec, 64) == _mi()
+            size = crypto._opened_record.cache_info().currsize
+            with pytest.raises(CryptoError) as caught:
+                open_record(key, bad, 64)
+            assert isinstance(caught.value.__cause__, cause)
+            assert crypto._opened_record.cache_info().currsize == size
+
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), attrs=st.integers(0, 4), emergency=st.integers(0, 3),
+           change=st.sampled_from(["none", "flip", "cut", "append", "wrong-key"]), warm=st.booleans(),
+           data=st.data())
+    def test_open_matches_the_uncached_oracle(self, seed, attrs, emergency, change, warm, data):
+        """A random record at n = 64, unchanged, with one byte flipped, cut
+        short, extended by one byte, or opened under another key, with or
+        without a warm open of the genuine record first: the first open
+        and a repeat return the oracle's record, or raise CryptoError
+        where the oracle raises."""
+        rng = Random(seed)
+        pub, priv = generate_agent_keypair(rng)
+        tok = lambda: crypto.random_token(rng, 64)
+        mi = MetaInfo(tok(), tuple(tok() for _ in range(attrs)), tok(), tok(),
+                      tuple(tok() for _ in range(emergency)))
+        rec = seal_record(pub, mi, 4096, rng)
+        ct, key = rec.ciphertext, priv
+        if change == "flip":
+            at = data.draw(st.integers(0, len(ct) - 1), label="at")
+            ct = ct[:at] + bytes([ct[at] ^ data.draw(st.integers(1, 255), label="mask")]) + ct[at + 1:]
+        elif change == "cut":
+            ct = ct[:data.draw(st.integers(0, len(ct) - 1), label="length")]
+        elif change == "append":
+            ct += data.draw(st.binary(min_size=1, max_size=1), label="byte")
+        elif change == "wrong-key":
+            key = generate_agent_keypair(rng)[1]
+        changed = crypto.SealedRecord(rec.handle, ct)
+        try:
+            expected = open_record_uncached(key, changed, 64)
+        except (InvalidTag, ValueError, CryptoError):
+            expected = None
+        # X25519 ignores the top bit of a public key, so that flip still opens
+        assert expected == mi if change == "none" else expected in (None, mi)
+        if warm:
+            assert open_record(priv, rec, 64) == mi
+        size = crypto._opened_record.cache_info().currsize
+        for _ in ("first", "repeat"):
+            if expected is None:
+                with pytest.raises(CryptoError):
+                    open_record(key, changed, 64)
+                assert crypto._opened_record.cache_info().currsize == size
+            else:
+                assert open_record(key, changed, 64) == expected
 
 
 class TestMetaInfo:

@@ -17,10 +17,8 @@ from sbfsearch.index import (
     build_conjunctive_query,
     build_removal_request,
     build_user_index,
-    derive_location_vector,
     generate_master_secrets,
     keyword_positions,
-    keyword_trapdoor,
     make_upload_packet,
     register_user,
 )
@@ -28,6 +26,7 @@ from sbfsearch.params import derive_params
 from sbfsearch.store import StorageBloomFilter
 
 from conftest import SystemFixture
+from oracles import derive_location_vector, keyword_trapdoor, prf
 from test_acceptance import _property_e_prf_budgets
 from test_crypto import _cold_memos, _memo_misses
 from test_formats import _index_fields
@@ -277,7 +276,7 @@ class TestKeyScheduleOracle:
                 kr = register_user(sys.secrets, kw, sys.zone, params)
                 for w in kw:
                     secret = sys.secrets.keyword_secrets[w]
-                    assert kr.keys[w] == tuple(crypto.prf(secret, v, s) for v in sys.secrets.init_vectors)
+                    assert kr.keys[w] == tuple(prf(secret, v, s) for v in sys.secrets.init_vectors)
                     for g in sys.locations:
                         chain = derive_location_vector(keyword_trapdoor(kr, w, params), g, params)
                         got = keyword_positions(kr, w, g, params)
