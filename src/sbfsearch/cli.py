@@ -31,7 +31,7 @@ from .index import (
     register_user,
 )
 from .params import ParamsError, expected_distinct_positions, load_params_file
-from .store import StorageBloomFilter, StoreError
+from .store import SNAPSHOT_MAGIC, StorageBloomFilter, StoreError
 
 
 def _add_params_flags(p: argparse.ArgumentParser) -> None:
@@ -295,7 +295,10 @@ def _cmd_serve(args) -> int:
     stores: dict[bytes, StorageBloomFilter] = {}
     sources: dict[bytes, Path] = {}
     for snap in sorted(store_dir.glob("*.sbf")):
-        store = StorageBloomFilter.load(snap)
+        try:
+            store = StorageBloomFilter.load(snap)
+        except StoreError as exc:
+            raise StoreError(f"{snap}: {exc}") from exc
         if store.zone in sources:
             raise StoreError(f"{sources[store.zone]} and {snap} hold the same zone {store.zone.hex()}")
         stores[store.zone], sources[store.zone] = store, snap
@@ -407,12 +410,10 @@ def _cmd_snapshot(args) -> int:
         print(f"empty store for zone '{args.zone}' written to {args.file}")
         return 0
     store = StorageBloomFilter.load(args.file)
-    with open(args.file, "rb") as f:
-        magic = f.read(8)
-        size = f.seek(0, 2)
+    size = Path(args.file).stat().st_size
     model_bytes, entries = store.memory_usage()
     occupied = sum(count for occ, count in store.occupancy_histogram() if occ > 0)
-    print(f"format = {magic.decode('ascii')}")
+    print(f"format = {SNAPSHOT_MAGIC.decode('ascii')}")
     print(f"bytes = {size}")
     print(f"bytes_per_record = {size / len(store.table):.1f}" if store.table else "bytes_per_record = n/a")
     print(f"zone = {store.zone.hex()}")

@@ -219,8 +219,7 @@ def generate_agent_keypair(rng: Random | None = None) -> tuple[bytes, bytes]:
     return pub_raw, priv_raw
 
 
-def _session_key(shared: bytes, context: bytes) -> bytes:
-    return hkdf_sha256(shared, context)
+_RECORD_SEAL_INFO = b"sbfsearch record seal"  # HKDF info of every record key, sealing and opening alike
 
 
 def seal_record(
@@ -237,9 +236,8 @@ def seal_record(
         raise CryptoError(f"meta record is {len(plain) * 8} bits, exceeds tau={tau_bits}")
     eph = X25519PrivateKey.from_private_bytes(rand_bytes(rng, 32))
     shared = eph.exchange(X25519PublicKey.from_public_bytes(agent_public))
-    key = _session_key(shared, b"sbfsearch record seal")
     nonce = rand_bytes(rng, 12)
-    ct = AESGCM(key).encrypt(nonce, plain, None)
+    ct = AESGCM(hkdf_sha256(shared, _RECORD_SEAL_INFO)).encrypt(nonce, plain, None)
     eph_pub = eph.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
     return SealedRecord(handle=rand_bytes(rng, HANDLE_BYTES), ciphertext=eph_pub + nonce + ct)
 
@@ -276,7 +274,7 @@ def _opened_record(agent_private: bytes, ct: bytes, n_bits: int) -> MetaInfo:
         raise CryptoError("sealed record too short")
     try:
         shared = _agent_key(agent_private).exchange(X25519PublicKey.from_public_bytes(ct[:32]))
-        plain = AESGCM(_session_key(shared, b"sbfsearch record seal")).decrypt(ct[32:44], ct[44:], None)
+        plain = AESGCM(hkdf_sha256(shared, _RECORD_SEAL_INFO)).decrypt(ct[32:44], ct[44:], None)
     except (InvalidTag, ValueError) as exc:
         raise CryptoError("record decryption failed") from exc
     return MetaInfo.from_bytes(plain, n_bits)

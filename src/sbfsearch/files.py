@@ -4,10 +4,15 @@ opens with an eight-byte magic tag; integers are big-endian. Loading
 reads through `crypto.Reader`, so a truncated file, trailing bytes, a
 repeated keyword token or a master-secrets file with no keyword raise
 `FileFormatError`. An index file stores only what an index cannot
-derive; SBFINDX1 files, with their dense filters, still load. A key
-file holds one key, or an upload receipt's record handle, as hex. Every
-file here, and every store snapshot, is written by `write_atomically`,
-so a crash or a failed write leaves the old file whole."""
+derive. A key file holds one key, or an upload receipt's record handle,
+as hex. Every file here, and every store snapshot, is written by
+`write_atomically`, so a crash or a failed write leaves the old file
+whole.
+
+Index files and store snapshots are checksummed: the magic, the body,
+then a SHA-256 of both. `write_checksummed` and `read_checksummed` are
+the one place that knows this layout; a wrong magic, a short file or a
+bad trailer is refused before anything is parsed."""
 
 from __future__ import annotations
 
@@ -20,15 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .crypto import Reader
-from .filters import BitFilter, CountingFilter
+from .filters import CountingFilter
 from .index import MasterSecrets, UserIndex, UserKeyring
 from .params import SystemParams
 
 MASTER_MAGIC = b"SBFKEYS1"
 KEYRING_MAGIC = b"SBFKRNG1"
 INDEX_MAGIC = b"SBFINDX2"
-INDEX_V1_MAGIC = b"SBFINDX1"  # still loaded, never written
-DIGEST_BYTES = 32  # the SHA-256 trailer of an SBFINDX2 file
+DIGEST_BYTES = 32  # the SHA-256 trailer of a checksummed file
 
 
 class FileFormatError(Exception):
@@ -58,6 +62,26 @@ def write_atomically(path: str | Path, *parts: bytes) -> None:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
+
+
+def write_checksummed(path: str | Path, body: bytes) -> None:
+    """Write `body`, which opens with its magic, then its SHA-256."""
+    write_atomically(path, body, hashlib.sha256(body).digest())
+
+
+def read_checksummed(path: str | Path, magic: bytes, error: type[Exception]) -> Reader:
+    """A `Reader` past `magic` over the body of a file `write_checksummed`
+    wrote. A wrong magic, a file too short for its trailer or a bad
+    SHA-256 raises `error` before anything is parsed."""
+    data = Path(path).read_bytes()
+    if not data.startswith(magic):
+        raise error(f"not an {magic.decode('ascii')} file")
+    body = data[:-DIGEST_BYTES]
+    if len(body) < len(magic) or hashlib.sha256(body).digest() != data[-DIGEST_BYTES:]:
+        raise error(f"{magic.decode('ascii')} checksum mismatch")
+    rd = Reader(body, error)
+    rd.take(len(magic))
+    return rd
 
 
 def save_master_secrets(ms: MasterSecrets, path: str | Path) -> None:
@@ -145,62 +169,30 @@ def save_index(idx: UserIndex, path: str | Path, params: SystemParams) -> None:
     derived on load."""
     positions = sorted(idx.cbf.counters)
     columns = positions + [idx.cbf.counters[p] for p in positions]
-    body = b"".join([
+    write_checksummed(path, b"".join([
         INDEX_MAGIC,
         struct.pack(">IHB", idx.cbf.m, params.r, len(idx.zone)),
         idx.zone,
         struct.pack(f">I{len(columns)}I", len(positions), *columns),
         struct.pack(">H", len(idx.obf_elements)),
         *(struct.pack(">H", len(value)) + value for value in idx.obf_elements),
-    ])
-    write_atomically(path, body, hashlib.sha256(body).digest())
+    ]))
 
 
 def load_index(path: str | Path, params: SystemParams) -> UserIndex:
-    """Read an SBFINDX2 or SBFINDX1 file written under params' m and r.
-    A v2 file's SHA-256 trailer is checked before anything is parsed; a
-    v1 file's stored bf and obf must equal the derived ones."""
-    data = Path(path).read_bytes()
-    v2 = data[:8] == INDEX_MAGIC
-    if v2:
-        data, digest = data[:-DIGEST_BYTES], data[-DIGEST_BYTES:]
-        if len(data) < 8 or hashlib.sha256(data).digest() != digest:
-            raise FileFormatError("index checksum mismatch")
-    elif data[:8] != INDEX_V1_MAGIC:
-        raise FileFormatError("not an index file")
-    rd = Reader(data, FileFormatError)
-    rd.take(8)
-    m = rd.u32()
-    r = rd.u16() if v2 else params.r  # a v1 file's r shows only in its obf
+    """Read an SBFINDX2 file written under params' m and r; its SHA-256
+    trailer is checked before anything is parsed."""
+    rd = read_checksummed(path, INDEX_MAGIC, FileFormatError)
+    m, r = rd.u32(), rd.u16()
     if (m, r) != (params.m, params.r):
         raise FileFormatError(f"index has m={m}, r={r} but the parameters say m={params.m}, r={params.r}")
     zone = rd.take(rd.u8())
-    if v2:
-        k = rd.u32()
-        positions, counts = np.frombuffer(rd.take(8 * k), ">u4").reshape(2, k).astype(np.int64)
-        if k and (positions[-1] >= m or (np.diff(positions) <= 0).any() or not counts.all()):
-            raise FileFormatError("index counters are not nonzero at ascending positions below m")
-    else:
-        bf = _dense_filter(rd, m)
-        dense = np.frombuffer(rd.take(4 * m), ">u4")
-        positions = np.flatnonzero(dense)
-        counts = dense[positions]
-        obf = _dense_filter(rd, m)
+    k = rd.u32()
+    positions, counts = np.frombuffer(rd.take(8 * k), ">u4").reshape(2, k).astype(np.int64)
+    if k and (positions[-1] >= m or (np.diff(positions) <= 0).any() or not counts.all()):
+        raise FileFormatError("index counters are not nonzero at ascending positions below m")
     cbf = CountingFilter(m)
     cbf.counters.update(dict(zip(positions.tolist(), counts.tolist())))
     elements = [rd.take(rd.u16()) for _ in range(rd.u16())]
     rd.done()
-    idx = UserIndex(zone, cbf, elements, params)
-    if not v2 and (idx.bf, idx.obf) != (bf, obf):
-        raise FileFormatError("index filters are not the ones its counters and blinding elements give")
-    return idx
-
-
-def _dense_filter(rd: Reader, m: int) -> BitFilter:
-    """One SBFINDX1 dense filter: a u64 length, which must equal m, then
-    ceil(m/8) bytes with position 0 in bit 0 of byte 0."""
-    data = rd.take(8 + (m + 7) // 8)
-    if int.from_bytes(data[:8], "big") != m:
-        raise FileFormatError(f"dense filter length does not match the index's m={m}")
-    bits = np.unpackbits(np.frombuffer(data, np.uint8, offset=8), count=m, bitorder="little")
-    return BitFilter(m, np.flatnonzero(bits).tolist())
+    return UserIndex(zone, cbf, elements, params)

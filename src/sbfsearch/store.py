@@ -22,10 +22,9 @@ and a journal position (0: there is no journal yet); the record table
 once, in ascending handle order, so a record's slot is its index; the
 non-empty buffers as three big-endian u32 columns (positions, counts,
 then every buffer's slots in buffer order); and a SHA-256 over all of
-it, checked before anything is parsed. Load applies ingest's rules to
-the columns with numpy. SBFSTOR1 files, which repeat each record's
-16-byte handle in every buffer holding it, still load; both formats
-load into buffers that share the table's handle objects.
+it, which `files.read_checksummed` checks before anything is parsed.
+Load applies ingest's rules to the columns with numpy, into buffers
+that share the table's handle objects.
 
 Concurrency: one plain lock per zone store serialises every call that
 reads or changes the buffers, searches included. Searches hold the GIL
@@ -37,7 +36,6 @@ network round-trips.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import struct
 import threading
@@ -50,8 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .crypto import HANDLE_BYTES, SEAL_OVERHEAD_BYTES, Reader, SealedRecord, decompress_positions
-from .files import write_atomically
+from .crypto import HANDLE_BYTES, SEAL_OVERHEAD_BYTES, SealedRecord, decompress_positions
+from .files import read_checksummed, write_checksummed
 from .filters import BitFilter
 from .index import RemovalRequest, UploadPacket
 from .params import ParamsError, SystemParams
@@ -59,8 +57,6 @@ from .params import ParamsError, SystemParams
 log = logging.getLogger(__name__)
 
 SNAPSHOT_MAGIC = b"SBFSTOR2"
-SNAPSHOT_V1_MAGIC = b"SBFSTOR1"  # still loaded, never written
-DIGEST_BYTES = 32  # the SHA-256 trailer of an SBFSTOR2 file
 
 
 class StoreError(Exception):
@@ -252,7 +248,7 @@ class StorageBloomFilter:
     # -- snapshot persistence -------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write an SBFSTOR2 snapshot with `files.write_atomically`: never
+        """Write an SBFSTOR2 snapshot with `files.write_checksummed`: never
         half-written, and the rename survives a power cut."""
         with self._lock:
             handles = sorted(self.table)
@@ -272,24 +268,15 @@ class StorageBloomFilter:
             parts.append(np.concatenate([positions, lengths[positions]]).astype(">u4").tobytes())
             slots = array("I", map(slot_of.__getitem__, chain.from_iterable(self.buffers)))
             parts.append(np.frombuffer(slots, np.uintc).astype(">u4").tobytes())
-        body = b"".join(parts)
-        write_atomically(path, body, hashlib.sha256(body).digest())
+        write_checksummed(path, b"".join(parts))
 
     @classmethod
     def load(cls, path: str | Path) -> "StorageBloomFilter":
-        """Read an SBFSTOR2 or SBFSTOR1 snapshot under ingest's rules: every
-        record known, in at least one and at most q*r buffers, no longer
-        than tau allows, and no buffer over beta or holding a handle twice.
-        A v2 file's SHA-256 trailer is checked before anything is parsed."""
-        data = Path(path).read_bytes()
-        v2 = data[:8] == SNAPSHOT_MAGIC
-        if v2 and (len(data) < 8 + DIGEST_BYTES
-                   or hashlib.sha256(memoryview(data)[:-DIGEST_BYTES]).digest() != data[-DIGEST_BYTES:]):
-            raise StoreError("snapshot checksum mismatch")
-        if not v2 and data[:8] != SNAPSHOT_V1_MAGIC:
-            raise StoreError("bad snapshot magic")
-        rd = Reader(data, StoreError)
-        rd.take(8)
+        """Read an SBFSTOR2 snapshot under ingest's rules: every record
+        known, in at least one and at most q*r buffers, no longer than tau
+        allows, and no buffer over beta or holding a handle twice. The
+        SHA-256 trailer is checked before anything is parsed."""
+        rd = read_checksummed(path, SNAPSHOT_MAGIC, StoreError)
         l, r, gamma, q, m, s_bits, n_bits, beta, tau = struct.unpack(">9I", rd.take(36))
         try:
             params = SystemParams(l=l, r=r, gamma_count=gamma, q=q, m=m,
@@ -297,28 +284,22 @@ class StorageBloomFilter:
         except ParamsError as exc:
             raise StoreError(f"bad snapshot parameters: {exc}") from exc
         store = cls(params, rd.take(rd.u8()))
-        if v2 and (journal := int.from_bytes(rd.take(8), "big")):
+        if journal := int.from_bytes(rd.take(8), "big"):
             raise StoreError(f"snapshot journal position {journal} is not 0")
-        table = store.table
+        last = b""
         for _ in range(rd.u32()):
             handle = rd.take(HANDLE_BYTES)
-            if handle in table:
-                raise StoreError("duplicate handle in snapshot")
-            if v2 and table and handle < next(reversed(table)):
-                raise StoreError("snapshot records out of handle order")
+            if handle <= last:
+                raise StoreError("snapshot record handles not strictly ascending")
+            last = handle
             size = rd.u32()
             _check_sealed_size(size, params)
-            table[handle] = SealedRecord(handle=handle, ciphertext=rd.take(size))
-        handles = list(table)  # slot -> handle
+            store.table[handle] = SealedRecord(handle=handle, ciphertext=rd.take(size))
+        handles = list(store.table)  # slot -> handle
         k = rd.u32()
-        if v2:
-            positions, counts = np.frombuffer(rd.take(8 * k), ">u4").reshape(2, k).astype(np.int64)
-            _check_buffer_heads(positions, counts, params)
-            slots = np.frombuffer(rd.take(4 * int(counts.sum())), ">u4").astype(np.int64)
-            rd.take(DIGEST_BYTES)
-        else:
-            positions, counts, slots = _read_v1_buffers(rd, k, handles)
-            _check_buffer_heads(positions, counts, params)
+        positions, counts = np.frombuffer(rd.take(8 * k), ">u4").reshape(2, k).astype(np.int64)
+        _check_buffer_heads(positions, counts, params)
+        slots = np.frombuffer(rd.take(4 * int(counts.sum())), ">u4").astype(np.int64)
         rd.done()
         if slots.size and slots.max() >= len(handles):
             raise StoreError("snapshot buffer references unknown handle")
@@ -356,20 +337,3 @@ def _check_buffer_heads(positions: np.ndarray, counts: np.ndarray, params: Syste
         problem = "exceeds capacity" if counts[i] > params.beta else "is listed but empty"
         raise StoreError(f"snapshot buffer {positions[i]} {problem}")
 
-
-def _read_v1_buffers(rd: Reader, k: int, handles: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SBFSTOR1's k (position, count, handles) buffers as the v2 columns:
-    each 16-byte entry maps through one dict to its record's slot."""
-    slot_of = {h: i for i, h in enumerate(handles)}
-    heads, slots = [], []
-    for _ in range(k):
-        pos, count = struct.unpack(">II", rd.take(8))
-        blob = rd.take(HANDLE_BYTES * count)
-        try:
-            slots.extend(map(slot_of.__getitem__,
-                             (blob[i : i + HANDLE_BYTES] for i in range(0, len(blob), HANDLE_BYTES))))
-        except KeyError:
-            raise StoreError("snapshot buffer references unknown handle") from None
-        heads.append((pos, count))
-    positions, counts = np.array(heads, dtype=np.int64).reshape(-1, 2).T
-    return positions, counts, np.array(slots, dtype=np.int64)

@@ -7,7 +7,8 @@ element re-hashed on each removal. It draws from the RNG in the order
 the scheme fixes, so the set-based client must produce the same
 uploads, pruning filters and RNG state. `file_bytes` writes the dense
 SBFINDX1 index file, the only form `files.save_index` wrote before
-SBFINDX2; `of` turns a set-based index into this dense form.
+SBFINDX2; `files` no longer reads it, and the golden pins hash it. `of`
+turns a set-based index into this dense form.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from random import Random
 import numpy as np
 
 from sbfsearch.crypto import compress_positions, rand_bytes
-from sbfsearch.files import INDEX_V1_MAGIC
 from sbfsearch.index import SchemeError, blinding_positions, keyword_positions
+
+INDEX_V1_MAGIC = b"SBFINDX1"
 
 
 class DenseIndex:

@@ -14,10 +14,10 @@ import pytest
 import sbfsearch
 from sbfsearch import files
 from sbfsearch.cli import build_parser, main
-from sbfsearch.params import CONFIG_KEYS, load_params_file
+from sbfsearch.params import CONFIG_KEYS, derive_params
 from sbfsearch.store import StorageBloomFilter
 
-import dense_index
+from test_store import _raw_packet
 
 
 PARAMS_SMALL = "l=20\nr=4\ngamma=2\nq=6\nbeta=12\ntau_kbits=4\nn_bits=64\n"
@@ -168,19 +168,36 @@ def test_serve_refuses_two_snapshots_of_one_zone(workdir, capsys):
     assert "StoreError" in done.stderr and "a.sbf" in done.stderr and "b.sbf" in done.stderr
 
 
+def test_serve_names_the_snapshot_that_fails_to_load(workdir, capsys):
+    """An SBFSTOR1 snapshot, a format no longer read, stops the server
+    with an error that names that file and no other."""
+    stores = workdir / "stores"
+    stores.mkdir()
+    code, _, _ = _run(["snapshot", "init", "--file", stores / "a.sbf", "--params", workdir / "sys.cfg",
+                       "--zone", "downtown"], capsys)
+    assert code == 0
+    (stores / "old.sbf").write_bytes(b"SBFSTOR1" + (stores / "a.sbf").read_bytes()[8:])
+    done = subprocess.run([sys.executable, "-m", "sbfsearch", "serve", "--params", str(workdir / "sys.cfg"),
+                           "--store-dir", str(stores), "--listen", "127.0.0.1:0"],
+                          capture_output=True, text=True, env=_server_env(), timeout=30)
+    assert done.returncode == 1 and "listening" not in done.stdout
+    assert "StoreError" in done.stderr and "old.sbf" in done.stderr and "a.sbf" not in done.stderr
+
+
 def test_snapshot_inspect_prints_format_and_size(tmp_path, capsys):
-    v1 = Path(__file__).parent / "data" / "snapshot_v1.sbf"
-    v2 = tmp_path / "zone.sbf"
-    store = StorageBloomFilter.load(v1)
-    store.save(v2)
-    for path, fmt in ((v1, "SBFSTOR1"), (v2, "SBFSTOR2")):
-        code, out, _ = _run(["snapshot", "inspect", "--file", path], capsys)
-        assert code == 0
-        assert f"format = {fmt}" in out
-        assert f"bytes = {path.stat().st_size}" in out
-        assert f"bytes_per_record = {path.stat().st_size / 4:.1f}" in out and "records = 4" in out
-        # handles are access-pattern data: inspect names none of them
-        assert not any(h.hex() in out for h in store.table)
+    params = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64)
+    store = StorageBloomFilter(params, b"zone")
+    for name, positions in (("d", [3, 7]), ("a", [0, 1, 2]), ("c", [5, 6, 200]), ("b", [3, 4, 5])):
+        store.ingest(_raw_packet(b"zone", params.m, name, positions))
+    path = tmp_path / "zone.sbf"
+    store.save(path)
+    code, out, _ = _run(["snapshot", "inspect", "--file", path], capsys)
+    assert code == 0
+    assert "format = SBFSTOR2" in out
+    assert f"bytes = {path.stat().st_size}" in out
+    assert f"bytes_per_record = {path.stat().st_size / 4:.1f}" in out and "records = 4" in out
+    # handles are access-pattern data: inspect names none of them
+    assert not any(h.hex() in out for h in store.table)
 
 
 def test_simulate_overlap_csv(workdir, capsys):
@@ -335,11 +352,6 @@ class TestServeLoopback:
         assert code == 0, err
         assert "pseudonym=" in out
 
-        # an SBFINDX1 index, as the dense client wrote it, is rewritten as SBFINDX2
-        index_path = workdir / "do.index"
-        params = load_params_file(workdir / "sys.cfg")
-        index_path.write_bytes(dense_index.of(files.load_index(index_path, params)).file_bytes())
-
         code, out, err = _run(["search-and", *base, "--master", workdir / "keys" / "master.keys",
                                "--keywords", "kw0,kw1", "--location", "corner",
                                "--zone", "downtown",
@@ -357,4 +369,4 @@ class TestServeLoopback:
         code, out, err = _run(search_cmd, capsys)
         assert code == 0, err
         assert "pseudonym=" not in out
-        assert index_path.read_bytes()[:8] == files.INDEX_MAGIC
+        assert (workdir / "do.index").read_bytes()[:8] == files.INDEX_MAGIC

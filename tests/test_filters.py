@@ -1,38 +1,15 @@
 import math
-import struct
 from collections import Counter
 from random import Random
 
 import numpy as np
 import pytest
 
-from sbfsearch import files
 from sbfsearch.filters import BitFilter, CountingFilter, FilterError, hash_positions
-from sbfsearch.params import derive_params
 
 
 def _elements(rng, r, width=16):
     return [rng.randbytes(width) for _ in range(r)]
-
-
-def _dense_bits(bits) -> bytes:
-    """A dense filter as SBFINDX1 stores it: a u64 length, then
-    ceil(m/8) bytes with position 0 in bit 0 of byte 0."""
-    return len(bits).to_bytes(8, "big") + np.packbits(bits, bitorder="little").tobytes()
-
-
-def _load_v1(tmp_path, m: int, bf: bytes, counters: bytes):
-    """Load an SBFINDX1 file of zone b"z" holding the dense bf and
-    counters as given, an empty obf and no blinding elements."""
-    params = derive_params(l=4, r=2, gamma_count=1, q=4, beta=1, tau_bits=1024, m_override=m)
-    path = tmp_path / "user.idx"
-    path.write_bytes(files.INDEX_V1_MAGIC + struct.pack(">IB", m, 1) + b"z" + bf + counters
-                     + _dense_bits(np.zeros(m, dtype=bool)) + struct.pack(">H", 0))
-    return files.load_index(path, params)
-
-
-def _dense_counters(counts) -> bytes:
-    return b"".join(int(n).to_bytes(4, "big") for n in counts)
 
 
 class TestHashPositions:
@@ -121,24 +98,6 @@ class TestBitFilter:
         analytic = (1 - math.exp(-q * r / m)) ** r
         assert abs(hits / probes - analytic) / analytic < 0.20
 
-    def test_dense_serialization(self, tmp_path):
-        rng = np.random.default_rng(7)
-        set_bits = rng.random(77) < 0.3
-        idx = _load_v1(tmp_path, 77, _dense_bits(set_bits), _dense_counters(set_bits.astype(int)))
-        assert idx.bf == BitFilter(77, np.flatnonzero(set_bits).tolist())
-        # position 0 occupies bit 0 of byte 0
-        lone = _dense_counters([1] + [0] * 15)
-        assert _load_v1(tmp_path, 16, (16).to_bytes(8, "big") + b"\x01\x00", lone).bf.positions() == [0]
-        with pytest.raises(files.FileFormatError):
-            _load_v1(tmp_path, 16, (16).to_bytes(8, "big") + b"\x80\x00", lone)
-
-    def test_dense_serialization_errors(self, tmp_path):
-        # cut inside the u64 length, then inside the bits
-        with pytest.raises(files.FileFormatError):
-            _load_v1(tmp_path, 16, b"\x00" * 7, b"")
-        with pytest.raises(files.FileFormatError):
-            _load_v1(tmp_path, 16, (16).to_bytes(8, "big") + b"\x00", b"")
-
     def test_sparse_round_trip(self):
         rng = np.random.default_rng(8)
         bf = BitFilter(300, np.flatnonzero(rng.random(300) < 0.1).tolist())
@@ -215,11 +174,3 @@ class TestCountingFilter:
             bf.insert(ps)
             cbf.add(ps)
         assert bf == cbf.nonzero_bits()
-
-    def test_dense_serialization(self, tmp_path):
-        counts = [1, 0, 0, 2, 0, 0, 0, 0, 0, 1]
-        idx = _load_v1(tmp_path, 10, _dense_bits(np.array(counts) > 0), _dense_counters(counts))
-        assert idx.cbf.m == 10 and idx.cbf.counters == {0: 1, 3: 2, 9: 1}
-        for bad in (b"", b"\x00" * 5):
-            with pytest.raises(files.FileFormatError):
-                _load_v1(tmp_path, 10, _dense_bits(np.zeros(10, dtype=bool)), bad)

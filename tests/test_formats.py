@@ -17,7 +17,6 @@ from sbfsearch.index import (MasterSecrets, SchemeError, UploadPacket, UserIndex
 from sbfsearch.params import derive_params
 from sbfsearch.store import StorageBloomFilter, StoreError
 
-import dense_index
 from conftest import SystemFixture, fill_disk_halfway
 
 format_settings = settings(max_examples=15)
@@ -156,67 +155,27 @@ class TestFormatProperties:
                                 files.FileFormatError)
 
 
-class TestIndexFilterLengths:
-    """A dense filter in an SBFINDX1 file whose own length header differs
-    from the index's m is refused as a bad index file, not loaded beside m
-    counters."""
+class TestIndexParameters:
+    """An SBFINDX2 file stays small at the paper's parameters, and
+    `load_index` refuses a file written under another m or r."""
 
-    @pytest.mark.parametrize("which, delta", [("bf", -1), ("bf", 1), ("bf", 8), ("obf", -1), ("obf", 8)])
-    def test_mismatched_dense_header_rejected(self, system, tmp_path, which, delta):
-        kr, _ = system.user([0, 1])
-        m, path = system.params.m, tmp_path / "user.idx"
-        data = bytearray(dense_index.build(kr, system.locations[0], system.params, Random(5)).file_bytes())
-        at = 8 + 4 + 1 + len(kr.zone)
-        if which == "obf":
-            at += 8 + (m + 7) // 8 + 4 * m
-        assert int.from_bytes(data[at : at + 8], "big") == m
-        data[at : at + 8] = (m + delta).to_bytes(8, "big")
-        path.write_bytes(bytes(data))
-        with pytest.raises(files.FileFormatError, match="dense filter length"):
-            files.load_index(path, system.params)
-
-
-class TestIndexVersions:
-    """`load_index` reads SBFINDX1 files, as the dense client wrote them,
-    to the same index, and refuses a file of either version written
-    under another m or r."""
-
-    def test_v1_dense_layout(self, tmp_path):
-        # counters [1, 0, 0, 2, 0, 0, 0, 0, 0, 1] as m big-endian u32, and bf
-        # with positions 0, 3, 9: bit 0 of byte 0 holds position 0
-        params = derive_params(l=4, r=2, gamma_count=1, q=4, beta=1, tau_bits=1024, m_override=10)
-        counters = b"".join(n.to_bytes(4, "big") for n in [1, 0, 0, 2, 0, 0, 0, 0, 0, 1])
-        dense = (10).to_bytes(8, "big")
-        path = tmp_path / "user.idx"
-        path.write_bytes(files.INDEX_V1_MAGIC + struct.pack(">IB", 10, 1) + b"z" + dense + bytes([0x09, 0x02])
-                         + counters + dense + bytes(2) + struct.pack(">H", 0))
-        idx = files.load_index(path, params)
-        assert idx.bf.positions() == [0, 3, 9] and not idx.obf.positions() and not idx.obf_elements
-        assert (idx.zone, idx.cbf.m, idx.cbf.counters) == (b"z", 10, {0: 1, 3: 2, 9: 1})
-
-    def test_v1_file_loads_and_saves_as_v2_under_1kb(self, tmp_path):
-        """At the paper's parameters (m=28854, d=4) the dense file holds
-        about 120 KB; the same index in SBFINDX2 fits in under 1 KB."""
+    def test_index_at_paper_parameters_saves_under_1kb(self, tmp_path):
+        """At the paper's parameters (m=28854) an index with d=4 fits in
+        under 1 KB."""
         params = derive_params(l=100, r=10, gamma_count=20, q=15, beta=50, tau_bits=5120)
         system = SystemFixture(params, seed=3)
-        kr, idx = system.user(range(4), seed=4)
+        _, idx = system.user(range(4), seed=4)
         path = tmp_path / "user.idx"
-        path.write_bytes(dense_index.build(kr, system.locations[0], params, Random(4)).file_bytes())
-        assert _index_fields(files.load_index(path, params)) == _index_fields(idx)
-        files.save_index(files.load_index(path, params), path, params)
+        files.save_index(idx, path, params)
         assert path.read_bytes()[:8] == files.INDEX_MAGIC and path.stat().st_size < 1024
         assert _index_fields(files.load_index(path, params)) == _index_fields(idx)
 
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("other", [dict(m_override=232), dict(m_override=230), dict(r=5), dict(r=3)],
                              ids=["m+1", "m-1", "r+1", "r-1"])
-    def test_other_m_or_r_refused(self, system, tmp_path, version, other):
-        kr, idx = system.user([0, 1], seed=5)
+    def test_other_m_or_r_refused(self, system, tmp_path, other):
+        _, idx = system.user([0, 1], seed=5)
         path = tmp_path / "user.idx"
-        if version == 1:
-            path.write_bytes(dense_index.build(kr, system.locations[0], system.params, Random(5)).file_bytes())
-        else:
-            files.save_index(idx, path, system.params)
+        files.save_index(idx, path, system.params)
         files.load_index(path, system.params)
         fields = dict(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64, m_override=231)
         with pytest.raises(files.FileFormatError):

@@ -3,6 +3,7 @@ import tempfile
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -297,13 +298,13 @@ class TestKeyScheduleOracle:
 class TestDenseOracle:
     """The set-based client against the dense builder it replaced
     (`tests/dense_index.py`): same upload, pruning filters and RNG draws,
-    and the oracle's SBFINDX1 file loads to our index, after every step,
-    over random keyword sets, removal orders (a keyword removed twice
-    included), seeds and small m, where swaps and exhausted blinding
-    elements are common; a refused removal must leave the index as it
-    was. Some steps first reload the index from its SBFINDX2 file, or from
-    the oracle's SBFINDX1 file, so removals from a loaded index of either
-    version are covered too."""
+    and the oracle's arrays hold our index's filters, counters and
+    blinding elements, after every step, over random keyword sets,
+    removal orders (a keyword removed twice included), seeds and small m,
+    where swaps and exhausted blinding elements are common; a refused
+    removal must leave the index as it was. Some steps first reload the
+    index from its SBFINDX2 file, so removals from a loaded index are
+    covered too."""
 
     @settings(max_examples=100)
     @given(st.data())
@@ -320,14 +321,11 @@ class TestDenseOracle:
         idx = build_user_index(kr, loc, params, Random(build_seed))
         want = dense_index.build(kr, loc, params, Random(build_seed))
         assert idx.bf.compress() == want.upload_filter()
-        assert _index_fields(_load_index_bytes(want.file_bytes(), params)) == _index_fields(idx)
+        _assert_matches_dense(idx, want)
         ours, theirs = Random(remove_seed), Random(remove_seed)
         for i in order:
-            reload = data.draw(st.sampled_from([None, "v2", "v1"]), label="reload")
-            if reload == "v2":
+            if data.draw(st.booleans(), label="reload"):
                 idx = _load_index_bytes(_index_file_bytes(idx, params), params)
-            elif reload == "v1":
-                idx = _load_index_bytes(want.file_bytes(), params)
             w = sys.vocab[i]
             try:
                 expected = dense_index.remove(want, kr, w, loc, params, theirs)
@@ -340,7 +338,17 @@ class TestDenseOracle:
             req = build_removal_request(idx, kr, w, loc, b"h" * 16, params, ours)
             assert req.rbf_prime.compress() == expected
             assert ours.getstate() == theirs.getstate()
-            assert _index_fields(_load_index_bytes(want.file_bytes(), params)) == _index_fields(idx)
+            _assert_matches_dense(idx, want)
+
+
+def _assert_matches_dense(idx, dense):
+    """`idx` holds what the dense oracle's arrays hold."""
+    assert idx.zone == dense.zone
+    assert idx.bf.positions() == np.flatnonzero(dense.bf).tolist()
+    assert idx.obf.positions() == np.flatnonzero(dense.obf).tolist()
+    held = np.flatnonzero(dense.counters)
+    assert idx.cbf.counters == dict(zip(held.tolist(), dense.counters[held].tolist()))
+    assert idx.obf_elements == dense.obf_elements
 
 
 class TestBuildIndex:
@@ -507,45 +515,14 @@ class TestRemoval:
 
 
 class TestLoadedIndexIntegrity:
-    """One flipped bit in a saved index (m=231) is refused by `load_index`.
-    In an SBFINDX1 file, as the dense oracle writes it, a flipped bit in a
-    dense filter or a blinding element makes the stored filters differ
-    from the derived ones, so a damaged element never reaches a removal.
-    In an SBFINDX2 file the checksum refuses any flipped bit."""
+    """One flipped bit in a saved index (m=231) is refused by `load_index`:
+    the SBFINDX2 checksum refuses any flipped bit, so a damaged element
+    never reaches a removal."""
 
-    def _v1_file(self, system, tmp_path):
+    def test_flipped_bit_in_v2_file_refused(self, system, tmp_path):
         kr = register_user(system.secrets, system.vocab[:2], system.zone, system.params)  # four blinding elements
         idx = build_user_index(kr, system.locations[0], system.params, Random(5))
         path = tmp_path / "user.idx"
-        path.write_bytes(dense_index.build(kr, system.locations[0], system.params, Random(5)).file_bytes())
-        return kr, idx, path
-
-    def test_flipped_blinding_element_refused_at_load(self, system, tmp_path):
-        kr, _, path = self._v1_file(system, tmp_path)
-        args = (kr, system.vocab[0], system.locations[0], b"h" * 16, system.params)
-        data = bytearray(path.read_bytes())
-        build_removal_request(files.load_index(path, system.params), *args, Random(1))  # undamaged
-        data[-1] ^= 0x01  # one bit of the last blinding element
-        path.write_bytes(bytes(data))
-        with pytest.raises(files.FileFormatError, match="blinding elements"):
-            files.load_index(path, system.params)
-
-    @pytest.mark.parametrize("which", ["bf", "obf"])
-    def test_flipped_filter_bit_refused_at_load(self, system, tmp_path, which):
-        _, idx, path = self._v1_file(system, tmp_path)
-        m = system.params.m
-        p = next(p for p in idx.obf.positions() if not idx.cbf.counters[p])  # set by blinding alone
-        at = 8 + 4 + 1 + len(idx.zone) + 8  # magic, m, zone, then bf's own length header
-        if which == "obf":
-            at += (m + 7) // 8 + 4 * m + 8  # past bf, the counters and obf's length header
-        data = bytearray(path.read_bytes())
-        data[at + p // 8] ^= 1 << (p % 8)
-        path.write_bytes(bytes(data))
-        with pytest.raises(files.FileFormatError, match="blinding elements"):
-            files.load_index(path, system.params)
-
-    def test_flipped_bit_in_v2_file_refused(self, system, tmp_path):
-        _, idx, path = self._v1_file(system, tmp_path)
         files.save_index(idx, path, system.params)
         data = path.read_bytes()
         for at in range(len(data)):

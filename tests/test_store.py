@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import stat
+import struct
 import sys
 import tempfile
 import threading
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from sbfsearch.crypto import SEAL_OVERHEAD_BYTES, CryptoError, SealedRecord, token_from_text
+from sbfsearch.crypto import HANDLE_BYTES, SEAL_OVERHEAD_BYTES, CryptoError, SealedRecord, token_from_text
 from sbfsearch.filters import BitFilter
 from sbfsearch.index import (
     RemovalRequest,
@@ -417,6 +418,51 @@ class TestPruneOrder:
         assert (tmp_path / "pruned.sbf").read_bytes() == (tmp_path / "fresh.sbf").read_bytes()
 
 
+class TestCostIndependentOfStoreSize:
+    """Search and removal touch only the addressed buffers: a store ten
+    times larger, whose extra records hold none of the probed record's
+    buffers, gives the same search cardinalities and buffer reads, prunes
+    the same count, and keeps the extra records' buffers as they were."""
+
+    PROBED = [4, 9, 17, 40, 41, 90]
+
+    def _store(self, system, extra):
+        params = system.params
+        store = StorageBloomFilter(params, system.zone)
+        store.ingest(_raw_packet(system.zone, params.m, "probed", self.PROBED))
+        for i in range(4):  # records sharing some of the probed buffers
+            store.ingest(_raw_packet(system.zone, params.m, f"near{i}", self.PROBED[i : i + 3] + [120 + i]))
+        rng = Random(5)
+        elsewhere = sorted(set(range(params.m)) - set(self.PROBED))
+        for i in range(extra):
+            store.ingest(_raw_packet(system.zone, params.m, f"far{i}", sorted(rng.sample(elsewhere, 6))))
+        return store
+
+    @pytest.mark.parametrize("ask", ["search", "remove"])
+    def test_ten_times_the_records_costs_the_same(self, system, ask):
+        small, large = self._store(system, 0), self._store(system, 45)
+        assert len(large.table) == 10 * len(small.table)
+        readings = []
+        for store in (small, large):
+            before = [list(buf) for buf in store.buffers]
+            mark = store.buffer_reads
+            if ask == "search":
+                result = store.search_positions(self.PROBED)
+                readings.append((result.buffer_cardinalities, store.buffer_reads - mark,
+                                 [rec.handle for rec in result.matches]))
+            else:
+                rbf = BitFilter(system.params.m, self.PROBED)
+                readings.append(store.remove(RemovalRequest(zone=system.zone, rbf_prime=rbf,
+                                                            handle=_handle("probed"))))
+            assert all(store.buffers[p] == before[p]
+                       for p in range(system.params.m) if p not in self.PROBED)
+        assert readings[0] == readings[1]
+        if ask == "search":
+            assert readings[0][1] == len(self.PROBED) and readings[0][2] == [_handle("probed")]
+        else:
+            assert readings[0] == len(self.PROBED)
+
+
 class TestUploadBounds:
     def test_empty_upload_rejected_and_snapshot_round_trips(self, system, loaded, tmp_path):
         # a record in no buffer would make the saved snapshot unloadable
@@ -629,20 +675,6 @@ class TestSnapshot:
             StorageBloomFilter.load(path)
 
 
-V1_FIXTURE = Path(__file__).parent / "data" / "snapshot_v1.sbf"
-
-
-def _v1_fixture_store():
-    """The store that tests/data/snapshot_v1.sbf holds: written by the
-    SBFSTOR1 `save` after these same ingests and this removal."""
-    params = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64)
-    store = StorageBloomFilter(params, b"zone-v1")
-    for name, positions in (("d", [3, 7]), ("a", [0, 1, 2, 3]), ("c", [5, 6, 200]), ("b", [3, 4, 5])):
-        store.ingest(_raw_packet(b"zone-v1", params.m, name, positions))
-    store.remove(RemovalRequest(zone=b"zone-v1", rbf_prime=BitFilter(params.m, [1, 3]), handle=_handle("a")))
-    return store
-
-
 def _shares_table_handles(store):
     own = {h: h for h in store.table}
     return all(h is own[h] for buf in store.buffers for h in buf)
@@ -657,28 +689,6 @@ def _column_offsets(store):
 
 
 class TestSnapshotFormats:
-    def test_v1_file_loads_to_the_same_store(self, tmp_path):
-        expected = _v1_fixture_store()
-        assert V1_FIXTURE.read_bytes()[:8] == b"SBFSTOR1"
-        store = StorageBloomFilter.load(V1_FIXTURE)
-        assert (store.params, store.zone) == (expected.params, expected.zone)
-        assert store.table == expected.table
-        assert store.buffers == expected.buffers
-        assert _shares_table_handles(store)
-        # written back as v2, it matches a v2 file of the same store
-        store.save(tmp_path / "from_v1.sbf")
-        expected.save(tmp_path / "fresh.sbf")
-        assert (tmp_path / "from_v1.sbf").read_bytes() == (tmp_path / "fresh.sbf").read_bytes()
-        assert (tmp_path / "fresh.sbf").read_bytes()[:8] == b"SBFSTOR2"
-
-    def test_v1_unknown_handle_refused(self, tmp_path):
-        data = bytearray(V1_FIXTURE.read_bytes())
-        data[-1] ^= 0x01  # a byte of the last buffer's handle
-        path = tmp_path / "zone.sbf"
-        path.write_bytes(bytes(data))
-        with pytest.raises(StoreError, match="unknown handle"):
-            StorageBloomFilter.load(path)
-
     def test_v2_load_shares_the_table_handles(self, loaded, tmp_path):
         store, _ = loaded
         store.save(tmp_path / "zone.sbf")
@@ -725,6 +735,46 @@ class TestSnapshotFormats:
             data[counts_at : counts_at + 4] = count.to_bytes(4, "big")
         path.write_bytes(resealed(bytes(data)))
         with pytest.raises(StoreError, match=match):
+            StorageBloomFilter.load(path)
+
+
+class TestSnapshotTable:
+    """A resealed file whose record table breaks ingest's rules is
+    refused: handles must ascend strictly, and every record must be held
+    by some buffer. Three records of the same length, a, b and c."""
+
+    # the handle, a u32 length, then `_raw_packet`'s ciphertext b"sealed " + handle
+    RECORD_BYTES = HANDLE_BYTES + 4 + len(b"sealed ") + HANDLE_BYTES
+
+    @pytest.fixture
+    def saved(self, system, tmp_path):
+        store = StorageBloomFilter(system.params, system.zone)
+        for name, positions in (("a", [0, 1]), ("b", [1, 2]), ("c", [3])):
+            store.ingest(_raw_packet(system.zone, system.params.m, name, positions))
+        path = tmp_path / "zone.sbf"
+        store.save(path)
+        StorageBloomFilter.load(path)
+        count_at = 8 + 36 + 1 + len(system.zone) + 8  # magic, parameters, zone, journal position
+        return path, path.read_bytes(), count_at
+
+    @pytest.mark.parametrize("edit", ["swapped", "repeated"])
+    def test_handles_must_ascend_strictly(self, saved, edit):
+        path, data, count_at = saved
+        at, size = count_at + 4, self.RECORD_BYTES
+        a, b = data[at : at + size], data[at + size : at + 2 * size]
+        assert (a[:1], b[:1]) == (b"a", b"b")
+        records = b + a if edit == "swapped" else a + a
+        path.write_bytes(resealed(data[:at] + records + data[at + 2 * size :]))
+        with pytest.raises(StoreError, match="handles not strictly ascending"):
+            StorageBloomFilter.load(path)
+
+    def test_record_in_no_buffer_refused(self, saved):
+        path, data, count_at = saved
+        end = count_at + 4 + 3 * self.RECORD_BYTES
+        spare = _handle("z") + struct.pack(">I", 5) + b"spare"
+        path.write_bytes(resealed(data[:count_at] + struct.pack(">I", 4) + data[count_at + 4 : end]
+                                  + spare + data[end:]))
+        with pytest.raises(StoreError, match="absent from every buffer"):
             StorageBloomFilter.load(path)
 
 
