@@ -19,9 +19,11 @@ Primitive choices (sizes matter for the communication accounting):
   agreement, HKDF-SHA256, AES-128-GCM over the serialized record.
   Overhead per record: 32-byte ephemeral public key + 12-byte nonce +
   16-byte tag = 60 bytes (480 bits). One asymmetric operation per record
-  sealed. Opening keeps the opened records of the last 4096 (agent
-  private key, ciphertext, n) triples, so an agent re-opening a record it
-  saw recently pays one lookup. A hit needs the exact ciphertext bytes an
+  sealed. Opening, and the store, refuse an ephemeral key that
+  `canonical_x25519` rejects, so a record has one encoding that opens.
+  Opening keeps the opened records of the last 4096 (agent private key,
+  ciphertext, n) triples, so an agent re-opening a record it saw
+  recently pays one lookup. A hit needs the exact ciphertext bytes an
   earlier open verified under the same key, and a failed open is never
   kept. The memo holds plaintext, but nothing its holder could not
   already read: the key and the ciphertext open the same record, the
@@ -220,6 +222,17 @@ def generate_agent_keypair(rng: Random | None = None) -> tuple[bytes, bytes]:
 
 
 _RECORD_SEAL_INFO = b"sbfsearch record seal"  # HKDF info of every record key, sealing and opening alike
+_X25519_P = 2**255 - 19
+
+
+def canonical_x25519(u: bytes) -> bool:
+    """True iff `u` is the canonical encoding of an X25519 u-coordinate:
+    32 bytes, little-endian, below 2^255 - 19, so the top bit is clear.
+    X25519 masks that bit and reduces the rest mod 2^255 - 19 (RFC 7748
+    section 5), so a non-canonical ephemeral key agrees the same secret
+    as its canonical form and would give a sealed record a second
+    encoding that opens. `seal_record` writes only canonical keys."""
+    return len(u) == 32 and int.from_bytes(u, "little") < _X25519_P
 
 
 def seal_record(
@@ -253,15 +266,17 @@ RECORD_MEMO_ENTRIES = 4096
 
 
 def open_record(agent_private: bytes, rec: SealedRecord, n_bits: int) -> MetaInfo:
-    """Invert seal_record. Raises CryptoError on wrong key, tamper, or
-    truncation; never returns garbage and never memoises a failure. The
-    last 4096 records opened are kept by (agent private key, ciphertext,
-    n_bits), so re-opening one of them costs one lookup: a hit needs the
-    exact bytes an earlier call verified under the same key, and any
-    changed, cut or appended byte runs the exchange and the tag check
-    again. The kept plaintext is what the key already opens from the
-    ciphertext the server stores and returns; full, the memo holds
-    2.9-3.9 MB. A process that opens each record once gains nothing."""
+    """Invert seal_record. Raises CryptoError on wrong key, tamper,
+    truncation, or an ephemeral key not in canonical form, so each
+    record has one encoding that opens; never returns garbage and never
+    memoises a failure. The last 4096 records opened are kept by (agent
+    private key, ciphertext, n_bits), so re-opening one of them costs one
+    lookup: a hit needs the exact bytes an earlier call verified under
+    the same key, and any changed, cut or appended byte runs the exchange
+    and the tag check again. The kept plaintext is what the key already
+    opens from the ciphertext the server stores and returns; full, the
+    memo holds 2.9-3.9 MB. A process that opens each record once gains
+    nothing."""
     return _opened_record(bytes(agent_private), bytes(rec.ciphertext), n_bits)
 
 
@@ -272,6 +287,8 @@ def _opened_record(agent_private: bytes, ct: bytes, n_bits: int) -> MetaInfo:
     and the record is a pure function of the key and those bytes."""
     if len(ct) < SEAL_OVERHEAD_BYTES:
         raise CryptoError("sealed record too short")
+    if not canonical_x25519(ct[:32]):
+        raise CryptoError("sealed record's ephemeral key is not canonical")
     try:
         shared = _agent_key(agent_private).exchange(X25519PublicKey.from_public_bytes(ct[:32]))
         plain = AESGCM(hkdf_sha256(shared, _RECORD_SEAL_INFO)).decrypt(ct[32:44], ct[44:], None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from collections import Counter
-from collections.abc import Collection, Iterable
+from collections.abc import Collection, Iterable, Iterator
 
 from .crypto import compress_positions, decompress_positions
 
@@ -89,6 +89,10 @@ class BitFilter:
     def positions(self) -> list[int]:
         """The set positions, ascending."""
         return sorted(self._positions)
+
+    def __iter__(self) -> Iterator[int]:
+        """The set positions in no particular order, without a sort."""
+        return iter(self._positions)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BitFilter) and self.m == other.m and self._positions == other._positions

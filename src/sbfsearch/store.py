@@ -6,15 +6,22 @@ buffer addressed by the uploaded filter. Search seeds a set with the
 smallest addressed buffer and probes each larger one into it in C,
 stopping once nothing survives: at most the sum of the addressed
 cardinalities in C-level probes, and never a scan of the table. Removal
-finds the handle in each marked buffer with one C-level scan and deletes
-it at that index, and keeps a per-handle count of the buffers holding
-each record. Query and pruning filters hold their positions, not m
-bits. So both cost what the addressed buffers hold, not the store size or
-m. Ingest decodes the sparse upload straight to its position list
-(linear in the count, refused undecoded above q*r, and refused when
-empty), gathers the target buffers once to check capacity and appends to
-those same lists: O(positions), with no dense m-bit filter. The
-provisioned capacity model is m * beta * tau bits even though the
+takes one of two paths, and both keep a per-handle count of the buffers
+holding each record. Without a replacement nothing can be refused once
+the handle is known, so it prunes in one pass: one C-level `list.remove`
+per marked buffer. With a replacement, which can still be refused, it
+first finds the handle in each marked buffer with one C-level scan,
+checks the replacement, and only then deletes at the found indices.
+Either way a buffer's other handles keep their order. Query and pruning
+filters hold their positions, not m bits, and removal visits them
+unsorted. So search and removal cost what the addressed buffers hold,
+not the store size or m. Ingest decodes the sparse upload straight to
+its position list (linear in the count, refused undecoded above q*r,
+and refused when empty), gathers the target buffers once to check
+capacity and appends to those same lists: O(positions), with no dense
+m-bit filter. A sealed record whose ephemeral key is not in canonical
+form is refused, at ingest and at load, as `open_record` refuses it.
+The provisioned capacity model is m * beta * tau bits even though the
 implementation deduplicates ciphertexts through the table.
 
 Snapshots (`save`, `load`) are SBFSTOR2 files: the parameters, the zone
@@ -48,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .crypto import HANDLE_BYTES, SEAL_OVERHEAD_BYTES, SealedRecord, decompress_positions
+from .crypto import HANDLE_BYTES, SEAL_OVERHEAD_BYTES, SealedRecord, canonical_x25519, decompress_positions
 from .files import read_checksummed, write_checksummed
 from .filters import BitFilter
 from .index import RemovalRequest, UploadPacket
@@ -81,12 +88,16 @@ class BufferOverflow(StoreError):
         self.buffer_index = buffer_index
 
 
-def _check_sealed_size(size: int, params: SystemParams) -> None:
+def _check_sealed(ct: bytes, params: SystemParams) -> None:
     """A sealed record may be no longer than `seal_record` makes one at
-    tau: tau/8 bytes plus the sealing overhead."""
+    tau: tau/8 bytes plus the sealing overhead. Its first 32 bytes, the
+    ephemeral key, must be in canonical form, as `open_record` requires,
+    so the store never holds a second encoding of a record."""
     limit = SEAL_OVERHEAD_BYTES + params.tau_bits // 8
-    if size > limit:
-        raise StoreError(f"sealed record of {size} bytes exceeds tau bound {limit}")
+    if len(ct) > limit:
+        raise StoreError(f"sealed record of {len(ct)} bytes exceeds tau bound {limit}")
+    if len(ct) >= 32 and not canonical_x25519(ct[:32]):
+        raise StoreError("sealed record's ephemeral key is not canonical")
 
 
 @dataclass
@@ -122,58 +133,73 @@ class StorageBloomFilter:
     def remove(self, req: RemovalRequest) -> int:
         """Delete the handle from every buffer marked in the pruning
         filter; cost is one scan per marked buffer, whatever the store size
-        or m (the filter holds its marked positions, not m bits).
+        or m (the filter holds its marked positions, not m bits, and they
+        are visited in the filter's own order, unsorted).
         Marked buffers that lack the handle are skipped and counted in one
         warning, which names neither them nor the handle. Returns the
         number of buffers pruned.
 
-        A replacement upload is checked against the store as it will be
-        after the prune, before anything changes; prune and replacement
-        then apply under one hold of the lock, so a rejected replacement
-        leaves the store untouched."""
+        Without a replacement nothing after the handle check can be
+        refused, so each marked buffer is pruned in one pass with one
+        `list.remove`. A replacement upload is checked against the store
+        as it will be after the prune, before anything changes: the
+        handle is found in each marked buffer first, and prune and
+        replacement then apply under one hold of the lock, so a rejected
+        replacement leaves the store untouched."""
         if req.zone != self.zone:
             raise ZoneMismatch("removal request for another zone")
-        if req.rbf_prime.m != self.params.m:
+        marked = req.rbf_prime
+        if marked.m != self.params.m:
             raise StoreError("pruning filter length mismatch")
-        marked = req.rbf_prime.positions()
         new = req.replacement
         new_positions = self._upload_positions(new) if new is not None else []
         h = req.handle
+        buffers = self.buffers
         with self._lock:
             if h not in self.table:
                 raise UnknownHandle(f"handle {h.hex()} not stored")
-            held = []  # (position, buffer, index of h): one scan per marked buffer
-            for p in marked:
-                buf = self.buffers[p]
-                try:
-                    held.append((p, buf, buf.index(h)))
-                except ValueError:
-                    pass
-            if new is not None:
+            if new is None:
+                missing = 0
+                for p in marked:  # in range: checked when the filter was built
+                    try:
+                        buffers[p].remove(h)
+                    except ValueError:
+                        missing += 1
+            else:
+                held = []  # (position, buffer, index of h): one scan per marked buffer
+                for p in marked:
+                    buf = buffers[p]
+                    try:
+                        held.append((p, buf, buf.index(h)))
+                    except ValueError:
+                        pass
+                missing = marked.popcount - len(held)
                 # the record's own handle may return only once the prune drops its last copy
                 leaving = h if self._live[h] == len(held) else None
                 freed = {p for p, _, _ in held}
                 targets = self._check_upload(new.sealed.handle, new_positions, freed, leaving)
-            if len(held) < len(marked):
-                log.warning("removal: %d marked buffers did not hold the record", len(marked) - len(held))
-            for _, buf, i in held:
-                del buf[i]
-            self._live[h] -= len(held)
+                for _, buf, i in held:
+                    del buf[i]
+            if missing:
+                log.warning("removal: %d marked buffers did not hold the record", missing)
+            pruned = marked.popcount - missing
+            self._live[h] -= pruned
             if not self._live[h]:
                 del self._live[h], self.table[h]
             if new is not None:
                 self._insert(new.sealed, targets)
-            return len(held)
+            return pruned
 
     def _upload_positions(self, packet: UploadPacket) -> list[int]:
         """The upload's positions, decoded in O(count): ascending, in range,
         at least one and at most q*r (a larger count is refused undecoded).
         The sealed record may be no longer than `seal_record` makes one
         at tau (tau/8 bytes plus the sealing overhead), so tau bounds every
-        stored record as the capacity model assumes."""
+        stored record as the capacity model assumes, and its ephemeral key
+        must be canonical."""
         if packet.zone != self.zone:
             raise ZoneMismatch(f"packet zone {packet.zone.hex()} != store zone {self.zone.hex()}")
-        _check_sealed_size(len(packet.sealed.ciphertext), self.params)
+        _check_sealed(packet.sealed.ciphertext, self.params)
         positions = decompress_positions(packet.compressed_bf, self.params.m, self.params.max_positions)
         if not positions:
             raise StoreError("upload filter has no bit set")
@@ -274,7 +300,8 @@ class StorageBloomFilter:
     def load(cls, path: str | Path) -> "StorageBloomFilter":
         """Read an SBFSTOR2 snapshot under ingest's rules: every record
         known, in at least one and at most q*r buffers, no longer than tau
-        allows, and no buffer over beta or holding a handle twice. The
+        allows and with a canonical ephemeral key, and no buffer over beta
+        or holding a handle twice. The
         SHA-256 trailer is checked before anything is parsed."""
         rd = read_checksummed(path, SNAPSHOT_MAGIC, StoreError)
         l, r, gamma, q, m, s_bits, n_bits, beta, tau = struct.unpack(">9I", rd.take(36))
@@ -292,9 +319,9 @@ class StorageBloomFilter:
             if handle <= last:
                 raise StoreError("snapshot record handles not strictly ascending")
             last = handle
-            size = rd.u32()
-            _check_sealed_size(size, params)
-            store.table[handle] = SealedRecord(handle=handle, ciphertext=rd.take(size))
+            ct = rd.take(rd.u32())
+            _check_sealed(ct, params)
+            store.table[handle] = SealedRecord(handle=handle, ciphertext=ct)
         handles = list(store.table)  # slot -> handle
         k = rd.u32()
         positions, counts = np.frombuffer(rd.take(8 * k), ">u4").reshape(2, k).astype(np.int64)

@@ -20,8 +20,9 @@ acceptance checks are measured against them.
   uncached chain, one HMAC per evaluation, each counted in
   `crypto.prf_calls`. `index` memoises the chain's repeating points, and
   the paper's per-stage PRF budgets are read through these.
-- open_record_uncached: X25519, HKDF, AES-GCM and the parse, with no
-  memo, against which the memoised `crypto.open_record` is checked.
+- open_record_uncached: the canonical-key rule, X25519, HKDF, AES-GCM
+  and the parse, with no memo, against which the memoised
+  `crypto.open_record` is checked.
 """
 
 from __future__ import annotations
@@ -211,8 +212,12 @@ def derive_location_vector(trapdoor: list[bytes], location: bytes, params: Syste
 def open_record_uncached(agent_private: bytes, rec: SealedRecord, n_bits: int) -> MetaInfo:
     """`seal_record` inverted step by step with no memo. Raises what the
     library raises: `ValueError` for a bad key or point, `InvalidTag` for
-    a forged or cut record, `CryptoError` for a bad parse."""
+    a forged or cut record, `CryptoError` for a bad parse; and
+    `ValueError` for an ephemeral key not in canonical form (top bit set,
+    or a value of at least 2^255 - 19), which X25519 itself would accept."""
     ct = rec.ciphertext
+    if len(ct) >= 32 and (ct[31] & 0x80 or int.from_bytes(ct[:32], "little") >= 2**255 - 19):
+        raise ValueError("ephemeral key not canonical")
     eph_pub = X25519PublicKey.from_public_bytes(ct[:32])
     shared = X25519PrivateKey.from_private_bytes(agent_private).exchange(eph_pub)
     plain = AESGCM(hkdf_sha256(shared, b"sbfsearch record seal")).decrypt(ct[32:44], ct[44:], None)

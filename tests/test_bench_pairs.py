@@ -1,6 +1,7 @@
 """tools/bench_pairs.py refuses pairs that did not compare the same work:
-different op-stream digests, an incorrect run or a failed operation
-exit with status 1 and leave the output file unwritten. After the
+checkouts whose benchmarks differ, different op-stream digests, an
+incorrect run or a failed operation exit with status 1 and leave the
+output file unwritten. After the
 untraced pairs it makes three traced pairs, on the first three seeds,
 checks them the same way, and keeps each side's per-layer spread."""
 
@@ -41,7 +42,19 @@ def _fake_runs(monkeypatch, bad_seed=None, bad_side=None, bad_trace=False, **bad
     return calls
 
 
+def _checkouts(tmp_path):
+    """Two checkouts with the same benchmark: a BENCHMARK.json whose
+    `paths` names one directory holding one file."""
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        (root / "bench").mkdir(parents=True)
+        (root / "BENCHMARK.json").write_text(json.dumps({"paths": ["bench"]}))
+        (root / "bench" / "run.py").write_text("print('work')\n")
+
+
 def _main(tmp_path, seeds="1-4"):
+    if not (tmp_path / "parent").exists():
+        _checkouts(tmp_path)
     out = tmp_path / "BENCH.json"
     code = bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
                              "--workload", "w", "--seeds", seeds, "--seconds", "1", "--out", str(out)])
@@ -101,3 +114,26 @@ def test_a_bad_traced_run_writes_nothing(tmp_path, monkeypatch, capsys, bad, see
     assert code == 1
     assert not out.exists()
     assert f"traced seed {seed}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("edit", "refused"), [
+    ("BENCHMARK.json", True),
+    ("bench/run.py", True),
+    ("bench/added.py", True),
+    ("bench/__pycache__/run.cpython-311.pyc", False),
+    ("src/outside.py", False),
+], ids=["spec-edited", "file-edited", "file-added", "pycache-only", "outside-paths"])
+def test_checkouts_whose_benchmarks_differ_are_refused(tmp_path, monkeypatch, capsys, edit, refused):
+    """The benchmark is BENCHMARK.json and every file under its `paths`,
+    `__pycache__` left out; a change to it stops the tool before any run."""
+    calls = _fake_runs(monkeypatch)
+    _checkouts(tmp_path)
+    target = tmp_path / "change" / edit
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(target.read_text() + " " if target.exists() else "x")
+    code, out = _main(tmp_path)
+    if refused:
+        assert (code, out.exists(), calls) == (1, False, [])
+        assert "benchmarks differ" in capsys.readouterr().err
+    else:
+        assert code == 0 and out.exists()

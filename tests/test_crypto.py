@@ -328,6 +328,34 @@ class TestSealing:
         with pytest.raises(CryptoError):
             open_record(priv, broken, 64)
 
+    @pytest.mark.parametrize(("u", "canonical"), [
+        (bytes(32), True), ((2**255 - 20).to_bytes(32, "little"), True),
+        ((2**255 - 19).to_bytes(32, "little"), False), ((2**255 - 1).to_bytes(32, "little"), False),
+        ((2**255 + 9).to_bytes(32, "little"), False), (b"\xff" * 32, False),
+        (b"", False), (bytes(31), False), (bytes(33), False),
+    ], ids=["zero", "p-1", "p", "2^255-1", "top-bit", "all-ones", "empty", "31-bytes", "33-bytes"])
+    def test_canonical_x25519_predicate(self, u, canonical):
+        assert crypto.canonical_x25519(u) is canonical
+
+    def test_top_bit_of_the_ephemeral_key_refused(self):
+        """X25519 would mask the top bit and open the same record; a
+        second encoding of a record must fail, cold and after a warm open
+        of the genuine one, and is never kept."""
+        pub, priv = generate_agent_keypair(Random(14))
+        rec = seal_record(pub, _mi(), 4096, Random(15))
+        ct = bytearray(rec.ciphertext)
+        ct[31] ^= 0x80
+        flipped = crypto.SealedRecord(rec.handle, bytes(ct))
+        for warm in (False, True):
+            if warm:
+                assert open_record(priv, rec, 64) == _mi()
+            size = crypto._opened_record.cache_info().currsize
+            with pytest.raises(CryptoError, match="not canonical"):
+                open_record(priv, flipped, 64)
+            assert crypto._opened_record.cache_info().currsize == size
+        with pytest.raises(ValueError, match="not canonical"):
+            open_record_uncached(priv, flipped, 64)
+
     def test_oversize_record_rejected(self):
         pub, _ = generate_agent_keypair(Random(8))
         with pytest.raises(CryptoError):
@@ -462,8 +490,8 @@ class TestRecordKeyMemo:
             expected = open_record_uncached(key, changed, 64)
         except (InvalidTag, ValueError, CryptoError):
             expected = None
-        # X25519 ignores the top bit of a public key, so that flip still opens
-        assert expected == mi if change == "none" else expected in (None, mi)
+        # one encoding per record: every change fails, the top bit of the ephemeral key included
+        assert expected == (mi if change == "none" else None)
         if warm:
             assert open_record(priv, rec, 64) == mi
         size = crypto._opened_record.cache_info().currsize

@@ -343,6 +343,30 @@ class TestRobustness:
             assert [list(b) for b in store.buffers] == buffers_before
             assert c.upload(honest) == idx.bf.popcount
 
+    def test_non_canonical_ephemeral_key_refused(self, system, server):
+        """An upload whose sealed record has the top bit of its ephemeral
+        key set, a second encoding of a record that X25519 would open,
+        gets E_MALFORMED and leaves the store unchanged."""
+        _uploaded(system, server, seed=88)
+        store = server.stores[system.zone]
+        table_before = dict(store.table)
+        buffers_before = [list(b) for b in store.buffers]
+        _, idx = system.user([1], seed=89)
+        honest = make_upload_packet(idx, system.meta("twin"), system.secrets.agent_public,
+                                    system.zone, system.params, Random(90))
+        ct = bytearray(honest.sealed.ciphertext)
+        ct[31] ^= 0x80
+        twin = UploadPacket(zone=system.zone, compressed_bf=honest.compressed_bf,
+                            sealed=SealedRecord(honest.sealed.handle, bytes(ct)))
+        with _client(server) as c:
+            with pytest.raises(net.ServerError) as info:
+                c.upload(twin)
+            assert info.value.code == net.E_MALFORMED
+            assert "not canonical" in info.value.message
+            assert store.table == table_before
+            assert [list(b) for b in store.buffers] == buffers_before
+            assert c.upload(honest) == idx.bf.popcount
+
     def test_cut_bodies_and_bad_remove_flag_are_malformed(self, system, server):
         """Every proper prefix of a valid SEARCH_LOC, SEARCH_BF and REMOVE
         body, each body plus one byte, and a REMOVE whose flag is neither 0

@@ -374,17 +374,23 @@ class TestReplacement:
         assert store.table[a.sealed.handle] == a.sealed
         assert [i for i, buf in enumerate(store.buffers) if a.sealed.handle in buf] == [8]
 
-    def test_removal_never_scans_the_buffers(self, store):
+    def test_removal_never_scans_the_buffers(self, store, monkeypatch):
+        """Neither a withdrawal nor a replacement iterates over the m
+        buffers or sorts the pruning filter's positions."""
         class NoScan(list):
             def __iter__(self):
                 raise AssertionError("removal iterated over all m buffers")
 
-        store.buffers = NoScan(store.buffers)
+        def no_sort(self):
+            raise AssertionError("removal sorted the pruning filter's positions")
+
         withdraw_b = BitFilter(store.params.m)
         withdraw_b.insert([3, 4, 5])
+        a = _raw_packet(store.zone, store.params.m, "a", [8], version=b" v2")  # compresses: sorts
+        store.buffers = NoScan(store.buffers)
+        monkeypatch.setattr(BitFilter, "positions", no_sort)
         assert store.remove(RemovalRequest(zone=store.zone, rbf_prime=withdraw_b,
                                            handle=_handle("b"))) == 3
-        a = _raw_packet(store.zone, store.params.m, "a", [8], version=b" v2")
         assert self._remove_a(store, [0, 1, 2, 3], a) == 4
         a_, c_ = _handle("a"), _handle("c")
         assert set(store.table) == {a_, c_} and store.table[a_] == a.sealed
@@ -499,6 +505,37 @@ class TestUploadBounds:
                 call(req)
         assert set(store.table) == {_handle("a")}
         assert store.buffers[0] == store.buffers[1] == [_handle("a")]
+
+    @pytest.mark.parametrize("u", [2**255 + 1, 2**255 - 19], ids=["top-bit", "p"])
+    def test_non_canonical_ephemeral_key_refused(self, system, tmp_path, u):
+        """A sealed record whose first 32 bytes are not a canonical X25519
+        key would be a second encoding of a record: refused uploaded, as
+        a replacement and in a snapshot, and a refused call leaves the
+        store unchanged."""
+        store = StorageBloomFilter(system.params, system.zone)
+
+        def packet(name, key):
+            p = _raw_packet(system.zone, system.params.m, name, [0, 1])
+            ct = key.to_bytes(32, "little") + bytes(28)
+            return dataclasses.replace(p, sealed=SealedRecord(p.sealed.handle, ct))
+
+        assert store.ingest(packet("a", 2**255 - 20)) == 2
+        rbf = BitFilter(system.params.m, [0, 1])
+        for req in (packet("b", u),
+                    RemovalRequest(zone=system.zone, rbf_prime=rbf, handle=_handle("a"),
+                                   replacement=packet("c", u))):
+            call = store.ingest if isinstance(req, UploadPacket) else store.remove
+            with pytest.raises(StoreError, match="not canonical"):
+                call(req)
+        assert set(store.table) == {_handle("a")}
+        assert store.buffers[0] == store.buffers[1] == [_handle("a")]
+        path = tmp_path / "zone.sbf"
+        store.save(path)
+        assert StorageBloomFilter.load(path).table == store.table
+        store.table[_handle("a")] = packet("a", u).sealed
+        store.save(path)
+        with pytest.raises(StoreError, match="not canonical"):
+            StorageBloomFilter.load(path)
 
     def test_ingest_and_replacement_build_no_dense_filter(self, system, monkeypatch):
         store = StorageBloomFilter(system.params, system.zone)
@@ -842,25 +879,28 @@ class TestConcurrency:
 
 
 MODEL_ZONE = token_from_text("zone-model", 64)
-MODEL_SPOTS = 6  # records use only positions 0..5, so buffers fill and overflow often
+MODEL_SPOTS = 4  # records use only positions 0..3, so buffers fill, overflow and hold three handles often
 _names = st.sampled_from("abcdef")
 _spots = st.sets(st.integers(0, MODEL_SPOTS - 1), min_size=1, max_size=4)
 
 
 class StoreModel(RuleBasedStateMachine):
     """The store against a reference model: each live handle's set of
-    positions and its sealed record. beta=2 over six positions and six
-    handles, so duplicate, overflow, unknown-handle and own-handle cases
-    all come up, as do empty and oversize uploads and sealed records
-    longer than tau allows. A rejected operation must leave table and
-    buffers as they were; after every step the table and every buffer
-    must match the model."""
+    positions and its sealed record, and each position's handles in the
+    order they were ingested, a prune dropping the handle's one
+    occurrence. beta=3 over four positions and six handles, so duplicate,
+    overflow, unknown-handle and own-handle cases all come up, as do
+    prunes of a handle ahead of two others, empty and oversize uploads
+    and sealed records longer than tau allows. A rejected operation must
+    leave table and buffers as they were; after every step the table and
+    every buffer, in order, must match the model."""
 
     def __init__(self):
         super().__init__()
-        self.params = derive_params(l=20, r=4, gamma_count=2, q=6, beta=2, tau_bits=4096, n_bits=64)
+        self.params = derive_params(l=20, r=4, gamma_count=2, q=6, beta=3, tau_bits=4096, n_bits=64)
         self.store = StorageBloomFilter(self.params, MODEL_ZONE)
         self.held: dict[bytes, set[int]] = {}
+        self.order: list[list[bytes]] = [[] for _ in range(MODEL_SPOTS)]  # position -> handles, ingest order
         self.sealed: dict[bytes, SealedRecord] = {}
         self.uploads = 0
         self.dir = tempfile.TemporaryDirectory()
@@ -872,13 +912,16 @@ class StoreModel(RuleBasedStateMachine):
         self.uploads += 1  # a new ciphertext each time, so a replacement is told from the original
         return _raw_packet(zone, self.params.m, name, sorted(positions), version=b"%d" % self.uploads)
 
-    def _holders(self, p):
-        return {h for h, ps in self.held.items() if p in ps}
+    def _add(self, handle, positions, sealed):
+        self.held[handle] = set(positions)
+        self.sealed[handle] = sealed
+        for p in positions:
+            self.order[p].append(handle)
 
     def _upload_error(self, handle, positions, freed=(), leaving=None):
         if handle in self.held and handle != leaving:
             return DuplicateHandle
-        if any(len(self._holders(p)) - (p in freed) >= self.params.beta for p in positions):
+        if any(len(self.order[p]) - (p in freed) >= self.params.beta for p in positions):
             return BufferOverflow
         return None
 
@@ -904,11 +947,12 @@ class StoreModel(RuleBasedStateMachine):
                 return self._rejected(error, self.store.remove, req)
         assert self.store.remove(req) == len(freed)
         self.held[handle] -= freed
+        for p in freed:
+            self.order[p].remove(handle)
         if not self.held[handle]:
             del self.held[handle], self.sealed[handle]
         if new is not None:
-            self.held[new.sealed.handle] = set(replacement[1])
-            self.sealed[new.sealed.handle] = new.sealed
+            self._add(new.sealed.handle, replacement[1], new.sealed)
 
     @rule(name=_names, positions=_spots)
     def ingest(self, name, positions):
@@ -917,8 +961,7 @@ class StoreModel(RuleBasedStateMachine):
         if error is not None:
             return self._rejected(error, self.store.ingest, packet)
         assert self.store.ingest(packet) == len(positions)
-        self.held[packet.sealed.handle] = set(positions)
-        self.sealed[packet.sealed.handle] = packet.sealed
+        self._add(packet.sealed.handle, positions, packet.sealed)
 
     @rule(name=_names, positions=_spots)
     def ingest_into_another_zone(self, name, positions):
@@ -1004,7 +1047,7 @@ class StoreModel(RuleBasedStateMachine):
     @invariant()
     def buffers_match_model(self):
         for p in range(MODEL_SPOTS):
-            assert sorted(self.store.buffers[p]) == sorted(self._holders(p))
+            assert self.store.buffers[p] == self.order[p]
         assert not any(self.store.buffers[MODEL_SPOTS:])
 
 

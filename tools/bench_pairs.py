@@ -19,11 +19,18 @@ A pair whose two runs report different op-stream digests, or a run that
 reports `correct=false` or `failed>0`, stops the tool with exit status 1
 before it writes anything: such a pair did not compare the same work.
 Each traced pair is checked the same way.
+
+Before any run, the tool takes a SHA-256 over each checkout's
+`BENCHMARK.json` and every file under the directories its `paths` lists
+(`__pycache__` left out). If the two differ it exits with status 1 and
+writes nothing: a change that edits the benchmark cannot be compared
+with its parent by that benchmark.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import statistics
@@ -32,6 +39,22 @@ import sys
 from pathlib import Path
 
 GATED = {"setup_s": "lower", "ops_per_cpu_s": "higher", "op_cpu_p50_ms": "lower", "op_cpu_p95_ms": "lower"}
+
+
+def benchmark_digest(checkout: Path) -> str:
+    """SHA-256 over `BENCHMARK.json` and every file under the directories
+    its `paths` lists, `__pycache__` left out; each file enters with its
+    path relative to the checkout and its length."""
+    spec = checkout / "BENCHMARK.json"
+    files = [spec]
+    for entry in json.loads(spec.read_text())["paths"]:
+        found = (checkout / entry).rglob("*")
+        files += sorted(f for f in found if f.is_file() and "__pycache__" not in f.relative_to(checkout).parts)
+    digest = hashlib.sha256()
+    for f in files:
+        name, data = f.relative_to(checkout).as_posix().encode(), f.read_bytes()
+        digest.update(len(name).to_bytes(4, "big") + name + len(data).to_bytes(8, "big") + data)
+    return digest.hexdigest()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
@@ -103,6 +126,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    if benchmark_digest(args.parent) != benchmark_digest(args.change):
+        print("the two checkouts' benchmarks differ (BENCHMARK.json or a file under its paths)",
+              file=sys.stderr)
+        return 1
     first, last = map(int, args.seeds.split("-"))
     seeds = list(range(first, last + 1))
     sides = run_pairs(args, seeds)
