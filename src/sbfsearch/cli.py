@@ -19,9 +19,7 @@ from random import Random
 
 from . import analysis, files, net, sim
 from .crypto import CryptoError, MetaInfo, open_record, token_from_text
-from .filters import FilterError
 from .index import (
-    SchemeError,
     build_conjunctive_query,
     build_removal_request,
     build_user_index,
@@ -411,7 +409,7 @@ def _cmd_snapshot(args) -> int:
         return 0
     store = StorageBloomFilter.load(args.file)
     size = Path(args.file).stat().st_size
-    model_bytes, entries = store.memory_usage()
+    entries = store.memory_usage()
     occupied = sum(count for occ, count in store.occupancy_histogram() if occ > 0)
     print(f"format = {SNAPSHOT_MAGIC.decode('ascii')}")
     print(f"bytes = {size}")
@@ -422,7 +420,7 @@ def _cmd_snapshot(args) -> int:
     print(f"records = {len(store.table)}")
     print(f"entries = {entries}")
     print(f"occupied_buffers = {occupied}")
-    print(f"model_mib = {analysis.bytes_to_mib(model_bytes)}")
+    print(f"model_mib = {analysis.bytes_to_mib(analysis.provisioned_memory_bytes(store.params))}")
     return 0
 
 
@@ -451,9 +449,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (ParamsError, CryptoError, FilterError, SchemeError, StoreError,
-            sim.SimError, files.FileFormatError, net.WireError, net.ServerError,
-            analysis.AnalysisError, OSError, ValueError) as exc:
+    except (CryptoError, StoreError, files.FileFormatError, net.WireError, net.ServerError, OSError,
+            ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -48,8 +48,10 @@ Primitive choices (sizes matter for the communication accounting):
   truncated to n bits. This canonicalizes the vocabulary; it is not a
   security boundary.
 
-All randomized operations accept an optional random.Random so callers can
-reproduce runs from a seed; the default draws from the OS.
+Key generation and record sealing accept an optional random.Random so
+callers can reproduce runs from a seed; the default draws from the OS.
+The channel's ephemeral keys and nonces never come from a caller's
+generator: they always draw from the OS.
 """
 
 from __future__ import annotations
@@ -207,10 +209,19 @@ class MetaInfo:
 class SealedRecord:
     """Encrypted meta record plus the random handle used as its identity
     in the server store (buffer intersection compares handles, never
-    ciphertext bytes)."""
+    ciphertext bytes). Uploads, search results and snapshots all frame it
+    as handle(16) || u32 ciphertext length || ciphertext."""
 
     handle: bytes
     ciphertext: bytes
+
+    def to_bytes(self) -> bytes:
+        return self.handle + len(self.ciphertext).to_bytes(4, "big") + self.ciphertext
+
+    @classmethod
+    def read(cls, rd: Reader) -> "SealedRecord":
+        """The next framed record; a short one raises the reader's error."""
+        return cls(handle=rd.take(HANDLE_BYTES), ciphertext=rd.take(rd.u32()))
 
 
 def generate_agent_keypair(rng: Random | None = None) -> tuple[bytes, bytes]:
@@ -299,10 +310,11 @@ def _opened_record(agent_private: bytes, ct: bytes, n_bits: int) -> MetaInfo:
 
 # --- transport -------------------------------------------------------------
 
-def wrap_transport(aead: AESGCM, payload: bytes, rng: Random | None = None) -> bytes:
+def wrap_transport(aead: AESGCM, payload: bytes) -> bytes:
     """Encrypt one message under a session's AEAD object, built once from
-    its channel key, with a fresh random nonce: nonce(12) || ciphertext."""
-    nonce = rand_bytes(rng, 12)
+    its channel key, with a fresh nonce from the OS: nonce(12) ||
+    ciphertext."""
+    nonce = secrets.token_bytes(12)
     return nonce + aead.encrypt(nonce, payload, None)
 
 

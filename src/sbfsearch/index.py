@@ -49,8 +49,6 @@ from itertools import chain
 from random import Random
 
 from .crypto import (
-    HANDLE_BYTES,
-    CryptoError,
     MetaInfo,
     Reader,
     SealedRecord,
@@ -125,24 +123,17 @@ class UploadPacket:
     sealed: SealedRecord
 
     def to_bytes(self) -> bytes:
-        ct = self.sealed.ciphertext
-        return b"".join([
-            self.zone,
-            self.sealed.handle,
-            struct.pack(">I", len(ct)), ct,
-            struct.pack(">I", len(self.compressed_bf)), self.compressed_bf,
-        ])
+        return b"".join([self.zone, self.sealed.to_bytes(),
+                         struct.pack(">I", len(self.compressed_bf)), self.compressed_bf])
 
     @classmethod
     def from_bytes(cls, data: bytes, zone_width: int) -> "UploadPacket":
         rd = Reader(data, SchemeError)
         zone = rd.take(zone_width)
-        handle = rd.take(HANDLE_BYTES)
-        ct = rd.take(rd.u32())
+        sealed = SealedRecord.read(rd)
         compressed = rd.take(rd.u32())
         rd.done()
-        return cls(zone=zone, compressed_bf=compressed,
-                   sealed=SealedRecord(handle=handle, ciphertext=ct))
+        return cls(zone=zone, compressed_bf=compressed, sealed=sealed)
 
 
 @dataclass(frozen=True)
@@ -272,7 +263,6 @@ def build_removal_request(
     handle: bytes,
     params: SystemParams,
     rng: Random | None = None,
-    replacement: UploadPacket | None = None,
 ) -> RemovalRequest:
     """Build the pruning filter for one previously inserted keyword and
     update the index in place.
@@ -300,8 +290,7 @@ def build_removal_request(
     idx.cbf.subtract(ps)
     idx.obf_elements, idx.obf_positions = elements, lanes
     idx.derive_filters()
-    return RemovalRequest(zone=idx.zone, rbf_prime=BitFilter(params.m, pruned), handle=handle,
-                          replacement=replacement)
+    return RemovalRequest(zone=idx.zone, rbf_prime=BitFilter(params.m, pruned), handle=handle)
 
 
 def _draw_swap_position(

@@ -57,14 +57,13 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
-from random import Random
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .crypto import (HANDLE_BYTES, CryptoError, Reader, SealedRecord, hkdf_sha256, hmac_digest, rand_bytes,
-                     unwrap_transport, wrap_transport)
+from .crypto import (HANDLE_BYTES, CryptoError, Reader, SealedRecord, hkdf_sha256, hmac_digest, unwrap_transport,
+                     wrap_transport)
 from .filters import BitFilter
 from .index import RemovalRequest, UploadPacket
 from .store import BufferOverflow, DuplicateHandle, StorageBloomFilter, StoreError, UnknownHandle, ZoneMismatch
@@ -166,8 +165,8 @@ class Session:
         self.aead = AESGCM(self.channel_key)
 
 
-def client_handshake(sock: socket.socket, role: int, rng: Random | None = None) -> Session:
-    eph = X25519PrivateKey.from_private_bytes(rand_bytes(rng, 32))
+def client_handshake(sock: socket.socket, role: int) -> Session:
+    eph = X25519PrivateKey.generate()
     client_pub = eph.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
     hello = bytes([role]) + client_pub
     send_frame(sock, T_HELLO, hello)
@@ -185,7 +184,7 @@ def client_handshake(sock: socket.socket, role: int, rng: Random | None = None) 
     return Session(channel_key=key, role=role)
 
 
-def server_hello(ftype: int, payload: bytes, rng: Random | None = None) -> tuple[Session, bytes]:
+def server_hello(ftype: int, payload: bytes) -> tuple[Session, bytes]:
     """The server's handshake step on the first frame of a connection:
     the session and the HELLO_ACK payload that answers it."""
     if ftype != T_HELLO or len(payload) != 1 + 32:
@@ -193,7 +192,7 @@ def server_hello(ftype: int, payload: bytes, rng: Random | None = None) -> tuple
     role, client_pub = payload[0], payload[1:]
     if role not in (ROLE_OWNER, ROLE_AGENT):
         raise WireError("unknown session role")
-    eph = X25519PrivateKey.from_private_bytes(rand_bytes(rng, 32))
+    eph = X25519PrivateKey.generate()
     server_pub = eph.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
     shared = eph.exchange(X25519PublicKey.from_public_bytes(client_pub))
     transcript = payload + server_pub + bytes([role])
@@ -201,9 +200,9 @@ def server_hello(ftype: int, payload: bytes, rng: Random | None = None) -> tuple
     return Session(channel_key=key, role=role), server_pub + bytes([role]) + _confirmation(key, transcript)
 
 
-def server_handshake(sock: socket.socket, rng: Random | None = None) -> Session:
+def server_handshake(sock: socket.socket) -> Session:
     """The server's side of the handshake on a blocking socket."""
-    session, ack = server_hello(*recv_frame(sock), rng)
+    session, ack = server_hello(*recv_frame(sock))
     send_frame(sock, T_HELLO_ACK, ack)
     return session
 
@@ -281,10 +280,7 @@ class NetServer:
 
     def serve_forever(self) -> None:
         self._loop_thread = threading.current_thread()
-        try:
-            self._run()
-        except KeyboardInterrupt:
-            pass
+        self._run()
 
     def shutdown(self) -> None:
         """Stop serving. Called from another thread, return once the loop
@@ -512,10 +508,7 @@ class NetServer:
 
 
 def _result_body(matches: list[SealedRecord]) -> bytes:
-    parts = [struct.pack(">I", len(matches))]
-    for rec in matches:
-        parts.append(rec.handle + struct.pack(">I", len(rec.ciphertext)) + rec.ciphertext)
-    return b"".join(parts)
+    return struct.pack(">I", len(matches)) + b"".join(rec.to_bytes() for rec in matches)
 
 
 # --- client -----------------------------------------------------------------
@@ -523,14 +516,13 @@ def _result_body(matches: list[SealedRecord]) -> bytes:
 class NetClient:
     """Synchronous one-round-trip-per-operation client."""
 
-    def __init__(self, host: str, port: int, role: int = ROLE_OWNER, rng: Random | None = None):
+    def __init__(self, host: str, port: int, role: int = ROLE_OWNER):
         self._sock = socket.create_connection((host, port))
         try:
-            self._session = client_handshake(self._sock, role, rng)
+            self._session = client_handshake(self._sock, role)
         except BaseException:
             self._sock.close()
             raise
-        self._rng = rng
         self._corr = 0
 
     def close(self) -> None:
@@ -549,7 +541,7 @@ class NetClient:
     def _round_trip(self, ftype: int, body: bytes, expect: int) -> Reader:
         """Send one request; return a reader over the reply's body."""
         self._corr = (self._corr + 1) % 256
-        send_frame(self._sock, ftype, wrap_transport(self._session.aead, bytes([self._corr]) + body, self._rng))
+        send_frame(self._sock, ftype, wrap_transport(self._session.aead, bytes([self._corr]) + body))
         rtype, payload = recv_frame(self._sock)
         rd = Reader(unwrap_transport(self._session.aead, payload), WireError)
         if rd.u8() != self._corr:
@@ -581,8 +573,7 @@ class NetClient:
 
     @staticmethod
     def _parse_result(rd: Reader) -> list[SealedRecord]:
-        records = [SealedRecord(handle=rd.take(HANDLE_BYTES), ciphertext=rd.take(rd.u32()))
-                   for _ in range(rd.u32())]
+        records = [SealedRecord.read(rd) for _ in range(rd.u32())]
         rd.done()
         return records
 

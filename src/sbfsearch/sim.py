@@ -157,38 +157,25 @@ def _draw_with_layout(
 
 # --- blinding overlap ---------------------------------------------------------
 
-def overlap_estimate(
-    m: int, l: int, r: int, oe_count: int, trials: int, seed: int,
-    fixed_layout: np.ndarray | None = None,
-) -> tuple[float, float]:
+def overlap_estimate(m: int, l: int, r: int, oe_count: int, trials: int, seed: int) -> tuple[float, float]:
     """Fraction of trials in which some keyword row is fully covered by
-    oe_count blinding elements of r uniform positions each. A fresh
-    layout is drawn per trial unless fixed_layout pins one. Blocks hold
-    CHUNK_TRIALS trials; a block makes one draw for its blinding
-    positions, its layout and the layout's spare rows, in that order."""
+    oe_count blinding elements of r uniform positions each, against a
+    layout drawn afresh per trial. Blocks hold CHUNK_TRIALS trials; a
+    block makes one draw for its blinding positions, its layout and the
+    layout's spare rows, in that order."""
     if trials < 1:
         raise SimError("trials must be at least 1")
     if oe_count < 0:
         raise SimError("oe_count must be non-negative")
     _check_lanes(r, m)
-    # the trials' filters lie end to end, so a position outside [0, m)
-    # would read a neighbouring trial's filter
-    if fixed_layout is not None and ((fixed_layout < 0) | (fixed_layout >= m)).any():
-        raise SimError("fixed layout positions must lie in [0, m)")
     if oe_count == 0:
         return 0.0, 0.0
     k = oe_count * r
     hits = 0
     for block, start in enumerate(range(0, trials, CHUNK_TRIALS)):
         n = min(CHUNK_TRIALS, trials - start)
-        rng = _block_rng(seed, block)
-        if fixed_layout is None:
-            oe, layouts = _draw_with_layout(rng, n * k, n * l, r, m)
-            oe, layouts = oe.reshape(n, k), layouts.reshape(n, l, r)
-        else:
-            oe = rng.integers(0, m, size=(n, k), dtype=np.int64)
-            layouts = np.broadcast_to(fixed_layout, (n, l, r))
-        hits += int(kernels.cover_hits(oe, layouts, m).sum())
+        oe, layouts = _draw_with_layout(_block_rng(seed, block), n * k, n * l, r, m)
+        hits += int(kernels.cover_hits(oe.reshape(n, k), layouts.reshape(n, l, r), m).sum())
     p = hits / trials
     return p, _binomial_stderr(p, trials)
 

@@ -21,8 +21,9 @@ and refused when empty), gathers the target buffers once to check
 capacity and appends to those same lists: O(positions), with no dense
 m-bit filter. A sealed record whose ephemeral key is not in canonical
 form is refused, at ingest and at load, as `open_record` refuses it.
-The provisioned capacity model is m * beta * tau bits even though the
-implementation deduplicates ciphertexts through the table.
+The provisioned capacity model, `analysis.provisioned_memory_bytes`, is
+m * beta * tau bits even though the implementation deduplicates
+ciphertexts through the table.
 
 Snapshots (`save`, `load`) are SBFSTOR2 files: the parameters, the zone
 and a journal position (0: there is no journal yet); the record table
@@ -55,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .crypto import HANDLE_BYTES, SEAL_OVERHEAD_BYTES, SealedRecord, canonical_x25519, decompress_positions
+from .crypto import SEAL_OVERHEAD_BYTES, SealedRecord, canonical_x25519, decompress_positions
 from .files import read_checksummed, write_checksummed
 from .filters import BitFilter
 from .index import RemovalRequest, UploadPacket
@@ -257,13 +258,11 @@ class StorageBloomFilter:
             raise StoreError("all-zero query filter rejected")
         return self.search_positions(positions)
 
-    def memory_usage(self) -> tuple[int, int]:
-        """(provisioned capacity in bytes: m * beta * tau / 8,
-        actual buffer entries currently held)."""
+    def memory_usage(self) -> int:
+        """The buffer entries currently held. The provisioned capacity is
+        `analysis.provisioned_memory_bytes`."""
         with self._lock:
-            actual = sum(len(buf) for buf in self.buffers)
-        model_bytes = self.params.m * self.params.beta * self.params.tau_bits // 8
-        return model_bytes, actual
+            return sum(len(buf) for buf in self.buffers)
 
     def occupancy_histogram(self) -> list[tuple[int, int]]:
         """(occupancy, buffer count) pairs ascending; counts sum to m."""
@@ -285,9 +284,7 @@ class StorageBloomFilter:
                                  p.tau_bits, len(self.zone)),
                      self.zone,
                      struct.pack(">QI", 0, len(handles))]  # journal position 0: no journal yet
-            for h in handles:
-                ct = self.table[h].ciphertext
-                parts.append(h + struct.pack(">I", len(ct)) + ct)
+            parts += [self.table[h].to_bytes() for h in handles]
             lengths = np.array(list(map(len, self.buffers)))
             positions = np.flatnonzero(lengths)
             parts.append(struct.pack(">I", positions.size))
@@ -315,13 +312,12 @@ class StorageBloomFilter:
             raise StoreError(f"snapshot journal position {journal} is not 0")
         last = b""
         for _ in range(rd.u32()):
-            handle = rd.take(HANDLE_BYTES)
-            if handle <= last:
+            rec = SealedRecord.read(rd)
+            if rec.handle <= last:
                 raise StoreError("snapshot record handles not strictly ascending")
-            last = handle
-            ct = rd.take(rd.u32())
-            _check_sealed(ct, params)
-            store.table[handle] = SealedRecord(handle=handle, ciphertext=ct)
+            last = rec.handle
+            _check_sealed(rec.ciphertext, params)
+            store.table[rec.handle] = rec
         handles = list(store.table)  # slot -> handle
         k = rd.u32()
         positions, counts = np.frombuffer(rd.take(8 * k), ">u4").reshape(2, k).astype(np.int64)

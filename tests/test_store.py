@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from sbfsearch import analysis
 from sbfsearch.crypto import HANDLE_BYTES, SEAL_OVERHEAD_BYTES, CryptoError, SealedRecord, token_from_text
 from sbfsearch.filters import BitFilter
 from sbfsearch.index import (
@@ -558,10 +559,9 @@ class TestUploadBounds:
 class TestAccounting:
     def test_memory_usage_model_and_actual(self, system, loaded):
         store, _ = loaded
-        model, actual = store.memory_usage()
         p = system.params
-        assert model == p.m * p.beta * p.tau_bits // 8
-        assert actual == sum(len(b) for b in store.buffers)
+        assert analysis.provisioned_memory_bytes(p) == p.m * p.beta * p.tau_bits // 8
+        assert store.memory_usage() == sum(len(b) for b in store.buffers)
 
     def test_entries_accumulate_per_ingest(self, system):
         store = StorageBloomFilter(system.params, system.zone)
@@ -571,13 +571,13 @@ class TestAccounting:
             packet = make_upload_packet(idx, system.meta(f"u{u}"), system.secrets.agent_public,
                                         system.zone, system.params, Random(50 + u))
             total += store.ingest(packet)
-        assert store.memory_usage()[1] == total
+        assert store.memory_usage() == total
 
     def test_occupancy_histogram(self, system, loaded):
         store, _ = loaded
         histogram = store.occupancy_histogram()
         assert sum(count for _, count in histogram) == system.params.m
-        assert sum(occ * count for occ, count in histogram) == store.memory_usage()[1]
+        assert sum(occ * count for occ, count in histogram) == store.memory_usage()
         recount: dict[int, int] = {}
         for b in store.buffers:
             recount[len(b)] = recount.get(len(b), 0) + 1

@@ -4,7 +4,13 @@ code (a name, an attribute or an import) or in a string constant that is
 not a docstring (perfbench wraps functions by name). Comments and
 docstrings do not count. The package's `__init__` re-exports names
 without using them, and perfbench's own tests are not the system, so
-neither counts. Code that only tests call belongs in `tests/`."""
+neither counts. Code that only tests call belongs in `tests/`.
+
+Every option, a parameter with a default on any `def` in
+`src/sbfsearch`, is one the system passes: some call in those same files
+to a function, method or class of that name passes it, positionally, by
+keyword, or through `*args` or `**kwargs`. An option that only tests
+pass belongs in the tests."""
 
 import ast
 import re
@@ -19,7 +25,17 @@ UNUSED = {
                                  "the bytes a search puts on the wire",
 }
 
+# the options kept without a caller in the system that passes them, and why
+UNPASSED = {
+    "cli.main(argv)": "the console script passes no argv, and the tests pass theirs",
+}
+
 WORD = re.compile(r"\w+")
+
+
+def _system_files() -> list[Path]:
+    return [path for path in (*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"))
+            if path.name != "__init__.py" and not path.name.startswith("test_")]
 
 
 def _public_definitions(tree: ast.Module):
@@ -61,9 +77,7 @@ def _names_used(tree: ast.Module):
 
 
 def test_every_public_name_is_used_by_the_system():
-    system = [path for path in (*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"))
-              if path.name != "__init__.py" and not path.name.startswith("test_")]
-    used = {path: list(_names_used(ast.parse(path.read_text()))) for path in system}
+    used = {path: list(_names_used(ast.parse(path.read_text()))) for path in _system_files()}
     unused = []
     for module in sorted(PACKAGE.glob("*.py")):
         for name, first, last in _public_definitions(ast.parse(module.read_text())):
@@ -71,3 +85,68 @@ def test_every_public_name_is_used_by_the_system():
                        if not (path == module and first <= at <= last)):
                 unused.append(f"{module.stem}.{name}")
     assert unused == sorted(UNUSED)
+
+
+def _options(tree: ast.Module):
+    """(callee name, label, parameter, keyword or None, positional index
+    or None) of each parameter with a default on each `def`, nested ones
+    too. A class's `__init__` is called by the class's name; a method's
+    positional index leaves out `self` or `cls`."""
+    def walk(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, scope + [child.name], True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from _defaults(child, scope, in_class)
+                yield from walk(child, scope + [child.name], False)
+            else:
+                yield from walk(child, scope, in_class)
+    yield from walk(tree, [], False)
+
+
+def _defaults(fn: ast.FunctionDef, scope: list[str], in_class: bool):
+    if in_class and fn.name == "__init__":
+        callee, label = scope[-1], ".".join(scope)
+    else:
+        callee, label = fn.name, ".".join(scope + [fn.name])
+    bound = in_class and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield callee, label, arg.arg, None if i < len(args.posonlyargs) else arg.arg, i - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield callee, label, arg.arg, arg.arg, None
+
+
+def _passes(call: ast.Call, keyword: str | None, index: int | None) -> bool:
+    """Whether `call` passes the parameter of that keyword name (None if
+    positional-only) or that positional index (None if keyword-only)."""
+    if index is not None:
+        if any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > index:
+            return True
+    return any(kw.arg is None or (keyword is not None and kw.arg == keyword) for kw in call.keywords)
+
+
+def _calls(tree: ast.Module):
+    """(callee name, call) of each call to a name or an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                yield node.func.id, node
+            elif isinstance(node.func, ast.Attribute):
+                yield node.func.attr, node
+
+
+def test_every_option_is_passed_by_the_system():
+    calls: dict[str, list[ast.Call]] = {}
+    for path in _system_files():
+        for name, call in _calls(ast.parse(path.read_text())):
+            calls.setdefault(name, []).append(call)
+    unpassed = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        for callee, label, param, keyword, index in _options(ast.parse(module.read_text())):
+            if not any(_passes(call, keyword, index) for call in calls.get(callee, ())):
+                unpassed.append(f"{module.stem}.{label}({param})")
+    assert sorted(unpassed) == sorted(UNPASSED), f"passed by no system call: {sorted(set(unpassed) - set(UNPASSED))}"
