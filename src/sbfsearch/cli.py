@@ -4,9 +4,10 @@ tables, and the simulation experiments.
 
 Bulky inputs travel in files; flags name the paths. Free-text keywords,
 locations, and zone names are canonicalized to n-bit tokens, so the same
-strings always address the same buffers. Randomized subcommands accept
---seed and reproduce bit-identically under it. Exit codes: 0 success,
-1 operational error, 2 usage.
+strings always address the same buffers. The simulate-* subcommands
+take --seed and reproduce bit-identically under it; the subcommands that
+make keys, blinding elements or sealed records take no seed and draw
+from the OS. Exit codes: 0 success, 1 operational error, 2 usage.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import signal
 import sys
 from pathlib import Path
-from random import Random
 
 from . import analysis, files, net, sim
 from .crypto import CryptoError, MetaInfo, open_record, token_from_text
@@ -36,10 +36,6 @@ def _add_params_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--params", required=True, help="key=value parameter file")
 
 
-def _rng(args: argparse.Namespace) -> Random | None:
-    return Random(args.seed) if args.seed is not None else None
-
-
 def _host_port(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     return host or "127.0.0.1", int(port)
@@ -57,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_flags(p)
     p.add_argument("--vocab", required=True, help="text file, one keyword per line")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("register", help="derive a user keyring for a zone")
     _add_params_flags(p)
@@ -71,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keyring", required=True)
     p.add_argument("--location", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("upload", help="seal a meta record and upload it")
     _add_params_flags(p)
@@ -81,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zone", required=True)
     p.add_argument("--server", required=True, help="host:port")
     p.add_argument("--receipt", required=True, help="where to write the record handle")
-    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("search", help="single-keyword location-scoped search")
     _add_params_flags(p)
@@ -111,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--location", required=True)
     p.add_argument("--receipt", required=True, help="receipt file from the upload")
     p.add_argument("--server", required=True)
-    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("serve", help="run the storage server")
     _add_params_flags(p)
@@ -138,8 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "a sub-location)")
     _add_params_flags(p)
     p.add_argument("--t", type=int, help="user count (fixed) for a beta sweep")
-    p.add_argument("--betas", help="comma-separated buffer capacities to sweep")
-    p.add_argument("--ts", help="comma-separated user counts to sweep at the params beta")
+    sweep = p.add_mutually_exclusive_group(required=True)
+    sweep.add_argument("--betas", help="comma-separated buffer capacities to sweep")
+    sweep.add_argument("--ts", help="comma-separated user counts to sweep at the params beta")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -164,7 +157,7 @@ def _cmd_setup(args) -> int:
     params = load_params_file(args.params)
     words = [w.strip() for w in Path(args.vocab).read_text().splitlines() if w.strip()]
     vocab = [token_from_text(w, params.n_bits) for w in words]
-    ms = generate_master_secrets(params, vocab, _rng(args))
+    ms = generate_master_secrets(params, vocab)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files.save_master_secrets(ms, out / "master.keys")
@@ -187,7 +180,7 @@ def _cmd_register(args) -> int:
 def _cmd_build_index(args) -> int:
     params = load_params_file(args.params)
     kr = files.load_keyring(args.keyring)
-    idx = build_user_index(kr, token_from_text(args.location, params.n_bits), params, _rng(args))
+    idx = build_user_index(kr, token_from_text(args.location, params.n_bits), params)
     files.save_index(idx, args.out, params)
     print(f"index built: {idx.bf.popcount} positions marked, "
           f"{len(idx.obf_elements)} blinding elements held")
@@ -219,7 +212,7 @@ def _cmd_upload(args) -> int:
     idx = files.load_index(args.index, params)
     mi = _read_mi_file(args.mi, params.n_bits)
     packet = make_upload_packet(idx, mi, files.read_key_file(args.agent_pub),
-                                token_from_text(args.zone, params.n_bits), params, _rng(args))
+                                token_from_text(args.zone, params.n_bits), params)
     host, port = _host_port(args.server)
     with net.NetClient(host, port, net.ROLE_OWNER) as client:
         written = client.upload(packet)
@@ -277,7 +270,7 @@ def _cmd_remove(args) -> int:
     handle = files.read_key_file(args.receipt)
     req = build_removal_request(idx, kr, token_from_text(args.keyword, params.n_bits),
                                 token_from_text(args.location, params.n_bits),
-                                handle, params, _rng(args))
+                                handle, params)
     host, port = _host_port(args.server)
     with net.NetClient(host, port, net.ROLE_OWNER) as client:
         pruned = client.remove(req)
@@ -358,29 +351,18 @@ def _emit_csv(rows, out: str | None) -> None:
 
 def _cmd_simulate_overlap(args) -> int:
     params = load_params_file(args.params)
-    cfg = sim.ExperimentConfig(params=params, sweep_name="oe_count",
-                               sweep_values=_int_list(args.oe),
-                               trials=args.trials, seed=args.seed)
-    _emit_csv(sim.run_overlap_experiment(cfg), args.out)
+    _emit_csv(sim.run_overlap_experiment(params, _int_list(args.oe), args.trials, args.seed), args.out)
     return 0
 
 
 def _cmd_simulate_overflow(args) -> int:
     params = load_params_file(args.params)
-    if args.betas:
-        if args.t is None:
-            raise sim.SimError("a beta sweep needs --t")
-        cfg = sim.ExperimentConfig(params=params, sweep_name="beta",
-                                   sweep_values=_int_list(args.betas),
-                                   trials=args.trials, seed=args.seed)
-        rows = sim.run_overflow_experiment(cfg, t=args.t)
-    elif args.ts:
-        cfg = sim.ExperimentConfig(params=params, sweep_name="t",
-                                   sweep_values=_int_list(args.ts),
-                                   trials=args.trials, seed=args.seed)
-        rows = sim.run_overflow_experiment(cfg)
+    if args.ts is not None:
+        rows = sim.run_t_sweep(params, _int_list(args.ts), args.trials, args.seed)
+    elif args.t is None:
+        raise sim.SimError("a beta sweep needs --t")
     else:
-        raise sim.SimError("pass --betas (with --t) or --ts")
+        rows = sim.run_beta_sweep(params, args.t, _int_list(args.betas), args.trials, args.seed)
     _emit_csv(rows, args.out)
     return 0
 
@@ -409,8 +391,9 @@ def _cmd_snapshot(args) -> int:
         return 0
     store = StorageBloomFilter.load(args.file)
     size = Path(args.file).stat().st_size
-    entries = store.memory_usage()
-    occupied = sum(count for occ, count in store.occupancy_histogram() if occ > 0)
+    histogram = store.occupancy_histogram()
+    entries = sum(occ * count for occ, count in histogram)
+    occupied = sum(count for occ, count in histogram if occ > 0)
     print(f"format = {SNAPSHOT_MAGIC.decode('ascii')}")
     print(f"bytes = {size}")
     print(f"bytes_per_record = {size / len(store.table):.1f}" if store.table else "bytes_per_record = n/a")

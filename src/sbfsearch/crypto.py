@@ -48,10 +48,12 @@ Primitive choices (sizes matter for the communication accounting):
   truncated to n bits. This canonicalizes the vocabulary; it is not a
   security boundary.
 
-Key generation and record sealing accept an optional random.Random so
-callers can reproduce runs from a seed; the default draws from the OS.
-The channel's ephemeral keys and nonces never come from a caller's
-generator: they always draw from the OS.
+Key generation and record sealing accept an optional random.Random; the
+default draws from the OS. Only the seeded experiments in `sim`, the
+benchmark and the tests pass one: no command that makes keys, blinding
+elements or sealed records takes a seed. The channel's ephemeral keys
+and nonces never come from a caller's generator: they always draw from
+the OS.
 """
 
 from __future__ import annotations

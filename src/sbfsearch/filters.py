@@ -69,12 +69,6 @@ class BitFilter:
         _check_positions(positions, self.m)
         self._positions.update(positions)
 
-    def test(self, positions: list[int]) -> bool:
-        """True iff every position is set (no false negatives for
-        anything actually inserted)."""
-        _check_positions(positions, self.m)
-        return self._positions.issuperset(positions)
-
     def union(self, other: "BitFilter") -> "BitFilter":
         if self.m != other.m:
             raise FilterError("length mismatch in filter union")

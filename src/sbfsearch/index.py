@@ -46,7 +46,7 @@ import struct
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from itertools import chain
-from random import Random
+from random import Random, SystemRandom
 
 from .crypto import (
     MetaInfo,
@@ -272,7 +272,8 @@ def build_removal_request(
     fresh position drawn from an unused blinding element; the element is
     consumed. Counters drop by one per original occurrence either way.
     Costs one `keyword_positions` plus set work over the q*r positions the
-    index holds; a refused removal leaves the index unchanged.
+    index holds; a refused removal leaves the index unchanged. Swaps draw
+    from `rng`, or from the OS when none is given.
     """
     ps = keyword_positions(kr, w, location, params)
     occurrences = Counter(ps)
@@ -281,7 +282,7 @@ def build_removal_request(
         raise SchemeError("keyword was never inserted at this location")
     pruned = set(ps)
     elements, lanes = list(idx.obf_elements), list(idx.obf_positions)
-    pick = rng if rng is not None else Random()
+    pick = rng if rng is not None else SystemRandom()
     for p in sorted(occurrences):
         if counters[p] <= occurrences[p]:
             continue  # no other keyword needs this buffer; prune it as is

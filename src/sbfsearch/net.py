@@ -534,10 +534,6 @@ class NetClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @property
-    def channel_key(self) -> bytes:
-        return self._session.channel_key
-
     def _round_trip(self, ftype: int, body: bytes, expect: int) -> Reader:
         """Send one request; return a reader over the reply's body."""
         self._corr = (self._corr + 1) % 256

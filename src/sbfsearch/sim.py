@@ -7,10 +7,10 @@ A call splits its trials into blocks whose size depends only on the
 sweep point's sizes, never on the trial count, and block b draws all
 its randomness from one generator seeded with (master_seed, b). No two
 blocks share draws, results do not depend on the order in which blocks
-run, and identical (config, seed) pairs produce bit-identical CSV
-output. A block makes one draw: an overlap block draws its blinding
-positions, its keyword layout and a few spare rows for the layout in
-one `integers` call, and draws again only if the spares run out.
+run, and identical arguments produce bit-identical CSV output. A block
+makes one draw: an overlap block draws its blinding positions, its
+keyword layout and a few spare rows for the layout in one `integers`
+call, and draws again only if the spares run out.
 numpy's bounded draws form one stream across calls, so this gives the
 same values as drawing each part, and each redraw pass, on its own. The
 generator may be left past the layout; nothing draws from it after.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 import numpy as np
@@ -53,21 +53,6 @@ CHUNK_TRIALS = 2048
 
 class SimError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    params: SystemParams
-    sweep_name: str
-    sweep_values: tuple[int, ...]
-    trials: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise SimError("trials must be at least 1")
-        if not self.sweep_values:
-            raise SimError("sweep range must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -97,6 +82,14 @@ def _uniform_blocks(m: int, k: int, trials: int, seed: int):
 
 def _binomial_stderr(p: float, n: int) -> float:
     return math.sqrt(p * (1 - p) / n)
+
+
+def _check_sweep(values: tuple[int, ...], trials: int) -> None:
+    """The one check of a sweep's arguments, made before any draw."""
+    if trials < 1:
+        raise SimError("trials must be at least 1")
+    if not values:
+        raise SimError("sweep range must be nonempty")
 
 
 def _spare_rows(rows: int) -> int:
@@ -180,7 +173,9 @@ def overlap_estimate(m: int, l: int, r: int, oe_count: int, trials: int, seed: i
     return p, _binomial_stderr(p, trials)
 
 
-def run_overlap_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
+def run_overlap_experiment(
+    params: SystemParams, oe_counts: tuple[int, ...], trials: int, seed: int
+) -> list[ExperimentRow]:
     """Sweep the blinding element count; one row per value.
 
     The analytic column is the paper's single-user, single-location
@@ -189,13 +184,13 @@ def run_overlap_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     estimate, not a strict upper bound on the Monte Carlo value: at m=432,
     l=50, r=6, oe=14 and 100000 trials the estimate reads 0.00142 +- 0.00012
     against 0.00121."""
-    p = cfg.params
+    _check_sweep(oe_counts, trials)
+    m, l, r = params.m, params.l, params.r
     rows = []
-    for sweep_index, oe in enumerate(cfg.sweep_values):
-        est, se = overlap_estimate(p.m, p.l, p.r, oe, cfg.trials, cfg.seed + sweep_index)
-        occupied = round(expected_distinct_positions(p.m, p.r, oe))
-        bound = blinding_collision_bound(1, occupied, p.r, p.l, 1, p.m).bound
-        rows.append(ExperimentRow("oe_count", oe, cfg.trials, est, se, bound, cfg.seed))
+    for sweep_index, oe in enumerate(oe_counts):
+        est, se = overlap_estimate(m, l, r, oe, trials, seed + sweep_index)
+        bound = blinding_collision_bound(1, round(expected_distinct_positions(m, r, oe)), r, l, 1, m).bound
+        rows.append(ExperimentRow("oe_count", oe, trials, est, se, bound, seed))
     return rows
 
 
@@ -214,34 +209,37 @@ def max_occupancies(
     return out
 
 
-def run_overflow_experiment(cfg: ExperimentConfig, t: int | None = None) -> list[ExperimentRow]:
-    """Sweep either the per-buffer capacity (sweep_name="beta", fixed t)
-    or the user count (sweep_name="t", beta from params). Estimates are
-    the fraction of trials whose maximum occupancy exceeds the capacity.
+def _overflow_row(
+    sweep_name: str, sweep_value: int, maxes: np.ndarray, beta: int, trials: int, seed: int
+) -> ExperimentRow:
+    est = float((maxes > beta).mean())
+    return ExperimentRow(sweep_name, sweep_value, trials, est, _binomial_stderr(est, trials), None, seed)
+
+
+def run_beta_sweep(
+    params: SystemParams, t: int, betas: tuple[int, ...], trials: int, seed: int
+) -> list[ExperimentRow]:
+    """Sweep the per-buffer capacity at a fixed user count t. Estimates
+    are the fraction of trials whose maximum occupancy exceeds the
+    capacity; every capacity reads the same trials.
 
     Positions are uniform and independent, as if no two users shared a
     keyword at a sub-location. Shared keywords put their r positions in
     the same buffers for every holder, so for such a population these
-    estimates understate the store's overflow probability."""
-    p = cfg.params
-    rows = []
-    if cfg.sweep_name == "beta":
-        if t is None:
-            raise SimError("beta sweep needs the user count t")
-        maxes = max_occupancies(p.m, t, p.q, p.r, cfg.trials, cfg.seed)
-        for beta in cfg.sweep_values:
-            est = float((maxes > beta).mean())
-            rows.append(ExperimentRow("beta", beta, cfg.trials,
-                                      est, _binomial_stderr(est, cfg.trials), None, cfg.seed))
-    elif cfg.sweep_name == "t":
-        for sweep_index, t_value in enumerate(cfg.sweep_values):
-            maxes = max_occupancies(p.m, t_value, p.q, p.r, cfg.trials, cfg.seed + sweep_index)
-            est = float((maxes > p.beta).mean())
-            rows.append(ExperimentRow("t", t_value, cfg.trials,
-                                      est, _binomial_stderr(est, cfg.trials), None, cfg.seed))
-    else:
-        raise SimError(f"overflow experiment cannot sweep {cfg.sweep_name!r}")
-    return rows
+    estimates, and those of `run_t_sweep`, understate the store's
+    overflow probability."""
+    _check_sweep(betas, trials)
+    maxes = max_occupancies(params.m, t, params.q, params.r, trials, seed)
+    return [_overflow_row("beta", beta, maxes, beta, trials, seed) for beta in betas]
+
+
+def run_t_sweep(params: SystemParams, ts: tuple[int, ...], trials: int, seed: int) -> list[ExperimentRow]:
+    """Sweep the user count at the params' beta; user count i of the
+    sweep draws under seed + i."""
+    _check_sweep(ts, trials)
+    return [_overflow_row("t", t, max_occupancies(params.m, t, params.q, params.r, trials, seed + i),
+                          params.beta, trials, seed)
+            for i, t in enumerate(ts)]
 
 
 # --- end-to-end accuracy --------------------------------------------------------
@@ -250,13 +248,10 @@ def run_overflow_experiment(cfg: ExperimentConfig, t: int | None = None) -> list
 class AccuracyReport:
     users: int
     probes: int
-    expected_matches: int
-    returned_matches: int
     recall: float
     precision: float
     false_positives_blinding: int
     false_positives_hash: int
-    per_user_keywords: list[int] = field(default_factory=list)
 
 
 def run_accuracy_experiment(params: SystemParams, t: int, seed: int) -> AccuracyReport:
@@ -311,10 +306,8 @@ def run_accuracy_experiment(params: SystemParams, t: int, seed: int) -> Accuracy
     recall = recalled / expected if expected else 1.0
     precision = recalled / returned if returned else 1.0
     return AccuracyReport(
-        users=t, probes=probes, expected_matches=expected, returned_matches=returned,
-        recall=recall, precision=precision,
+        users=t, probes=probes, recall=recall, precision=precision,
         false_positives_blinding=fp_blind, false_positives_hash=fp_hash,
-        per_user_keywords=[len(v[0]) for v in truth.values()],
     )
 
 

@@ -258,12 +258,6 @@ class StorageBloomFilter:
             raise StoreError("all-zero query filter rejected")
         return self.search_positions(positions)
 
-    def memory_usage(self) -> int:
-        """The buffer entries currently held. The provisioned capacity is
-        `analysis.provisioned_memory_bytes`."""
-        with self._lock:
-            return sum(len(buf) for buf in self.buffers)
-
     def occupancy_histogram(self) -> list[tuple[int, int]]:
         """(occupancy, buffer count) pairs ascending; counts sum to m."""
         with self._lock:

@@ -109,10 +109,7 @@ def test_criterion_2_blinding_collision_bound():
 def test_criterion_3_overlap_probability_sweep():
     params = derive_params(l=50, r=6, gamma_count=1, q=20, beta=10, tau_bits=5120,
                            m_override=432)
-    cfg = sim.ExperimentConfig(params=params, sweep_name="oe_count",
-                               sweep_values=(12, 14, 16, 18, 20),
-                               trials=100_000, seed=20260808)
-    rows = sim.run_overlap_experiment(cfg)
+    rows = sim.run_overlap_experiment(params, (12, 14, 16, 18, 20), trials=100_000, seed=20260808)
     final = rows[-1]
     rho = spearman_rho([float(r.sweep_value) for r in rows],
                        [r.estimate for r in rows])

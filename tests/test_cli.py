@@ -14,7 +14,7 @@ import pytest
 import sbfsearch
 from sbfsearch import files
 from sbfsearch.cli import build_parser, main
-from sbfsearch.params import CONFIG_KEYS, derive_params
+from sbfsearch.params import CONFIG_KEYS, derive_params, load_params_file
 from sbfsearch.store import StorageBloomFilter
 
 from test_store import _raw_packet
@@ -86,7 +86,7 @@ def test_analyze_csv_mode(tmp_path, capsys):
 
 def test_setup_and_register(workdir, capsys):
     code, out, _ = _run(["setup", "--params", workdir / "sys.cfg", "--vocab", workdir / "vocab.txt",
-                         "--out-dir", workdir / "keys", "--seed", "1"], capsys)
+                         "--out-dir", workdir / "keys"], capsys)
     assert code == 0
     assert (workdir / "keys" / "master.keys").exists()
     assert (workdir / "keys" / "agent.pub").exists()
@@ -109,7 +109,7 @@ def test_setup_and_register(workdir, capsys):
 
 def test_secret_material_not_printed(workdir, capsys):
     _run(["setup", "--params", workdir / "sys.cfg", "--vocab", workdir / "vocab.txt",
-          "--out-dir", workdir / "keys", "--seed", "1"], capsys)
+          "--out-dir", workdir / "keys"], capsys)
     code, out, _ = _run(["register", "--params", workdir / "sys.cfg",
                          "--master", workdir / "keys" / "master.keys",
                          "--keywords", "kw0,kw1", "--zone", "downtown",
@@ -120,18 +120,35 @@ def test_secret_material_not_printed(workdir, capsys):
     assert ms.agent_private.hex() not in out
 
 
-def test_build_index_seed_reproducible(workdir, capsys):
-    _run(["setup", "--params", workdir / "sys.cfg", "--vocab", workdir / "vocab.txt",
-          "--out-dir", workdir / "keys", "--seed", "2"], capsys)
-    _run(["register", "--params", workdir / "sys.cfg",
-          "--master", workdir / "keys" / "master.keys",
+def test_commands_that_make_secrets_take_no_seed(workdir, capsys):
+    """Keys, blinding elements, sealed records and removal swaps draw
+    from the OS: a seed is a usage error, and two builds of one keyring
+    at one location hold different blinding elements."""
+    base = ["--params", workdir / "sys.cfg"]
+    key_material = {
+        "setup": ["--vocab", workdir / "vocab.txt", "--out-dir", workdir / "keys"],
+        "build-index": ["--keyring", workdir / "do.keyring", "--location", "corner", "--out", workdir / "x.index"],
+        "upload": ["--index", workdir / "x.index", "--mi", workdir / "mi.txt", "--agent-pub", workdir / "agent.pub",
+                   "--zone", "z", "--server", "127.0.0.1:1", "--receipt", workdir / "receipt.txt"],
+        "remove": ["--keyring", workdir / "do.keyring", "--index", workdir / "x.index", "--keyword", "kw0",
+                   "--location", "corner", "--receipt", workdir / "receipt.txt", "--server", "127.0.0.1:1"],
+    }
+    for command, flags in key_material.items():
+        code, out, err = _run([command, *base, *flags, "--seed", "1"], capsys)
+        assert code == 2 and out == "" and "--seed" in err, command
+    assert not (workdir / "keys").exists()
+
+    _run(["setup", *base, *key_material["setup"]], capsys)
+    _run(["register", *base, "--master", workdir / "keys" / "master.keys",
           "--keywords", "kw0", "--zone", "z", "--out", workdir / "do.keyring"], capsys)
+    params = load_params_file(workdir / "sys.cfg")
+    blinding = []
     for name in ("a.index", "b.index"):
-        code, _, _ = _run(["build-index", "--params", workdir / "sys.cfg",
-                           "--keyring", workdir / "do.keyring", "--location", "corner",
-                           "--seed", "9", "--out", workdir / name], capsys)
-        assert code == 0
-    assert (workdir / "a.index").read_bytes() == (workdir / "b.index").read_bytes()
+        code, _, err = _run(["build-index", *base, "--keyring", workdir / "do.keyring",
+                             "--location", "corner", "--out", workdir / name], capsys)
+        assert code == 0, err
+        blinding.append(files.load_index(workdir / name, params).obf_elements)
+    assert len(blinding[0]) == 5 and blinding[0] != blinding[1]
 
 
 def test_snapshot_init_and_inspect(workdir, capsys):
@@ -250,6 +267,14 @@ def test_simulate_overflow_out_file(workdir, capsys):
     assert code == 1 and "needs --t" in err
 
 
+def test_simulate_overflow_sweeps_exactly_one_of_betas_and_ts(workdir, capsys):
+    base = ["simulate-overflow", "--params", workdir / "sys.cfg", "--t", "30", "--trials", "10"]
+    for sweep in ([], ["--betas", "4,12", "--ts", "10,20"]):
+        code, out, err = _run([*base, *sweep], capsys)
+        assert code == 2 and out == "", sweep
+        assert "--betas" in err and "--ts" in err
+
+
 def test_simulate_accuracy(workdir, capsys):
     code, out, _ = _run(["simulate-accuracy", "--params", workdir / "sys.cfg",
                          "--t", "15", "--seed", "5"], capsys)
@@ -281,12 +306,12 @@ class TestServeLoopback:
         with the given extra flags; returns the process and host:port."""
         for argv in (
             ["setup", "--params", workdir / "sys.cfg", "--vocab", workdir / "vocab.txt",
-             "--out-dir", workdir / "keys", "--seed", "11"],
+             "--out-dir", workdir / "keys"],
             ["register", "--params", workdir / "sys.cfg",
              "--master", workdir / "keys" / "master.keys",
              "--keywords", "kw0,kw1", "--zone", "downtown", "--out", workdir / "do.keyring"],
             ["build-index", "--params", workdir / "sys.cfg", "--keyring", workdir / "do.keyring",
-             "--location", "corner", "--seed", "12", "--out", workdir / "do.index"],
+             "--location", "corner", "--out", workdir / "do.index"],
         ):
             assert main([str(a) for a in argv]) == 0
         procs = []
@@ -325,7 +350,7 @@ class TestServeLoopback:
                                "--mi", workdir / "mi.txt",
                                "--agent-pub", workdir / "keys" / "agent.pub",
                                "--zone", "downtown", "--server", server,
-                               "--receipt", workdir / "receipt.txt", "--seed", "13"], capsys)
+                               "--receipt", workdir / "receipt.txt"], capsys)
         assert code == 0, err
 
     def test_save_on_shutdown_keeps_the_upload(self, workdir, serve, capsys):
@@ -363,7 +388,7 @@ class TestServeLoopback:
         code, out, err = _run(["remove", *base, "--keyring", workdir / "do.keyring",
                                "--index", workdir / "do.index", "--keyword", "kw0",
                                "--location", "corner", "--receipt", workdir / "receipt.txt",
-                               "--server", server, "--seed", "14"], capsys)
+                               "--server", server], capsys)
         assert code == 0, err
 
         code, out, err = _run(search_cmd, capsys)

@@ -53,8 +53,6 @@ class TestBitFilter:
         bf = BitFilter(8)
         with pytest.raises(FilterError):
             bf.insert([8])
-        with pytest.raises(FilterError):
-            bf.test([-1])
 
     def test_membership_no_false_negatives(self):
         rng = Random(3)
@@ -62,11 +60,11 @@ class TestBitFilter:
         inserted = [_elements(rng, 4) for _ in range(50)]
         for elems in inserted:
             bf.insert(hash_positions(elems, 512, 4))
-        assert all(bf.test(hash_positions(e, 512, 4)) for e in inserted)
+        assert all(set(hash_positions(e, 512, 4)) <= set(bf) for e in inserted)
 
     def test_empty_filter_tests_false(self):
         bf = BitFilter(64)
-        assert not bf.test([0, 1])
+        assert not {0, 1} <= set(bf)
 
     def test_union_identity_idempotence(self):
         rng = Random(4)
@@ -94,7 +92,8 @@ class TestBitFilter:
         for _ in range(q):
             bf.insert(hash_positions(_elements(rng, r, 8), m, r))
         probes = 100_000
-        hits = sum(bf.test(hash_positions(_elements(rng, r, 8), m, r)) for _ in range(probes))
+        held = set(bf)
+        hits = sum(set(hash_positions(_elements(rng, r, 8), m, r)) <= held for _ in range(probes))
         analytic = (1 - math.exp(-q * r / m)) ** r
         assert abs(hits / probes - analytic) / analytic < 0.20
 

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import tempfile
 from pathlib import Path
 from random import Random
@@ -442,7 +443,17 @@ class TestRemoval:
         assert shared not in req.rbf_prime.positions()
         assert len(idx.obf_elements) == before_elements - 1
         # the surviving keyword still tests positive client-side
-        assert idx.bf.test(keyword_positions(kr, w2, loc, system.params))
+        assert set(keyword_positions(kr, w2, loc, system.params)) <= set(idx.bf)
+
+    def test_swaps_draw_from_the_os_by_default(self, system, monkeypatch):
+        kr, loc, w1, _, shared = _colliding_pair(system, d=system.params.q - 2)
+        idx = build_user_index(kr, loc, system.params, Random(14))
+        draws = []
+        real = random.SystemRandom.getrandbits
+        monkeypatch.setattr(random.SystemRandom, "getrandbits", lambda self, k: draws.append(k) or real(self, k))
+        req = build_removal_request(idx, kr, w1, loc, b"h" * 16, system.params)
+        assert shared not in req.rbf_prime.positions()
+        assert draws  # the swap's shuffle and choice came from the OS
 
     def test_swap_needs_blinding_elements(self):
         params = derive_params(l=8, r=4, gamma_count=1, q=8, beta=16, tau_bits=2048, n_bits=64)

@@ -61,13 +61,13 @@ def _uploaded(system, server, keyword_ids=(0, 1), name="alice", seed=50):
 class TestHandshake:
     def test_round_trip_and_distinct_session_keys(self, server):
         with _client(server) as a, _client(server, net.ROLE_AGENT) as b:
-            assert a.channel_key != b.channel_key
+            assert a._session.channel_key != b._session.channel_key
 
     def test_many_sessions_unique_keys(self, server):
         keys = set()
         for _ in range(50):
             with _client(server) as c:
-                keys.add(c.channel_key)
+                keys.add(c._session.channel_key)
         assert len(keys) == 50
 
     def test_tampered_transcript_aborts(self):

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from sbfsearch import kernels, sim
 from sbfsearch.params import derive_params
 from sbfsearch.sim import (
-    ExperimentConfig,
     SimError,
     rows_to_csv,
     run_accuracy_experiment,
-    run_overflow_experiment,
+    run_beta_sweep,
     run_overlap_experiment,
+    run_t_sweep,
 )
 
 from oracles import draw_keyword_layout_by_passes, ks_two_sample, overflow_cross_check, spearman_rho
@@ -35,37 +35,27 @@ def small_sweep_params():
 
 class TestReproducibility:
     def test_identical_config_and_seed_bitwise_equal(self, small_sweep_params):
-        cfg = ExperimentConfig(params=small_sweep_params, sweep_name="oe_count",
-                               sweep_values=(8, 16), trials=2000, seed=5)
-        a = rows_to_csv(run_overlap_experiment(cfg))
-        b = rows_to_csv(run_overlap_experiment(cfg))
+        a = rows_to_csv(run_overlap_experiment(small_sweep_params, (8, 16), 2000, 5))
+        b = rows_to_csv(run_overlap_experiment(small_sweep_params, (8, 16), 2000, 5))
         assert a == b
 
     def test_seed_changes_output(self, small_sweep_params):
-        base = ExperimentConfig(params=small_sweep_params, sweep_name="oe_count",
-                                sweep_values=(16,), trials=2000, seed=5)
-        other = ExperimentConfig(params=small_sweep_params, sweep_name="oe_count",
-                                 sweep_values=(16,), trials=2000, seed=6)
-        assert rows_to_csv(run_overlap_experiment(base)) != rows_to_csv(run_overlap_experiment(other))
+        base = run_overlap_experiment(small_sweep_params, (16,), 2000, 5)
+        other = run_overlap_experiment(small_sweep_params, (16,), 2000, 6)
+        assert rows_to_csv(base) != rows_to_csv(other)
 
 
 class TestOverlapExperiment:
     def test_zero_elements_never_overlap(self, small_sweep_params):
-        cfg = ExperimentConfig(params=small_sweep_params, sweep_name="oe_count",
-                               sweep_values=(0,), trials=500, seed=1)
-        rows = run_overlap_experiment(cfg)
+        rows = run_overlap_experiment(small_sweep_params, (0,), 500, 1)
         assert rows[0].estimate == 0.0 and rows[0].analytic == 0.0
 
     def test_estimates_respect_analytic_bound(self, small_sweep_params):
-        cfg = ExperimentConfig(params=small_sweep_params, sweep_name="oe_count",
-                               sweep_values=(14, 20), trials=8000, seed=2)
-        for row in run_overlap_experiment(cfg):
+        for row in run_overlap_experiment(small_sweep_params, (14, 20), 8000, 2):
             assert row.estimate <= row.analytic + 3 * row.stderr
 
     def test_monotone_in_blinding_count(self, small_sweep_params):
-        cfg = ExperimentConfig(params=small_sweep_params, sweep_name="oe_count",
-                               sweep_values=(10, 14, 18, 22), trials=8000, seed=3)
-        rows = run_overlap_experiment(cfg)
+        rows = run_overlap_experiment(small_sweep_params, (10, 14, 18, 22), 8000, 3)
         rho = spearman_rho([float(r.sweep_value) for r in rows],
                            [r.estimate for r in rows])
         assert rho > 0.9
@@ -109,9 +99,7 @@ class TestGoldenDraws:
         assert digest == "c08219409907037c72fd9bd49d9371cd88e0dd26cd1f8ba15bf7c77c17f2c8ae"
 
     def test_criterion_3_csv(self, small_sweep_params):
-        cfg = ExperimentConfig(params=small_sweep_params, sweep_name="oe_count",
-                               sweep_values=(12, 14, 16, 18, 20), trials=100_000, seed=20260808)
-        csv = rows_to_csv(run_overlap_experiment(cfg))
+        csv = rows_to_csv(run_overlap_experiment(small_sweep_params, (12, 14, 16, 18, 20), 100_000, 20260808))
         digest = hashlib.sha256(csv.encode()).hexdigest()
         assert digest == "2cea98c9a83d19e6a1b590dc90abcd303ecc0cac848ec9f75450727eebb1f78e"
 
@@ -152,42 +140,34 @@ class TestArgumentChecks:
         with pytest.raises(SimError):
             sim.max_occupancies(97, -1, 3, 4, 10, seed=0)
 
+    def test_every_sweep_refuses_an_empty_sweep_and_too_few_trials(self, small_sweep_params, monkeypatch):
+        monkeypatch.setattr(sim, "_block_rng", None)  # any draw fails with TypeError
+        sweeps = {
+            "overlap": lambda values, trials: run_overlap_experiment(small_sweep_params, values, trials, 0),
+            "beta": lambda values, trials: run_beta_sweep(small_sweep_params, 5, values, trials, 0),
+            "t": lambda values, trials: run_t_sweep(small_sweep_params, values, trials, 0),
+        }
+        for name, sweep in sweeps.items():
+            with pytest.raises(SimError, match="nonempty"):
+                sweep((), 10)
+            for trials in (0, -1):
+                with pytest.raises(SimError, match="at least 1"):
+                    sweep((4,), trials)
+
 
 class TestOverflowExperiment:
     def test_beta_sweep_monotone_decreasing(self):
         params = derive_params(l=40, r=5, gamma_count=1, q=10, beta=10, tau_bits=5120)
-        cfg = ExperimentConfig(params=params, sweep_name="beta",
-                               sweep_values=(6, 10, 14, 100), trials=300, seed=12)
-        rows = run_overflow_experiment(cfg, t=50)
+        rows = run_beta_sweep(params, 50, (6, 10, 14, 100), 300, 12)
         estimates = [r.estimate for r in rows]
         assert all(b <= a for a, b in zip(estimates, estimates[1:]))
         assert estimates[-1] == 0.0
 
     def test_t_sweep_monotone_increasing(self):
         params = derive_params(l=40, r=5, gamma_count=1, q=10, beta=12, tau_bits=5120)
-        cfg = ExperimentConfig(params=params, sweep_name="t",
-                               sweep_values=(20, 60, 180), trials=200, seed=13)
-        rows = run_overflow_experiment(cfg)
+        rows = run_t_sweep(params, (20, 60, 180), 200, 13)
         estimates = [r.estimate for r in rows]
         assert estimates[0] <= estimates[-1]
-
-    def test_sweep_validation(self):
-        params = derive_params(l=40, r=5, gamma_count=1, q=10, beta=12, tau_bits=5120)
-        cfg = ExperimentConfig(params=params, sweep_name="beta",
-                               sweep_values=(6,), trials=10, seed=0)
-        with pytest.raises(SimError):
-            run_overflow_experiment(cfg)  # missing t
-        bad = ExperimentConfig(params=params, sweep_name="oe_count",
-                               sweep_values=(6,), trials=10, seed=0)
-        with pytest.raises(SimError):
-            run_overflow_experiment(bad, t=5)
-
-    def test_config_validation(self):
-        params = derive_params(l=40, r=5, gamma_count=1, q=10, beta=12, tau_bits=5120)
-        with pytest.raises(SimError):
-            ExperimentConfig(params=params, sweep_name="beta", sweep_values=(), trials=10, seed=0)
-        with pytest.raises(SimError):
-            ExperimentConfig(params=params, sweep_name="beta", sweep_values=(5,), trials=0, seed=0)
 
     def test_cross_check_against_real_stack(self):
         params = derive_params(l=200, r=4, gamma_count=1, q=4, beta=50,
@@ -209,13 +189,13 @@ class TestAccuracyExperiment:
         report = run_accuracy_experiment(params, t=40, seed=16)
         assert report.recall == 1.0
         assert report.precision > 0.9
-        assert report.probes == sum(report.per_user_keywords)
+        assert 0 < report.probes <= 40 * params.q
 
     def test_empty_system(self):
         params = derive_params(l=30, r=5, gamma_count=3, q=6, beta=64,
                                tau_bits=5120, n_bits=64)
         report = run_accuracy_experiment(params, t=0, seed=17)
-        assert report.probes == 0 and report.returned_matches == 0
+        assert report.probes == 0
         assert report.recall == 1.0 and report.precision == 1.0
 
 
@@ -326,9 +306,7 @@ class TestStatsHelpers:
 
 
 def test_csv_format(small_sweep_params):
-    cfg = ExperimentConfig(params=small_sweep_params, sweep_name="oe_count",
-                           sweep_values=(4,), trials=100, seed=23)
-    text = rows_to_csv(run_overlap_experiment(cfg))
+    text = rows_to_csv(run_overlap_experiment(small_sweep_params, (4,), 100, 23))
     header, row = text.strip().splitlines()
     assert header == "sweep_name,sweep_value,trials,estimate,stderr,analytic,seed"
     fields = row.split(",")

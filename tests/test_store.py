@@ -558,10 +558,10 @@ class TestUploadBounds:
 
 class TestAccounting:
     def test_memory_usage_model_and_actual(self, system, loaded):
-        store, _ = loaded
+        store, packets = loaded
         p = system.params
         assert analysis.provisioned_memory_bytes(p) == p.m * p.beta * p.tau_bits // 8
-        assert store.memory_usage() == sum(len(b) for b in store.buffers)
+        assert sum(map(len, store.buffers)) == sum(idx.bf.popcount for _, idx, _ in packets.values())
 
     def test_entries_accumulate_per_ingest(self, system):
         store = StorageBloomFilter(system.params, system.zone)
@@ -571,13 +571,13 @@ class TestAccounting:
             packet = make_upload_packet(idx, system.meta(f"u{u}"), system.secrets.agent_public,
                                         system.zone, system.params, Random(50 + u))
             total += store.ingest(packet)
-        assert store.memory_usage() == total
+        assert sum(map(len, store.buffers)) == total
 
     def test_occupancy_histogram(self, system, loaded):
         store, _ = loaded
         histogram = store.occupancy_histogram()
         assert sum(count for _, count in histogram) == system.params.m
-        assert sum(occ * count for occ, count in histogram) == store.memory_usage()
+        assert sum(occ * count for occ, count in histogram) == sum(map(len, store.buffers))
         recount: dict[int, int] = {}
         for b in store.buffers:
             recount[len(b)] = recount.get(len(b), 0) + 1

@@ -10,7 +10,12 @@ Every option, a parameter with a default on any `def` in
 `src/sbfsearch`, is one the system passes: some call in those same files
 to a function, method or class of that name passes it, positionally, by
 keyword, or through `*args` or `**kwargs`. An option that only tests
-pass belongs in the tests."""
+pass belongs in the tests.
+
+Only `sim` makes a `random.Random`, for its seeded experiments: every
+other module takes a caller's generator or draws from the OS, so no
+key, blinding element, sealed record or removal swap comes from a
+seeded Mersenne Twister."""
 
 import ast
 import re
@@ -137,6 +142,24 @@ def _calls(tree: ast.Module):
                 yield node.func.id, node
             elif isinstance(node.func, ast.Attribute):
                 yield node.func.attr, node
+
+
+def _random_makers(module: Path):
+    """module.function of each call to `Random` in the module, named by
+    its innermost enclosing `def`."""
+    tree = ast.parse(module.read_text())
+    defs = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for name, call in _calls(tree):
+        if name == "Random":
+            owners = [d.name for d in defs if d.lineno <= call.lineno <= d.end_lineno]
+            yield f"{module.stem}.{owners[-1] if owners else '<module>'}"
+
+
+def test_only_sim_makes_a_seeded_generator():
+    makers = [maker for module in sorted(PACKAGE.glob("*.py")) if module.stem != "sim"
+              for maker in _random_makers(module)]
+    assert makers == [], f"random.Random made outside sim: {makers}"
+    assert list(_random_makers(PACKAGE / "sim.py")) == ["sim.run_accuracy_experiment"]
 
 
 def test_every_option_is_passed_by_the_system():
