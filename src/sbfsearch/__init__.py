@@ -8,7 +8,7 @@ the scheme's privacy probabilities and capacity requirements.
 """
 
 from .crypto import MetaInfo, SealedRecord, open_record, seal_record, token_from_text
-from .filters import BitFilter, CountingFilter
+from .filters import BitFilter
 from .index import (
     MasterSecrets,
     RemovalRequest,
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitFilter",
-    "CountingFilter",
     "MasterSecrets",
     "MetaInfo",
     "RemovalRequest",

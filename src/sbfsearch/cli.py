@@ -28,7 +28,7 @@ from .index import (
     make_upload_packet,
     register_user,
 )
-from .params import ParamsError, expected_distinct_positions, load_params_file
+from .params import ParamsError, expected_distinct_positions, load_params_file, read_key_values
 from .store import SNAPSHOT_MAGIC, StorageBloomFilter, StoreError
 
 
@@ -188,22 +188,17 @@ def _cmd_build_index(args) -> int:
 
 
 def _read_mi_file(path: str, n_bits: int) -> MetaInfo:
-    fields = {"attrs": "", "emergency": ""}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition("=")
-        fields[key.strip()] = val.strip()
+    keys = ("pseudonym", "server-id", "memory-index", "attrs", "emergency")
+    fields = {key: val for key, (_, val) in read_key_values(path, keys, CryptoError).items()}
     for req in ("pseudonym", "server-id", "memory-index"):
         if req not in fields:
             raise CryptoError(f"meta record file missing {req}")
     return MetaInfo(
         user_pseudonym=token_from_text(fields["pseudonym"], n_bits),
-        health_attrs=tuple(_tokens(fields["attrs"], n_bits)),
+        health_attrs=tuple(_tokens(fields.get("attrs", ""), n_bits)),
         server_id=token_from_text(fields["server-id"], n_bits),
         memory_index=token_from_text(fields["memory-index"], n_bits),
-        emergency_info=tuple(_tokens(fields["emergency"], n_bits)),
+        emergency_info=tuple(_tokens(fields.get("emergency", ""), n_bits)),
     )
 
 
@@ -358,6 +353,8 @@ def _cmd_simulate_overlap(args) -> int:
 def _cmd_simulate_overflow(args) -> int:
     params = load_params_file(args.params)
     if args.ts is not None:
+        if args.t is not None:
+            raise sim.SimError("a t sweep takes no --t")
         rows = sim.run_t_sweep(params, _int_list(args.ts), args.trials, args.seed)
     elif args.t is None:
         raise sim.SimError("a beta sweep needs --t")

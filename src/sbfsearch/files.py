@@ -20,12 +20,12 @@ import hashlib
 import os
 import struct
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from .crypto import Reader
-from .filters import CountingFilter
 from .index import MasterSecrets, UserIndex, UserKeyring
 from .params import SystemParams
 
@@ -165,13 +165,13 @@ def read_key_file(path: str | Path) -> bytes:
 def save_index(idx: UserIndex, path: str | Path, params: SystemParams) -> None:
     """Write an SBFINDX2 file atomically: m, params' r, the zone, the
     nonzero counters as ascending (position, count) u32 columns, the
-    blinding elements, then a SHA-256 of all of it. obf and bf are
-    derived on load."""
-    positions = sorted(idx.cbf.counters)
-    columns = positions + [idx.cbf.counters[p] for p in positions]
+    blinding elements, then a SHA-256 of all of it. bf is derived on
+    read."""
+    positions = sorted(idx.counters)
+    columns = positions + [idx.counters[p] for p in positions]
     write_checksummed(path, b"".join([
         INDEX_MAGIC,
-        struct.pack(">IHB", idx.cbf.m, params.r, len(idx.zone)),
+        struct.pack(">IHB", idx.m, params.r, len(idx.zone)),
         idx.zone,
         struct.pack(f">I{len(columns)}I", len(positions), *columns),
         struct.pack(">H", len(idx.obf_elements)),
@@ -191,8 +191,7 @@ def load_index(path: str | Path, params: SystemParams) -> UserIndex:
     positions, counts = np.frombuffer(rd.take(8 * k), ">u4").reshape(2, k).astype(np.int64)
     if k and (positions[-1] >= m or (np.diff(positions) <= 0).any() or not counts.all()):
         raise FileFormatError("index counters are not nonzero at ascending positions below m")
-    cbf = CountingFilter(m)
-    cbf.counters.update(dict(zip(positions.tolist(), counts.tolist())))
+    counters = Counter(dict(zip(positions.tolist(), counts.tolist())))
     elements = [rd.take(rd.u16()) for _ in range(rd.u16())]
     rd.done()
-    return UserIndex(zone, cbf, elements, params)
+    return UserIndex(zone, counters, elements, params)

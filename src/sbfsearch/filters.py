@@ -1,16 +1,15 @@
-"""Bit filters, counting filters, and the indexed hash family shared by
-clients and the store.
+"""Bit filters and the indexed hash family shared by clients and the
+store.
 
-Both filters hold only what is set: a `BitFilter` is the set of its set
-positions and a `CountingFilter` a Counter of its nonzero counters. So
+A `BitFilter` holds only what is set: the set of its set positions. So
 every operation costs the positions it touches, never the filter length
-m, and no dense m-bit or m-counter form exists here."""
+m, and no dense m-bit form exists here. A client's counting filter is a
+plain `collections.Counter` of its nonzero counters (`index.UserIndex`)."""
 
 from __future__ import annotations
 
 import functools
 import hashlib
-from collections import Counter
 from collections.abc import Collection, Iterable, Iterator
 
 from .crypto import compress_positions, decompress_positions
@@ -69,13 +68,6 @@ class BitFilter:
         _check_positions(positions, self.m)
         self._positions.update(positions)
 
-    def union(self, other: "BitFilter") -> "BitFilter":
-        if self.m != other.m:
-            raise FilterError("length mismatch in filter union")
-        return BitFilter._of(self.m, self._positions | other._positions)
-
-    __or__ = union
-
     @property
     def popcount(self) -> int:
         return len(self._positions)
@@ -98,42 +90,3 @@ class BitFilter:
     def decompress(cls, data: bytes, m: int, max_count: int | None = None) -> "BitFilter":
         """Invert compress; a count above `max_count` is refused undecoded."""
         return cls._of(m, set(decompress_positions(data, m, max_count)))  # the codec checked the range
-
-
-class CountingFilter:
-    """Per-position counters enabling exact removal, held as a Counter of
-    the nonzero ones; counters are unbounded non-negative integers, never
-    saturated."""
-
-    def __init__(self, m: int):
-        if m < 1:
-            raise FilterError("filter length must be positive")
-        self.m = m
-        self.counters: Counter[int] = Counter()
-
-    def add(self, positions: list[int]) -> None:
-        """Increment once per occurrence in positions."""
-        _check_positions(positions, self.m)
-        self.counters.update(positions)
-
-    def subtract(self, positions: list[int]) -> None:
-        """Decrement once per occurrence; underflow means the caller is
-        removing something never inserted and is rejected before any
-        counter changes."""
-        _check_positions(positions, self.m)
-        delta = Counter(positions)
-        counters = self.counters
-        if any(counters[p] < n for p, n in delta.items()):
-            raise FilterError("counting filter underflow: element was never inserted")
-        for p, n in delta.items():
-            if counters[p] == n:
-                del counters[p]
-            else:
-                counters[p] -= n
-
-    def nonzero_bits(self) -> BitFilter:
-        return BitFilter._of(self.m, set(self.counters))
-
-    @property
-    def total(self) -> int:
-        return self.counters.total()

@@ -33,8 +33,8 @@ so the paper's PRF budgets read the same warm or cold. A process that
 derives each value once, such as one `sbfsearch search`, gains nothing.
 
 Every user's uploaded filter carries exactly q elements' worth of load:
-d real keywords plus (q - d) random blinding elements inserted into a
-separate obfuscating filter that is OR-ed in. A blinding value b is
+d real keywords plus (q - d) random blinding elements whose positions
+are set beside the counted ones. A blinding value b is
 expanded to r lane elements (b || lane) so its footprint matches a real
 keyword's.
 """
@@ -60,7 +60,7 @@ from .crypto import (
     random_token,
     seal_record,
 )
-from .filters import BitFilter, CountingFilter, hash_positions
+from .filters import BitFilter, hash_positions
 from .params import SystemParams
 
 
@@ -90,30 +90,29 @@ class UserKeyring:
 
 @dataclass
 class UserIndex:
-    """The (counting filter, bit filter, obfuscating filter) triple a
-    user maintains per zone, all held as positions. Only `cbf` and
-    obf_elements, the raw blinding values kept for later removal swaps,
-    are state; the elements are consumed, never replenished.
-    obf_positions holds each element's r positions in lane order, hashed
-    once when the index is built or loaded, so a removal re-hashes
-    nothing. `derive_filters` is the one place that sets obf, the union
-    of those lanes, and bf = (cbf > 0) | obf."""
+    """What a user keeps per zone: the counting filter as `counters`, a
+    Counter holding only nonzero counts, and obf_elements, the raw
+    blinding values kept for later removal swaps; the elements are
+    consumed, never replenished. obf_positions holds each element's r
+    positions in lane order, hashed once when the index is built or
+    loaded, so a removal re-hashes nothing. The uploaded filter `bf` is
+    derived on each read: the counted positions and every blinding
+    lane."""
 
     zone: bytes
-    cbf: CountingFilter
+    counters: Counter[int]
     obf_elements: list[bytes]
     params: InitVar[SystemParams]
+    m: int = field(init=False)
     obf_positions: list[list[int]] = field(init=False, compare=False, repr=False)
-    bf: BitFilter = field(init=False)
-    obf: BitFilter = field(init=False)
 
     def __post_init__(self, params: SystemParams) -> None:
+        self.m = params.m
         self.obf_positions = [blinding_positions(value, params) for value in self.obf_elements]
-        self.derive_filters()
 
-    def derive_filters(self) -> None:
-        self.obf = BitFilter(self.cbf.m, chain.from_iterable(self.obf_positions))
-        self.bf = self.cbf.nonzero_bits() | self.obf
+    @property
+    def bf(self) -> BitFilter:
+        return BitFilter(self.m, chain(self.counters, *self.obf_positions))
 
 
 @dataclass(frozen=True)
@@ -230,15 +229,12 @@ def blinding_positions(value: bytes, params: SystemParams) -> list[int]:
 def build_user_index(
     kr: UserKeyring, location: bytes, params: SystemParams, rng: Random | None = None
 ) -> UserIndex:
-    """Insert every registered keyword at `location` into the bit and
-    counting filters, pad with (q - d) blinding elements in the
-    obfuscating filter, and OR the two so the uploaded load is always q
+    """Count every registered keyword's positions at `location` and pad
+    with (q - d) blinding elements, so the uploaded load is always q
     elements. Costs 2r PRF calls per real keyword."""
-    cbf = CountingFilter(params.m)
-    for w in kr.keys:
-        cbf.add(keyword_positions(kr, w, location, params))
+    counters = Counter(chain.from_iterable(keyword_positions(kr, w, location, params) for w in kr.keys))
     obf_elements = [rand_bytes(rng, params.n_bytes) for _ in range(params.q - len(kr.keys))]
-    return UserIndex(kr.zone, cbf, obf_elements, params)
+    return UserIndex(kr.zone, counters, obf_elements, params)
 
 
 def make_upload_packet(
@@ -277,7 +273,7 @@ def build_removal_request(
     """
     ps = keyword_positions(kr, w, location, params)
     occurrences = Counter(ps)
-    counters = idx.cbf.counters
+    counters = idx.counters
     if any(counters[p] < n for p, n in occurrences.items()):
         raise SchemeError("keyword was never inserted at this location")
     pruned = set(ps)
@@ -288,9 +284,8 @@ def build_removal_request(
             continue  # no other keyword needs this buffer; prune it as is
         pruned.discard(p)
         pruned.add(_draw_swap_position(elements, lanes, counters, pruned, pick))
-    idx.cbf.subtract(ps)
+    idx.counters -= occurrences  # drops every count that reaches zero
     idx.obf_elements, idx.obf_positions = elements, lanes
-    idx.derive_filters()
     return RemovalRequest(zone=idx.zone, rbf_prime=BitFilter(params.m, pruned), handle=handle)
 
 

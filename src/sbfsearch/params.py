@@ -114,26 +114,39 @@ def expected_distinct_positions(m: int, r: int, inserted: int) -> float:
     return m - m * math.exp(-r * inserted / m)
 
 
-def load_params_file(path: str | Path) -> SystemParams:
-    """Load the public parameters, which every party must share, from a
-    key=value text file.
-
-    Recognised keys: l, r, gamma, q, beta, tau_kbits, s_bits, n_bits,
-    m_override. Lines starting with '#' are comments.
-    """
-    values: dict[str, int] = {}
+def read_key_values(path: str | Path, keys: tuple[str, ...], error: type[Exception]) -> dict[str, tuple[int, str]]:
+    """The key=value lines of a text file as {key: (line number, value)}.
+    Blank lines and lines starting with '#' are skipped; a line without
+    '=', a key not in `keys` or a key set twice raises `error` naming
+    path:line."""
+    values: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ParamsError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise error(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ParamsError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in keys:
+            raise error(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise error(f"{path}:{lineno}: key {key!r} already set on line {values[key][0]}")
+        values[key] = (lineno, val.strip())
+    return values
+
+
+def load_params_file(path: str | Path) -> SystemParams:
+    """Load the public parameters, which every party must share, from a
+    key=value text file.
+
+    Recognised keys: l, r, gamma, q, beta, tau_kbits, s_bits, n_bits,
+    m_override, each at most once. Lines starting with '#' are comments.
+    """
+    values: dict[str, int] = {}
+    for key, (lineno, val) in read_key_values(path, CONFIG_KEYS, ParamsError).items():
         try:
-            values[key] = int(val.strip())
+            values[key] = int(val)
         except ValueError:
             raise ParamsError(f"{path}:{lineno}: {key} must be an integer") from None
     missing = [k for k in ("l", "r", "gamma", "q", "beta", "tau_kbits") if k not in values]

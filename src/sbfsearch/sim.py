@@ -267,7 +267,7 @@ def run_accuracy_experiment(params: SystemParams, t: int, seed: int) -> Accuracy
     locations = [random_token(rng, params.n_bits) for _ in range(params.gamma_count)]
     store = StorageBloomFilter(params, zone)
 
-    truth: dict[bytes, tuple[list[bytes], bytes, set[int], set[int]]] = {}
+    truth: dict[bytes, tuple[list[bytes], bytes, set[int]]] = {}
     for _ in range(t):
         d = rng.randint(0, params.q)
         keywords = rng.sample(vocab, d)
@@ -279,12 +279,12 @@ def run_accuracy_experiment(params: SystemParams, t: int, seed: int) -> Accuracy
         packet = make_upload_packet(idx, mi, ms.agent_public, zone, params, rng)
         store.ingest(packet)
         real_positions = {p for w in keywords for p in keyword_positions(kr, w, location, params)}
-        truth[packet.sealed.handle] = (keywords, location, real_positions, set(idx.obf.positions()))
+        truth[packet.sealed.handle] = (keywords, location, real_positions)
 
     agent_keyrings: dict[bytes, UserKeyring] = {}
     expected = returned = recalled = fp_blind = fp_hash = 0
     probes = 0
-    for handle, (keywords, location, _, _) in truth.items():
+    for handle, (keywords, location, _) in truth.items():
         for w in keywords:
             probes += 1
             kr = agent_keyrings.setdefault(w, register_user(ms, [w], zone, params))
@@ -292,13 +292,13 @@ def run_accuracy_experiment(params: SystemParams, t: int, seed: int) -> Accuracy
             result = store.search_positions(probe_ps)
             got = {rec.handle for rec in result.matches}
             holders = {
-                h for h, (kws, loc, _, _) in truth.items() if loc == location and w in kws
+                h for h, (kws, loc, _) in truth.items() if loc == location and w in kws
             }
             expected += len(holders)
             returned += len(got)
             recalled += len(got & holders)
             for fp in got - holders:
-                _, _, real_ps, obf_ps = truth[fp]
+                _, _, real_ps = truth[fp]
                 if set(probe_ps) <= real_ps:
                     fp_hash += 1
                 else:

@@ -1,11 +1,13 @@
 import errno
 import hashlib
+from itertools import chain
 from random import Random
 
 import pytest
 from hypothesis import settings
 
 from sbfsearch import crypto, files, index
+from sbfsearch.filters import BitFilter
 from sbfsearch.params import derive_params
 
 # every property test runs fixed cases with no example database: the same
@@ -48,6 +50,11 @@ class DiskFullHalfway:
         self.f.write(data[: len(data) // 2])
         self.f.flush()
         raise OSError(errno.ENOSPC, "no space left on device")
+
+
+def blinding_filter(idx) -> BitFilter:
+    """The union of an index's blinding lanes: the obfuscating filter."""
+    return BitFilter(idx.m, chain.from_iterable(idx.obf_positions))
 
 
 def fill_disk_halfway(monkeypatch):

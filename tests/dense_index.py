@@ -50,10 +50,10 @@ class DenseIndex:
 
 def of(idx) -> DenseIndex:
     """A `UserIndex` in dense form."""
-    dense = DenseIndex(idx.zone, idx.cbf.m)
+    dense = DenseIndex(idx.zone, idx.m)
     dense.bf[idx.bf.positions()] = True
-    dense.obf[idx.obf.positions()] = True
-    dense.counters[list(idx.cbf.counters)] = list(idx.cbf.counters.values())
+    dense.obf[[p for lane in idx.obf_positions for p in lane]] = True
+    dense.counters[list(idx.counters)] = list(idx.counters.values())
     dense.obf_elements = list(idx.obf_elements)
     return dense
 

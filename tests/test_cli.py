@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sbfsearch
-from sbfsearch import files
+from sbfsearch import files, net
 from sbfsearch.cli import build_parser, main
 from sbfsearch.params import CONFIG_KEYS, derive_params, load_params_file
 from sbfsearch.store import StorageBloomFilter
@@ -151,6 +151,37 @@ def test_commands_that_make_secrets_take_no_seed(workdir, capsys):
     assert len(blinding[0]) == 5 and blinding[0] != blinding[1]
 
 
+def test_upload_refuses_a_meta_record_file_it_does_not_know(workdir, capsys, monkeypatch):
+    """A misspelled key, a repeated key or a line without '=' in the meta
+    record file is refused before any connection opens, and no receipt
+    is written."""
+    base = ["--params", workdir / "sys.cfg"]
+    for argv in (["setup", *base, "--vocab", workdir / "vocab.txt", "--out-dir", workdir / "keys"],
+                 ["register", *base, "--master", workdir / "keys" / "master.keys", "--keywords", "kw0",
+                  "--zone", "downtown", "--out", workdir / "do.keyring"],
+                 ["build-index", *base, "--keyring", workdir / "do.keyring", "--location", "corner",
+                  "--out", workdir / "do.index"]):
+        assert main([str(a) for a in argv]) == 0
+    opened = []
+
+    def connect(*args):
+        opened.append(args)
+        raise OSError("connection attempted")
+
+    monkeypatch.setattr(net, "NetClient", connect)
+    good = "pseudonym=alice\nserver-id=cs-7\nmemory-index=slot-12\n"
+    for text, named in ((good + "atrs=diabetes,asthma\n", "atrs"),
+                        (good + "pseudonym=bob\n", "pseudonym"),
+                        (good + "emergency info: call 911\n", "emergency info")):
+        (workdir / "bad-mi.txt").write_text(text)
+        code, out, err = _run(["upload", *base, "--index", workdir / "do.index", "--mi", workdir / "bad-mi.txt",
+                               "--agent-pub", workdir / "keys" / "agent.pub", "--zone", "downtown",
+                               "--server", "127.0.0.1:1", "--receipt", workdir / "receipt.txt"], capsys)
+        assert code == 1 and named in err and "CryptoError" in err, text
+    assert not opened
+    assert not (workdir / "receipt.txt").exists()
+
+
 def test_snapshot_init_and_inspect(workdir, capsys):
     code, _, _ = _run(["snapshot", "init", "--file", workdir / "zone.sbf",
                        "--params", workdir / "sys.cfg", "--zone", "downtown"], capsys)
@@ -265,6 +296,10 @@ def test_simulate_overflow_out_file(workdir, capsys):
     code, _, err = _run(["simulate-overflow", "--params", workdir / "sys.cfg",
                          "--betas", "4"], capsys)
     assert code == 1 and "needs --t" in err
+    code, _, err = _run(["simulate-overflow", "--params", workdir / "sys.cfg", "--t", "9",
+                         "--ts", "100,300", "--trials", "10", "--out", workdir / "ts.csv"], capsys)
+    assert code == 1 and "--t" in err
+    assert not (workdir / "ts.csv").exists()
 
 
 def test_simulate_overflow_sweeps_exactly_one_of_betas_and_ts(workdir, capsys):

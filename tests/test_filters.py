@@ -5,7 +5,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from sbfsearch.filters import BitFilter, CountingFilter, FilterError, hash_positions
+from sbfsearch.filters import BitFilter, FilterError, hash_positions
 
 
 def _elements(rng, r, width=16):
@@ -66,23 +66,6 @@ class TestBitFilter:
         bf = BitFilter(64)
         assert not {0, 1} <= set(bf)
 
-    def test_union_identity_idempotence(self):
-        rng = Random(4)
-        a = BitFilter(128)
-        a.insert([int(rng.random() * 128) for _ in range(20)])
-        zero = BitFilter(128)
-        assert a | zero == a
-        assert a | a == a
-        with pytest.raises(FilterError):
-            a.union(BitFilter(64))
-
-    def test_union_popcount_subadditive(self):
-        rng = np.random.default_rng(5)
-        for _ in range(1000):
-            a = BitFilter(96, np.flatnonzero(rng.random(96) < 0.2).tolist())
-            b = BitFilter(96, np.flatnonzero(rng.random(96) < 0.2).tolist())
-            assert (a | b).popcount <= a.popcount + b.popcount
-
     def test_false_positive_rate_matches_analytic(self):
         # load q*r positions into m bits; FPR for absent elements is
         # approximately (1 - exp(-q*r/m))^r
@@ -115,61 +98,3 @@ class TestBitFilter:
         with pytest.raises(FilterError, match="dense"):
             BitFilter(16, np.ones(16, dtype=bool))
 
-
-class TestCountingFilter:
-    def test_add_counts_occurrences(self):
-        cbf = CountingFilter(32)
-        cbf.add([3, 3, 7])
-        assert cbf.counters[3] == 2 and cbf.counters[7] == 1
-        cbf.add([3, 3, 7])
-        assert cbf.counters[3] == 4
-
-    def test_subtract_is_inverse(self):
-        cbf = CountingFilter(32)
-        cbf.add([1, 2, 2])
-        snapshot = Counter(cbf.counters)
-        cbf.add([2, 9, 9])
-        cbf.subtract([2, 9, 9])
-        assert cbf.counters == snapshot
-        assert set(cbf.counters) == {1, 2}  # a counter back at zero is not held
-
-    def test_underflow_rejected_atomically(self):
-        cbf = CountingFilter(16)
-        cbf.add([1])
-        with pytest.raises(FilterError):
-            cbf.subtract([1, 2])
-        assert cbf.counters[1] == 1  # nothing changed
-
-    def test_fresh_filter_underflows(self):
-        with pytest.raises(FilterError):
-            CountingFilter(8).subtract([0])
-
-    def test_random_interleavings_match_multiset_oracle(self):
-        rng = Random(9)
-        cbf = CountingFilter(40)
-        oracle: Counter = Counter()
-        live: list[list[int]] = []
-        for _ in range(300):
-            if live and rng.random() < 0.4:
-                ps = live.pop(rng.randrange(len(live)))
-                cbf.subtract(ps)
-                oracle.subtract(ps)
-            else:
-                ps = [rng.randrange(40) for _ in range(5)]
-                cbf.add(ps)
-                oracle.update(ps)
-                live.append(ps)
-        for pos in range(40):
-            assert cbf.counters[pos] == oracle[pos]
-
-    def test_bits_match_counting_filter(self):
-        # identical insert/remove streams keep bits(bf) == (counters > 0)
-        rng = Random(10)
-        m, r = 128, 3
-        bf = BitFilter(m)
-        cbf = CountingFilter(m)
-        for _ in range(30):
-            ps = hash_positions(_elements(rng, r, 8), m, r)
-            bf.insert(ps)
-            cbf.add(ps)
-        assert bf == cbf.nonzero_bits()

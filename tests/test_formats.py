@@ -3,6 +3,7 @@ proper prefix, or the encoding plus one byte, raises that format's own
 error and nothing else."""
 
 import struct
+from collections import Counter
 from random import Random
 
 import pytest
@@ -11,13 +12,12 @@ from hypothesis import strategies as st
 
 from sbfsearch import files
 from sbfsearch.crypto import CryptoError, MetaInfo, SealedRecord, compress_positions
-from sbfsearch.filters import CountingFilter
 from sbfsearch.index import (MasterSecrets, SchemeError, UploadPacket, UserIndex, UserKeyring, build_removal_request,
                              generate_master_secrets, make_upload_packet)
 from sbfsearch.params import derive_params
 from sbfsearch.store import StorageBloomFilter, StoreError
 
-from conftest import SystemFixture, fill_disk_halfway
+from conftest import SystemFixture, blinding_filter, fill_disk_halfway
 
 format_settings = settings(max_examples=15)
 SNAPSHOT_PARAMS = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64)
@@ -91,14 +91,13 @@ def _keyrings(draw):
 def _indexes(draw):
     params = derive_params(l=4, r=draw(st.integers(1, 4)), gamma_count=1, q=4, beta=1, tau_bits=1024,
                            m_override=draw(st.integers(1, 70)))
-    cbf = CountingFilter(params.m)
-    cbf.counters.update(draw(st.dictionaries(st.integers(0, params.m - 1), st.integers(1, 2**32 - 1))))
-    return params, UserIndex(draw(st.binary(max_size=9)), cbf, draw(st.lists(st.binary(max_size=12), max_size=4)),
+    counters = Counter(draw(st.dictionaries(st.integers(0, params.m - 1), st.integers(1, 2**32 - 1))))
+    return params, UserIndex(draw(st.binary(max_size=9)), counters, draw(st.lists(st.binary(max_size=12), max_size=4)),
                              params)
 
 
 def _index_fields(idx):
-    return idx.zone, idx.bf, idx.obf, idx.obf_elements, idx.cbf.m, idx.cbf.counters
+    return idx.zone, idx.bf, blinding_filter(idx), idx.obf_elements, idx.m, idx.counters
 
 
 class TestFormatProperties:

@@ -27,7 +27,7 @@ from sbfsearch.index import (
 from sbfsearch.params import derive_params
 from sbfsearch.store import StorageBloomFilter
 
-from conftest import SystemFixture
+from conftest import SystemFixture, blinding_filter
 from oracles import derive_location_vector, keyword_trapdoor, prf
 from test_acceptance import _property_e_prf_budgets
 from test_crypto import _cold_memos, _memo_misses
@@ -346,27 +346,27 @@ def _assert_matches_dense(idx, dense):
     """`idx` holds what the dense oracle's arrays hold."""
     assert idx.zone == dense.zone
     assert idx.bf.positions() == np.flatnonzero(dense.bf).tolist()
-    assert idx.obf.positions() == np.flatnonzero(dense.obf).tolist()
+    assert blinding_filter(idx).positions() == np.flatnonzero(dense.obf).tolist()
     held = np.flatnonzero(dense.counters)
-    assert idx.cbf.counters == dict(zip(held.tolist(), dense.counters[held].tolist()))
+    assert idx.counters == dict(zip(held.tolist(), dense.counters[held].tolist()))
     assert idx.obf_elements == dense.obf_elements
 
 
 class TestBuildIndex:
     def test_full_quota_means_no_padding(self, system):
         kr, idx = system.user(range(system.params.q))
-        assert idx.obf.popcount == 0 and not idx.obf_elements
-        assert idx.bf == idx.cbf.nonzero_bits()
+        assert blinding_filter(idx).popcount == 0 and not idx.obf_elements
+        assert set(idx.bf) == set(idx.counters)
 
     def test_all_padding_when_no_keywords(self, system):
         kr, idx = system.user([])
-        assert idx.cbf.total == 0
-        assert idx.bf == idx.obf
+        assert idx.counters.total() == 0
+        assert idx.bf == blinding_filter(idx)
         assert idx.bf.popcount <= system.params.q * system.params.r
 
     def test_counting_filter_totals(self, system):
         kr, idx = system.user(range(4))
-        assert idx.cbf.total == 4 * system.params.r
+        assert idx.counters.total() == 4 * system.params.r
 
     def test_prf_budget_inside_build(self, system):
         kr = register_user(system.secrets, system.vocab[:3], system.zone, system.params)
@@ -377,8 +377,8 @@ class TestBuildIndex:
     def test_set_relations(self, system):
         for d in (0, 2, system.params.q):
             _, idx = system.user(range(d))
-            assert set(idx.cbf.nonzero_bits().positions()) <= set(idx.bf.positions())
-            assert set(idx.obf.positions()) <= set(idx.bf.positions())
+            assert set(idx.counters) <= set(idx.bf.positions())
+            assert set(blinding_filter(idx)) <= set(idx.bf.positions())
             assert len(idx.obf_elements) == system.params.q - d
 
     def test_load_bounded_by_quota(self, system):
@@ -433,7 +433,7 @@ class TestRemoval:
         idx = build_user_index(kr, loc, system.params, Random(12))
         req = build_removal_request(idx, kr, system.vocab[0], loc, b"h" * 16, system.params, Random(13))
         assert sorted(req.rbf_prime.positions()) == sorted(set(ps))
-        assert idx.cbf.total == 0
+        assert idx.counters.total() == 0
 
     def test_shared_position_swapped_for_blinding(self, system):
         kr, loc, w1, w2, shared = _colliding_pair(system, d=system.params.q - 2)
@@ -487,27 +487,29 @@ class TestRemoval:
 
     def test_removing_never_inserted_keyword_rejected(self, system):
         kr, idx = system.user(range(2))
+        counters, elements, bf = dict(idx.counters), list(idx.obf_elements), idx.bf
         with pytest.raises(SchemeError):
             build_removal_request(idx, kr, system.vocab[1], system.locations[1],
                                   b"h" * 16, system.params, Random(19))
+        assert (idx.counters, idx.obf_elements, idx.bf) == (counters, elements, bf)  # a refusal changes nothing
 
     def test_cbf_total_tracks_held_keywords(self, system):
         kr, idx = system.user(range(3))
         r = system.params.r
-        assert idx.cbf.total == 3 * r
+        assert idx.counters.total() == 3 * r
         build_removal_request(idx, kr, system.vocab[0], system.locations[0],
                               b"h" * 16, system.params, Random(20))
-        assert idx.cbf.total == 2 * r
+        assert idx.counters.total() == 2 * r
         build_removal_request(idx, kr, system.vocab[1], system.locations[0],
                               b"h" * 16, system.params, Random(21))
-        assert idx.cbf.total == 1 * r
+        assert idx.counters.total() == 1 * r
 
     def test_index_invariants_hold_after_removal(self, system):
         kr, idx = system.user(range(4))
         build_removal_request(idx, kr, system.vocab[2], system.locations[0],
                               b"h" * 16, system.params, Random(22))
-        assert set(idx.cbf.nonzero_bits().positions()) <= set(idx.bf.positions())
-        assert set(idx.obf.positions()) <= set(idx.bf.positions())
+        assert set(idx.counters) <= set(idx.bf.positions())
+        assert set(blinding_filter(idx)) <= set(idx.bf.positions())
 
     def test_end_to_end_insert_remove_search(self, system):
         params = system.params

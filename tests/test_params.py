@@ -143,6 +143,9 @@ def test_load_params_file_errors(tmp_path):
     bad.write_text("l=100\n")
     with pytest.raises(ParamsError):
         load_params_file(bad)  # missing required keys
+    bad.write_text("l=100\nr=4\ngamma=1\nq=4\nbeta=8\ntau_kbits=4\nq=6\n")
+    with pytest.raises(ParamsError, match=rf"{bad}:7: .*'q'"):
+        load_params_file(bad)  # a repeated key would split the parties sharing the file
 
 
 def test_token_and_key_byte_widths():

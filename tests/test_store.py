@@ -35,7 +35,7 @@ from sbfsearch.store import (
     ZoneMismatch,
 )
 
-from conftest import SystemFixture, fill_disk_halfway, resealed
+from conftest import SystemFixture, blinding_filter, fill_disk_halfway, resealed
 
 
 @pytest.fixture
@@ -287,7 +287,7 @@ class TestRemove:
         packet = make_upload_packet(idx, system.meta(), system.secrets.agent_public,
                                     system.zone, params, Random(33))
         store.ingest(packet)
-        obf_before = set(idx.obf.positions())
+        obf_before = set(blinding_filter(idx))
         req = build_removal_request(idx, kr, w1, loc, packet.sealed.handle, params, Random(34))
         swap_bits = set(req.rbf_prime.positions()) & obf_before
         assert swap_bits, "collision fixture must force a swap"
