@@ -145,17 +145,9 @@ def result_size_bits(matches: int, sealed_bits: int) -> int:
     return matches * (sealed_bits + RESULT_RECORD_PREFIX_BITS) + RESULT_HEADER_BITS
 
 
-def capacity_model_bytes(m: int, beta: int, tau_bits: int) -> int:
-    """Raw capacity model m * beta * tau, in bytes. Linear in beta;
-    beta=0 is a legal degenerate input here (an unprovisioned store)."""
-    if m < 1 or beta < 0 or tau_bits < 1:
-        raise AnalysisError("invalid capacity model arguments")
-    return m * beta * tau_bits // 8
-
-
 def provisioned_memory_bytes(params: SystemParams) -> int:
-    """Capacity model m * beta * tau, in bytes."""
-    return capacity_model_bytes(params.m, params.beta, params.tau_bits)
+    """Capacity model m * beta * tau, in bytes; linear in beta."""
+    return params.m * params.beta * params.tau_bits // 8
 
 
 def bytes_to_mib(n: int) -> float:

@@ -2,12 +2,16 @@
 client operations against a running server, the server itself, analysis
 tables, and the simulation experiments.
 
-Bulky inputs travel in files; flags name the paths. Free-text keywords,
-locations, and zone names are canonicalized to n-bit tokens, so the same
-strings always address the same buffers. The simulate-* subcommands
-take --seed and reproduce bit-identically under it; the subcommands that
-make keys, blinding elements or sealed records take no seed and draw
-from the OS. Exit codes: 0 success, 1 operational error, 2 usage.
+Bulky inputs travel in files; flags name the paths, and each input has
+one source: a search opens records with the agent key held in the master
+secrets file, and an upload goes to the zone its index was built for.
+One search command serves one keyword or several: a record matches when
+it holds every keyword. Free-text keywords, locations, and zone names
+are canonicalized to n-bit tokens, so the same strings always address
+the same buffers. The simulate-* subcommands take --seed and reproduce
+bit-identically under it; the subcommands that make keys, blinding
+elements or sealed records take no seed and draw from the OS. Exit
+codes: 0 success, 1 operational error, 2 usage.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .index import (
     build_removal_request,
     build_user_index,
     generate_master_secrets,
-    keyword_positions,
     make_upload_packet,
     register_user,
 )
@@ -72,27 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--mi", required=True, help="meta record text file")
     p.add_argument("--agent-pub", required=True)
-    p.add_argument("--zone", required=True)
     p.add_argument("--server", required=True, help="host:port")
     p.add_argument("--receipt", required=True, help="where to write the record handle")
 
-    p = sub.add_parser("search", help="single-keyword location-scoped search")
-    _add_params_flags(p)
-    p.add_argument("--master", required=True)
-    p.add_argument("--keyword", required=True)
-    p.add_argument("--location", required=True)
-    p.add_argument("--zone", required=True)
-    p.add_argument("--agent-priv", required=True)
-    p.add_argument("--server", required=True)
-    p.add_argument("--format", choices=("lines", "csv"), default="lines")
-
-    p = sub.add_parser("search-and", help="conjunctive multi-keyword search")
+    p = sub.add_parser("search", help="location-scoped search for records holding every keyword")
     _add_params_flags(p)
     p.add_argument("--master", required=True)
     p.add_argument("--keywords", required=True, help="comma-separated keywords")
     p.add_argument("--location", required=True)
     p.add_argument("--zone", required=True)
-    p.add_argument("--agent-priv", required=True)
     p.add_argument("--server", required=True)
     p.add_argument("--format", choices=("lines", "csv"), default="lines")
 
@@ -162,7 +153,6 @@ def _cmd_setup(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     files.save_master_secrets(ms, out / "master.keys")
     files.write_key_file(out / "agent.pub", ms.agent_public)
-    files.write_key_file(out / "agent.key", ms.agent_private)
     print(f"vocabulary of {len(vocab)} keywords; material written to {out}")
     return 0
 
@@ -206,8 +196,7 @@ def _cmd_upload(args) -> int:
     params = load_params_file(args.params)
     idx = files.load_index(args.index, params)
     mi = _read_mi_file(args.mi, params.n_bits)
-    packet = make_upload_packet(idx, mi, files.read_key_file(args.agent_pub),
-                                token_from_text(args.zone, params.n_bits), params)
+    packet = make_upload_packet(idx, mi, files.read_key_file(args.agent_pub), idx.zone, params)
     host, port = _host_port(args.server)
     with net.NetClient(host, port, net.ROLE_OWNER) as client:
         written = client.upload(packet)
@@ -234,27 +223,13 @@ def _cmd_search(args) -> int:
     params = load_params_file(args.params)
     ms = files.load_master_secrets(args.master)
     zone = token_from_text(args.zone, params.n_bits)
-    w = token_from_text(args.keyword, params.n_bits)
-    kr = register_user(ms, [w], zone, params)
-    positions = keyword_positions(kr, w, token_from_text(args.location, params.n_bits), params)
-    host, port = _host_port(args.server)
-    with net.NetClient(host, port, net.ROLE_AGENT) as client:
-        records = client.search_location(zone, positions)
-    _print_records(records, files.read_key_file(args.agent_priv), params.n_bits, args.format)
-    return 0
-
-
-def _cmd_search_and(args) -> int:
-    params = load_params_file(args.params)
-    ms = files.load_master_secrets(args.master)
-    zone = token_from_text(args.zone, params.n_bits)
     keywords = _tokens(args.keywords, params.n_bits)
     kr = register_user(ms, keywords, zone, params)
     query = build_conjunctive_query(kr, keywords, token_from_text(args.location, params.n_bits), params)
     host, port = _host_port(args.server)
     with net.NetClient(host, port, net.ROLE_AGENT) as client:
-        records = client.search_conjunctive(zone, query)
-    _print_records(records, files.read_key_file(args.agent_priv), params.n_bits, args.format)
+        records = client.search_location(zone, query.positions())
+    _print_records(records, ms.agent_private, params.n_bits, args.format)
     return 0
 
 
@@ -302,8 +277,9 @@ def _cmd_serve(args) -> int:
         signal.signal(signum, lambda *_: server.shutdown())
     server.serve_forever()
     if args.save_on_shutdown:
+        # a loaded store goes back to its own file, so a restart finds one snapshot per zone
         for zone, store in stores.items():
-            store.save(store_dir / f"{zone.hex()}.sbf")
+            store.save(sources.get(zone, store_dir / f"{zone.hex()}.sbf"))
         print("snapshots saved")
     return 0
 
@@ -410,7 +386,6 @@ _HANDLERS = {
     "build-index": _cmd_build_index,
     "upload": _cmd_upload,
     "search": _cmd_search,
-    "search-and": _cmd_search_and,
     "remove": _cmd_remove,
     "serve": _cmd_serve,
     "analyze": _cmd_analyze,

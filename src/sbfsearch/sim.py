@@ -260,6 +260,8 @@ def run_accuracy_experiment(params: SystemParams, t: int, seed: int) -> Accuracy
     and measure recall/precision. False positives are attributed to
     blinding overlap when the colliding record needs its obfuscation
     positions to cover the probe, otherwise to hash collision."""
+    if t < 0:
+        raise SimError("the user count t must be non-negative")
     rng = Random(seed)
     vocab = [random_token(rng, params.n_bits) for _ in range(params.l)]
     ms = generate_master_secrets(params, vocab, rng)

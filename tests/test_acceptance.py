@@ -25,13 +25,11 @@ import time
 from fractions import Fraction
 from random import Random
 
-import pytest
 from scipy.stats import mannwhitneyu
 
 from sbfsearch import analysis, crypto, net, sim
 from sbfsearch.analysis import (
     blinding_collision_bound,
-    capacity_model_bytes,
     prob_index_overlap,
     prob_keyword_cover,
     upload_size_bits,
@@ -156,7 +154,9 @@ def test_criterion_4_overflow_probability_pins():
 
 
 def test_criterion_5_memory_model():
-    mib = analysis.bytes_to_mib(capacity_model_bytes(28854, 50, 5 * 1024))
+    params = derive_params(l=100, r=10, gamma_count=20, q=15, beta=50, tau_bits=5 * 1024)
+    assert params.m == 28854
+    mib = analysis.bytes_to_mib(analysis.provisioned_memory_bytes(params))
     _report("criterion 5 memory model",
             [("880.5+-1 MiB", abs(mib - 880.5) <= 1.0, f"value={mib:.2f} MiB")])
 

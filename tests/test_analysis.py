@@ -7,7 +7,6 @@ from sbfsearch import analysis
 from sbfsearch.analysis import (
     AnalysisError,
     blinding_collision_bound,
-    capacity_model_bytes,
     prob_index_overlap,
     prob_keyword_cover,
     meta_record_bytes,
@@ -175,5 +174,7 @@ class TestResourceModels:
         assert mib == pytest.approx(880.5, abs=1.0)
 
     def test_memory_model_linear_in_beta(self):
-        assert capacity_model_bytes(100, 0, 1024) == 0
-        assert capacity_model_bytes(100, 6, 1024) == 3 * capacity_model_bytes(100, 2, 1024)
+        two, six = (analysis.provisioned_memory_bytes(derive_params(l=20, r=4, gamma_count=2, q=6, beta=beta,
+                                                                    tau_bits=1024, n_bits=64))
+                    for beta in (2, 6))
+        assert six == 3 * two

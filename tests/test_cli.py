@@ -5,7 +5,6 @@ import re
 import signal
 import subprocess
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +13,7 @@ import pytest
 import sbfsearch
 from sbfsearch import files, net
 from sbfsearch.cli import build_parser, main
+from sbfsearch.crypto import token_from_text
 from sbfsearch.params import CONFIG_KEYS, derive_params, load_params_file
 from sbfsearch.store import StorageBloomFilter
 
@@ -88,8 +88,8 @@ def test_setup_and_register(workdir, capsys):
     code, out, _ = _run(["setup", "--params", workdir / "sys.cfg", "--vocab", workdir / "vocab.txt",
                          "--out-dir", workdir / "keys"], capsys)
     assert code == 0
-    assert (workdir / "keys" / "master.keys").exists()
-    assert (workdir / "keys" / "agent.pub").exists()
+    # the agent's private key stays in master.keys, its one source
+    assert sorted(path.name for path in (workdir / "keys").iterdir()) == ["agent.pub", "master.keys"]
 
     code, _, _ = _run(["register", "--params", workdir / "sys.cfg",
                        "--master", workdir / "keys" / "master.keys",
@@ -129,7 +129,7 @@ def test_commands_that_make_secrets_take_no_seed(workdir, capsys):
         "setup": ["--vocab", workdir / "vocab.txt", "--out-dir", workdir / "keys"],
         "build-index": ["--keyring", workdir / "do.keyring", "--location", "corner", "--out", workdir / "x.index"],
         "upload": ["--index", workdir / "x.index", "--mi", workdir / "mi.txt", "--agent-pub", workdir / "agent.pub",
-                   "--zone", "z", "--server", "127.0.0.1:1", "--receipt", workdir / "receipt.txt"],
+                   "--server", "127.0.0.1:1", "--receipt", workdir / "receipt.txt"],
         "remove": ["--keyring", workdir / "do.keyring", "--index", workdir / "x.index", "--keyword", "kw0",
                    "--location", "corner", "--receipt", workdir / "receipt.txt", "--server", "127.0.0.1:1"],
     }
@@ -175,9 +175,29 @@ def test_upload_refuses_a_meta_record_file_it_does_not_know(workdir, capsys, mon
                         (good + "emergency info: call 911\n", "emergency info")):
         (workdir / "bad-mi.txt").write_text(text)
         code, out, err = _run(["upload", *base, "--index", workdir / "do.index", "--mi", workdir / "bad-mi.txt",
-                               "--agent-pub", workdir / "keys" / "agent.pub", "--zone", "downtown",
+                               "--agent-pub", workdir / "keys" / "agent.pub",
                                "--server", "127.0.0.1:1", "--receipt", workdir / "receipt.txt"], capsys)
         assert code == 1 and named in err and "CryptoError" in err, text
+    assert not opened
+    assert not (workdir / "receipt.txt").exists()
+
+
+def test_each_input_has_one_source(workdir, capsys, monkeypatch):
+    """`search` serves one keyword or several, its agent key comes from
+    --master and an upload's zone from its index: the old command and
+    the old flags are usage errors, refused before any connection."""
+    opened = []
+    monkeypatch.setattr(net, "NetClient", lambda *args: opened.append(args))
+    base = ["--params", workdir / "sys.cfg", "--server", "127.0.0.1:1"]
+    search = ["--master", workdir / "master.keys", "--keywords", "kw0,kw1", "--location", "corner",
+              "--zone", "downtown"]
+    for argv, named in ((["search-and", *base, *search], "search-and"),
+                        (["search", *base, *search, "--agent-priv", workdir / "agent.key"], "--agent-priv"),
+                        (["upload", *base, "--index", workdir / "do.index", "--mi", workdir / "mi.txt",
+                          "--agent-pub", workdir / "agent.pub", "--receipt", workdir / "receipt.txt",
+                          "--zone", "downtown"], "--zone")):
+        code, out, err = _run(argv, capsys)
+        assert code == 2 and out == "" and named in err, argv[0]
     assert not opened
     assert not (workdir / "receipt.txt").exists()
 
@@ -315,6 +335,9 @@ def test_simulate_accuracy(workdir, capsys):
                          "--t", "15", "--seed", "5"], capsys)
     assert code == 0
     assert "recall = 1.0" in out
+    code, out, err = _run(["simulate-accuracy", "--params", workdir / "sys.cfg", "--t", "-5"], capsys)
+    assert code == 1 and out == ""
+    assert "SimError: the user count t must be non-negative" in err
 
 
 def test_usage_errors(capsys):
@@ -383,10 +406,21 @@ class TestServeLoopback:
     def _upload(self, workdir, server, capsys):
         code, out, err = _run(["upload", "--params", workdir / "sys.cfg", "--index", workdir / "do.index",
                                "--mi", workdir / "mi.txt",
-                               "--agent-pub", workdir / "keys" / "agent.pub",
-                               "--zone", "downtown", "--server", server,
+                               "--agent-pub", workdir / "keys" / "agent.pub", "--server", server,
                                "--receipt", workdir / "receipt.txt"], capsys)
         assert code == 0, err
+
+    @staticmethod
+    def _search(workdir, server, keywords):
+        return ["search", "--params", workdir / "sys.cfg", "--master", workdir / "keys" / "master.keys",
+                "--keywords", keywords, "--location", "corner", "--zone", "downtown", "--server", server]
+
+    @staticmethod
+    def _uploaded_record():
+        """The line `search` prints for the record that mi.txt describes."""
+        token = {text: token_from_text(text, 64).hex() for text in ("alice", "cs-7", "slot-12", "kw0", "kw1")}
+        return (f"pseudonym={token['alice']} server={token['cs-7']} memory={token['slot-12']} "
+                f"keywords={token['kw0']},{token['kw1']}\n")
 
     def test_save_on_shutdown_keeps_the_upload(self, workdir, serve, capsys):
         """SIGTERM stops the server after the request in hand; with
@@ -400,25 +434,32 @@ class TestServeLoopback:
         handle = bytes.fromhex((workdir / "receipt.txt").read_text().strip())
         assert handle in StorageBloomFilter.load(snapshot).table
 
+    def test_a_loaded_store_is_saved_to_its_own_file(self, workdir, serve, capsys):
+        """A store loaded from a.sbf is saved back to a.sbf, not beside it
+        under its zone's name, so the next server starts and serves the
+        upload."""
+        code, _, err = _run(["snapshot", "init", "--file", workdir / "stores" / "a.sbf",
+                             "--params", workdir / "sys.cfg", "--zone", "downtown"], capsys)
+        assert code == 0, err
+        proc, server = serve("--save-on-shutdown")
+        self._upload(workdir, server, capsys)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+        assert [path.name for path in (workdir / "stores").iterdir()] == ["a.sbf"]
+        _, server = serve()
+        code, out, err = _run(self._search(workdir, server, "kw0"), capsys)
+        assert code == 0, err
+        assert out == self._uploaded_record()
+
     def test_upload_search_remove_cycle(self, served, capsys):
         workdir, server = served
         base = ["--params", workdir / "sys.cfg"]
         self._upload(workdir, server, capsys)
 
-        search_cmd = ["search", *base, "--master", workdir / "keys" / "master.keys",
-                      "--keyword", "kw0", "--location", "corner", "--zone", "downtown",
-                      "--agent-priv", workdir / "keys" / "agent.key", "--server", server]
-        code, out, err = _run(search_cmd, capsys)
-        assert code == 0, err
-        assert "pseudonym=" in out
-
-        code, out, err = _run(["search-and", *base, "--master", workdir / "keys" / "master.keys",
-                               "--keywords", "kw0,kw1", "--location", "corner",
-                               "--zone", "downtown",
-                               "--agent-priv", workdir / "keys" / "agent.key",
-                               "--server", server], capsys)
-        assert code == 0, err
-        assert "pseudonym=" in out
+        for keywords in ("kw0", "kw0,kw1"):
+            code, out, err = _run(self._search(workdir, server, keywords), capsys)
+            assert code == 0, err
+            assert out == self._uploaded_record(), keywords
 
         code, out, err = _run(["remove", *base, "--keyring", workdir / "do.keyring",
                                "--index", workdir / "do.index", "--keyword", "kw0",
@@ -426,7 +467,8 @@ class TestServeLoopback:
                                "--server", server], capsys)
         assert code == 0, err
 
-        code, out, err = _run(search_cmd, capsys)
-        assert code == 0, err
-        assert "pseudonym=" not in out
+        for keywords in ("kw0", "kw0,kw1"):
+            code, out, err = _run(self._search(workdir, server, keywords), capsys)
+            assert code == 0, err
+            assert out == "", keywords
         assert (workdir / "do.index").read_bytes()[:8] == files.INDEX_MAGIC

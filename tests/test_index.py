@@ -31,7 +31,6 @@ from conftest import SystemFixture, blinding_filter
 from oracles import derive_location_vector, keyword_trapdoor, prf
 from test_acceptance import _property_e_prf_budgets
 from test_crypto import _cold_memos, _memo_misses
-from test_formats import _index_fields
 
 SMALL_PARAMS = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64)
 PAPER_PARAMS = derive_params(l=100, r=10, gamma_count=20, q=15, beta=50, tau_bits=5120)

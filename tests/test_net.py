@@ -25,10 +25,8 @@ from sbfsearch.index import (
     UploadPacket,
     build_conjunctive_query,
     build_removal_request,
-    build_user_index,
     keyword_positions,
     make_upload_packet,
-    register_user,
 )
 from sbfsearch.params import derive_params
 from sbfsearch.store import StorageBloomFilter

@@ -198,6 +198,12 @@ class TestAccuracyExperiment:
         assert report.probes == 0
         assert report.recall == 1.0 and report.precision == 1.0
 
+    def test_negative_user_count_refused(self):
+        params = derive_params(l=30, r=5, gamma_count=3, q=6, beta=64,
+                               tau_bits=5120, n_bits=64)
+        with pytest.raises(SimError, match="non-negative"):
+            run_accuracy_experiment(params, t=-5, seed=17)
+
 
 class TestKernels:
     def test_cover_hits_against_set_containment(self):

@@ -23,7 +23,6 @@ from sbfsearch.index import (
     build_user_index,
     keyword_positions,
     make_upload_packet,
-    register_user,
 )
 from sbfsearch.params import derive_params
 from sbfsearch.store import (

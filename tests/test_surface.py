@@ -15,7 +15,12 @@ pass belongs in the tests.
 Only `sim` makes a `random.Random`, for its seeded experiments: every
 other module takes a caller's generator or draws from the OS, so no
 key, blinding element, sealed record or removal swap comes from a
-seeded Mersenne Twister."""
+seeded Mersenne Twister.
+
+Every name a file under `src/`, `tests/` or `perfbench/` imports is one
+that file's code uses. A string, docstring or not, does not count. The
+package's `__init__` re-exports its imports, and `from __future__
+import annotations` binds no name, so neither counts."""
 
 import ast
 import re
@@ -173,3 +178,25 @@ def test_every_option_is_passed_by_the_system():
             if not any(_passes(call, keyword, index) for call in calls.get(callee, ())):
                 unpassed.append(f"{module.stem}.{label}({param})")
     assert sorted(unpassed) == sorted(UNPASSED), f"passed by no system call: {sorted(set(unpassed) - set(UNPASSED))}"
+
+
+def _dead_imports(path: Path):
+    """(line, name) of each name the file imports and its code never
+    reads. `import a.b` binds `a`."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in bound if name not in read)
+
+
+def test_every_import_is_used():
+    dead = [f"{path.relative_to(ROOT)}:{line} {name}"
+            for folder in ("src", "tests", "perfbench") for path in sorted((ROOT / folder).rglob("*.py"))
+            if path != PACKAGE / "__init__.py" for line, name in _dead_imports(path)]
+    assert dead == []
