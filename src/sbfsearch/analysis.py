@@ -44,12 +44,6 @@ class AnalysisError(ValueError):
 
 @dataclass(frozen=True)
 class CollisionBound:
-    t: int
-    l: int
-    gamma_count: int
-    r: int
-    m: int
-    occupied: int
     bound: float
     clamped: bool
 
@@ -99,11 +93,7 @@ def blinding_collision_bound(
     if not 0 <= occupied <= m:
         raise AnalysisError(f"need 0 <= occupied <= m, got occupied={occupied}, m={m}")
     raw = Fraction(t * math.comb(occupied, r) * l * gamma_count * math.factorial(r), m**r)
-    clamped = raw > 1
-    return CollisionBound(
-        t=t, l=l, gamma_count=gamma_count, r=r, m=m, occupied=occupied,
-        bound=float(min(raw, Fraction(1))), clamped=clamped,
-    )
+    return CollisionBound(bound=float(min(raw, Fraction(1))), clamped=raw > 1)
 
 
 # --- communication and memory models ----------------------------------------

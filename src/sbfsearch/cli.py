@@ -2,6 +2,10 @@
 client operations against a running server, the server itself, analysis
 tables, and the simulation experiments.
 
+`serve` keeps each zone store in memory and saves it to its snapshot
+file on SIGINT or SIGTERM; it makes a new zone's empty store itself, and
+`snapshot` only inspects a file.
+
 Bulky inputs travel in files; flags name the paths, and each input has
 one source: a search opens records with the agent key held in the master
 secrets file, and an upload goes to the zone its index was built for.
@@ -31,7 +35,7 @@ from .index import (
     make_upload_packet,
     register_user,
 )
-from .params import ParamsError, expected_distinct_positions, load_params_file, read_key_values
+from .params import expected_distinct_positions, load_params_file, read_key_values
 from .store import SNAPSHOT_MAGIC, StorageBloomFilter, StoreError
 
 
@@ -101,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", default="127.0.0.1:0", help="host:port (port 0 picks one)")
     p.add_argument("--store-dir", required=True, help="directory of zone snapshots (*.sbf)")
     p.add_argument("--zone", action="append", default=[], help="create an empty store for this zone name")
-    p.add_argument("--save-on-shutdown", action="store_true")
 
     p = sub.add_parser("analyze", help="print the derived quantities for a parameter set")
     _add_params_flags(p)
@@ -133,11 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=100, help="number of simulated users")
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("snapshot", help="create or inspect a store snapshot")
-    p.add_argument("action", choices=("init", "inspect"))
+    p = sub.add_parser("snapshot", help="inspect a store snapshot")
     p.add_argument("--file", required=True)
-    p.add_argument("--params", help="required for init")
-    p.add_argument("--zone", help="required for init")
 
     return top
 
@@ -270,17 +270,19 @@ def _cmd_serve(args) -> int:
         raise StoreError("no zone stores: pass --zone or provide snapshots")
     host, port = _host_port(args.listen)
     server = net.NetServer(stores, host, port)
+    # blocked before the loop thread starts, so it inherits the mask and only
+    # sigwait takes a stop, which shutdown() lets land between requests
+    stops = {signal.SIGINT, signal.SIGTERM}
+    signal.pthread_sigmask(signal.SIG_BLOCK, stops)
+    server.start()
     print(f"listening on {server.address[0]}:{server.address[1]} "
           f"({len(stores)} zone(s))", flush=True)
-    # the loop runs on this thread: a signal stops it between requests, never inside one
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: server.shutdown())
-    server.serve_forever()
-    if args.save_on_shutdown:
-        # a loaded store goes back to its own file, so a restart finds one snapshot per zone
-        for zone, store in stores.items():
-            store.save(sources.get(zone, store_dir / f"{zone.hex()}.sbf"))
-        print("snapshots saved")
+    signal.sigwait(stops)
+    server.shutdown()
+    # a loaded store goes back to its own file, so a restart finds one snapshot per zone
+    for zone, store in stores.items():
+        store.save(sources.get(zone, store_dir / f"{zone.hex()}.sbf"))
+    print("snapshots saved")
     return 0
 
 
@@ -353,15 +355,6 @@ def _cmd_simulate_accuracy(args) -> int:
 
 
 def _cmd_snapshot(args) -> int:
-    if args.action == "init":
-        if not args.params or not args.zone:
-            raise ParamsError("snapshot init needs --params and --zone")
-        params = load_params_file(args.params)
-        store = StorageBloomFilter(params, token_from_text(args.zone, params.n_bits))
-        Path(args.file).parent.mkdir(parents=True, exist_ok=True)
-        store.save(args.file)
-        print(f"empty store for zone '{args.zone}' written to {args.file}")
-        return 0
     store = StorageBloomFilter.load(args.file)
     size = Path(args.file).stat().st_size
     histogram = store.occupancy_histogram()

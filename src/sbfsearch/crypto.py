@@ -388,14 +388,14 @@ def compress_positions(positions: list[int], m: int) -> bytes:
     return len(p).to_bytes(4, "big") + np.packbits(bits.astype(np.uint8)).tobytes()
 
 
-def decompress_positions(data: bytes, m: int, max_count: int | None = None) -> list[int]:
+def decompress_positions(data: bytes, m: int, max_count: int) -> list[int]:
     """Invert compress_positions, validating range and ordering. A header
     count above `max_count` or m is refused before anything is decoded;
     decoding is then linear in the count."""
     if len(data) < 4:
         raise CryptoError("sparse filter missing header")
     count = int.from_bytes(data[:4], "big")
-    bound = m if max_count is None else min(m, max_count)
+    bound = min(m, max_count)
     if count > bound:
         raise CryptoError(f"sparse filter count {count} exceeds bound {bound}")
     width = position_width(m)

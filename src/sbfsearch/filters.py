@@ -87,6 +87,6 @@ class BitFilter:
         return compress_positions(self.positions(), self.m)
 
     @classmethod
-    def decompress(cls, data: bytes, m: int, max_count: int | None = None) -> "BitFilter":
+    def decompress(cls, data: bytes, m: int, max_count: int) -> "BitFilter":
         """Invert compress; a count above `max_count` is refused undecoded."""
         return cls._of(m, set(decompress_positions(data, m, max_count)))  # the codec checked the range

@@ -41,7 +41,9 @@ The server serves one or more zone stores and never holds the agents'
 private key, so it can route and intersect sealed records but not read
 them. It runs every connection from one selector loop on one thread,
 with non-blocking sockets: no thread per connection and no socket
-timeout. The client is synchronous, one round trip per operation.
+timeout. A connection's first frame must be a HELLO of 33 bytes; any
+other header closes the connection before its body is read. The client
+is synchronous, one round trip per operation.
 """
 
 from __future__ import annotations
@@ -239,17 +241,18 @@ class _Connection:
 
 
 class NetServer:
-    """Serves one or more zone stores from one selector loop on one
-    thread: `start()` runs it on a background thread, `serve_forever()`
-    on the calling one. Sockets are non-blocking; each connection's input
+    """Serves one or more zone stores from one selector loop, which
+    `start()` runs on its own thread and `shutdown()` stops after the
+    request in hand. Sockets are non-blocking; each connection's input
     is cut into whole frames, answered in order, and a reply the socket
     cannot take at once is flushed when it becomes writable, with reading
-    paused meanwhile. A peer that is silent before HELLO, stalls
-    mid-frame or stops taking a reply for IDLE_TIMEOUT_S is dropped; an
-    idle session between frames is kept. When accept runs out of file
-    descriptors or memory, the listener rests for ACCEPT_RETRY_S, so the
-    loop does not spin on a connection it cannot take. Requests run one
-    at a time, so a store never sees two at once."""
+    paused meanwhile. A peer whose first frame is not a 33-byte HELLO is
+    dropped at that frame's header. A peer that is silent before HELLO,
+    stalls mid-frame or stops taking a reply for IDLE_TIMEOUT_S is
+    dropped; an idle session between frames is kept. When accept runs
+    out of file descriptors or memory, the listener rests for
+    ACCEPT_RETRY_S, so the loop does not spin on a connection it cannot
+    take. Requests run one at a time, so a store never sees two at once."""
 
     def __init__(self, stores: dict[bytes, StorageBloomFilter], host: str = "127.0.0.1", port: int = 0):
         self.stores = stores
@@ -267,7 +270,6 @@ class NetServer:
         self._accept_resume = math.inf  # when a resting listener is watched again
         self._loop_thread: threading.Thread | None = None
         self._stopping = False
-        self._closed = threading.Event()
 
     def zone_width(self) -> int:
         if not self.stores:
@@ -278,27 +280,21 @@ class NetServer:
         self._loop_thread = threading.Thread(target=self._run, name="sbfsearch-server", daemon=True)
         self._loop_thread.start()
 
-    def serve_forever(self) -> None:
-        self._loop_thread = threading.current_thread()
-        self._run()
-
     def shutdown(self) -> None:
-        """Stop serving. Called from another thread, return once the loop
-        has finished its request and closed every connection; called on
-        the loop's own thread (a signal handler), make the loop stop after
-        the request in hand."""
-        self._stopping = True
-        if self._loop_thread is None:
-            if not self._closed.is_set():
+        """Stop serving: return once the loop has finished the request in
+        hand and closed the listener and every connection. Before `start()`
+        close the sockets here; a second call closes nothing more."""
+        if not self._stopping:
+            self._stopping = True
+            if self._loop_thread is None:
                 self._close_all()
-            return
-        if not self._closed.is_set():
+                return
             try:
                 self._wake_w.send(b"\0")
-            except OSError:  # the loop closed it meanwhile
+            except OSError:  # the loop ended on an error and closed it
                 pass
-        if threading.current_thread() is not self._loop_thread:
-            self._closed.wait()
+        if self._loop_thread is not None:
+            self._loop_thread.join()
 
     def _run(self) -> None:
         deadlines = self._deadlines
@@ -324,7 +320,6 @@ class NetServer:
             key.fileobj.close()
         self._selector.close()
         self._wake_w.close()
-        self._closed.set()
 
     def _expire(self) -> None:
         if self._accept_resume <= time.monotonic():
@@ -403,6 +398,8 @@ class NetServer:
         buf, start = conn.inbuf, 0
         while not conn.outbuf and len(buf) - start >= 9:
             ftype, length = _parse_header(buf, start)
+            if conn.session is None and (ftype != T_HELLO or length != 1 + 32):
+                raise WireError("expected hello")  # refused before its body is read
             end = start + 9 + length
             if len(buf) < end:
                 break
@@ -516,7 +513,7 @@ def _result_body(matches: list[SealedRecord]) -> bytes:
 class NetClient:
     """Synchronous one-round-trip-per-operation client."""
 
-    def __init__(self, host: str, port: int, role: int = ROLE_OWNER):
+    def __init__(self, host: str, port: int, role: int):
         self._sock = socket.create_connection((host, port))
         try:
             self._session = client_handshake(self._sock, role)

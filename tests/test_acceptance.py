@@ -382,7 +382,7 @@ def _property_h_wire_robustness() -> tuple[str, bool, str]:
         kr, idx = sys.user([0], seed=8002)
         packet = make_upload_packet(idx, sys.meta("h"), sys.secrets.agent_public,
                                     sys.zone, params, Random(8003))
-        with net.NetClient(host, port) as c:
+        with net.NetClient(host, port, net.ROLE_OWNER) as c:
             c.upload(packet)
         ps = keyword_positions(kr, sys.vocab[0], sys.locations[0], params)
 
@@ -461,7 +461,7 @@ def test_criterion_8_security_observables():
         mi = nsys.meta("sealed-user")
         packet = make_upload_packet(idx, mi, nsys.secrets.agent_public,
                                     nsys.zone, net_params, Random(91))
-        with net.NetClient(host, port) as c:
+        with net.NetClient(host, port, net.ROLE_OWNER) as c:
             c.upload(packet)
         private_key = nsys.secrets.agent_private
         server_side_blobs = [

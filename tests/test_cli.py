@@ -202,31 +202,34 @@ def test_each_input_has_one_source(workdir, capsys, monkeypatch):
     assert not (workdir / "receipt.txt").exists()
 
 
-def test_snapshot_init_and_inspect(workdir, capsys):
-    code, _, _ = _run(["snapshot", "init", "--file", workdir / "zone.sbf",
-                       "--params", workdir / "sys.cfg", "--zone", "downtown"], capsys)
-    assert code == 0
-    code, out, _ = _run(["snapshot", "inspect", "--file", workdir / "zone.sbf"], capsys)
+def _empty_snapshot(workdir, path):
+    """Save the empty store of zone downtown under sys.cfg at `path`."""
+    params = load_params_file(workdir / "sys.cfg")
+    path.parent.mkdir(exist_ok=True)
+    StorageBloomFilter(params, token_from_text("downtown", params.n_bits)).save(path)
+
+
+def test_snapshot_only_inspects(workdir, capsys):
+    """`snapshot --file` reads a snapshot; no subcommand writes one, so
+    the old `snapshot init` is a usage error that leaves the file as it
+    was."""
+    path = workdir / "zone.sbf"
+    _empty_snapshot(workdir, path)
+    code, out, _ = _run(["snapshot", "--file", path], capsys)
     assert code == 0
     assert "records = 0" in out and "m = 231" in out
     assert "format = SBFSTOR2" in out and "bytes_per_record = n/a" in out
-
-
-def test_snapshot_init_creates_the_parent_directory(workdir, capsys):
-    path = workdir / "new" / "dir" / "zone.sbf"
-    code, _, err = _run(["snapshot", "init", "--file", path, "--params", workdir / "sys.cfg",
-                         "--zone", "downtown"], capsys)
-    assert code == 0, err
-    assert StorageBloomFilter.load(path).params.m == 231
-    assert [p.name for p in path.parent.iterdir()] == ["zone.sbf"]  # no temporary file left
+    before = path.read_bytes()
+    for argv in (["snapshot", "init", "--file", path, "--params", workdir / "sys.cfg", "--zone", "uptown"],
+                 ["snapshot", "inspect", "--file", path]):
+        code, out, _ = _run(argv, capsys)
+        assert code == 2 and out == "", argv
+    assert path.read_bytes() == before
 
 
 def test_serve_refuses_two_snapshots_of_one_zone(workdir, capsys):
     stores = workdir / "stores"
-    stores.mkdir()
-    code, _, _ = _run(["snapshot", "init", "--file", stores / "a.sbf", "--params", workdir / "sys.cfg",
-                       "--zone", "downtown"], capsys)
-    assert code == 0
+    _empty_snapshot(workdir, stores / "a.sbf")
     (stores / "b.sbf").write_bytes((stores / "a.sbf").read_bytes())
     # a subprocess, so a server that starts anyway fails the test by its timeout
     done = subprocess.run([sys.executable, "-m", "sbfsearch", "serve", "--params", str(workdir / "sys.cfg"),
@@ -240,10 +243,7 @@ def test_serve_names_the_snapshot_that_fails_to_load(workdir, capsys):
     """An SBFSTOR1 snapshot, a format no longer read, stops the server
     with an error that names that file and no other."""
     stores = workdir / "stores"
-    stores.mkdir()
-    code, _, _ = _run(["snapshot", "init", "--file", stores / "a.sbf", "--params", workdir / "sys.cfg",
-                       "--zone", "downtown"], capsys)
-    assert code == 0
+    _empty_snapshot(workdir, stores / "a.sbf")
     (stores / "old.sbf").write_bytes(b"SBFSTOR1" + (stores / "a.sbf").read_bytes()[8:])
     done = subprocess.run([sys.executable, "-m", "sbfsearch", "serve", "--params", str(workdir / "sys.cfg"),
                            "--store-dir", str(stores), "--listen", "127.0.0.1:0"],
@@ -259,7 +259,7 @@ def test_snapshot_inspect_prints_format_and_size(tmp_path, capsys):
         store.ingest(_raw_packet(b"zone", params.m, name, positions))
     path = tmp_path / "zone.sbf"
     store.save(path)
-    code, out, _ = _run(["snapshot", "inspect", "--file", path], capsys)
+    code, out, _ = _run(["snapshot", "--file", path], capsys)
     assert code == 0
     assert "format = SBFSTOR2" in out
     assert f"bytes = {path.stat().st_size}" in out
@@ -360,8 +360,8 @@ def test_parameters_come_only_from_the_params_file(workdir, capsys):
 class TestServeLoopback:
     @pytest.fixture
     def serve(self, workdir):
-        """Set up keys and an owner index, then start `sbfsearch serve`
-        with the given extra flags; returns the process and host:port."""
+        """Set up keys and an owner index, then start `sbfsearch serve`;
+        returns the process and host:port."""
         for argv in (
             ["setup", "--params", workdir / "sys.cfg", "--vocab", workdir / "vocab.txt",
              "--out-dir", workdir / "keys"],
@@ -374,11 +374,11 @@ class TestServeLoopback:
             assert main([str(a) for a in argv]) == 0
         procs = []
 
-        def start(*extra):
+        def start():
             proc = subprocess.Popen(
                 [sys.executable, "-m", "sbfsearch", "serve", "--params", str(workdir / "sys.cfg"),
                  "--store-dir", str(workdir / "stores"), "--zone", "downtown",
-                 "--listen", "127.0.0.1:0", *extra],
+                 "--listen", "127.0.0.1:0"],
                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=_server_env(),
             )
             procs.append(proc)
@@ -422,14 +422,15 @@ class TestServeLoopback:
         return (f"pseudonym={token['alice']} server={token['cs-7']} memory={token['slot-12']} "
                 f"keywords={token['kw0']},{token['kw1']}\n")
 
-    def test_save_on_shutdown_keeps_the_upload(self, workdir, serve, capsys):
-        """SIGTERM stops the server after the request in hand; with
-        --save-on-shutdown it writes a snapshot that holds the upload."""
-        proc, server = serve("--save-on-shutdown")
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+    def test_a_stop_signal_saves_the_upload(self, workdir, serve, capsys, signum):
+        """SIGTERM or SIGINT stops the server after the request in hand,
+        and it writes a snapshot that holds the upload."""
+        proc, server = serve()
         self._upload(workdir, server, capsys)
-        proc.send_signal(signal.SIGTERM)
+        proc.send_signal(signum)
         assert proc.wait(timeout=10) == 0
-        assert "snapshots saved" in proc.stdout.read()
+        assert proc.stdout.read() == "snapshots saved\n"
         (snapshot,) = (workdir / "stores").glob("*.sbf")
         handle = bytes.fromhex((workdir / "receipt.txt").read_text().strip())
         assert handle in StorageBloomFilter.load(snapshot).table
@@ -438,10 +439,8 @@ class TestServeLoopback:
         """A store loaded from a.sbf is saved back to a.sbf, not beside it
         under its zone's name, so the next server starts and serves the
         upload."""
-        code, _, err = _run(["snapshot", "init", "--file", workdir / "stores" / "a.sbf",
-                             "--params", workdir / "sys.cfg", "--zone", "downtown"], capsys)
-        assert code == 0, err
-        proc, server = serve("--save-on-shutdown")
+        _empty_snapshot(workdir, workdir / "stores" / "a.sbf")
+        proc, server = serve()
         self._upload(workdir, server, capsys)
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=10) == 0

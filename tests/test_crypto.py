@@ -559,7 +559,7 @@ class TestTransport:
 class TestSparseCodec:
     def test_empty_filter_is_header_only(self):
         assert compress_positions([], 30_000) == b"\x00\x00\x00\x00"
-        assert decompress_positions(b"\x00\x00\x00\x00", 30_000) == []
+        assert decompress_positions(b"\x00\x00\x00\x00", 30_000, 30_000) == []
 
     def test_reference_size(self):
         # 150 positions in a 30720-position filter: 15 bits each
@@ -574,7 +574,7 @@ class TestSparseCodec:
             count = rng.randint(0, min(m, 64))
             positions = sorted(rng.sample(range(m), count))
             data = compress_positions(positions, m)
-            assert decompress_positions(data, m) == positions
+            assert decompress_positions(data, m, m) == positions
 
     def test_rejects_bad_positions(self):
         with pytest.raises(CryptoError):
@@ -585,15 +585,15 @@ class TestSparseCodec:
             compress_positions([10], 10)
         good = compress_positions([1, 2], 10)
         with pytest.raises(CryptoError):
-            decompress_positions(good, 2)  # decoded position out of range
+            decompress_positions(good, 2, 2)  # decoded position out of range
         with pytest.raises(CryptoError):
-            decompress_positions(good[:-1] + b"", 2)
+            decompress_positions(good[:-1] + b"", 2, 2)
 
     def test_decompress_rejects_non_ascending(self):
         # two 4-bit positions packed as (7, 3)
         data = (2).to_bytes(4, "big") + bytes([0x73])
         with pytest.raises(CryptoError):
-            decompress_positions(data, 16)
+            decompress_positions(data, 16, 16)
 
 
 CODEC_M = (1, 2, 3, 231, 28854)
@@ -625,7 +625,7 @@ class TestSparseCodecProperties:
         for positions in ([], list(range(m))):
             data = compress_positions(positions, m)
             assert data == _reference_encoding(positions, m)
-            assert decompress_positions(data, m) == positions
+            assert decompress_positions(data, m, m) == positions
 
     @codec_settings
     @given(_position_sets())
@@ -642,15 +642,15 @@ class TestSparseCodecProperties:
         data = compress_positions(positions, m)
         for k in range(len(data)):
             with pytest.raises(CryptoError):
-                decompress_positions(data[:k], m)
+                decompress_positions(data[:k], m, m)
         with pytest.raises(CryptoError):
-            decompress_positions(data + b"\x00", m)
+            decompress_positions(data + b"\x00", m, m)
 
     @codec_settings
     @given(m=st.sampled_from(CODEC_M), data=st.data())
     def test_count_above_bound_refused_before_decoding(self, m, data):
-        bound = data.draw(st.none() | st.integers(0, m))
-        count = data.draw(st.integers((m if bound is None else bound) + 1, 2**32 - 1))
+        bound = data.draw(st.integers(0, 2 * m))  # a bound above m still refuses a count above m
+        count = data.draw(st.integers(min(m, bound) + 1, 2**32 - 1))
         body = data.draw(st.binary(max_size=8))  # far too short for the count
         with pytest.raises(CryptoError, match="exceeds bound"):
             decompress_positions(count.to_bytes(4, "big") + body, m, bound)

@@ -83,7 +83,7 @@ class TestBitFilter:
     def test_sparse_round_trip(self):
         rng = np.random.default_rng(8)
         bf = BitFilter(300, np.flatnonzero(rng.random(300) < 0.1).tolist())
-        assert BitFilter.decompress(bf.compress(), 300) == bf
+        assert BitFilter.decompress(bf.compress(), 300, 300) == bf
 
     def test_positions_constructor(self):
         bf = BitFilter(64, [9, 1, 5, 5])

@@ -391,7 +391,8 @@ class TestUploadPacket:
         _, idx = system.user(range(3))
         packet = make_upload_packet(idx, system.meta(), system.secrets.agent_public,
                                     system.zone, system.params, Random(10))
-        assert BitFilter.decompress(packet.compressed_bf, system.params.m) == idx.bf
+        params = system.params
+        assert BitFilter.decompress(packet.compressed_bf, params.m, params.max_positions) == idx.bf
         with pytest.raises(SchemeError):
             make_upload_packet(idx, system.meta(), system.secrets.agent_public,
                                token_from_text("other-zone", 64), system.params)

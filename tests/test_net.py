@@ -130,7 +130,7 @@ class TestHandshake:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", ResourceWarning)
                 with pytest.raises(net.WireError, match="handshake rejected"):
-                    net.NetClient(*listener.getsockname())
+                    net.NetClient(*listener.getsockname(), net.ROLE_OWNER)
                 gc.collect()
         finally:
             t.join(timeout=5)
@@ -215,7 +215,7 @@ class TestOperations:
                                                   sys2.secrets.agent_public,
                                                   sys2.zone, params, Random(65 + u)))
             host, port = srv.address
-            with net.NetClient(host, port) as c:
+            with net.NetClient(host, port, net.ROLE_OWNER) as c:
                 c.upload(packets[0])
                 with pytest.raises(net.ServerError) as info:
                     c.upload(packets[1])
@@ -233,14 +233,14 @@ class TestOperations:
 
     def test_unknown_message_type_gets_error(self, system, server):
         host, port = server.address
-        with net.NetClient(host, port) as c:
+        with net.NetClient(host, port, net.ROLE_OWNER) as c:
             net.send_frame(c._sock, 0x7F, wrap_transport(c._session.aead, bytes([7]) + b"payload"))
             rtype, payload = net.recv_frame(c._sock)
             assert rtype == net.T_ERROR
 
     def test_malformed_encrypted_body_gets_error(self, system, server):
         host, port = server.address
-        with net.NetClient(host, port) as c:
+        with net.NetClient(host, port, net.ROLE_OWNER) as c:
             net.send_frame(c._sock, net.T_UPLOAD, b"\x00" * 40)
             rtype, _ = net.recv_frame(c._sock)
             assert rtype == net.T_ERROR
@@ -427,6 +427,36 @@ class TestRobustness:
             s.settimeout(2)
             assert s.recv(64) == b""  # connection dropped
 
+    @pytest.mark.parametrize("ftype", [net.T_HELLO, net.T_UPLOAD], ids=["oversize-hello", "upload"])
+    def test_a_frame_before_hello_is_refused_at_its_header(self, server, ftype):
+        """A connection's first frame that is not a 33-byte HELLO, here one
+        that announces the frame limit, is refused at its header: the
+        server never buffers its body."""
+        def held():
+            """The input buffer size of each connection the server holds."""
+            while True:
+                try:
+                    return [len(key.data.inbuf) for key in list(server._selector.get_map().values())
+                            if isinstance(key.data, net._Connection)]
+                except (RuntimeError, KeyError):  # the loop changed the map meanwhile
+                    pass
+
+        def wait_for(done):
+            deadline = time.monotonic() + 5
+            while not done(held()):
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+
+        with socket.create_connection(server.address) as s:
+            s.sendall(net.MAGIC + struct.pack(">BI", ftype, net.MAX_PAYLOAD))
+            wait_for(lambda sizes: sizes in ([], [9]))  # dropped, or the header read
+            try:
+                s.sendall(bytes(1 << 20))
+            except OSError:  # reset by the server
+                pass
+            wait_for(lambda sizes: sizes == [] or max(sizes) > 9)  # dropped, or the body buffered
+            assert held() == []
+
     def test_no_thread_per_connection(self, server):
         """The loop serves every connection on its own thread: the thread
         count is the same after 20 sessions in turn and while 20 are open."""
@@ -569,6 +599,16 @@ print(json.dumps({"held": len(held) + 1, "cpu_per_idle_s": cpu, "failures": len(
                 assert sock.recv(1) == b""
         server.shutdown()
 
+    def test_shutdown_before_start_or_twice_leaves_no_socket_open(self, system):
+        for started in (False, True):
+            srv = net.NetServer({system.zone: StorageBloomFilter(system.params, system.zone)})
+            if started:
+                srv.start()
+            srv.shutdown()
+            srv.shutdown()
+            assert [sock.fileno() for sock in (srv._listener, srv._wake_r, srv._wake_w)] == [-1] * 3
+            assert srv._loop_thread is None or not srv._loop_thread.is_alive()
+
     def test_concurrent_sessions(self, system, server):
         kr, idx, packet, _ = _uploaded(system, server, keyword_ids=(0,), seed=74)
         ps = keyword_positions(kr, system.vocab[0], system.locations[0], system.params)
@@ -611,7 +651,7 @@ def scripted_peer():
 
         threads.append(threading.Thread(target=serve, daemon=True))
         threads[-1].start()
-        return net.NetClient(*listener.getsockname())
+        return net.NetClient(*listener.getsockname(), net.ROLE_OWNER)
 
     yield start
     for t in threads:

@@ -242,7 +242,8 @@ class TestRemove:
                                     system.zone, system.params, Random(30))
         store.ingest(packet)
         # prune every buffer the record occupies
-        rbf = BitFilter.decompress(packet.compressed_bf, system.params.m)
+        rbf = BitFilter.decompress(packet.compressed_bf, system.params.m,
+                                   system.params.max_positions)
         pruned = store.remove(RemovalRequest(zone=system.zone, rbf_prime=rbf,
                                              handle=packet.sealed.handle))
         assert pruned == rbf.popcount
@@ -307,7 +308,8 @@ class TestRemove:
         replacement = make_upload_packet(replacement_idx, system.meta("new"),
                                          system.secrets.agent_public, system.zone,
                                          system.params, Random(37))
-        rbf = BitFilter.decompress(packet.compressed_bf, system.params.m)
+        rbf = BitFilter.decompress(packet.compressed_bf, system.params.m,
+                                   system.params.max_positions)
         store.remove(RemovalRequest(zone=system.zone, rbf_prime=rbf,
                                     handle=packet.sealed.handle, replacement=replacement))
         assert replacement.sealed.handle in store.table
@@ -660,7 +662,8 @@ class TestSnapshot:
         before = path.read_bytes()
         packet = packets["d"][2]
         store.remove(RemovalRequest(zone=system.zone, handle=packet.sealed.handle,
-                                    rbf_prime=BitFilter.decompress(packet.compressed_bf, system.params.m)))
+                                    rbf_prime=BitFilter.decompress(packet.compressed_bf, system.params.m,
+                                                                   system.params.max_positions)))
         fill_disk_halfway(monkeypatch)
         with pytest.raises(OSError):
             store.save(path)

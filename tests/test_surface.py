@@ -20,11 +20,17 @@ seeded Mersenne Twister.
 Every name a file under `src/`, `tests/` or `perfbench/` imports is one
 that file's code uses. A string, docstring or not, does not count. The
 package's `__init__` re-exports its imports, and `from __future__
-import annotations` binds no name, so neither counts."""
+import annotations` binds no name, so neither counts.
 
+The command line takes exactly the arguments listed here, each for a
+reason: a new one, or one gone, changes this list on purpose."""
+
+import argparse
 import ast
 import re
 from pathlib import Path
+
+from sbfsearch.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sbfsearch"
@@ -200,3 +206,40 @@ def test_every_import_is_used():
             for folder in ("src", "tests", "perfbench") for path in sorted((ROOT / folder).rglob("*.py"))
             if path != PACKAGE / "__init__.py" for line, name in _dead_imports(path)]
     assert dead == []
+
+
+# every argument of each subcommand, by dest
+CLI_ARGUMENTS = {
+    # the key ceremony: vocabulary secrets and the agent key pair
+    "setup": ["params", "vocab", "out_dir"],
+    # a user's keyring for one zone
+    "register": ["params", "master", "keywords", "zone", "out"],
+    # a user's index for one location; blinding elements draw from the OS
+    "build-index": ["params", "keyring", "location", "out"],
+    # seal and upload a meta record; the zone comes from the index
+    "upload": ["params", "index", "mi", "agent_pub", "server", "receipt"],
+    # one keyword or several; the agent key comes from the master secrets
+    "search": ["params", "master", "keywords", "location", "zone", "server", "format"],
+    # prune one keyword of an uploaded record and update the index
+    "remove": ["params", "keyring", "index", "keyword", "location", "receipt", "server"],
+    # the server, which makes new zones' stores and saves every store on SIGINT or SIGTERM
+    "serve": ["params", "listen", "store_dir", "zone"],
+    # the closed forms at one parameter set
+    "analyze": ["params", "t", "format"],
+    # the blinding-overlap sweep, seeded
+    "simulate-overlap": ["params", "oe", "trials", "seed", "out"],
+    # the overflow sweep over beta at a fixed t, or over t, seeded
+    "simulate-overflow": ["params", "t", "betas", "ts", "trials", "seed", "out"],
+    # recall and precision through the whole stack, seeded
+    "simulate-accuracy": ["params", "t", "seed"],
+    # read a snapshot; nothing but serve writes one
+    "snapshot": ["file"],
+}
+
+
+def test_the_command_line_takes_exactly_these_arguments():
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    arguments = {name: [a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+                 for name, sub in subcommands.items()}
+    assert arguments == CLI_ARGUMENTS
+    assert (len(arguments), sum(map(len, arguments.values()))) == (12, 55)
