@@ -3,8 +3,9 @@ client operations against a running server, the server itself, analysis
 tables, and the simulation experiments.
 
 `serve` keeps each zone store in memory and saves it to its snapshot
-file on SIGINT or SIGTERM; it makes a new zone's empty store itself, and
-`snapshot` only inspects a file.
+file on SIGINT or SIGTERM, naming each file it could not write; it
+refuses a snapshot made under other params and makes a new zone's empty
+store itself, and `snapshot` only inspects a file.
 
 Bulky inputs travel in files; flags name the paths, and each input has
 one source: a search opens records with the agent key held in the master
@@ -14,8 +15,9 @@ it holds every keyword. Free-text keywords, locations, and zone names
 are canonicalized to n-bit tokens, so the same strings always address
 the same buffers. The simulate-* subcommands take --seed and reproduce
 bit-identically under it; the subcommands that make keys, blinding
-elements or sealed records take no seed and draw from the OS. Exit
-codes: 0 success, 1 operational error, 2 usage.
+elements or sealed records take no seed and draw from the OS. Each
+command has one output form on stdout: lines, or CSV for simulate-*.
+Exit codes: 0 success, 1 operational error, 2 usage.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--location", required=True)
     p.add_argument("--zone", required=True)
     p.add_argument("--server", required=True)
-    p.add_argument("--format", choices=("lines", "csv"), default="lines")
 
     p = sub.add_parser("remove", help="prune one keyword's buffers for an uploaded record")
     _add_params_flags(p)
@@ -109,14 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="print the derived quantities for a parameter set")
     _add_params_flags(p)
     p.add_argument("--t", type=int, default=1000, help="registered user count for the collision bound")
-    p.add_argument("--format", choices=("lines", "csv"), default="lines")
 
     p = sub.add_parser("simulate-overlap", help="blinding-overlap probability sweep")
     _add_params_flags(p)
     p.add_argument("--oe", required=True, help="comma-separated blinding element counts")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="CSV path (default stdout)")
 
     p = sub.add_parser("simulate-overflow",
                        help="buffer overflow probability sweep, assuming users with disjoint "
@@ -129,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--ts", help="comma-separated user counts to sweep at the params beta")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
 
     p = sub.add_parser("simulate-accuracy", help="end-to-end recall/precision through the full stack")
     _add_params_flags(p)
@@ -205,18 +203,12 @@ def _cmd_upload(args) -> int:
     return 0
 
 
-def _print_records(records, agent_priv: bytes, n_bits: int, fmt: str) -> None:
-    if fmt == "csv":
-        print("pseudonym,server_id,memory_index,keywords")
+def _print_records(records, agent_priv: bytes, n_bits: int) -> None:
     for rec in records:
         mi = open_record(agent_priv, rec, n_bits)
         keywords = ",".join(t.hex() for t in (*mi.health_attrs, *mi.emergency_info))
-        if fmt == "csv":
-            print(f"{mi.user_pseudonym.hex()},{mi.server_id.hex()},{mi.memory_index.hex()},"
-                  f"\"{keywords}\"")
-        else:
-            print(f"pseudonym={mi.user_pseudonym.hex()} server={mi.server_id.hex()} "
-                  f"memory={mi.memory_index.hex()} keywords={keywords}")
+        print(f"pseudonym={mi.user_pseudonym.hex()} server={mi.server_id.hex()} "
+              f"memory={mi.memory_index.hex()} keywords={keywords}")
 
 
 def _cmd_search(args) -> int:
@@ -229,7 +221,7 @@ def _cmd_search(args) -> int:
     host, port = _host_port(args.server)
     with net.NetClient(host, port, net.ROLE_AGENT) as client:
         records = client.search_location(zone, query.positions())
-    _print_records(records, ms.agent_private, params.n_bits, args.format)
+    _print_records(records, ms.agent_private, params.n_bits)
     return 0
 
 
@@ -260,14 +252,14 @@ def _cmd_serve(args) -> int:
             store = StorageBloomFilter.load(snap)
         except StoreError as exc:
             raise StoreError(f"{snap}: {exc}") from exc
+        if store.params != params:
+            raise StoreError(f"{snap} was made under other params than {args.params}")
         if store.zone in sources:
             raise StoreError(f"{sources[store.zone]} and {snap} hold the same zone {store.zone.hex()}")
         stores[store.zone], sources[store.zone] = store, snap
     for name in args.zone:
         zone = token_from_text(name, params.n_bits)
         stores.setdefault(zone, StorageBloomFilter(params, zone))
-    if not stores:
-        raise StoreError("no zone stores: pass --zone or provide snapshots")
     host, port = _host_port(args.listen)
     server = net.NetServer(stores, host, port)
     # blocked before the loop thread starts, so it inherits the mask and only
@@ -279,11 +271,18 @@ def _cmd_serve(args) -> int:
           f"({len(stores)} zone(s))", flush=True)
     signal.sigwait(stops)
     server.shutdown()
-    # a loaded store goes back to its own file, so a restart finds one snapshot per zone
+    # every save is tried; a loaded store goes back to its own file, so a restart finds one per zone
+    failed = False
     for zone, store in stores.items():
-        store.save(sources.get(zone, store_dir / f"{zone.hex()}.sbf"))
-    print("snapshots saved")
-    return 0
+        path = sources.get(zone, store_dir / f"{zone.hex()}.sbf")
+        try:
+            store.save(path)
+        except OSError as exc:
+            print(f"error: {type(exc).__name__}: {path}: {exc}", file=sys.stderr)
+            failed = True
+    if not failed:
+        print("snapshots saved")
+    return int(failed)
 
 
 def _cmd_analyze(args) -> int:
@@ -300,12 +299,8 @@ def _cmd_analyze(args) -> int:
         ("upload_bits_worst_case", analysis.upload_size_bits(params)),
         ("memory_model_mib", analysis.bytes_to_mib(analysis.provisioned_memory_bytes(params))),
     ]
-    if args.format == "csv":
-        print(",".join(name for name, _ in rows))
-        print(",".join(repr(v) if isinstance(v, float) else str(v) for _, v in rows))
-    else:
-        for name, v in rows:
-            print(f"{name} = {v}")
+    for name, v in rows:
+        print(f"{name} = {v}")
     return 0
 
 
@@ -313,18 +308,10 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
-def _emit_csv(rows, out: str | None) -> None:
-    text = sim.rows_to_csv(rows)
-    if out:
-        Path(out).write_text(text)
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_simulate_overlap(args) -> int:
     params = load_params_file(args.params)
-    _emit_csv(sim.run_overlap_experiment(params, _int_list(args.oe), args.trials, args.seed), args.out)
+    rows = sim.run_overlap_experiment(params, _int_list(args.oe), args.trials, args.seed)
+    sys.stdout.write(sim.rows_to_csv(rows))
     return 0
 
 
@@ -338,7 +325,7 @@ def _cmd_simulate_overflow(args) -> int:
         raise sim.SimError("a beta sweep needs --t")
     else:
         rows = sim.run_beta_sweep(params, args.t, _int_list(args.betas), args.trials, args.seed)
-    _emit_csv(rows, args.out)
+    sys.stdout.write(sim.rows_to_csv(rows))
     return 0
 
 

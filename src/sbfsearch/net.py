@@ -42,8 +42,9 @@ private key, so it can route and intersect sealed records but not read
 them. It runs every connection from one selector loop on one thread,
 with non-blocking sockets: no thread per connection and no socket
 timeout. A connection's first frame must be a HELLO of 33 bytes; any
-other header closes the connection before its body is read. The client
-is synchronous, one round trip per operation.
+other header closes the connection before its body is read, as does a
+later one longer than any valid request under the server's params. The
+client is synchronous, one round trip per operation.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .crypto import (HANDLE_BYTES, CryptoError, Reader, SealedRecord, hkdf_sha256, hmac_digest, unwrap_transport,
-                     wrap_transport)
+from .crypto import (HANDLE_BYTES, SEAL_OVERHEAD_BYTES, CryptoError, Reader, SealedRecord, hkdf_sha256,
+                     hmac_digest, position_width, unwrap_transport, wrap_transport)
 from .filters import BitFilter
 from .index import RemovalRequest, UploadPacket
 from .store import BufferOverflow, DuplicateHandle, StorageBloomFilter, StoreError, UnknownHandle, ZoneMismatch
@@ -241,21 +242,36 @@ class _Connection:
 
 
 class NetServer:
-    """Serves one or more zone stores from one selector loop, which
-    `start()` runs on its own thread and `shutdown()` stops after the
-    request in hand. Sockets are non-blocking; each connection's input
-    is cut into whole frames, answered in order, and a reply the socket
-    cannot take at once is flushed when it becomes writable, with reading
-    paused meanwhile. A peer whose first frame is not a 33-byte HELLO is
-    dropped at that frame's header. A peer that is silent before HELLO,
-    stalls mid-frame or stops taking a reply for IDLE_TIMEOUT_S is
-    dropped; an idle session between frames is kept. When accept runs
-    out of file descriptors or memory, the listener rests for
-    ACCEPT_RETRY_S, so the loop does not spin on a connection it cannot
-    take. Requests run one at a time, so a store never sees two at once."""
+    """Serves one or more zone stores, all under one `params`, from one selector
+    loop, which `start()` runs on its own thread and `shutdown()` stops
+    after the request in hand. Sockets are non-blocking; each connection's
+    input is cut into whole frames, answered in order, and a reply the
+    socket cannot take at once is flushed when it becomes writable, with
+    reading paused meanwhile. A peer whose first frame is not a 33-byte
+    HELLO is dropped at that frame's header. A peer that is silent before
+    HELLO, stalls mid-frame or stops taking a reply for IDLE_TIMEOUT_S is
+    dropped; an idle session between frames is kept, but not one that
+    announces a frame over `max_request` bytes. When accept runs out of
+    file descriptors or memory, the listener rests for ACCEPT_RETRY_S, so
+    the loop does not spin on a connection it cannot take. Requests run one
+    at a time, so a store never sees two at once."""
 
     def __init__(self, stores: dict[bytes, StorageBloomFilter], host: str = "127.0.0.1", port: int = 0):
-        self.stores = stores
+        # refused before any socket is opened: no stores, two params, a zone not n_bytes long
+        params = {store.params for store in stores.values()}
+        if len(params) != 1:
+            raise StoreError("zone stores under different params" if params else "no zone stores to serve")
+        (p,) = params
+        if bad := [zone.hex() for zone in stores if len(zone) != p.n_bytes]:
+            raise StoreError(f"zone(s) {', '.join(bad)} not {p.n_bytes} bytes long")
+        self.stores, self.params = stores, p
+        # the longest valid request: correlation id and envelope around a SEARCH_LOC of q*r
+        # positions or a REMOVE with a replacement at tau, which holds an UPLOAD and a
+        # SEARCH_BF's filter; at small tau and m the SEARCH_LOC is the longer
+        sparse = 4 + (min(p.m, p.max_positions) * position_width(p.m) + 7) // 8
+        upload = p.n_bytes + HANDLE_BYTES + 4 + SEAL_OVERHEAD_BYTES + p.tau_bits // 8 + 4 + sparse
+        self.max_request = 1 + 12 + 16 + max(p.n_bytes + 2 + 4 * p.max_positions,
+                                             p.n_bytes + HANDLE_BYTES + 4 + sparse + 1 + upload)
         self._listener = socket.create_server((host, port))
         self._listener.setblocking(False)
         self.address = self._listener.getsockname()
@@ -270,11 +286,6 @@ class NetServer:
         self._accept_resume = math.inf  # when a resting listener is watched again
         self._loop_thread: threading.Thread | None = None
         self._stopping = False
-
-    def zone_width(self) -> int:
-        if not self.stores:
-            raise WireError("server has no zone stores")
-        return len(next(iter(self.stores)))
 
     def start(self) -> None:
         self._loop_thread = threading.Thread(target=self._run, name="sbfsearch-server", daemon=True)
@@ -398,8 +409,9 @@ class NetServer:
         buf, start = conn.inbuf, 0
         while not conn.outbuf and len(buf) - start >= 9:
             ftype, length = _parse_header(buf, start)
-            if conn.session is None and (ftype != T_HELLO or length != 1 + 32):
-                raise WireError("expected hello")  # refused before its body is read
+            # a frame that is not a HELLO first, or is longer than any request, is refused unread
+            if length > self.max_request or conn.session is None and (ftype != T_HELLO or length != 1 + 32):
+                raise WireError("frame refused at its header")
             end = start + 9 + length
             if len(buf) < end:
                 break
@@ -461,12 +473,12 @@ class NetServer:
         return store
 
     def _handle_upload(self, body: bytes) -> tuple[int, bytes]:
-        packet = UploadPacket.from_bytes(body, self.zone_width())
+        packet = UploadPacket.from_bytes(body, self.params.n_bytes)
         return T_UPLOAD_ACK, struct.pack(">I", self._store_for(packet.zone).ingest(packet))
 
     def _handle_search_loc(self, body: bytes) -> tuple[int, bytes]:
         rd = Reader(body, ValueError)
-        store = self._store_for(rd.take(self.zone_width()))
+        store = self._store_for(rd.take(self.params.n_bytes))
         count = rd.u16()
         if count > store.params.max_positions:
             raise ValueError(f"search of {count} positions exceeds bound {store.params.max_positions}")
@@ -476,19 +488,19 @@ class NetServer:
 
     def _handle_search_bf(self, body: bytes) -> tuple[int, bytes]:
         rd = Reader(body, ValueError)
-        store = self._store_for(rd.take(self.zone_width()))
+        store = self._store_for(rd.take(self.params.n_bytes))
         query = BitFilter.decompress(rd.rest(), store.params.m, store.params.max_positions)
         return T_RESULT, _result_body(store.search_filter(query).matches)
 
     def _handle_remove(self, body: bytes) -> tuple[int, bytes]:
         rd = Reader(body, ValueError)
-        store = self._store_for(rd.take(self.zone_width()))
+        store = self._store_for(rd.take(self.params.n_bytes))
         handle = rd.take(HANDLE_BYTES)
         sparse = rd.take(rd.u32())
         flag = rd.u8()
         if flag not in (0, 1):
             raise ValueError(f"remove flag {flag} is neither 0 nor 1")
-        replacement = UploadPacket.from_bytes(rd.rest(), len(store.zone)) if flag else None
+        replacement = UploadPacket.from_bytes(rd.rest(), self.params.n_bytes) if flag else None
         rd.done()
         rbf = BitFilter.decompress(sparse, store.params.m, store.params.max_positions)
         req = RemovalRequest(zone=store.zone, rbf_prime=rbf, handle=handle, replacement=replacement)

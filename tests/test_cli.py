@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sbfsearch
-from sbfsearch import files, net
+from sbfsearch import analysis, files, net, sim
 from sbfsearch.cli import build_parser, main
 from sbfsearch.crypto import token_from_text
 from sbfsearch.params import CONFIG_KEYS, derive_params, load_params_file
@@ -74,14 +74,19 @@ def test_analyze_overlap_small_tail_is_exact(tmp_path, capsys):
     assert match and float(match.group(1)) == pytest.approx(exact, rel=1e-9, abs=0)
 
 
-def test_analyze_csv_mode(tmp_path, capsys):
+def test_analyze_prints_floats_at_full_precision(tmp_path, capsys):
+    """`analyze` has one output form, `name = value` lines, and a float
+    reads back as the very value computed; `--format` is gone."""
     cfg = tmp_path / "ref.cfg"
     cfg.write_text(PARAMS_REFERENCE)
-    code, out, _ = _run(["analyze", "--params", cfg, "--format", "csv"], capsys)
+    code, out, _ = _run(["analyze", "--params", cfg], capsys)
     assert code == 0
-    header, row = out.strip().splitlines()
-    assert header.startswith("m,expected_distinct,")
-    assert row.startswith("1443,142,")
+    values = dict(line.split(" = ") for line in out.splitlines())
+    assert values["m"] == "1443" and values["expected_distinct"] == "142"
+    assert float(values["pr_overlap"]) == analysis.prob_index_overlap(1443, 142, 10)
+    assert float(values["pr_keyword_cover"]) == analysis.prob_keyword_cover(1443, 142, 10, 15)
+    code, out, err = _run(["analyze", "--params", cfg, "--format", "csv"], capsys)
+    assert code == 2 and out == "" and "--format" in err
 
 
 def test_setup_and_register(workdir, capsys):
@@ -202,11 +207,11 @@ def test_each_input_has_one_source(workdir, capsys, monkeypatch):
     assert not (workdir / "receipt.txt").exists()
 
 
-def _empty_snapshot(workdir, path):
-    """Save the empty store of zone downtown under sys.cfg at `path`."""
-    params = load_params_file(workdir / "sys.cfg")
+def _empty_snapshot(workdir, path, zone="downtown", cfg="sys.cfg"):
+    """Save the empty store of `zone` under the params file `cfg` at `path`."""
+    params = load_params_file(workdir / cfg)
     path.parent.mkdir(exist_ok=True)
-    StorageBloomFilter(params, token_from_text("downtown", params.n_bits)).save(path)
+    StorageBloomFilter(params, token_from_text(zone, params.n_bits)).save(path)
 
 
 def test_snapshot_only_inspects(workdir, capsys):
@@ -237,6 +242,20 @@ def test_serve_refuses_two_snapshots_of_one_zone(workdir, capsys):
                           capture_output=True, text=True, env=_server_env(), timeout=30)
     assert done.returncode == 1 and "listening" not in done.stdout
     assert "StoreError" in done.stderr and "a.sbf" in done.stderr and "b.sbf" in done.stderr
+
+
+def test_serve_refuses_a_snapshot_made_under_other_params(workdir, capsys):
+    """Every party shares one params file, so a snapshot saved under
+    another one (here n_bits=160 against sys.cfg's 64) stops the server
+    before it listens, naming the snapshot."""
+    stores = workdir / "stores"
+    (workdir / "wide.cfg").write_text(PARAMS_SMALL.replace("n_bits=64\n", ""))
+    _empty_snapshot(workdir, stores / "a.sbf", zone="uptown", cfg="wide.cfg")
+    done = subprocess.run([sys.executable, "-m", "sbfsearch", "serve", "--params", str(workdir / "sys.cfg"),
+                           "--store-dir", str(stores), "--zone", "uptown", "--listen", "127.0.0.1:0"],
+                          capture_output=True, text=True, env=_server_env(), timeout=30)
+    assert done.returncode == 1 and "listening" not in done.stdout
+    assert "StoreError" in done.stderr and "a.sbf" in done.stderr
 
 
 def test_serve_names_the_snapshot_that_fails_to_load(workdir, capsys):
@@ -271,12 +290,17 @@ def test_snapshot_inspect_prints_format_and_size(tmp_path, capsys):
 def test_simulate_overlap_csv(workdir, capsys):
     cfg = workdir / "fig.cfg"
     cfg.write_text("l=50\nr=6\ngamma=1\nq=20\nbeta=10\ntau_kbits=5\nm_override=432\n")
-    code, out, _ = _run(["simulate-overlap", "--params", cfg, "--oe", "4,8",
-                         "--trials", "500", "--seed", "3"], capsys)
+    argv = ["simulate-overlap", "--params", cfg, "--oe", "4,8", "--trials", "500", "--seed", "3"]
+    code, out, _ = _run(argv, capsys)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "sweep_name,sweep_value,trials,estimate,stderr,analytic,seed"
     assert len(lines) == 3
+    # stdout is the CSV and nothing else, so `> file` writes just these bytes
+    assert out == sim.rows_to_csv(sim.run_overlap_experiment(load_params_file(cfg), (4, 8), 500, 3))
+    code, out, err = _run([*argv, "--out", workdir / "overlap.csv"], capsys)
+    assert code == 2 and out == "" and "--out" in err
+    assert not (workdir / "overlap.csv").exists()
 
 
 def test_simulate_overlap_refuses_more_lanes_than_positions(workdir):
@@ -305,21 +329,19 @@ def test_simulate_overlap_refuses_a_negative_count(workdir, capsys):
     assert "SimError: oe_count must be non-negative" in err
 
 
-def test_simulate_overflow_out_file(workdir, capsys):
-    out_path = workdir / "overflow.csv"
-    code, _, _ = _run(["simulate-overflow", "--params", workdir / "sys.cfg",
-                       "--t", "30", "--betas", "4,12", "--trials", "100",
-                       "--seed", "4", "--out", out_path], capsys)
+def test_simulate_overflow_csv(workdir, capsys):
+    code, out, _ = _run(["simulate-overflow", "--params", workdir / "sys.cfg",
+                         "--t", "30", "--betas", "4,12", "--trials", "100", "--seed", "4"], capsys)
     assert code == 0
-    lines = out_path.read_text().strip().splitlines()
-    assert len(lines) == 3
-    code, _, err = _run(["simulate-overflow", "--params", workdir / "sys.cfg",
-                         "--betas", "4"], capsys)
-    assert code == 1 and "needs --t" in err
-    code, _, err = _run(["simulate-overflow", "--params", workdir / "sys.cfg", "--t", "9",
-                         "--ts", "100,300", "--trials", "10", "--out", workdir / "ts.csv"], capsys)
-    assert code == 1 and "--t" in err
-    assert not (workdir / "ts.csv").exists()
+    params = load_params_file(workdir / "sys.cfg")
+    assert out == sim.rows_to_csv(sim.run_beta_sweep(params, 30, (4, 12), 100, 4))
+    assert len(out.strip().splitlines()) == 3
+    code, out, err = _run(["simulate-overflow", "--params", workdir / "sys.cfg",
+                           "--betas", "4"], capsys)
+    assert code == 1 and out == "" and "needs --t" in err
+    code, out, err = _run(["simulate-overflow", "--params", workdir / "sys.cfg", "--t", "9",
+                           "--ts", "100,300", "--trials", "10"], capsys)
+    assert code == 1 and out == "" and "--t" in err
 
 
 def test_simulate_overflow_sweeps_exactly_one_of_betas_and_ts(workdir, capsys):
@@ -449,6 +471,27 @@ class TestServeLoopback:
         code, out, err = _run(self._search(workdir, server, "kw0"), capsys)
         assert code == 0, err
         assert out == self._uploaded_record()
+
+    def test_a_failed_save_does_not_stop_the_others(self, workdir, serve, capsys):
+        """On a stop, every store's save is tried: when a.sbf has become a
+        directory, the error names it, the new zone's store is still saved
+        with the upload, and the exit code is 1."""
+        stores = workdir / "stores"
+        _empty_snapshot(workdir, stores / "a.sbf", zone="uptown")
+        proc, server = serve()
+        self._upload(workdir, server, capsys)
+        (stores / "a.sbf").unlink()
+        (stores / "a.sbf").mkdir()
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 1
+        output = proc.stdout.read()
+        assert "snapshots saved" not in output
+        (error,) = output.splitlines()
+        assert error.startswith("error: IsADirectoryError: ") and "a.sbf" in error
+        downtown = stores / f"{token_from_text('downtown', 64).hex()}.sbf"
+        assert sorted(path.name for path in stores.iterdir()) == sorted(["a.sbf", downtown.name])
+        handle = bytes.fromhex((workdir / "receipt.txt").read_text().strip())
+        assert handle in StorageBloomFilter.load(downtown).table
 
     def test_upload_search_remove_cycle(self, served, capsys):
         workdir, server = served

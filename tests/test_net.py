@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import gc
 import json
 import os
@@ -29,7 +31,7 @@ from sbfsearch.index import (
     make_upload_packet,
 )
 from sbfsearch.params import derive_params
-from sbfsearch.store import StorageBloomFilter
+from sbfsearch.store import StorageBloomFilter, StoreError
 
 from conftest import SystemFixture
 
@@ -45,6 +47,44 @@ def server(system):
 def _client(server, role=net.ROLE_OWNER):
     host, port = server.address
     return net.NetClient(host, port, role)
+
+
+def _held(server):
+    """The input buffer size of each connection the server holds."""
+    while True:
+        try:
+            return [len(key.data.inbuf) for key in list(server._selector.get_map().values())
+                    if isinstance(key.data, net._Connection)]
+        except (RuntimeError, KeyError):  # the loop changed the map meanwhile
+            pass
+
+
+def _wait_for(server, done):
+    deadline = time.monotonic() + 5
+    while not done(_held(server)):
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+
+
+# under each params set one request is the longest valid one: a REMOVE with a
+# replacement, whose filters hold at most m of a record's q*r positions, or, at
+# small tau and m, a SEARCH_LOC of q*r positions
+LONGEST = {net.T_REMOVE: derive_params(l=20, r=10, gamma_count=1, q=15, beta=12, tau_bits=4096, n_bits=64,
+                                       m_override=100),
+           net.T_SEARCH_LOC: derive_params(l=20, r=10, gamma_count=1, q=15, beta=12, tau_bits=1024, n_bits=64,
+                                           m_override=16)}
+
+
+@pytest.fixture(params=list(LONGEST), ids=["remove", "search-loc"])
+def longest(request):
+    """A server under one of LONGEST's params sets, and the type of the
+    longest request valid under it."""
+    params = LONGEST[request.param]
+    zone = bytes(params.n_bytes)
+    srv = net.NetServer({zone: StorageBloomFilter(params, zone)})
+    srv.start()
+    yield srv, request.param
+    srv.shutdown()
 
 
 def _uploaded(system, server, keyword_ids=(0, 1), name="alice", seed=50):
@@ -432,30 +472,59 @@ class TestRobustness:
         """A connection's first frame that is not a 33-byte HELLO, here one
         that announces the frame limit, is refused at its header: the
         server never buffers its body."""
-        def held():
-            """The input buffer size of each connection the server holds."""
-            while True:
-                try:
-                    return [len(key.data.inbuf) for key in list(server._selector.get_map().values())
-                            if isinstance(key.data, net._Connection)]
-                except (RuntimeError, KeyError):  # the loop changed the map meanwhile
-                    pass
-
-        def wait_for(done):
-            deadline = time.monotonic() + 5
-            while not done(held()):
-                assert time.monotonic() < deadline
-                time.sleep(0.001)
-
         with socket.create_connection(server.address) as s:
             s.sendall(net.MAGIC + struct.pack(">BI", ftype, net.MAX_PAYLOAD))
-            wait_for(lambda sizes: sizes in ([], [9]))  # dropped, or the header read
+            _wait_for(server, lambda sizes: sizes in ([], [9]))  # dropped, or the header read
             try:
                 s.sendall(bytes(1 << 20))
             except OSError:  # reset by the server
                 pass
-            wait_for(lambda sizes: sizes == [] or max(sizes) > 9)  # dropped, or the body buffered
-            assert held() == []
+            _wait_for(server, lambda sizes: sizes == [] or max(sizes) > 9)  # dropped, or the body buffered
+            assert _held(server) == []
+
+    def test_the_longest_valid_request_is_answered(self, longest, monkeypatch):
+        """The server's request bound is the longest valid request under its
+        params, which a real client reaches: a REMOVE whose replacement's
+        sealed record is at tau and whose filters hold a record's load, or a
+        SEARCH_LOC of q*r positions. Both are answered, the longer at
+        exactly the bound, and the session goes on."""
+        srv, kind = longest
+        (zone,) = srv.stores
+        p = srv.params
+        load = BitFilter(p.m, range(min(p.m, p.max_positions)))
+        sealed = SealedRecord(handle=b"r" * 16, ciphertext=bytes(SEAL_OVERHEAD_BYTES + p.tau_bits // 8))
+        replacement = UploadPacket(zone=zone, compressed_bf=load.compress(), sealed=sealed)
+        sent = {}  # payload length by frame type
+        real_send = net.send_frame
+
+        def send_frame(sock, ftype, payload):
+            sent[ftype] = len(payload)
+            real_send(sock, ftype, payload)
+
+        with _client(srv) as c:
+            monkeypatch.setattr(net, "send_frame", send_frame)
+            for call in (lambda: c.remove(RemovalRequest(zone=zone, rbf_prime=load, handle=b"h" * 16,
+                                                         replacement=replacement)),
+                         lambda: c.search_location(zone, list(range(p.max_positions)))):
+                with contextlib.suppress(net.ServerError):  # answered; it need not succeed
+                    call()
+            assert sorted(sent) == [net.T_SEARCH_LOC, net.T_REMOVE]
+            assert max(sent.values()) == sent[kind] == srv.max_request
+            assert min(sent.values()) < srv.max_request
+            assert c.search_location(zone, []) == []
+
+    def test_a_frame_over_the_request_bound_is_refused_at_its_header(self, longest):
+        """After the handshake, a header announcing one byte more than the
+        longest valid request closes the connection with at most the 9
+        header bytes buffered."""
+        srv, kind = longest
+        with _client(srv) as c:
+            c._sock.sendall(net.MAGIC + struct.pack(">BI", kind, srv.max_request + 1))
+            _wait_for(srv, lambda sizes: sizes in ([], [9]))  # dropped, or the header read
+            with contextlib.suppress(OSError):  # reset by the server
+                c._sock.sendall(bytes(srv.max_request + 1))
+            _wait_for(srv, lambda sizes: sizes != [9])  # dropped, or the body read
+            assert _held(srv) == []
 
     def test_no_thread_per_connection(self, server):
         """The loop serves every connection on its own thread: the thread
@@ -608,6 +677,32 @@ print(json.dumps({"held": len(held) + 1, "cpu_per_idle_s": cpu, "failures": len(
             srv.shutdown()
             assert [sock.fileno() for sock in (srv._listener, srv._wake_r, srv._wake_w)] == [-1] * 3
             assert srv._loop_thread is None or not srv._loop_thread.is_alive()
+
+    @pytest.mark.parametrize("case", ["no stores", "two params", "zone width"])
+    def test_stores_it_cannot_serve_are_refused_before_a_socket_opens(self, system, monkeypatch, case):
+        """A server serves one params set: no stores, stores under two
+        params, or a zone that is not n_bytes long raises at construction,
+        and every socket made by then is closed."""
+        made = []
+
+        def recording(make):
+            def record(*args, **kwargs):
+                made.append(make(*args, **kwargs))
+                return made[-1]
+            return record
+
+        monkeypatch.setattr(socket, "create_server", recording(socket.create_server))
+        monkeypatch.setattr(socket, "socketpair", recording(socket.socketpair))
+        other = dataclasses.replace(system.params, beta=system.params.beta + 1)
+        zone_b, short = token_from_text("zone-b", system.params.n_bits), system.zone[:-1]
+        stores = {"no stores": {},
+                  "two params": {system.zone: StorageBloomFilter(system.params, system.zone),
+                                 zone_b: StorageBloomFilter(other, zone_b)},
+                  "zone width": {short: StorageBloomFilter(system.params, short)}}[case]
+        with pytest.raises(StoreError):
+            net.NetServer(stores)
+        socks = [sock for item in made for sock in (item if isinstance(item, tuple) else (item,))]
+        assert [sock.fileno() for sock in socks] == [-1] * len(socks)
 
     def test_concurrent_sessions(self, system, server):
         kr, idx, packet, _ = _uploaded(system, server, keyword_ids=(0,), seed=74)

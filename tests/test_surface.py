@@ -212,25 +212,25 @@ def test_every_import_is_used():
 CLI_ARGUMENTS = {
     # the key ceremony: vocabulary secrets and the agent key pair
     "setup": ["params", "vocab", "out_dir"],
-    # a user's keyring for one zone
+    # a user's keyring for one zone; --out names the binary file it writes
     "register": ["params", "master", "keywords", "zone", "out"],
-    # a user's index for one location; blinding elements draw from the OS
+    # a user's index for one location; blinding elements draw from the OS; --out as register's
     "build-index": ["params", "keyring", "location", "out"],
     # seal and upload a meta record; the zone comes from the index
     "upload": ["params", "index", "mi", "agent_pub", "server", "receipt"],
-    # one keyword or several; the agent key comes from the master secrets
-    "search": ["params", "master", "keywords", "location", "zone", "server", "format"],
+    # one keyword or several; the agent key comes from the master secrets; lines on stdout only
+    "search": ["params", "master", "keywords", "location", "zone", "server"],
     # prune one keyword of an uploaded record and update the index
     "remove": ["params", "keyring", "index", "keyword", "location", "receipt", "server"],
     # the server, which makes new zones' stores and saves every store on SIGINT or SIGTERM
     "serve": ["params", "listen", "store_dir", "zone"],
-    # the closed forms at one parameter set
-    "analyze": ["params", "t", "format"],
-    # the blinding-overlap sweep, seeded
-    "simulate-overlap": ["params", "oe", "trials", "seed", "out"],
-    # the overflow sweep over beta at a fixed t, or over t, seeded
-    "simulate-overflow": ["params", "t", "betas", "ts", "trials", "seed", "out"],
-    # recall and precision through the whole stack, seeded
+    # the closed forms at one parameter set; lines on stdout only
+    "analyze": ["params", "t"],
+    # the blinding-overlap sweep, seeded; CSV on stdout only
+    "simulate-overlap": ["params", "oe", "trials", "seed"],
+    # the overflow sweep over beta at a fixed t, or over t, seeded; CSV on stdout only
+    "simulate-overflow": ["params", "t", "betas", "ts", "trials", "seed"],
+    # recall and precision through the whole stack, seeded; lines on stdout only
     "simulate-accuracy": ["params", "t", "seed"],
     # read a snapshot; nothing but serve writes one
     "snapshot": ["file"],
@@ -242,4 +242,4 @@ def test_the_command_line_takes_exactly_these_arguments():
     arguments = {name: [a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)]
                  for name, sub in subcommands.items()}
     assert arguments == CLI_ARGUMENTS
-    assert (len(arguments), sum(map(len, arguments.values()))) == (12, 55)
+    assert (len(arguments), sum(map(len, arguments.values()))) == (12, 51)
