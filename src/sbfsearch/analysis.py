@@ -109,14 +109,16 @@ def meta_record_bytes(keyword_count: int, n_bits: int) -> int:
 
 
 def sparse_filter_bound_bytes(set_bits: int, m: int) -> int:
-    return 4 + (set_bits * position_width(m) + 7) // 8
+    """The longest sparse filter of at most `set_bits` positions out of m:
+    the codec sets no more than m positions."""
+    return 4 + (min(m, set_bits) * position_width(m) + 7) // 8
 
 
 def upload_size_bits(params: SystemParams) -> int:
     """Worst-case upload payload size in bits: sealed record for q
-    keywords, compressed filter at q*r set bits, zone token, and packet
-    framing. Matches UploadPacket.to_bytes() exactly; transport overhead
-    is not included."""
+    keywords, compressed filter at min(m, q*r) set bits, zone token, and
+    packet framing. Matches UploadPacket.to_bytes() exactly; transport
+    overhead is not included."""
     sealed_bits = (meta_record_bytes(params.q, params.n_bits) + SEAL_OVERHEAD_BYTES) * 8
     sparse_bits = sparse_filter_bound_bytes(params.q * params.r, params.m) * 8
     zone_bits = params.n_bytes * 8

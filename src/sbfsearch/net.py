@@ -65,8 +65,9 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
+from .analysis import sparse_filter_bound_bytes
 from .crypto import (HANDLE_BYTES, SEAL_OVERHEAD_BYTES, CryptoError, Reader, SealedRecord, hkdf_sha256,
-                     hmac_digest, position_width, unwrap_transport, wrap_transport)
+                     hmac_digest, unwrap_transport, wrap_transport)
 from .filters import BitFilter
 from .index import RemovalRequest, UploadPacket
 from .store import BufferOverflow, DuplicateHandle, StorageBloomFilter, StoreError, UnknownHandle, ZoneMismatch
@@ -257,18 +258,21 @@ class NetServer:
     at a time, so a store never sees two at once."""
 
     def __init__(self, stores: dict[bytes, StorageBloomFilter], host: str = "127.0.0.1", port: int = 0):
-        # refused before any socket is opened: no stores, two params, a zone not n_bytes long
+        # refused before any socket is opened: no stores, two params, a zone not n_bytes
+        # long, a store filed under another zone's key
         params = {store.params for store in stores.values()}
         if len(params) != 1:
             raise StoreError("zone stores under different params" if params else "no zone stores to serve")
         (p,) = params
         if bad := [zone.hex() for zone in stores if len(zone) != p.n_bytes]:
             raise StoreError(f"zone(s) {', '.join(bad)} not {p.n_bytes} bytes long")
+        if bad := [zone.hex() for zone, store in stores.items() if zone != store.zone]:
+            raise StoreError(f"zone(s) {', '.join(bad)} filed with another zone's store")
         self.stores, self.params = stores, p
         # the longest valid request: correlation id and envelope around a SEARCH_LOC of q*r
         # positions or a REMOVE with a replacement at tau, which holds an UPLOAD and a
         # SEARCH_BF's filter; at small tau and m the SEARCH_LOC is the longer
-        sparse = 4 + (min(p.m, p.max_positions) * position_width(p.m) + 7) // 8
+        sparse = sparse_filter_bound_bytes(p.max_positions, p.m)
         upload = p.n_bytes + HANDLE_BYTES + 4 + SEAL_OVERHEAD_BYTES + p.tau_bits // 8 + 4 + sparse
         self.max_request = 1 + 12 + 16 + max(p.n_bytes + 2 + 4 * p.max_positions,
                                              p.n_bytes + HANDLE_BYTES + 4 + sparse + 1 + upload)

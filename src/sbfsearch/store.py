@@ -25,21 +25,23 @@ The provisioned capacity model, `analysis.provisioned_memory_bytes`, is
 m * beta * tau bits even though the implementation deduplicates
 ciphertexts through the table.
 
-Snapshots (`save`, `load`) are SBFSTOR2 files: the parameters, the zone
-and a journal position (0: there is no journal yet); the record table
-once, in ascending handle order, so a record's slot is its index; the
-non-empty buffers as three big-endian u32 columns (positions, counts,
-then every buffer's slots in buffer order); and a SHA-256 over all of
-it, which `files.read_checksummed` checks before anything is parsed.
-Load applies ingest's rules to the columns with numpy, into buffers
-that share the table's handle objects.
+Snapshots (`save`, `load`) are SBFSTOR3 files: the parameters and the
+zone, then each live record in table order, framed as an upload frames
+it (the sealed record, then its current positions in the sparse codec
+behind a u32 length), and a SHA-256 over all of it, which
+`files.read_checksummed` checks before anything is parsed. Load ingests
+the records in that order, so a snapshot is refused by ingest's own
+checks and no others. Ingest is the only code that appends a handle to
+a buffer, and it puts the record last in the table; pruning never
+reorders, and a replacement that reuses its handle leaves the table
+before it comes back. So every buffer lists its handles in table order,
+and replaying the records in that order rebuilds every buffer exactly.
 
 Concurrency: one plain lock per zone store serialises every call that
 reads or changes the buffers, searches included. Searches hold the GIL
 throughout, so letting them share the store bought no parallelism, and
-the network server runs requests one at a time anyway. The lock also
-keeps the `buffer_reads` diagnostic exact. No lock is held across
-network round-trips.
+the network server runs requests one at a time anyway. No lock is held
+across network round-trips.
 """
 
 from __future__ import annotations
@@ -47,16 +49,13 @@ from __future__ import annotations
 import logging
 import struct
 import threading
-from array import array
 from collections import Counter
 from collections.abc import Container
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
-import numpy as np
-
-from .crypto import SEAL_OVERHEAD_BYTES, SealedRecord, canonical_x25519, decompress_positions
+from .crypto import (SEAL_OVERHEAD_BYTES, CryptoError, SealedRecord, canonical_x25519, compress_positions,
+                     decompress_positions)
 from .files import read_checksummed, write_checksummed
 from .filters import BitFilter
 from .index import RemovalRequest, UploadPacket
@@ -64,7 +63,7 @@ from .params import ParamsError, SystemParams
 
 log = logging.getLogger(__name__)
 
-SNAPSHOT_MAGIC = b"SBFSTOR2"
+SNAPSHOT_MAGIC = b"SBFSTOR3"
 
 
 class StoreError(Exception):
@@ -117,7 +116,6 @@ class StorageBloomFilter:
         self.table: dict[bytes, SealedRecord] = {}
         # handle -> buffers holding it; a buffer never holds a handle twice
         self._live: Counter[bytes] = Counter()
-        self.buffer_reads = 0  # diagnostic: buffers touched by searches
         self._lock = threading.Lock()
 
     # -- mutations ----------------------------------------------------------
@@ -236,7 +234,6 @@ class StorageBloomFilter:
         distinct = sorted(set(positions))
         with self._lock:
             addressed = [self.buffers[p] for p in distinct]
-            self.buffer_reads += len(addressed)
             cardinalities = list(map(len, addressed))
             if not addressed:
                 return SearchResult([], cardinalities)
@@ -267,33 +264,32 @@ class StorageBloomFilter:
     # -- snapshot persistence -------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write an SBFSTOR2 snapshot with `files.write_checksummed`: never
+        """Write an SBFSTOR3 snapshot with `files.write_checksummed`: never
         half-written, and the rename survives a power cut."""
         with self._lock:
-            handles = sorted(self.table)
-            slot_of = {h: i for i, h in enumerate(handles)}
+            held = {h: [] for h in self.table}  # handle -> its positions, ascending
+            for position, buf in enumerate(self.buffers):
+                for h in buf:
+                    held[h].append(position)
             p = self.params
             parts = [SNAPSHOT_MAGIC,
                      struct.pack(">9IB", p.l, p.r, p.gamma_count, p.q, p.m, p.s_bits, p.n_bits, p.beta,
                                  p.tau_bits, len(self.zone)),
                      self.zone,
-                     struct.pack(">QI", 0, len(handles))]  # journal position 0: no journal yet
-            parts += [self.table[h].to_bytes() for h in handles]
-            lengths = np.array(list(map(len, self.buffers)))
-            positions = np.flatnonzero(lengths)
-            parts.append(struct.pack(">I", positions.size))
-            parts.append(np.concatenate([positions, lengths[positions]]).astype(">u4").tobytes())
-            slots = array("I", map(slot_of.__getitem__, chain.from_iterable(self.buffers)))
-            parts.append(np.frombuffer(slots, np.uintc).astype(">u4").tobytes())
+                     struct.pack(">I", len(self.table))]
+            for h, rec in self.table.items():
+                positions = compress_positions(held[h], p.m)
+                parts += [rec.to_bytes(), struct.pack(">I", len(positions)), positions]
         write_checksummed(path, b"".join(parts))
 
     @classmethod
     def load(cls, path: str | Path) -> "StorageBloomFilter":
-        """Read an SBFSTOR2 snapshot under ingest's rules: every record
-        known, in at least one and at most q*r buffers, no longer than tau
-        allows and with a canonical ephemeral key, and no buffer over beta
-        or holding a handle twice. The
-        SHA-256 trailer is checked before anything is parsed."""
+        """Read an SBFSTOR3 snapshot by ingesting its records in order, so
+        each is held to ingest's rules: a sealed record no longer than tau
+        allows with a canonical ephemeral key, 1 to q*r positions,
+        ascending and in range, a handle not yet stored, and no buffer
+        over beta. The SHA-256 trailer is checked before anything is
+        parsed."""
         rd = read_checksummed(path, SNAPSHOT_MAGIC, StoreError)
         l, r, gamma, q, m, s_bits, n_bits, beta, tau = struct.unpack(">9I", rd.take(36))
         try:
@@ -302,55 +298,11 @@ class StorageBloomFilter:
         except ParamsError as exc:
             raise StoreError(f"bad snapshot parameters: {exc}") from exc
         store = cls(params, rd.take(rd.u8()))
-        if journal := int.from_bytes(rd.take(8), "big"):
-            raise StoreError(f"snapshot journal position {journal} is not 0")
-        last = b""
         for _ in range(rd.u32()):
-            rec = SealedRecord.read(rd)
-            if rec.handle <= last:
-                raise StoreError("snapshot record handles not strictly ascending")
-            last = rec.handle
-            _check_sealed(rec.ciphertext, params)
-            store.table[rec.handle] = rec
-        handles = list(store.table)  # slot -> handle
-        k = rd.u32()
-        positions, counts = np.frombuffer(rd.take(8 * k), ">u4").reshape(2, k).astype(np.int64)
-        _check_buffer_heads(positions, counts, params)
-        slots = np.frombuffer(rd.take(4 * int(counts.sum())), ">u4").astype(np.int64)
+            sealed = SealedRecord.read(rd)
+            try:
+                store.ingest(UploadPacket(store.zone, rd.take(rd.u32()), sealed))
+            except CryptoError as exc:
+                raise StoreError(f"snapshot record: {exc}") from exc
         rd.done()
-        if slots.size and slots.max() >= len(handles):
-            raise StoreError("snapshot buffer references unknown handle")
-        # a repeat within a buffer: sort the pairs (buffer, slot) as one key
-        # buffer * n + slot, which orders them as a lexsort would
-        owner = np.repeat(np.arange(k), counts)
-        key = np.sort(owner * len(handles) + slots)
-        repeats = np.flatnonzero(key[1:] == key[:-1])
-        if repeats.size:
-            raise StoreError(f"snapshot buffer {positions[key[repeats[0]] // len(handles)]} repeats a handle")
-        live = np.bincount(slots, minlength=len(handles))
-        if live.size and not live.all():
-            raise StoreError("snapshot table holds records absent from every buffer")
-        if live.size and live.max() > params.max_positions:
-            raise StoreError(f"snapshot record held by more than q*r = {params.max_positions} buffers")
-        # every entry is the table's own handle object: one bytes object per record
-        entries = np.array(handles, dtype=object)[slots].tolist()
-        ends = np.cumsum(counts).tolist()
-        for p, start, end in zip(positions.tolist(), [0] + ends, ends):
-            store.buffers[p] = entries[start:end]
-        store._live = Counter(dict(zip(handles, live.tolist())))
         return store
-
-
-def _check_buffer_heads(positions: np.ndarray, counts: np.ndarray, params: SystemParams) -> None:
-    """Buffer positions in range and strictly ascending; each count in 1..beta."""
-    out_of_range = np.flatnonzero(positions >= params.m)
-    if out_of_range.size:
-        raise StoreError(f"snapshot buffer position {positions[out_of_range[0]]} out of range")
-    if (np.diff(positions) <= 0).any():
-        raise StoreError("snapshot buffer positions not strictly ascending")
-    bad = np.flatnonzero((counts < 1) | (counts > params.beta))
-    if bad.size:
-        i = bad[0]
-        problem = "exceeds capacity" if counts[i] > params.beta else "is listed but empty"
-        raise StoreError(f"snapshot buffer {positions[i]} {problem}")
-

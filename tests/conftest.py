@@ -28,7 +28,7 @@ def _cold_key_memos():
 
 
 def resealed(snapshot: bytes) -> bytes:
-    """An SBFSTOR2 snapshot edited by a test, with its SHA-256 trailer
+    """A checksummed file edited by a test, with its SHA-256 trailer
     recomputed, so load gets past the checksum to the check under test."""
     return snapshot[:-32] + hashlib.sha256(snapshot[:-32]).digest()
 

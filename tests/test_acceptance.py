@@ -303,9 +303,7 @@ def _property_d_buffer_reads() -> tuple[str, bool, str]:
                                         sys.zone, params, Random(7700 + u)))
     kr = register_user(sys.secrets, [sys.vocab[0], sys.vocab[1]], sys.zone, params)
     query = build_conjunctive_query(kr, [sys.vocab[0], sys.vocab[1]], sys.locations[0], params)
-    mark = store.buffer_reads
-    store.search_filter(query)
-    reads = store.buffer_reads - mark
+    reads = len(store.search_filter(query).buffer_cardinalities)
     return ("(d) buffer reads equal query popcount", reads == query.popcount,
             f"reads={reads}, popcount={query.popcount}")
 

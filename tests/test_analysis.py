@@ -14,7 +14,11 @@ from sbfsearch.analysis import (
     sparse_filter_bound_bytes,
     upload_size_bits,
 )
+from sbfsearch.crypto import MetaInfo, generate_agent_keypair, seal_record, token_from_text
+from sbfsearch.filters import BitFilter
+from sbfsearch.index import UploadPacket
 from sbfsearch.params import derive_params
+from sbfsearch.store import StorageBloomFilter
 
 from oracles import enumerate_keyword_cover, enumerate_overlap
 
@@ -153,6 +157,21 @@ class TestResourceModels:
         # piecewise accounting
         assert meta_record_bytes(15, 160) == 18 * 20 + 2
         assert sparse_filter_bound_bytes(150, params.m) == 4 + (150 * 15 + 7) // 8
+
+    def test_upload_bound_counts_at_most_m_positions(self):
+        """With q*r > m the codec sets at most m positions, so the bound is
+        the size of the largest upload the store accepts: a record of q
+        keywords whose filter sets every position."""
+        params = derive_params(l=20, r=10, gamma_count=2, q=15, beta=4, tau_bits=4096, n_bits=64,
+                               m_override=100)
+        n = params.n_bits
+        mi = MetaInfo(token_from_text("pseudonym", n), tuple(token_from_text(f"kw{i}", n) for i in range(params.q)),
+                      token_from_text("cs-1", n), token_from_text("slot", n), ())
+        sealed = seal_record(generate_agent_keypair()[0], mi, params.tau_bits)
+        zone = token_from_text("zone-a", n)
+        packet = UploadPacket(zone, BitFilter(params.m, range(params.m)).compress(), sealed)
+        assert StorageBloomFilter(params, zone).ingest(packet) == params.m
+        assert upload_size_bits(params) == 8 * len(packet.to_bytes()) == 2640
 
     def test_upload_monotone_in_q(self):
         sizes = [

@@ -223,7 +223,7 @@ def test_snapshot_only_inspects(workdir, capsys):
     code, out, _ = _run(["snapshot", "--file", path], capsys)
     assert code == 0
     assert "records = 0" in out and "m = 231" in out
-    assert "format = SBFSTOR2" in out and "bytes_per_record = n/a" in out
+    assert "format = SBFSTOR3" in out and "bytes_per_record = n/a" in out
     before = path.read_bytes()
     for argv in (["snapshot", "init", "--file", path, "--params", workdir / "sys.cfg", "--zone", "uptown"],
                  ["snapshot", "inspect", "--file", path]):
@@ -259,16 +259,17 @@ def test_serve_refuses_a_snapshot_made_under_other_params(workdir, capsys):
 
 
 def test_serve_names_the_snapshot_that_fails_to_load(workdir, capsys):
-    """An SBFSTOR1 snapshot, a format no longer read, stops the server
-    with an error that names that file and no other."""
+    """An SBFSTOR1 or SBFSTOR2 snapshot, formats no longer read, stops
+    the server with an error that names that file and no other."""
     stores = workdir / "stores"
     _empty_snapshot(workdir, stores / "a.sbf")
-    (stores / "old.sbf").write_bytes(b"SBFSTOR1" + (stores / "a.sbf").read_bytes()[8:])
-    done = subprocess.run([sys.executable, "-m", "sbfsearch", "serve", "--params", str(workdir / "sys.cfg"),
-                           "--store-dir", str(stores), "--listen", "127.0.0.1:0"],
-                          capture_output=True, text=True, env=_server_env(), timeout=30)
-    assert done.returncode == 1 and "listening" not in done.stdout
-    assert "StoreError" in done.stderr and "old.sbf" in done.stderr and "a.sbf" not in done.stderr
+    for magic in (b"SBFSTOR1", b"SBFSTOR2"):
+        (stores / "old.sbf").write_bytes(magic + (stores / "a.sbf").read_bytes()[8:])
+        done = subprocess.run([sys.executable, "-m", "sbfsearch", "serve", "--params", str(workdir / "sys.cfg"),
+                               "--store-dir", str(stores), "--listen", "127.0.0.1:0"],
+                              capture_output=True, text=True, env=_server_env(), timeout=30)
+        assert done.returncode == 1 and "listening" not in done.stdout, magic
+        assert "StoreError" in done.stderr and "old.sbf" in done.stderr and "a.sbf" not in done.stderr, magic
 
 
 def test_snapshot_inspect_prints_format_and_size(tmp_path, capsys):
@@ -280,7 +281,7 @@ def test_snapshot_inspect_prints_format_and_size(tmp_path, capsys):
     store.save(path)
     code, out, _ = _run(["snapshot", "--file", path], capsys)
     assert code == 0
-    assert "format = SBFSTOR2" in out
+    assert "format = SBFSTOR3" in out
     assert f"bytes = {path.stat().st_size}" in out
     assert f"bytes_per_record = {path.stat().st_size / 4:.1f}" in out and "records = 4" in out
     # handles are access-pattern data: inspect names none of them

@@ -678,11 +678,12 @@ print(json.dumps({"held": len(held) + 1, "cpu_per_idle_s": cpu, "failures": len(
             assert [sock.fileno() for sock in (srv._listener, srv._wake_r, srv._wake_w)] == [-1] * 3
             assert srv._loop_thread is None or not srv._loop_thread.is_alive()
 
-    @pytest.mark.parametrize("case", ["no stores", "two params", "zone width"])
+    @pytest.mark.parametrize("case", ["no stores", "two params", "zone width", "zone key"])
     def test_stores_it_cannot_serve_are_refused_before_a_socket_opens(self, system, monkeypatch, case):
         """A server serves one params set: no stores, stores under two
-        params, or a zone that is not n_bytes long raises at construction,
-        and every socket made by then is closed."""
+        params, a zone that is not n_bytes long, or a store filed under
+        another zone's key raises at construction, and every socket made
+        by then is closed."""
         made = []
 
         def recording(make):
@@ -698,7 +699,8 @@ print(json.dumps({"held": len(held) + 1, "cpu_per_idle_s": cpu, "failures": len(
         stores = {"no stores": {},
                   "two params": {system.zone: StorageBloomFilter(system.params, system.zone),
                                  zone_b: StorageBloomFilter(other, zone_b)},
-                  "zone width": {short: StorageBloomFilter(system.params, short)}}[case]
+                  "zone width": {short: StorageBloomFilter(system.params, short)},
+                  "zone key": {zone_b: StorageBloomFilter(system.params, system.zone)}}[case]
         with pytest.raises(StoreError):
             net.NetServer(stores)
         socks = [sock for item in made for sock in (item if isinstance(item, tuple) else (item,))]

@@ -2,7 +2,6 @@ import dataclasses
 import os
 import stat
 import struct
-import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from sbfsearch import analysis
-from sbfsearch.crypto import HANDLE_BYTES, SEAL_OVERHEAD_BYTES, CryptoError, SealedRecord, token_from_text
+from sbfsearch.crypto import SEAL_OVERHEAD_BYTES, CryptoError, SealedRecord, position_width, token_from_text
 from sbfsearch.filters import BitFilter
 from sbfsearch.index import (
     RemovalRequest,
@@ -169,18 +168,16 @@ class TestSearch:
             store.search_positions([system.params.m])
 
     def test_buffer_reads_equal_query_popcount(self, system, loaded):
+        """A search reads each distinct addressed buffer once and reports
+        one cardinality for each."""
         store, packets = loaded
         kr, _, _ = packets["a"]
         ps = _probe(system, kr, 0)
-        mark = store.buffer_reads
-        store.search_positions(ps)
-        assert store.buffer_reads - mark == len(set(ps))
+        assert len(store.search_positions(ps).buffer_cardinalities) == len(set(ps))
         query = BitFilter(system.params.m)
         query.insert(_probe(system, kr, 0))
         query.insert(_probe(system, kr, 1))
-        mark = store.buffer_reads
-        store.search_filter(query)
-        assert store.buffer_reads - mark == query.popcount
+        assert len(store.search_filter(query).buffer_cardinalities) == query.popcount
 
     def test_empty_position_list_matches_nothing(self, loaded):
         store, _ = loaded
@@ -453,10 +450,9 @@ class TestCostIndependentOfStoreSize:
         readings = []
         for store in (small, large):
             before = [list(buf) for buf in store.buffers]
-            mark = store.buffer_reads
             if ask == "search":
                 result = store.search_positions(self.PROBED)
-                readings.append((result.buffer_cardinalities, store.buffer_reads - mark,
+                readings.append((result.buffer_cardinalities, len(result.buffer_cardinalities),
                                  [rec.handle for rec in result.matches]))
             else:
                 rbf = BitFilter(system.params.m, self.PROBED)
@@ -606,26 +602,14 @@ class TestSnapshot:
         with pytest.raises(StoreError):
             StorageBloomFilter.load(bad)
 
-    def test_load_rejects_dangling_reference(self, system, loaded, tmp_path):
-        store, _ = loaded
+    def test_load_rejects_repeated_handle_in_buffer(self, system, tmp_path):
+        # positions ascend strictly, as ingest decodes them: a repeated one would put the
+        # handle in a buffer twice, where it would survive remove, which drops one copy
         path = tmp_path / "zone.sbf"
-        store.save(path)
-        data = bytearray(path.read_bytes())
-        # the last slot, just before the trailer, names a record past the table
-        data[-36:-32] = len(store.table).to_bytes(4, "big")
-        path.write_bytes(resealed(bytes(data)))
-        with pytest.raises(StoreError, match="unknown handle"):
-            StorageBloomFilter.load(path)
-
-    def test_load_rejects_repeated_handle_in_buffer(self, system, loaded, tmp_path):
-        # a repeated handle would survive remove, which drops one copy per buffer
-        store, _ = loaded
-        buf = next(b for b in store.buffers if b)
-        buf.append(buf[0])
-        path = tmp_path / "zone.sbf"
-        store.save(path)
-        with pytest.raises(StoreError, match="repeats a handle"):
-            StorageBloomFilter.load(path)
+        for positions in ([3, 3], [4, 3]):
+            _write_snapshot(system, path, [(_record("a"), _positions(*positions))])
+            with pytest.raises(StoreError, match="not strictly ascending"):
+                StorageBloomFilter.load(path)
 
     def test_load_rejects_record_longer_than_tau_allows(self, system, loaded, tmp_path):
         # ingest refuses such a record; a snapshot must not bring one in
@@ -643,16 +627,12 @@ class TestSnapshot:
 
     def test_load_rejects_record_in_more_than_qr_buffers(self, system, tmp_path):
         # ingest decodes at most q*r positions; a snapshot must not hold more
-        params = system.params
-        store = StorageBloomFilter(params, system.zone)
-        handle = _handle("wide")
-        store.ingest(_raw_packet(system.zone, params.m, "wide", range(params.max_positions)))
         path = tmp_path / "zone.sbf"
-        store.save(path)
-        assert StorageBloomFilter.load(path).table.keys() == {handle}
-        store.buffers[params.max_positions].append(handle)
-        store.save(path)
-        with pytest.raises(StoreError, match="q\\*r"):
+        q_r = system.params.max_positions
+        _write_snapshot(system, path, [(_record("wide"), _positions(*range(q_r)))])
+        assert StorageBloomFilter.load(path).table.keys() == {_handle("wide")}
+        _write_snapshot(system, path, [(_record("wide"), _positions(*range(q_r + 1)))])
+        with pytest.raises(StoreError, match=f"count {q_r + 1} exceeds bound {q_r}"):
             StorageBloomFilter.load(path)
 
     def test_failed_save_keeps_previous_snapshot(self, system, loaded, tmp_path, monkeypatch):
@@ -719,12 +699,26 @@ def _shares_table_handles(store):
     return all(h is own[h] for buf in store.buffers for h in buf)
 
 
-def _column_offsets(store):
-    """Where an SBFSTOR2 file of `store` keeps its positions and counts
-    columns, counted from the end of the file."""
-    k = sum(1 for buf in store.buffers if buf)
-    slots_at = -32 - 4 * sum(map(len, store.buffers))
-    return slots_at - 8 * k, slots_at - 4 * k
+def _record(name, ciphertext=None):
+    """A sealed record of `_raw_packet`'s form, or holding `ciphertext`."""
+    handle = _handle(name)
+    return SealedRecord(handle, b"sealed " + handle if ciphertext is None else ciphertext)
+
+
+def _positions(*values):
+    """Positions in the sparse codec, unchecked; at the fixture's m=231 a
+    position is one byte."""
+    return struct.pack(">I", len(values)) + bytes(values)
+
+
+def _write_snapshot(system, path, records):
+    """A resealed SBFSTOR3 file under `system`'s params and zone holding
+    `records`, (sealed record, encoded positions) pairs, in that order."""
+    assert position_width(system.params.m) == 8
+    StorageBloomFilter(system.params, system.zone).save(path)
+    header = path.read_bytes()[:-4 - 32]  # up to the record count and the trailer
+    framed = b"".join(rec.to_bytes() + struct.pack(">I", len(ps)) + ps for rec, ps in records)
+    path.write_bytes(resealed(header + struct.pack(">I", len(records)) + framed + bytes(32)))
 
 
 class TestSnapshotFormats:
@@ -748,72 +742,50 @@ class TestSnapshotFormats:
                 with pytest.raises(StoreError):
                     StorageBloomFilter.load(path)
 
-    @pytest.mark.parametrize("edit, match", [
-        ("journal", "journal position 1"),
-        ("position-range", "out of range"),
-        ("position-order", "not strictly ascending"),
-        ("count-zero", "listed but empty"),
-        ("count-over-beta", "exceeds capacity"),
+    @pytest.mark.parametrize("case, match", [
+        ("position-out-of-range", "out of range"),
+        ("buffer-over-beta", "at capacity"),
+        ("duplicate-handle", "already ingested"),
+        ("tau-overflow", "exceeds tau bound"),
+        ("non-canonical-key", "not canonical"),
     ])
-    def test_resealed_bad_columns_refused(self, system, loaded, tmp_path, edit, match):
+    def test_resealed_bad_records_refused(self, system, tmp_path, case, match):
         """A file with a valid trailer is still held to ingest's rules."""
-        store, _ = loaded
+        params = system.params
+        too_long = bytes(SEAL_OVERHEAD_BYTES + params.tau_bits // 8 + 1)
+        non_canonical = (2**255 - 19).to_bytes(32, "little") + bytes(28)
+        records = {
+            "position-out-of-range": [(_record("a"), _positions(0, params.m))],
+            "buffer-over-beta": [(_record(f"r{i}"), _positions(0, 1 + i)) for i in range(params.beta + 1)],
+            "duplicate-handle": [(_record("a"), _positions(0)), (_record("a"), _positions(1))],
+            "tau-overflow": [(_record("a", too_long), _positions(0))],
+            "non-canonical-key": [(_record("a", non_canonical), _positions(0))],
+        }[case]
         path = tmp_path / "zone.sbf"
-        store.save(path)
-        data = bytearray(path.read_bytes())
-        positions_at, counts_at = _column_offsets(store)
-        if edit == "journal":
-            at = 8 + 36 + 1 + len(store.zone)
-            data[at : at + 8] = (1).to_bytes(8, "big")
-        elif edit == "position-range":
-            data[counts_at - 4 : counts_at] = system.params.m.to_bytes(4, "big")
-        elif edit == "position-order":
-            data[positions_at : positions_at + 8] = data[positions_at + 4 : positions_at + 8] * 2
-        else:
-            count = 0 if edit == "count-zero" else system.params.beta + 1
-            data[counts_at : counts_at + 4] = count.to_bytes(4, "big")
-        path.write_bytes(resealed(bytes(data)))
+        _write_snapshot(system, path, records)
         with pytest.raises(StoreError, match=match):
             StorageBloomFilter.load(path)
 
 
 class TestSnapshotTable:
-    """A resealed file whose record table breaks ingest's rules is
-    refused: handles must ascend strictly, and every record must be held
-    by some buffer. Three records of the same length, a, b and c."""
+    """A resealed file is loaded by ingesting its records in file order:
+    that order becomes the table's and every buffer's, and a record that
+    ingest would refuse is refused."""
 
-    # the handle, a u32 length, then `_raw_packet`'s ciphertext b"sealed " + handle
-    RECORD_BYTES = HANDLE_BYTES + 4 + len(b"sealed ") + HANDLE_BYTES
-
-    @pytest.fixture
-    def saved(self, system, tmp_path):
-        store = StorageBloomFilter(system.params, system.zone)
-        for name, positions in (("a", [0, 1]), ("b", [1, 2]), ("c", [3])):
-            store.ingest(_raw_packet(system.zone, system.params.m, name, positions))
+    def test_records_load_in_file_order(self, system, tmp_path):
         path = tmp_path / "zone.sbf"
-        store.save(path)
-        StorageBloomFilter.load(path)
-        count_at = 8 + 36 + 1 + len(system.zone) + 8  # magic, parameters, zone, journal position
-        return path, path.read_bytes(), count_at
+        _write_snapshot(system, path, [(_record("b"), _positions(1, 2)), (_record("a"), _positions(0, 1))])
+        store = StorageBloomFilter.load(path)
+        assert list(store.table) == [_handle("b"), _handle("a")]
+        assert store.buffers[:3] == [[_handle("a")], [_handle("b"), _handle("a")], [_handle("b")]]
+        again = tmp_path / "again.sbf"
+        store.save(again)
+        assert again.read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("edit", ["swapped", "repeated"])
-    def test_handles_must_ascend_strictly(self, saved, edit):
-        path, data, count_at = saved
-        at, size = count_at + 4, self.RECORD_BYTES
-        a, b = data[at : at + size], data[at + size : at + 2 * size]
-        assert (a[:1], b[:1]) == (b"a", b"b")
-        records = b + a if edit == "swapped" else a + a
-        path.write_bytes(resealed(data[:at] + records + data[at + 2 * size :]))
-        with pytest.raises(StoreError, match="handles not strictly ascending"):
-            StorageBloomFilter.load(path)
-
-    def test_record_in_no_buffer_refused(self, saved):
-        path, data, count_at = saved
-        end = count_at + 4 + 3 * self.RECORD_BYTES
-        spare = _handle("z") + struct.pack(">I", 5) + b"spare"
-        path.write_bytes(resealed(data[:count_at] + struct.pack(">I", 4) + data[count_at + 4 : end]
-                                  + spare + data[end:]))
-        with pytest.raises(StoreError, match="absent from every buffer"):
+    def test_record_in_no_buffer_refused(self, system, tmp_path):
+        path = tmp_path / "zone.sbf"
+        _write_snapshot(system, path, [(_record("a"), _positions(0)), (_record("z"), _positions())])
+        with pytest.raises(StoreError, match="no bit set"):
             StorageBloomFilter.load(path)
 
 
@@ -851,33 +823,6 @@ class TestConcurrency:
                 t.join(timeout=5)
         assert not errors
         assert len(store.table) == 30
-
-    def test_buffer_reads_exact_under_concurrent_searches(self, system, loaded):
-        """Eight threads search at once; no search's count is lost."""
-        store, packets = loaded
-        kr, _, _ = packets["a"]
-        ps = _probe(system, kr, 0)
-        searches = 400
-        start = threading.Barrier(8, timeout=10)
-
-        def searcher():
-            start.wait()
-            for _ in range(searches):
-                store.search_positions(ps)
-
-        mark = store.buffer_reads
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, so the searches interleave
-        try:
-            threads = [threading.Thread(target=searcher) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert store.buffer_reads - mark == 8 * searches * len(set(ps))
 
 
 MODEL_ZONE = token_from_text("zone-model", 64)
@@ -1033,11 +978,11 @@ class StoreModel(RuleBasedStateMachine):
 
     @rule()
     def save_and_load(self):
-        """An SBFSTOR2 round trip: the loaded store saves the same bytes."""
+        """An SBFSTOR3 round trip: the loaded store saves the same bytes."""
         path = Path(self.dir.name) / "zone.sbf"
         self.store.save(path)
         data = path.read_bytes()
-        assert data[:8] == b"SBFSTOR2"
+        assert data[:8] == b"SBFSTOR3"
         self.store = StorageBloomFilter.load(path)
         self.store.save(path)
         assert path.read_bytes() == data
