@@ -766,6 +766,31 @@ class TestSnapshotFormats:
         with pytest.raises(StoreError, match=match):
             StorageBloomFilter.load(path)
 
+    # ids name the SBFSTOR2 column edits these stand for: a buffer's
+    # positions out of order, and an entry listed with nothing in it
+    @pytest.mark.parametrize("edit, match", [
+        pytest.param("position-order", "not strictly ascending", id="position-order-not strictly ascending"),
+        pytest.param("count-zero", "no bit set", id="count-zero-listed but empty"),
+    ])
+    def test_resealed_bad_columns_refused(self, system, loaded, tmp_path, edit, match):
+        """A saved file edited in place, with a valid trailer, is still
+        held to ingest's rules: here the first record's positions."""
+        store, _ = loaded
+        path = tmp_path / "zone.sbf"
+        store.save(path)
+        data = bytearray(path.read_bytes())
+        first = next(iter(store.table.values()))
+        at = 8 + 36 + 1 + len(store.zone) + 4 + len(first.to_bytes())  # its framed positions
+        size = int.from_bytes(data[at : at + 4], "big")
+        assert position_width(system.params.m) == 8 and size >= 4 + 2
+        if edit == "position-order":
+            data[at + 9] = data[at + 8]
+        else:
+            data[at : at + 4 + size] = struct.pack(">II", 4, 0)
+        path.write_bytes(resealed(bytes(data)))
+        with pytest.raises(StoreError, match=match):
+            StorageBloomFilter.load(path)
+
 
 class TestSnapshotTable:
     """A resealed file is loaded by ingesting its records in file order:
