@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, files, net, sim
-from .crypto import CryptoError, MetaInfo, open_record, token_from_text
+from .crypto import HANDLE_BYTES, CryptoError, MetaInfo, open_record, token_from_text
 from .index import (
     build_conjunctive_query,
     build_removal_request,
@@ -194,7 +194,7 @@ def _cmd_upload(args) -> int:
     params = load_params_file(args.params)
     idx = files.load_index(args.index, params)
     mi = _read_mi_file(args.mi, params.n_bits)
-    packet = make_upload_packet(idx, mi, files.read_key_file(args.agent_pub), idx.zone, params)
+    packet = make_upload_packet(idx, mi, files.read_key_file(args.agent_pub, 32), idx.zone, params)
     host, port = _host_port(args.server)
     with net.NetClient(host, port, net.ROLE_OWNER) as client:
         written = client.upload(packet)
@@ -229,7 +229,7 @@ def _cmd_remove(args) -> int:
     params = load_params_file(args.params)
     kr = files.load_keyring(args.keyring)
     idx = files.load_index(args.index, params)
-    handle = files.read_key_file(args.receipt)
+    handle = files.read_key_file(args.receipt, HANDLE_BYTES)
     req = build_removal_request(idx, kr, token_from_text(args.keyword, params.n_bits),
                                 token_from_text(args.location, params.n_bits),
                                 handle, params)

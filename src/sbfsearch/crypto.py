@@ -77,6 +77,7 @@ from cryptography.hazmat.primitives.serialization import (
 
 HANDLE_BYTES = 16
 SEAL_OVERHEAD_BYTES = 32 + 12 + 16   # ephemeral pub + nonce + tag
+TRANSPORT_OVERHEAD_BYTES = 12 + 16   # nonce + tag
 
 
 class CryptoError(Exception):
@@ -268,6 +269,11 @@ def seal_record(
     return SealedRecord(handle=rand_bytes(rng, HANDLE_BYTES), ciphertext=eph_pub + nonce + ct)
 
 
+def max_sealed_bytes(tau_bits: int) -> int:
+    """The longest sealed record `seal_record` makes at tau."""
+    return SEAL_OVERHEAD_BYTES + tau_bits // 8
+
+
 @functools.lru_cache(maxsize=1)
 def _agent_key(agent_private: bytes) -> X25519PrivateKey:
     """Loading a private key derives its public key; an agent opens many
@@ -322,7 +328,7 @@ def wrap_transport(aead: AESGCM, payload: bytes) -> bytes:
 
 def unwrap_transport(aead: AESGCM, envelope: bytes) -> bytes:
     """Invert wrap_transport; a short or forged envelope raises CryptoError."""
-    if len(envelope) < 12 + 16:
+    if len(envelope) < TRANSPORT_OVERHEAD_BYTES:
         raise CryptoError("transport envelope too short")
     try:
         return aead.decrypt(envelope[:12], envelope[12:], None)

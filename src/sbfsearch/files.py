@@ -5,14 +5,14 @@ reads through `crypto.Reader`, so a truncated file, trailing bytes, a
 repeated keyword token or a master-secrets file with no keyword raise
 `FileFormatError`. An index file stores only what an index cannot
 derive. A key file holds one key, or an upload receipt's record handle,
-as hex. Every file here, and every store snapshot, is written by
-`write_atomically`, so a crash or a failed write leaves the old file
-whole.
+as hex, of the length its reader names. Every file here, and every
+store snapshot, is written by `write_atomically`, so a crash or a
+failed write leaves the old file whole.
 
-Index files and store snapshots are checksummed: the magic, the body,
-then a SHA-256 of both. `write_checksummed` and `read_checksummed` are
-the one place that knows this layout; a wrong magic, a short file or a
-bad trailer is refused before anything is parsed."""
+Binary files here and store snapshots are checksummed: the magic, the
+body, then a SHA-256 of both. `write_checksummed` and `read_checksummed`
+are the one place that knows this layout; a wrong magic, a short file or
+a bad trailer is refused before anything is parsed."""
 
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ from .crypto import Reader
 from .index import MasterSecrets, UserIndex, UserKeyring
 from .params import SystemParams
 
-MASTER_MAGIC = b"SBFKEYS1"
-KEYRING_MAGIC = b"SBFKRNG1"
+MASTER_MAGIC = b"SBFKEYS2"
+KEYRING_MAGIC = b"SBFKRNG2"
 INDEX_MAGIC = b"SBFINDX2"
 DIGEST_BYTES = 32  # the SHA-256 trailer of a checksummed file
 
@@ -95,13 +95,11 @@ def save_master_secrets(ms: MasterSecrets, path: str | Path) -> None:
         parts.append(token + ms.keyword_secrets[token])
     parts.extend(ms.init_vectors)
     parts.append(ms.agent_public + ms.agent_private)
-    write_atomically(path, *parts)
+    write_checksummed(path, b"".join(parts))
 
 
 def load_master_secrets(path: str | Path) -> MasterSecrets:
-    rd = Reader(Path(path).read_bytes(), FileFormatError)
-    if rd.take(8) != MASTER_MAGIC:
-        raise FileFormatError("not a master secrets file")
+    rd = read_checksummed(path, MASTER_MAGIC, FileFormatError)
     token_bytes, key_bytes, r, l = rd.u8(), rd.u16(), rd.u16(), rd.u32()
     if not l:
         raise FileFormatError("master secrets file holds no keyword")
@@ -129,13 +127,11 @@ def save_keyring(kr: UserKeyring, path: str | Path) -> None:
     parts.append(kr.zone)
     for token in kr.keys:
         parts.append(token + b"".join(kr.keys[token]))
-    write_atomically(path, *parts)
+    write_checksummed(path, b"".join(parts))
 
 
 def load_keyring(path: str | Path) -> UserKeyring:
-    rd = Reader(Path(path).read_bytes(), FileFormatError)
-    if rd.take(8) != KEYRING_MAGIC:
-        raise FileFormatError("not a keyring file")
+    rd = read_checksummed(path, KEYRING_MAGIC, FileFormatError)
     token_bytes, key_bytes, r, count = rd.u8(), rd.u16(), rd.u16(), rd.u32()
     zone = rd.take(token_bytes)
     keys = {}
@@ -158,8 +154,11 @@ def write_key_file(path: str | Path, key: bytes) -> None:
     write_atomically(path, key.hex().encode("ascii") + b"\n")
 
 
-def read_key_file(path: str | Path) -> bytes:
-    return bytes.fromhex(Path(path).read_text().strip())
+def read_key_file(path: str | Path, length: int) -> bytes:
+    key = bytes.fromhex(Path(path).read_text().strip())
+    if len(key) != length:
+        raise FileFormatError(f"{path} holds a {len(key)}-byte key, not {length} bytes")
+    return key
 
 
 def save_index(idx: UserIndex, path: str | Path, params: SystemParams) -> None:

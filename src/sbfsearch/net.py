@@ -22,7 +22,6 @@ correlation id copied into the response:
     0x01 UPLOAD      corr || upload packet         -> 0x02 ACK corr || buffers(4)
     0x03 SEARCH_LOC  corr || zone || n(2) || n*pos(4)
                                                    -> 0x05 RESULT
-    0x04 SEARCH_BF   corr || zone || sparse filter -> 0x05 RESULT
     0x06 REMOVE      corr || zone || handle(16) || rbf_len(4) || sparse rbf ||
                      flag(1) [|| packet]           -> 0x07 ACK corr || pruned(4)
     0x08 ERROR       corr || code(2) || utf-8 message
@@ -30,7 +29,8 @@ correlation id copied into the response:
 RESULT payload: corr || count(4) || count * (handle(16) || ct_len(4) || ct).
 The REMOVE flag is 0 (no replacement) or 1 (a replacement upload packet
 follows). A body cut short, left with bytes over, or with any other flag
-gets E_MALFORMED; the client raises WireError on a malformed reply.
+gets E_MALFORMED, as does any other message type (0x04 included); the
+client raises WireError on a malformed reply.
 A sparse filter or position list holds at most q*r positions (a record's
 load); a larger count is refused with E_MALFORMED before it is decoded.
 Only an owner session may UPLOAD or REMOVE: an agent session's UPLOAD or
@@ -66,8 +66,8 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .analysis import sparse_filter_bound_bytes
-from .crypto import (HANDLE_BYTES, SEAL_OVERHEAD_BYTES, CryptoError, Reader, SealedRecord, hkdf_sha256,
-                     hmac_digest, unwrap_transport, wrap_transport)
+from .crypto import (HANDLE_BYTES, TRANSPORT_OVERHEAD_BYTES, CryptoError, Reader, SealedRecord, hkdf_sha256,
+                     hmac_digest, max_sealed_bytes, unwrap_transport, wrap_transport)
 from .filters import BitFilter
 from .index import RemovalRequest, UploadPacket
 from .store import BufferOverflow, DuplicateHandle, StorageBloomFilter, StoreError, UnknownHandle, ZoneMismatch
@@ -81,7 +81,6 @@ _HEADER = struct.Struct(">BI")  # type, payload length; after the magic
 T_UPLOAD = 0x01
 T_UPLOAD_ACK = 0x02
 T_SEARCH_LOC = 0x03
-T_SEARCH_BF = 0x04
 T_RESULT = 0x05
 T_REMOVE = 0x06
 T_REMOVE_ACK = 0x07
@@ -270,12 +269,12 @@ class NetServer:
             raise StoreError(f"zone(s) {', '.join(bad)} filed with another zone's store")
         self.stores, self.params = stores, p
         # the longest valid request: correlation id and envelope around a SEARCH_LOC of q*r
-        # positions or a REMOVE with a replacement at tau, which holds an UPLOAD and a
-        # SEARCH_BF's filter; at small tau and m the SEARCH_LOC is the longer
+        # positions or a REMOVE whose pruning filter and replacement UPLOAD each hold q*r
+        # positions, its sealed record at tau; at small tau and m the SEARCH_LOC is the longer
         sparse = sparse_filter_bound_bytes(p.max_positions, p.m)
-        upload = p.n_bytes + HANDLE_BYTES + 4 + SEAL_OVERHEAD_BYTES + p.tau_bits // 8 + 4 + sparse
-        self.max_request = 1 + 12 + 16 + max(p.n_bytes + 2 + 4 * p.max_positions,
-                                             p.n_bytes + HANDLE_BYTES + 4 + sparse + 1 + upload)
+        upload = p.n_bytes + HANDLE_BYTES + 4 + max_sealed_bytes(p.tau_bits) + 4 + sparse
+        self.max_request = 1 + TRANSPORT_OVERHEAD_BYTES + max(p.n_bytes + 2 + 4 * p.max_positions,
+                                                             p.n_bytes + HANDLE_BYTES + 4 + sparse + 1 + upload)
         self._listener = socket.create_server((host, port))
         self._listener.setblocking(False)
         self.address = self._listener.getsockname()
@@ -490,12 +489,6 @@ class NetServer:
         rd.done()
         return T_RESULT, _result_body(store.search_positions(positions).matches)
 
-    def _handle_search_bf(self, body: bytes) -> tuple[int, bytes]:
-        rd = Reader(body, ValueError)
-        store = self._store_for(rd.take(self.params.n_bytes))
-        query = BitFilter.decompress(rd.rest(), store.params.m, store.params.max_positions)
-        return T_RESULT, _result_body(store.search_filter(query).matches)
-
     def _handle_remove(self, body: bytes) -> tuple[int, bytes]:
         rd = Reader(body, ValueError)
         store = self._store_for(rd.take(self.params.n_bytes))
@@ -511,7 +504,7 @@ class NetServer:
         return T_REMOVE_ACK, struct.pack(">I", store.remove(req))
 
     _HANDLERS = {T_UPLOAD: (_handle_upload, _OWNER_ONLY), T_SEARCH_LOC: (_handle_search_loc, _ANY_ROLE),
-                 T_SEARCH_BF: (_handle_search_bf, _ANY_ROLE), T_REMOVE: (_handle_remove, _OWNER_ONLY)}
+                 T_REMOVE: (_handle_remove, _OWNER_ONLY)}
 
     def _reply(self, session: Session, ftype: int, corr: int, body: bytes) -> bytes:
         return _frame(ftype, wrap_transport(session.aead, bytes([corr]) + body))
@@ -569,7 +562,7 @@ class NetClient:
         return self._parse_result(self._round_trip(T_SEARCH_LOC, body, T_RESULT))
 
     def search_conjunctive(self, zone: bytes, query: BitFilter) -> list[SealedRecord]:
-        return self._parse_result(self._round_trip(T_SEARCH_BF, zone + query.compress(), T_RESULT))
+        return self.search_location(zone, query.positions())
 
     def remove(self, req: RemovalRequest) -> int:
         sparse = req.rbf_prime.compress()

@@ -6,21 +6,19 @@ buffer addressed by the uploaded filter. Search seeds a set with the
 smallest addressed buffer and probes each larger one into it in C,
 stopping once nothing survives: at most the sum of the addressed
 cardinalities in C-level probes, and never a scan of the table. Removal
-takes one of two paths, and both keep a per-handle count of the buffers
-holding each record. Without a replacement nothing can be refused once
-the handle is known, so it prunes in one pass: one C-level `list.remove`
-per marked buffer. With a replacement, which can still be refused, it
-first finds the handle in each marked buffer with one C-level scan,
-checks the replacement, and only then deletes at the found indices.
-Either way a buffer's other handles keep their order. Query and pruning
-filters hold their positions, not m bits, and removal visits them
-unsorted. So search and removal cost what the addressed buffers hold,
-not the store size or m. Ingest decodes the sparse upload straight to
-its position list (linear in the count, refused undecoded above q*r,
-and refused when empty), gathers the target buffers once to check
-capacity and appends to those same lists: O(positions), with no dense
-m-bit filter. A sealed record whose ephemeral key is not in canonical
-form is refused, at ingest and at load, as `open_record` refuses it.
+keeps a per-handle count of the buffers holding each record and prunes
+each marked buffer with one C-level `list.remove`, which keeps the
+buffer's other handles in order. A replacement is checked first, against
+the store as the prune will leave it, so a refused one changes nothing.
+Query and pruning filters hold their positions, not m bits, and removal
+visits them unsorted. So search and removal cost what the addressed
+buffers hold, not the store size or m. Ingest decodes the sparse upload
+straight to its position list (linear in the count, refused undecoded
+above q*r, and refused when empty), gathers the target buffers once to
+check capacity and appends to those same lists: O(positions), with no
+dense m-bit filter. A sealed record whose ephemeral key is not in
+canonical form is refused, at ingest and at load, as `open_record`
+refuses it.
 The provisioned capacity model, `analysis.provisioned_memory_bytes`, is
 m * beta * tau bits even though the implementation deduplicates
 ciphertexts through the table.
@@ -54,8 +52,8 @@ from collections.abc import Container
 from dataclasses import dataclass
 from pathlib import Path
 
-from .crypto import (SEAL_OVERHEAD_BYTES, CryptoError, SealedRecord, canonical_x25519, compress_positions,
-                     decompress_positions)
+from .crypto import (CryptoError, SealedRecord, canonical_x25519, compress_positions, decompress_positions,
+                     max_sealed_bytes)
 from .files import read_checksummed, write_checksummed
 from .filters import BitFilter
 from .index import RemovalRequest, UploadPacket
@@ -93,7 +91,7 @@ def _check_sealed(ct: bytes, params: SystemParams) -> None:
     tau: tau/8 bytes plus the sealing overhead. Its first 32 bytes, the
     ephemeral key, must be in canonical form, as `open_record` requires,
     so the store never holds a second encoding of a record."""
-    limit = SEAL_OVERHEAD_BYTES + params.tau_bits // 8
+    limit = max_sealed_bytes(params.tau_bits)
     if len(ct) > limit:
         raise StoreError(f"sealed record of {len(ct)} bytes exceeds tau bound {limit}")
     if len(ct) >= 32 and not canonical_x25519(ct[:32]):
@@ -131,20 +129,19 @@ class StorageBloomFilter:
 
     def remove(self, req: RemovalRequest) -> int:
         """Delete the handle from every buffer marked in the pruning
-        filter; cost is one scan per marked buffer, whatever the store size
-        or m (the filter holds its marked positions, not m bits, and they
-        are visited in the filter's own order, unsorted).
+        filter with one `list.remove` each; cost is one scan per marked
+        buffer, whatever the store size or m (the filter holds its marked
+        positions, not m bits, and they are visited in the filter's own
+        order, unsorted).
         Marked buffers that lack the handle are skipped and counted in one
         warning, which names neither them nor the handle. Returns the
         number of buffers pruned.
 
-        Without a replacement nothing after the handle check can be
-        refused, so each marked buffer is pruned in one pass with one
-        `list.remove`. A replacement upload is checked against the store
-        as it will be after the prune, before anything changes: the
-        handle is found in each marked buffer first, and prune and
-        replacement then apply under one hold of the lock, so a rejected
-        replacement leaves the store untouched."""
+        A replacement upload is checked before anything changes, against
+        the store as it will be after the prune: each marked buffer that
+        holds the handle has lost it. Prune and replacement then apply
+        under one hold of the lock, so a refused replacement leaves the
+        store untouched."""
         if req.zone != self.zone:
             raise ZoneMismatch("removal request for another zone")
         marked = req.rbf_prime
@@ -157,28 +154,17 @@ class StorageBloomFilter:
         with self._lock:
             if h not in self.table:
                 raise UnknownHandle(f"handle {h.hex()} not stored")
-            if new is None:
-                missing = 0
-                for p in marked:  # in range: checked when the filter was built
-                    try:
-                        buffers[p].remove(h)
-                    except ValueError:
-                        missing += 1
-            else:
-                held = []  # (position, buffer, index of h): one scan per marked buffer
-                for p in marked:
-                    buf = buffers[p]
-                    try:
-                        held.append((p, buf, buf.index(h)))
-                    except ValueError:
-                        pass
-                missing = marked.popcount - len(held)
+            if new is not None:
+                freed = {p for p in marked if h in buffers[p]}
                 # the record's own handle may return only once the prune drops its last copy
-                leaving = h if self._live[h] == len(held) else None
-                freed = {p for p, _, _ in held}
+                leaving = h if self._live[h] == len(freed) else None
                 targets = self._check_upload(new.sealed.handle, new_positions, freed, leaving)
-                for _, buf, i in held:
-                    del buf[i]
+            missing = 0
+            for p in marked:  # in range: checked when the filter was built
+                try:
+                    buffers[p].remove(h)
+                except ValueError:
+                    missing += 1
             if missing:
                 log.warning("removal: %d marked buffers did not hold the record", missing)
             pruned = marked.popcount - missing

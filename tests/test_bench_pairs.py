@@ -1,7 +1,8 @@
 """tools/bench_pairs.py refuses pairs that did not compare the same work:
 checkouts whose benchmarks differ, different op-stream digests, an
 incorrect run or a failed operation exit with status 1 and leave the
-output file unwritten. After the
+output file unwritten. It gates the metrics the parent's BENCHMARK.json
+lists under `end_to_end`, each in its declared direction. After the
 untraced pairs it makes three traced pairs, on the first three seeds,
 checks them the same way, and keeps each side's per-layer spread."""
 
@@ -16,6 +17,11 @@ _spec = importlib.util.spec_from_file_location(
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
+END_TO_END = [{"name": "setup_s", "better": "lower"}, {"name": "ops_per_cpu_s", "better": "higher"},
+              {"name": "op_cpu_p50_ms", "better": "lower"}, {"name": "op_cpu_p95_ms", "better": "lower"}]
+# what a run reports: the end-to-end metrics and one that no spec above gates
+REPORTED = [metric["name"] for metric in END_TO_END] + ["store.search.us"]
+
 
 def _fake_runs(monkeypatch, bad_seed=None, bad_side=None, bad_trace=False, **bad):
     """run_once answers from canned results and returns the list of its
@@ -29,7 +35,7 @@ def _fake_runs(monkeypatch, bad_seed=None, bad_side=None, bad_trace=False, **bad
         value = 1.0 if side == "parent" else 0.9
         if trace:  # a per-layer figure that moves from seed to seed
             value = seed * (1.0 if side == "parent" else 0.5)
-        names = ["sim.draw_share"] if trace else bench_pairs.GATED
+        names = ["sim.draw_share"] if trace else REPORTED
         run = {"seed": seed, "op_stream_sha256": f"{seed:064x}", "environment": "test",
                "result": {"correct": True, "attempted": 10, "failed": 0,
                           "metrics": {k: {"value": value, "unit": "-"} for k in names}}}
@@ -42,13 +48,14 @@ def _fake_runs(monkeypatch, bad_seed=None, bad_side=None, bad_trace=False, **bad
     return calls
 
 
-def _checkouts(tmp_path):
+def _checkouts(tmp_path, end_to_end=END_TO_END):
     """Two checkouts with the same benchmark: a BENCHMARK.json whose
-    `paths` names one directory holding one file."""
+    `paths` names one directory holding one file, and which gates
+    `end_to_end`."""
     for side in ("parent", "change"):
         root = tmp_path / side
         (root / "bench").mkdir(parents=True)
-        (root / "BENCHMARK.json").write_text(json.dumps({"paths": ["bench"]}))
+        (root / "BENCHMARK.json").write_text(json.dumps({"paths": ["bench"], "end_to_end": end_to_end}))
         (root / "bench" / "run.py").write_text("print('work')\n")
 
 
@@ -67,6 +74,7 @@ def test_agreeing_pairs_are_written(tmp_path, monkeypatch):
     assert code == 0
     doc = json.loads(out.read_text())["w"]
     gated = doc["gated"]
+    assert list(gated) == REPORTED[:4]
     assert gated["op_cpu_p50_ms"]["pairs_won_by_change"] == 4
     assert gated["ops_per_cpu_s"]["pairs_won_by_change"] == 0
     # three traced pairs, on the first three seeds, alternating like the untraced ones
@@ -79,6 +87,21 @@ def test_agreeing_pairs_are_written(tmp_path, monkeypatch):
         "parent": {"sim.draw_share": {"unit": "-", "median": 2.0, "min": 1.0, "max": 3.0}},
         "change": {"sim.draw_share": {"unit": "-", "median": 1.0, "min": 0.5, "max": 1.5}},
     }
+
+
+def test_the_gated_metrics_are_the_ones_the_benchmark_declares(tmp_path, monkeypatch):
+    """The gated metrics and their directions come from the parent's
+    BENCHMARK.json: here it gates one reported metric the other way up
+    and a second the tool has no list of its own for."""
+    _fake_runs(monkeypatch)
+    _checkouts(tmp_path, end_to_end=[{"name": "op_cpu_p50_ms", "better": "higher"},
+                                     {"name": "store.search.us", "better": "lower"}])
+    code, out = _main(tmp_path)
+    assert code == 0
+    gated = json.loads(out.read_text())["w"]["gated"]
+    assert {name: (g["better"], g["pairs_won_by_change"]) for name, g in gated.items()} == {
+        "op_cpu_p50_ms": ("higher", 0), "store.search.us": ("lower", 4)}
+    assert gated["store.search.us"]["change"]["median"] == 0.9
 
 
 def test_fewer_than_three_seeds_trace_each_seed(tmp_path, monkeypatch):

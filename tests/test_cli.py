@@ -187,6 +187,34 @@ def test_upload_refuses_a_meta_record_file_it_does_not_know(workdir, capsys, mon
     assert not (workdir / "receipt.txt").exists()
 
 
+def test_key_files_of_another_length_are_refused_before_connecting(workdir, capsys, monkeypatch):
+    """A 15-byte receipt given to `remove` and a 31-byte `--agent-pub`
+    given to `upload` are refused with the file's name before any
+    connection opens, and the index is left as it was."""
+    base = ["--params", workdir / "sys.cfg"]
+    for argv in (["setup", *base, "--vocab", workdir / "vocab.txt", "--out-dir", workdir / "keys"],
+                 ["register", *base, "--master", workdir / "keys" / "master.keys", "--keywords", "kw0",
+                  "--zone", "downtown", "--out", workdir / "do.keyring"],
+                 ["build-index", *base, "--keyring", workdir / "do.keyring", "--location", "corner",
+                  "--out", workdir / "do.index"]):
+        assert main([str(a) for a in argv]) == 0
+    index = (workdir / "do.index").read_bytes()
+    opened = []
+    monkeypatch.setattr(net, "NetClient", lambda *args: opened.append(args))
+    files.write_key_file(workdir / "short.receipt", bytes(15))
+    files.write_key_file(workdir / "short.pub", bytes(31))
+    base += ["--server", "127.0.0.1:1", "--index", workdir / "do.index"]
+    for argv, named in ((["remove", *base, "--keyring", workdir / "do.keyring", "--keyword", "kw0",
+                          "--location", "corner", "--receipt", workdir / "short.receipt"], "short.receipt"),
+                        (["upload", *base, "--mi", workdir / "mi.txt", "--agent-pub", workdir / "short.pub",
+                          "--receipt", workdir / "receipt.txt"], "short.pub")):
+        code, out, err = _run(argv, capsys)
+        assert code == 1 and "FileFormatError" in err and named in err, argv[0]
+    assert not opened
+    assert (workdir / "do.index").read_bytes() == index
+    assert not (workdir / "receipt.txt").exists()
+
+
 def test_each_input_has_one_source(workdir, capsys, monkeypatch):
     """`search` serves one keyword or several, its agent key comes from
     --master and an upload's zone from its index: the old command and

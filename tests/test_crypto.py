@@ -660,4 +660,7 @@ def test_key_file_round_trip(tmp_path):
     path = tmp_path / "agent.key"
     files.write_key_file(path, b"\x01\x02\xff")
     assert path.read_text() == "0102ff\n"
-    assert files.read_key_file(path) == b"\x01\x02\xff"
+    assert files.read_key_file(path, 3) == b"\x01\x02\xff"
+    for length in (2, 4):  # a key of any other length is refused, naming the file
+        with pytest.raises(files.FileFormatError, match="agent.key"):
+            files.read_key_file(path, length)

@@ -17,7 +17,7 @@ from sbfsearch.index import (MasterSecrets, SchemeError, UploadPacket, UserIndex
 from sbfsearch.params import derive_params
 from sbfsearch.store import StorageBloomFilter, StoreError
 
-from conftest import SystemFixture, blinding_filter, fill_disk_halfway
+from conftest import SystemFixture, blinding_filter, fill_disk_halfway, resealed
 
 format_settings = settings(max_examples=15)
 SNAPSHOT_PARAMS = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64)
@@ -241,7 +241,9 @@ class TestAtomicWrites:
 
 class TestKeywordTokens:
     """A key file that repeats a keyword token, or a master-secrets file
-    with no keyword, is refused rather than loaded short."""
+    with no keyword, is refused rather than loaded short. Each edited
+    file is resealed, so load gets past the checksum to the check under
+    test."""
 
     def test_repeated_token_in_master_secrets_rejected(self, tmp_path):
         path = tmp_path / "master.keys"
@@ -249,7 +251,7 @@ class TestKeywordTokens:
         data = path.read_bytes()
         at = 8 + 9  # magic, header; then token, key pairs in token order
         assert data[at : at + 4] == b"akbj"
-        path.write_bytes(data[:at] + b"akaj" + data[at + 4 :])
+        path.write_bytes(resealed(data[:at] + b"akaj" + data[at + 4 :]))
         with pytest.raises(files.FileFormatError, match="repeated"):
             files.load_master_secrets(path)
 
@@ -259,12 +261,54 @@ class TestKeywordTokens:
         data = path.read_bytes()
         at = 8 + 9 + 1  # magic, header, zone; then token, keys pairs
         assert data[at : at + 4] == b"akbj"
-        path.write_bytes(data[:at] + b"akaj" + data[at + 4 :])
+        path.write_bytes(resealed(data[:at] + b"akaj" + data[at + 4 :]))
         with pytest.raises(files.FileFormatError, match="repeated"):
             files.load_keyring(path)
 
     def test_master_secrets_without_keywords_rejected(self, tmp_path):
         path = tmp_path / "master.keys"
-        path.write_bytes(files.MASTER_MAGIC + struct.pack(">BHHI", 1, 1, 0, 0) + b"P" * 32 + b"S" * 32)
+        files.write_checksummed(path, files.MASTER_MAGIC + struct.pack(">BHHI", 1, 1, 0, 0) + b"P" * 32 + b"S" * 32)
         with pytest.raises(files.FileFormatError, match="no keyword"):
             files.load_master_secrets(path)
+
+
+def _key_files(system):
+    """Each checksummed key format: its first-version magic, save, load,
+    and a value holding two keywords."""
+    kr, _ = system.user([0, 1])
+    return {"master secrets": (b"SBFKEYS1", files.save_master_secrets, files.load_master_secrets, system.secrets),
+            "keyring": (b"SBFKRNG1", files.save_keyring, files.load_keyring, kr)}
+
+
+class TestKeyFileChecksums:
+    """Master-secrets and keyring files carry a SHA-256 trailer: a bit
+    flipped in a key is refused, where the unchecked first version
+    loaded it and moved that keyword's positions."""
+
+    @pytest.mark.parametrize("kind", ["master secrets", "keyring"])
+    def test_a_flipped_key_bit_is_refused(self, system, tmp_path, kind):
+        _, save, load, value = _key_files(system)[kind]
+        path = tmp_path / "key.bin"
+        save(value, path)
+        data = bytearray(path.read_bytes())
+        data[-files.DIGEST_BYTES - 1] ^= 0x01  # the last byte of the last key
+        path.write_bytes(bytes(data))
+        with pytest.raises(files.FileFormatError, match="checksum mismatch"):
+            load(path)
+
+    @pytest.mark.parametrize("kind", ["master secrets", "keyring"])
+    def test_the_readme_recipe_carries_a_first_version_file_over(self, system, tmp_path, kind):
+        """A first-version file is the same body under the old magic and
+        no trailer. It is refused, and the README's one-line recipe makes
+        it load to the same value."""
+        old_magic, save, load, value = _key_files(system)[kind]
+        path = tmp_path / "key.bin"
+        save(value, path)
+        new_magic = path.read_bytes()[:8]
+        path.write_bytes(old_magic + path.read_bytes()[8 : -files.DIGEST_BYTES])
+        with pytest.raises(files.FileFormatError, match=f"not an {new_magic.decode()} file"):
+            load(path)
+        data = path.read_bytes()
+        files.write_checksummed(path, new_magic + data[8:])
+        assert load(path) == value
+

@@ -214,7 +214,7 @@ class TestOperations:
         """Building, uploading, querying and removing cost the positions
         they touch: with every numpy array of m or more elements refused,
         the client builds and sends, and the in-process server answers
-        SEARCH_BF and REMOVE."""
+        SEARCH_LOC and REMOVE."""
         m = system.params.m
 
         def refuse_m(fn, size):
@@ -309,8 +309,9 @@ class TestWireSizes:
 class TestRobustness:
     def test_counts_above_record_load_refused(self, system, server):
         """Every decoded filter or position list is bounded by a record's
-        q*r positions; an all-ones upload, query or pruning filter is
-        refused undecoded, the store is unchanged and the session goes on."""
+        q*r positions; an all-ones upload or pruning filter and a search
+        of q*r + 1 positions are refused undecoded, the store is unchanged
+        and the session goes on."""
         kr, _, packet, _ = _uploaded(system, server, seed=68)
         store = server.stores[system.zone]
         table_before = dict(store.table)
@@ -320,7 +321,6 @@ class TestRobustness:
                              sealed=SealedRecord(handle=b"f" * 16, ciphertext=b"flood"))
         with _client(server) as c:
             for call in (lambda: c.upload(flood),
-                         lambda: c.search_conjunctive(system.zone, ones),
                          lambda: c.search_location(system.zone, list(range(system.params.max_positions + 1))),
                          lambda: c.remove(RemovalRequest(zone=system.zone, rbf_prime=ones,
                                                          handle=packet.sealed.handle))):
@@ -406,17 +406,16 @@ class TestRobustness:
             assert c.upload(honest) == idx.bf.popcount
 
     def test_cut_bodies_and_bad_remove_flag_are_malformed(self, system, server):
-        """Every proper prefix of a valid SEARCH_LOC, SEARCH_BF and REMOVE
-        body, each body plus one byte, and a REMOVE whose flag is neither 0
-        nor 1 get E_MALFORMED on one session; the store is unchanged and
-        the session goes on."""
+        """Every proper prefix of a valid SEARCH_LOC and REMOVE body, each
+        body plus one byte, and a REMOVE whose flag is neither 0 nor 1 get
+        E_MALFORMED on one session; the store is unchanged and the session
+        goes on."""
         kr, idx, packet, _ = _uploaded(system, server, seed=75)
         params, loc = system.params, system.locations[0]
         store = server.stores[system.zone]
         table_before = dict(store.table)
         buffers_before = [list(b) for b in store.buffers]
         ps = keyword_positions(kr, system.vocab[0], loc, params)
-        query = build_conjunctive_query(kr, [system.vocab[0], system.vocab[1]], loc, params)
         _, new_idx = system.user([2], seed=76)
         replacement = make_upload_packet(new_idx, system.meta("bob"), system.secrets.agent_public,
                                          system.zone, params, Random(77))
@@ -424,7 +423,6 @@ class TestRobustness:
         head = system.zone + packet.sealed.handle + struct.pack(">I", len(sparse)) + sparse
         remove = head + b"\x01" + replacement.to_bytes()
         cases = [(net.T_SEARCH_LOC, system.zone + struct.pack(f">H{len(ps)}I", len(ps), *ps), net.T_RESULT),
-                 (net.T_SEARCH_BF, system.zone + query.compress(), net.T_RESULT),
                  (net.T_REMOVE, remove, net.T_REMOVE_ACK)]
         with _client(server) as c:
             bad = [(ftype, body[:k], expect) for ftype, body, expect in cases for k in range(len(body))]
@@ -439,6 +437,23 @@ class TestRobustness:
             for ftype, body, expect in cases:  # the whole bodies are valid
                 c._round_trip(ftype, body, expect)
             assert replacement.sealed.handle in store.table and packet.sealed.handle not in store.table
+
+    def test_type_0x04_is_an_unknown_message_type(self, system, server):
+        """A frame of type 0x04, the retired SEARCH_BF, carrying the body
+        that message took, gets E_MALFORMED "unknown message type 0x04";
+        the store is unchanged and the session goes on."""
+        kr, _, packet, _ = _uploaded(system, server, seed=93)
+        store = server.stores[system.zone]
+        table_before = dict(store.table)
+        buffers_before = [list(b) for b in store.buffers]
+        query = build_conjunctive_query(kr, [system.vocab[0], system.vocab[1]], system.locations[0], system.params)
+        with _client(server, net.ROLE_AGENT) as c:
+            with pytest.raises(net.ServerError) as info:
+                c._round_trip(0x04, system.zone + query.compress(), net.T_RESULT)
+            assert (info.value.code, info.value.message) == (net.E_MALFORMED, "unknown message type 0x04")
+            assert store.table == table_before
+            assert [list(b) for b in store.buffers] == buffers_before
+            assert packet.sealed.handle in {r.handle for r in c.search_location(system.zone, query.positions())}
 
     def test_empty_location_search_gets_empty_result(self, system, server):
         """A SEARCH_LOC naming no position answers an empty RESULT, on an

@@ -254,12 +254,18 @@ class TestRemove:
         with pytest.raises(UnknownHandle):
             store.remove(RemovalRequest(zone=system.zone, rbf_prime=rbf, handle=b"x" * 16))
 
-    def test_bit_on_foreign_buffer_is_tolerated(self, system, caplog):
+    @pytest.mark.parametrize("replace", [False, True], ids=["withdraw", "replace"])
+    def test_bit_on_foreign_buffer_is_tolerated(self, system, caplog, replace):
         store = StorageBloomFilter(system.params, system.zone)
         kr, idx = system.user([0])
         packet = make_upload_packet(idx, system.meta(), system.secrets.agent_public,
                                     system.zone, system.params, Random(31))
         store.ingest(packet)
+        replacement = None
+        if replace:
+            _, new_idx = system.user([1], seed=38)
+            replacement = make_upload_packet(new_idx, system.meta("new"), system.secrets.agent_public,
+                                             system.zone, system.params, Random(39))
         occupied = set(idx.bf.positions())
         # the highest free position: its digits cannot be mistaken for the count
         foreign = max(set(range(system.params.m)) - occupied)
@@ -267,8 +273,11 @@ class TestRemove:
         rbf.insert([foreign, next(iter(occupied))])
         with caplog.at_level("WARNING"):
             pruned = store.remove(RemovalRequest(zone=system.zone, rbf_prime=rbf,
-                                                 handle=packet.sealed.handle))
+                                                 handle=packet.sealed.handle, replacement=replacement))
         assert pruned == 1
+        assert sum(packet.sealed.handle in buf for buf in store.buffers) == len(occupied) - 1
+        if replace:
+            assert store.table[replacement.sealed.handle] == replacement.sealed
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         # positions and handles are access-pattern data and stay out of the log
         assert packet.sealed.handle.hex() not in caplog.text

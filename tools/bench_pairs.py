@@ -1,5 +1,7 @@
 """Run one benchmark workload on two checkouts in alternating pairs and
-record the gated metrics of both sides in a BENCH_*.json file.
+record the gated metrics of both sides in a BENCH_*.json file. The gated
+metrics, and the direction each improves in, are the `end_to_end` list
+of the parent checkout's `BENCHMARK.json`.
 
     python3 tools/bench_pairs.py --parent <checkout> --change <checkout> \\
         --workload owner_agent_loopback --seeds 11-20 --seconds 30 --out BENCH_11.json
@@ -38,9 +40,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-GATED = {"setup_s": "lower", "ops_per_cpu_s": "higher", "op_cpu_p50_ms": "lower", "op_cpu_p95_ms": "lower"}
-
-
 def benchmark_digest(checkout: Path) -> str:
     """SHA-256 over `BENCHMARK.json` and every file under the directories
     its `paths` lists, `__pycache__` left out; each file enters with its
@@ -55,6 +54,13 @@ def benchmark_digest(checkout: Path) -> str:
         name, data = f.relative_to(checkout).as_posix().encode(), f.read_bytes()
         digest.update(len(name).to_bytes(4, "big") + name + len(data).to_bytes(8, "big") + data)
     return digest.hexdigest()
+
+
+def gated_metrics(checkout: Path) -> dict[str, str]:
+    """Each end-to-end metric `BENCHMARK.json` declares, with the way it
+    improves: "lower" or "higher"."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
@@ -98,7 +104,7 @@ def spread(runs: list[dict]) -> dict:
     return out
 
 
-def run_pairs(args: argparse.Namespace, seeds: list[int], trace: bool = False) -> dict | None:
+def run_pairs(args: argparse.Namespace, seeds: list[int], gated: dict[str, str], trace: bool = False) -> dict | None:
     """Each seed once per side, the parent first on even pairs and the
     change first on odd ones. Prints why and returns None at the first
     pair that did not compare the same work."""
@@ -108,7 +114,7 @@ def run_pairs(args: argparse.Namespace, seeds: list[int], trace: bool = False) -
         for side in order:
             sides[side].append(run_once(getattr(args, side), args.workload, seed, args.seconds, trace))
             metrics = sides[side][-1]["result"]["metrics"]
-            print(seed, side, "traced" if trace else {k: round(metrics[k]["value"], 4) for k in GATED},
+            print(seed, side, "traced" if trace else {k: round(metrics[k]["value"], 4) for k in gated},
                   flush=True)
         problems = pair_problems(sides["parent"][-1], sides["change"][-1])
         if problems:
@@ -132,21 +138,22 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     first, last = map(int, args.seeds.split("-"))
     seeds = list(range(first, last + 1))
-    sides = run_pairs(args, seeds)
+    gated = gated_metrics(args.parent)  # the same as the change's: the digests agree
+    sides = run_pairs(args, seeds, gated)
     if sides is None:
         return 1
-    traced = run_pairs(args, seeds[:3], trace=True)
+    traced = run_pairs(args, seeds[:3], gated, trace=True)
     if traced is None:
         return 1
-    gated = {}
-    for metric, better in GATED.items():
+    summaries = {}
+    for metric, better in gated.items():
         values = [[r["result"]["metrics"][metric]["value"] for r in sides[s]] for s in ("parent", "change")]
         won = sum(c < p if better == "lower" else c > p for p, c in zip(*values))
-        gated[metric] = {"better": better, "parent": summary(sides["parent"], metric),
-                         "change": summary(sides["change"], metric), "pairs_won_by_change": won}
+        summaries[metric] = {"better": better, "parent": summary(sides["parent"], metric),
+                             "change": summary(sides["change"], metric), "pairs_won_by_change": won}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     per_layer = {"seeds": seeds[:3], **{side: spread(runs) for side, runs in traced.items()}}
-    doc[args.workload] = {"seconds": args.seconds, "seeds": [first, last], "gated": gated,
+    doc[args.workload] = {"seconds": args.seconds, "seeds": [first, last], "gated": summaries,
                           "per_layer": per_layer, "runs": sides}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
