@@ -5,9 +5,10 @@ reads through `crypto.Reader`, so a truncated file, trailing bytes, a
 repeated keyword token or a master-secrets file with no keyword raise
 `FileFormatError`. An index file stores only what an index cannot
 derive. A key file holds one key, or an upload receipt's record handle,
-as hex, of the length its reader names. Every file here, and every
-store snapshot, is written by `write_atomically`, so a crash or a
-failed write leaves the old file whole.
+as hex, of the length its reader names; one that is not hex text, or
+of another length, raises `FileFormatError` naming it. Every file here,
+and every store snapshot, is written by `write_atomically`, so a crash
+or a failed write leaves the old file whole.
 
 Binary files here and store snapshots are checksummed: the magic, the
 body, then a SHA-256 of both. `write_checksummed` and `read_checksummed`
@@ -155,7 +156,10 @@ def write_key_file(path: str | Path, key: bytes) -> None:
 
 
 def read_key_file(path: str | Path, length: int) -> bytes:
-    key = bytes.fromhex(Path(path).read_text().strip())
+    try:
+        key = bytes.fromhex(Path(path).read_text().strip())
+    except ValueError as exc:  # a bad hex digit, or bytes that are not text (UnicodeDecodeError)
+        raise FileFormatError(f"{path} is not a hex key file: {exc}") from exc
     if len(key) != length:
         raise FileFormatError(f"{path} holds a {len(key)}-byte key, not {length} bytes")
     return key

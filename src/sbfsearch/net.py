@@ -257,14 +257,12 @@ class NetServer:
     at a time, so a store never sees two at once."""
 
     def __init__(self, stores: dict[bytes, StorageBloomFilter], host: str = "127.0.0.1", port: int = 0):
-        # refused before any socket is opened: no stores, two params, a zone not n_bytes
-        # long, a store filed under another zone's key
+        # refused before any socket is opened: no stores, two params, a store filed under
+        # another zone's key (each store checked its own zone's width when it was made)
         params = {store.params for store in stores.values()}
         if len(params) != 1:
             raise StoreError("zone stores under different params" if params else "no zone stores to serve")
         (p,) = params
-        if bad := [zone.hex() for zone in stores if len(zone) != p.n_bytes]:
-            raise StoreError(f"zone(s) {', '.join(bad)} not {p.n_bytes} bytes long")
         if bad := [zone.hex() for zone, store in stores.items() if zone != store.zone]:
             raise StoreError(f"zone(s) {', '.join(bad)} filed with another zone's store")
         self.stores, self.params = stores, p

@@ -9,7 +9,8 @@ cardinalities in C-level probes, and never a scan of the table. Removal
 keeps a per-handle count of the buffers holding each record and prunes
 each marked buffer with one C-level `list.remove`, which keeps the
 buffer's other handles in order. A replacement is checked first, against
-the store as the prune will leave it, so a refused one changes nothing.
+the store as the prune will leave it, so a refused one changes nothing;
+it must carry a handle the store does not hold.
 Query and pruning filters hold their positions, not m bits, and removal
 visits them unsorted. So search and removal cost what the addressed
 buffers hold, not the store size or m. Ingest decodes the sparse upload
@@ -31,9 +32,8 @@ behind a u32 length), and a SHA-256 over all of it, which
 the records in that order, so a snapshot is refused by ingest's own
 checks and no others. Ingest is the only code that appends a handle to
 a buffer, and it puts the record last in the table; pruning never
-reorders, and a replacement that reuses its handle leaves the table
-before it comes back. So every buffer lists its handles in table order,
-and replaying the records in that order rebuilds every buffer exactly.
+reorders. So every buffer lists its handles in table order, and
+replaying the records in that order rebuilds every buffer exactly.
 
 Concurrency: one plain lock per zone store serialises every call that
 reads or changes the buffers, searches included. Searches hold the GIL
@@ -108,6 +108,8 @@ class StorageBloomFilter:
     """m buffers of record handles plus a handle -> sealed record table."""
 
     def __init__(self, params: SystemParams, zone: bytes):
+        if len(zone) != params.n_bytes:
+            raise StoreError(f"zone {zone.hex()} is not {params.n_bytes} bytes long")
         self.params = params
         self.zone = zone
         self.buffers: list[list[bytes]] = [[] for _ in range(params.m)]
@@ -139,7 +141,9 @@ class StorageBloomFilter:
 
         A replacement upload is checked before anything changes, against
         the store as it will be after the prune: each marked buffer that
-        holds the handle has lost it. Prune and replacement then apply
+        holds the handle has lost it. Its handle must be new to the store:
+        the removed record's own is refused even when the prune drops the
+        record's last copy. Prune and replacement then apply
         under one hold of the lock, so a refused replacement leaves the
         store untouched."""
         if req.zone != self.zone:
@@ -156,9 +160,7 @@ class StorageBloomFilter:
                 raise UnknownHandle(f"handle {h.hex()} not stored")
             if new is not None:
                 freed = {p for p in marked if h in buffers[p]}
-                # the record's own handle may return only once the prune drops its last copy
-                leaving = h if self._live[h] == len(freed) else None
-                targets = self._check_upload(new.sealed.handle, new_positions, freed, leaving)
+                targets = self._check_upload(new.sealed.handle, new_positions, freed)
             missing = 0
             for p in marked:  # in range: checked when the filter was built
                 try:
@@ -190,12 +192,10 @@ class StorageBloomFilter:
             raise StoreError("upload filter has no bit set")
         return positions
 
-    def _check_upload(self, handle: bytes, positions: list[int],
-                      freed: Container[int] = (), leaving: bytes | None = None) -> list[list[bytes]]:
-        """The buffers the upload goes to. Raise unless it fits once each
-        buffer in `freed` has lost one entry and the record `leaving` has
-        left the table."""
-        if handle in self.table and handle != leaving:
+    def _check_upload(self, handle: bytes, positions: list[int], freed: Container[int] = ()) -> list[list[bytes]]:
+        """The buffers the upload goes to. Raise if its handle is stored,
+        or unless it fits once each buffer in `freed` has lost one entry."""
+        if handle in self.table:
             raise DuplicateHandle(f"handle {handle.hex()} already ingested")
         targets = list(map(self.buffers.__getitem__, positions))
         if max(map(len, targets)) >= self.params.beta:  # only a full buffer needs the exact test

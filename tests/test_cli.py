@@ -17,6 +17,7 @@ from sbfsearch.crypto import token_from_text
 from sbfsearch.params import CONFIG_KEYS, derive_params, load_params_file
 from sbfsearch.store import StorageBloomFilter
 
+from conftest import resealed
 from test_store import _raw_packet
 
 
@@ -300,11 +301,27 @@ def test_serve_names_the_snapshot_that_fails_to_load(workdir, capsys):
         assert "StoreError" in done.stderr and "old.sbf" in done.stderr and "a.sbf" not in done.stderr, magic
 
 
+def test_serve_names_a_snapshot_whose_zone_has_another_width(workdir, capsys):
+    """A resealed snapshot of a 3-byte zone under n_bits=64 stops the
+    server before it listens, with an error that names the file."""
+    stores = workdir / "stores"
+    _empty_snapshot(workdir, stores / "a.sbf")
+    data = (stores / "a.sbf").read_bytes()
+    at = 8 + 36  # magic and params, then the zone's length byte
+    (stores / "a.sbf").write_bytes(resealed(data[:at] + b"\x03abc" + data[at + 1 + 8 :]))
+    done = subprocess.run([sys.executable, "-m", "sbfsearch", "serve", "--params", str(workdir / "sys.cfg"),
+                           "--store-dir", str(stores), "--listen", "127.0.0.1:0"],
+                          capture_output=True, text=True, env=_server_env(), timeout=30)
+    assert done.returncode == 1 and "listening" not in done.stdout
+    assert "StoreError" in done.stderr and "a.sbf" in done.stderr and "zone 616263 is not 8 bytes long" in done.stderr
+
+
 def test_snapshot_inspect_prints_format_and_size(tmp_path, capsys):
     params = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64)
-    store = StorageBloomFilter(params, b"zone")
+    zone = token_from_text("zone", params.n_bits)
+    store = StorageBloomFilter(params, zone)
     for name, positions in (("d", [3, 7]), ("a", [0, 1, 2]), ("c", [5, 6, 200]), ("b", [3, 4, 5])):
-        store.ingest(_raw_packet(b"zone", params.m, name, positions))
+        store.ingest(_raw_packet(zone, params.m, name, positions))
     path = tmp_path / "zone.sbf"
     store.save(path)
     code, out, _ = _run(["snapshot", "--file", path], capsys)

@@ -1,5 +1,6 @@
 import hashlib
 import hmac
+import re
 from random import Random
 
 import pytest
@@ -664,3 +665,11 @@ def test_key_file_round_trip(tmp_path):
     for length in (2, 4):  # a key of any other length is refused, naming the file
         with pytest.raises(files.FileFormatError, match="agent.key"):
             files.read_key_file(path, length)
+
+
+@pytest.mark.parametrize("content", [b"zz01\n", b"\xff\xfe"], ids=["bad-digit", "not-text"])
+def test_a_key_file_that_is_not_hex_text_is_refused_naming_it(tmp_path, content):
+    path = tmp_path / "receipt"
+    path.write_bytes(content)
+    with pytest.raises(files.FileFormatError, match=re.escape(str(path))):
+        files.read_key_file(path, 2)

@@ -63,7 +63,7 @@ def _upload_packets(draw):
 
 @st.composite
 def _stores(draw):
-    zone = draw(st.binary(max_size=8))
+    zone = draw(_fixed(SNAPSHOT_PARAMS.n_bytes))
     store = StorageBloomFilter(SNAPSHOT_PARAMS, zone)
     for i in range(draw(st.integers(0, 3))):
         positions = sorted(draw(st.sets(st.integers(0, SNAPSHOT_PARAMS.m - 1), min_size=1, max_size=4)))

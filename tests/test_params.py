@@ -65,7 +65,8 @@ def test_s_bits_cap_in_params_file_and_snapshot(tmp_path):
     assert load_params_file(cfg).s_bits == 512
     # a snapshot whose header names s_bits=520 is refused as a store error
     snap = tmp_path / "zone.sbf"
-    StorageBloomFilter(load_params_file(cfg), b"zone").save(snap)
+    params = load_params_file(cfg)
+    StorageBloomFilter(params, bytes(params.n_bytes)).save(snap)
     data = bytearray(snap.read_bytes())
     s_bits_at = 8 + 5 * 4  # magic, then l, r, gamma, q, m before s_bits
     assert int.from_bytes(data[s_bits_at : s_bits_at + 4], "big") == 512

@@ -84,6 +84,14 @@ class TestIngest:
         with pytest.raises(ZoneMismatch):
             store.ingest(packet)
 
+    @pytest.mark.parametrize("width", [0, 3, 7, 9])
+    def test_zone_of_another_width_refused(self, system, width):
+        """A store is made only for a zone of n_bytes, the width the wire
+        reads zones at, so a server never holds a store it cannot name."""
+        assert system.params.n_bytes == 8
+        with pytest.raises(StoreError, match="not 8 bytes long"):
+            StorageBloomFilter(system.params, bytes(width))
+
     def test_overflow_is_atomic(self, system):
         params = derive_params(l=20, r=4, gamma_count=2, q=6, beta=1, tau_bits=4096, n_bits=64)
         sys2 = SystemFixture(params, seed=9)
@@ -186,6 +194,7 @@ class TestSearch:
 
 
 PROPERTY_PARAMS = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64)
+PROPERTY_ZONE = token_from_text("zone", PROPERTY_PARAMS.n_bits)
 # mostly a few shared positions, so records overlap; sometimes any of the m=231
 _position = st.one_of(st.integers(0, 7), st.integers(0, PROPERTY_PARAMS.m - 1))
 
@@ -194,16 +203,16 @@ _position = st.one_of(st.integers(0, 7), st.integers(0, PROPERTY_PARAMS.m - 1))
 def _stores_and_holdings(draw):
     """A store of at most beta records, some of them partly withdrawn, and
     each live handle's positions as the model has them."""
-    store = StorageBloomFilter(PROPERTY_PARAMS, b"zone")
+    store = StorageBloomFilter(PROPERTY_PARAMS, PROPERTY_ZONE)
     held = {}
     for i in range(draw(st.integers(0, PROPERTY_PARAMS.beta))):
         handle = bytes([i]) * 16
         positions = draw(st.sets(_position, min_size=1, max_size=6))
-        store.ingest(UploadPacket(b"zone", _filter(positions).compress(),
+        store.ingest(UploadPacket(PROPERTY_ZONE, _filter(positions).compress(),
                                   SealedRecord(handle, b"sealed %d" % i)))
         prune = draw(st.sets(st.sampled_from(sorted(positions)), max_size=len(positions)))
         if prune:
-            store.remove(RemovalRequest(zone=b"zone", rbf_prime=_filter(prune), handle=handle))
+            store.remove(RemovalRequest(zone=PROPERTY_ZONE, rbf_prime=_filter(prune), handle=handle))
         if positions - prune:
             held[handle] = positions - prune
     return store, held
@@ -360,7 +369,9 @@ class TestReplacement:
         ([0, 1, 2, 3], "d", [3, 5], BufferOverflow),    # 3 is freed, 5 is not
         ([0], "d", [3], BufferOverflow),                # 3 still holds a
         ([0, 1, 2, 3], "d", [10], ZoneMismatch),
-    ], ids=["other-handle", "own-handle-survives", "unfreed-full-buffer", "still-held-buffer", "zone"])
+        ([0, 1, 2, 3], "a", [8], DuplicateHandle),      # own handle, even as the prune drops a's last copy
+    ], ids=["other-handle", "own-handle-survives", "unfreed-full-buffer", "still-held-buffer", "zone",
+            "own-handle-full-prune"])
     def test_failed_replacement_leaves_store_unchanged(self, store, prune, name, positions, error):
         zone = store.zone if error is not ZoneMismatch else token_from_text("elsewhere", 64)
         table_before = dict(store.table)
@@ -376,12 +387,6 @@ class TestReplacement:
         assert set(store.table) == {_handle("b"), _handle("c"), _handle("d")}
         assert len(store.buffers[3]) == 2 and d.sealed.handle in store.buffers[3]
 
-    def test_own_handle_returns_after_full_prune(self, store):
-        a = _raw_packet(store.zone, store.params.m, "a", [8])
-        self._remove_a(store, [0, 1, 2, 3], a)
-        assert store.table[a.sealed.handle] == a.sealed
-        assert [i for i, buf in enumerate(store.buffers) if a.sealed.handle in buf] == [8]
-
     def test_removal_never_scans_the_buffers(self, store, monkeypatch):
         """Neither a withdrawal nor a replacement iterates over the m
         buffers or sorts the pruning filter's positions."""
@@ -394,16 +399,16 @@ class TestReplacement:
 
         withdraw_b = BitFilter(store.params.m)
         withdraw_b.insert([3, 4, 5])
-        a = _raw_packet(store.zone, store.params.m, "a", [8], version=b" v2")  # compresses: sorts
+        e = _raw_packet(store.zone, store.params.m, "e", [8])  # compresses: sorts
         store.buffers = NoScan(store.buffers)
         monkeypatch.setattr(BitFilter, "positions", no_sort)
         assert store.remove(RemovalRequest(zone=store.zone, rbf_prime=withdraw_b,
                                            handle=_handle("b"))) == 3
-        assert self._remove_a(store, [0, 1, 2, 3], a) == 4
-        a_, c_ = _handle("a"), _handle("c")
-        assert set(store.table) == {a_, c_} and store.table[a_] == a.sealed
+        assert self._remove_a(store, [0, 1, 2, 3], e) == 4
+        c_, e_ = _handle("c"), _handle("e")
+        assert set(store.table) == {c_, e_} and store.table[e_] == e.sealed
         # indexed, since the buffers can no longer be iterated
-        assert [store.buffers[p] for p in range(10)] == [[], [], [], [], [], [c_], [c_], [], [a_], []]
+        assert [store.buffers[p] for p in range(10)] == [[], [], [], [], [], [c_], [c_], [], [e_], []]
 
 
 class TestPruneOrder:
@@ -899,8 +904,8 @@ class StoreModel(RuleBasedStateMachine):
         for p in positions:
             self.order[p].append(handle)
 
-    def _upload_error(self, handle, positions, freed=(), leaving=None):
-        if handle in self.held and handle != leaving:
+    def _upload_error(self, handle, positions, freed=()):
+        if handle in self.held:
             return DuplicateHandle
         if any(len(self.order[p]) - (p in freed) >= self.params.beta for p in positions):
             return BufferOverflow
@@ -922,8 +927,7 @@ class StoreModel(RuleBasedStateMachine):
             return self._rejected(UnknownHandle, self.store.remove, req)
         freed = prune & self.held[handle]
         if new is not None:
-            leaving = handle if freed == self.held[handle] else None
-            error = self._upload_error(new.sealed.handle, replacement[1], freed, leaving)
+            error = self._upload_error(new.sealed.handle, replacement[1], freed)
             if error is not None:
                 return self._rejected(error, self.store.remove, req)
         assert self.store.remove(req) == len(freed)
@@ -995,7 +999,9 @@ class StoreModel(RuleBasedStateMachine):
     @precondition(lambda self: self.held)
     @rule(data=st.data(), replacement=st.none() | _spots)
     def withdraw(self, data, replacement):
-        """Prune every position a record holds; a replacement reuses its handle."""
+        """Prune every position a record holds; a replacement carries the
+        record's own handle, which is refused though the prune drops its
+        last copy."""
         handle = data.draw(st.sampled_from(sorted(self.held)))
         name = handle.rstrip(b"\0").decode()
         self._remove(handle, set(self.held[handle]), None if replacement is None else (name, replacement))

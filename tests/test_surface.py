@@ -2,15 +2,15 @@
 it is named in `src/` or `perfbench/` outside its own definition, in
 code (a name, an attribute or an import) or in a string constant that is
 not a docstring (perfbench wraps functions by name). Comments and
-docstrings do not count. The package's `__init__` re-exports names
-without using them, and perfbench's own tests are not the system, so
-neither counts. Code that only tests call belongs in `tests/`.
+docstrings do not count, nor do perfbench's own tests, which are not
+the system. Code that only tests call belongs in `tests/`.
 
 Every option, a parameter with a default on any `def` in
 `src/sbfsearch`, is one the system passes: some call in those same files
 to a function, method or class of that name passes it, positionally, by
 keyword, or through `*args` or `**kwargs`. An option that only tests
-pass belongs in the tests.
+pass belongs in the tests. There are 16 options; a new one, or one
+gone, changes that count on purpose.
 
 Only `sim` makes a `random.Random`, for its seeded experiments: every
 other module takes a caller's generator or draws from the OS, so no
@@ -18,9 +18,12 @@ key, blinding element, sealed record or removal swap comes from a
 seeded Mersenne Twister.
 
 Every name a file under `src/`, `tests/` or `perfbench/` imports is one
-that file's code uses. A string, docstring or not, does not count. The
-package's `__init__` re-exports its imports, and `from __future__
-import annotations` binds no name, so neither counts.
+that file's code uses. A string, docstring or not, does not count;
+`from __future__ import annotations` binds no name.
+
+The package's `__init__` is its docstring alone: every caller imports a
+submodule, so the package root re-exports nothing and keeps no version
+of its own beside `pyproject.toml`'s.
 
 The command line takes exactly the arguments listed here, each for a
 reason: a new one, or one gone, changes this list on purpose."""
@@ -51,7 +54,7 @@ WORD = re.compile(r"\w+")
 
 def _system_files() -> list[Path]:
     return [path for path in (*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"))
-            if path.name != "__init__.py" and not path.name.startswith("test_")]
+            if not path.name.startswith("test_")]
 
 
 def _public_definitions(tree: ast.Module):
@@ -178,12 +181,14 @@ def test_every_option_is_passed_by_the_system():
     for path in _system_files():
         for name, call in _calls(ast.parse(path.read_text())):
             calls.setdefault(name, []).append(call)
-    unpassed = []
+    options, unpassed = 0, []
     for module in sorted(PACKAGE.glob("*.py")):
         for callee, label, param, keyword, index in _options(ast.parse(module.read_text())):
+            options += 1
             if not any(_passes(call, keyword, index) for call in calls.get(callee, ())):
                 unpassed.append(f"{module.stem}.{label}({param})")
     assert sorted(unpassed) == sorted(UNPASSED), f"passed by no system call: {sorted(set(unpassed) - set(UNPASSED))}"
+    assert options == 16
 
 
 def _dead_imports(path: Path):
@@ -204,8 +209,14 @@ def _dead_imports(path: Path):
 def test_every_import_is_used():
     dead = [f"{path.relative_to(ROOT)}:{line} {name}"
             for folder in ("src", "tests", "perfbench") for path in sorted((ROOT / folder).rglob("*.py"))
-            if path != PACKAGE / "__init__.py" for line, name in _dead_imports(path)]
+            for line, name in _dead_imports(path)]
     assert dead == []
+
+
+def test_the_package_root_binds_no_name():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    docstring = _docstrings(tree)
+    assert [ast.unparse(node) for node in tree.body if id(getattr(node, "value", None)) not in docstring] == []
 
 
 # every argument of each subcommand, by dest
