@@ -27,7 +27,7 @@ import signal
 import sys
 from pathlib import Path
 
-from . import analysis, files, net, sim
+from . import analysis, files, net
 from .crypto import HANDLE_BYTES, CryptoError, MetaInfo, open_record, token_from_text
 from .index import (
     build_conjunctive_query,
@@ -309,6 +309,10 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _cmd_simulate_overlap(args) -> int:
+    # sim loads numpy, which costs a process about 0.1 s of CPU to import; only the
+    # simulate-* commands need it, so every other command starts without it
+    from . import sim
+
     params = load_params_file(args.params)
     rows = sim.run_overlap_experiment(params, _int_list(args.oe), args.trials, args.seed)
     sys.stdout.write(sim.rows_to_csv(rows))
@@ -316,6 +320,8 @@ def _cmd_simulate_overlap(args) -> int:
 
 
 def _cmd_simulate_overflow(args) -> int:
+    from . import sim  # numpy stays out of other commands, as in _cmd_simulate_overlap
+
     params = load_params_file(args.params)
     if args.ts is not None:
         if args.t is not None:
@@ -330,6 +336,8 @@ def _cmd_simulate_overflow(args) -> int:
 
 
 def _cmd_simulate_accuracy(args) -> int:
+    from . import sim  # numpy stays out of other commands, as in _cmd_simulate_overlap
+
     params = load_params_file(args.params)
     report = sim.run_accuracy_experiment(params, args.t, args.seed)
     print(f"users = {report.users}")
@@ -356,6 +364,9 @@ def _cmd_snapshot(args) -> int:
     print(f"records = {len(store.table)}")
     print(f"entries = {entries}")
     print(f"occupied_buffers = {occupied}")
+    print(f"max_occupancy = {histogram[-1][0]}")
+    near_full = sum(count for occ, count in histogram if 10 * occ >= 9 * store.params.beta)
+    print(f"buffers_at_or_above_0.9_beta = {near_full}")
     print(f"model_mib = {analysis.bytes_to_mib(analysis.provisioned_memory_bytes(store.params))}")
     return 0
 

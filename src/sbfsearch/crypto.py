@@ -36,10 +36,21 @@ Primitive choices (sizes matter for the communication accounting):
   AEAD object the session builds once. An envelope is the 12-byte random
   nonce, then the ciphertext with its 16-byte tag: 28 bytes (224 bits)
   of overhead.
-- Sparse filter codec: a 4-byte count, then each set position in
-  position_width(m) bits. Encoding and decoding cost time linear in the
-  count, and the decoder refuses a count above the caller's bound before
-  decoding, so a hostile header costs O(1).
+- Sparse filter codec: a 4-byte count c, then each set position in
+  w = position_width(m) bits, ascending, then zero bits to the byte. It
+  is plain integer work, so the network path never loads numpy. Decoding
+  reads the body as one integer and spreads its w-bit fields out to
+  lanes of 8, 16, 32 or 64 bits, the narrowest that holds w, in
+  ceil(log2 c) mask-and-shift stages (SWAR; Warren, *Hacker's Delight*,
+  2nd ed., section 7-5): stage j moves every field whose index, counted
+  from the last position, has bit j set, by 2^j * (lane - w) bits. One
+  `array` conversion then gives the positions; encoding runs the stages
+  in reverse. Each stage is four C-level integer operations over c
+  lanes. Callers bound c by q*r, so a params set fixes the most stages
+  at ceil(log2(q*r)) and the work is linear in the count; the masks are
+  kept per (w, lane, stages). The decoder refuses a count above the
+  caller's bound before decoding, so a hostile header costs O(1), and
+  refuses a nonzero pad bit, so each filter has one encoding.
 - Reader: every parser that walks offsets (meta records, upload packets,
   snapshots, key files, wire bodies) reads through one bounds-checked
   `Reader`, which raises the caller's own error class on a short read or
@@ -60,11 +71,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 import secrets
+import sys
+from array import array
 from dataclasses import dataclass
 from random import Random
 
-import numpy as np
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -375,29 +388,65 @@ class Reader:
 
 # --- sparse filter codec ---------------------------------------------------
 
+_LANE_TYPES = {array(t).itemsize * 8: t for t in "QLIHB"}  # lane bits -> the array type of that size
+_SWAP_LANES = sys.byteorder == "little"  # lanes are written big-endian (a no-op for bytes)
+
+
 def position_width(m: int) -> int:
     """Fixed bit width of one encoded position for an m-position filter."""
     return max(1, (m - 1).bit_length())
 
 
+@functools.lru_cache(maxsize=64)
+def _stage_masks(width: int, lane: int, stages: int) -> tuple[tuple[int, int, int], ...]:
+    """The spreading stages for up to 2^stages fields of `width` bits,
+    the first of them farthest: for each, the mask of the fields it moves
+    where they sit packed, the same mask where they land, and the
+    distance. Stage j moves every field whose index has bit j set by
+    2^j * (lane - width) bits."""
+    masks = []
+    for j in reversed(range(stages)):
+        run = (1 << (width << j)) - 1
+        moved = run << (width << j)  # the upper half of the first block of 2^(j+1) fields
+        for k in range(stages - j - 1):  # doubled out over every block
+            moved |= moved << (lane << (j + 1 + k))
+        shift = (lane - width) << j
+        masks.append((moved, moved << shift, shift))
+    return tuple(masks)
+
+
+def _lane_bits(width: int) -> int:
+    return min(lane for lane in _LANE_TYPES if lane >= width)
+
+
 def compress_positions(positions: list[int], m: int) -> bytes:
     """Encode set-bit positions as a 4-byte big-endian popcount header
     followed by the positions ascending, each a fixed-width big-endian
-    integer, bit-packed. Linear in the count: one bit matrix, one pack."""
-    width = position_width(m)
-    p = np.asarray(positions, dtype=np.int64)
-    if p.size and (p[0] < 0 or (p[1:] <= p[:-1]).any()):
+    integer, bit-packed, then zero bits to the byte. The positions go
+    into lanes as one integer and the stages pack them in reverse."""
+    count = len(positions)
+    if count and (positions[0] < 0 or not all(map(operator.lt, positions, positions[1:]))):
         raise CryptoError("positions must be strictly ascending")
-    if p.size and p[-1] >= m:
-        raise CryptoError(f"position {int(p[-1])} out of range for m={m}")
-    bits = (p[:, None] >> np.arange(width - 1, -1, -1)) & 1
-    return len(p).to_bytes(4, "big") + np.packbits(bits.astype(np.uint8)).tobytes()
+    if count and positions[-1] >= m:
+        raise CryptoError(f"position {positions[-1]} out of range for m={m}")
+    width = position_width(m)
+    lane = _lane_bits(width)
+    lanes = array(_LANE_TYPES[lane], positions)
+    if _SWAP_LANES:
+        lanes.byteswap()
+    x = int.from_bytes(lanes, "big")
+    if lane != width:
+        for _, spread, shift in reversed(_stage_masks(width, lane, max(count - 1, 0).bit_length())):
+            t = x & spread
+            x ^= t ^ (t >> shift)
+    bits = count * width
+    return count.to_bytes(4, "big") + (x << (-bits % 8)).to_bytes((bits + 7) // 8, "big")
 
 
 def decompress_positions(data: bytes, m: int, max_count: int) -> list[int]:
     """Invert compress_positions, validating range and ordering. A header
-    count above `max_count` or m is refused before anything is decoded;
-    decoding is then linear in the count."""
+    count above `max_count` or m is refused before anything is decoded,
+    and so is a nonzero pad bit, so each filter has one encoding."""
     if len(data) < 4:
         raise CryptoError("sparse filter missing header")
     count = int.from_bytes(data[:4], "big")
@@ -405,13 +454,24 @@ def decompress_positions(data: bytes, m: int, max_count: int) -> list[int]:
     if count > bound:
         raise CryptoError(f"sparse filter count {count} exceeds bound {bound}")
     width = position_width(m)
-    body = data[4:]
-    if len(body) != (count * width + 7) // 8:
+    if len(data) - 4 != (count * width + 7) // 8:
         raise CryptoError("sparse filter length mismatch")
-    bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=count * width)
-    p = bits.reshape(count, width) @ (1 << np.arange(width - 1, -1, -1))
-    if (p[1:] <= p[:-1]).any():
+    x = int.from_bytes(data[4:], "big")
+    pad = -count * width % 8
+    if x & ((1 << pad) - 1):
+        raise CryptoError("sparse filter pad bits are not zero")
+    x >>= pad
+    lane = _lane_bits(width)
+    if lane != width:
+        for moved, _, shift in _stage_masks(width, lane, max(count - 1, 0).bit_length()):
+            t = x & moved
+            x ^= t ^ (t << shift)
+    lanes = array(_LANE_TYPES[lane], x.to_bytes(count * lane // 8, "big"))
+    if _SWAP_LANES:
+        lanes.byteswap()
+    p = lanes.tolist()
+    if not all(map(operator.lt, p, p[1:])):
         raise CryptoError("decoded positions not strictly ascending")
     if count and p[-1] >= m:
-        raise CryptoError(f"decoded position {int(p[-1])} out of range for m={m}")
-    return p.tolist()
+        raise CryptoError(f"decoded position {p[-1]} out of range for m={m}")
+    return p

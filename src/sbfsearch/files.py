@@ -18,13 +18,12 @@ a bad trailer is refused before anything is parsed."""
 from __future__ import annotations
 
 import hashlib
+import operator
 import os
 import struct
 import tempfile
 from collections import Counter
 from pathlib import Path
-
-import numpy as np
 
 from .crypto import Reader
 from .index import MasterSecrets, UserIndex, UserKeyring
@@ -191,10 +190,11 @@ def load_index(path: str | Path, params: SystemParams) -> UserIndex:
         raise FileFormatError(f"index has m={m}, r={r} but the parameters say m={params.m}, r={params.r}")
     zone = rd.take(rd.u8())
     k = rd.u32()
-    positions, counts = np.frombuffer(rd.take(8 * k), ">u4").reshape(2, k).astype(np.int64)
-    if k and (positions[-1] >= m or (np.diff(positions) <= 0).any() or not counts.all()):
+    columns = struct.unpack(f">{2 * k}I", rd.take(8 * k))
+    positions, counts = columns[:k], columns[k:]
+    if k and (positions[-1] >= m or not all(map(operator.lt, positions, positions[1:])) or 0 in counts):
         raise FileFormatError("index counters are not nonzero at ascending positions below m")
-    counters = Counter(dict(zip(positions.tolist(), counts.tolist())))
+    counters = Counter(dict(zip(positions, counts)))
     elements = [rd.take(rd.u16()) for _ in range(rd.u16())]
     rd.done()
     return UserIndex(zone, counters, elements, params)

@@ -322,14 +322,22 @@ def test_snapshot_inspect_prints_format_and_size(tmp_path, capsys):
     store = StorageBloomFilter(params, zone)
     for name, positions in (("d", [3, 7]), ("a", [0, 1, 2]), ("c", [5, 6, 200]), ("b", [3, 4, 5])):
         store.ingest(_raw_packet(zone, params.m, name, positions))
+    # at beta=12 a buffer of 11 is at or above 0.9*beta and one of 10 is not
+    for i in range(11):
+        store.ingest(_raw_packet(zone, params.m, f"hot{i}", [100, 101] if i < 10 else [100]))
     path = tmp_path / "zone.sbf"
     store.save(path)
     code, out, _ = _run(["snapshot", "--file", path], capsys)
     assert code == 0
     assert "format = SBFSTOR3" in out
     assert f"bytes = {path.stat().st_size}" in out
-    assert f"bytes_per_record = {path.stat().st_size / 4:.1f}" in out and "records = 4" in out
-    # handles are access-pattern data: inspect names none of them
+    assert f"bytes_per_record = {path.stat().st_size / 15:.1f}" in out and "records = 15" in out
+    assert "max_occupancy = 11" in out and "buffers_at_or_above_0.9_beta = 1" in out
+    # positions and handles are access-pattern data: inspect prints only
+    # these totals, and names no handle
+    assert [line.split(" = ")[0] for line in out.splitlines()] == [
+        "format", "bytes", "bytes_per_record", "zone", "m", "beta", "records", "entries", "occupied_buffers",
+        "max_occupancy", "buffers_at_or_above_0.9_beta", "model_mib"]
     assert not any(h.hex() in out for h in store.table)
 
 

@@ -597,7 +597,8 @@ class TestSparseCodec:
             decompress_positions(data, 16, 16)
 
 
-CODEC_M = (1, 2, 3, 231, 28854)
+CODEC_M = (1, 2, 3, 231, 256, 257, 28854, 65536, 65537, 2**32)  # widths 1, 1, 2, 8, 8, 9, 15, 16, 17, 32
+DENSE = 28854  # the longest run of positions a case encodes: the reference encoder is quadratic
 codec_settings = settings(max_examples=80)
 
 
@@ -613,20 +614,31 @@ def _reference_encoding(positions, m):
 
 
 @st.composite
-def _position_sets(draw, max_count=None):
-    """(m, ascending distinct positions), any count from 0 to m (or max_count)."""
+def _position_sets(draw, max_count=DENSE):
+    """(m, ascending distinct positions), any count from 0 to m or max_count."""
     m = draw(st.sampled_from(CODEC_M))
-    count = draw(st.integers(0, m if max_count is None else min(m, max_count)))
+    count = draw(st.integers(0, min(m, max_count)))
     return m, sorted(Random(draw(st.integers(0, 2**32 - 1))).sample(range(m), count))
 
 
 class TestSparseCodecProperties:
     @pytest.mark.parametrize("m", CODEC_M)
     def test_empty_and_full_filters(self, m):
-        for positions in ([], list(range(m))):
+        for positions in ([], list(range(min(m, DENSE)))):  # the whole filter up to DENSE positions
             data = compress_positions(positions, m)
             assert data == _reference_encoding(positions, m)
             assert decompress_positions(data, m, m) == positions
+
+    @pytest.mark.parametrize("m", CODEC_M)
+    def test_counts_where_the_stage_count_changes(self, m):
+        """The codec spreads 2^k fields in k stages, so 2^k - 1, 2^k and
+        2^k + 1 positions each take a different path."""
+        counts = sorted({c for k in range(10) for c in (2**k - 1, 2**k, 2**k + 1) if c <= min(m, 300)})
+        for count in counts:
+            positions = sorted(Random(count).sample(range(m), count))
+            data = compress_positions(positions, m)
+            assert data == _reference_encoding(positions, m), count
+            assert decompress_positions(data, m, count) == positions
 
     @codec_settings
     @given(_position_sets())
@@ -648,9 +660,22 @@ class TestSparseCodecProperties:
             decompress_positions(data + b"\x00", m, m)
 
     @codec_settings
+    @given(_position_sets(max_count=300))
+    def test_every_nonzero_pad_pattern_refused(self, case):
+        """The bits after the last position are zero in the one encoding
+        of a filter; any other pattern is refused."""
+        m, positions = case
+        data = compress_positions(positions, m)
+        pad = -len(positions) * position_width(m) % 8
+        assert data[-1] & ((1 << pad) - 1) == 0
+        for pattern in range(1, 1 << pad):
+            with pytest.raises(CryptoError, match="pad bits"):
+                decompress_positions(data[:-1] + bytes([data[-1] | pattern]), m, m)
+
+    @codec_settings
     @given(m=st.sampled_from(CODEC_M), data=st.data())
     def test_count_above_bound_refused_before_decoding(self, m, data):
-        bound = data.draw(st.integers(0, 2 * m))  # a bound above m still refuses a count above m
+        bound = data.draw(st.integers(0, min(2 * m, 2**32 - 2)))  # a bound above m still refuses a count above m
         count = data.draw(st.integers(min(m, bound) + 1, 2**32 - 1))
         body = data.draw(st.binary(max_size=8))  # far too short for the count
         with pytest.raises(CryptoError, match="exceeds bound"):

@@ -13,14 +13,13 @@ import warnings
 from pathlib import Path
 from random import Random
 
-import numpy as np
 import pytest
 
 import sbfsearch
 from sbfsearch import net
 from sbfsearch.analysis import result_size_bits, upload_size_bits
-from sbfsearch.crypto import (SEAL_OVERHEAD_BYTES, SealedRecord, open_record, token_from_text, unwrap_transport,
-                              wrap_transport)
+from sbfsearch.crypto import (SEAL_OVERHEAD_BYTES, SealedRecord, compress_positions, open_record, token_from_text,
+                              unwrap_transport, wrap_transport)
 from sbfsearch.filters import BitFilter
 from sbfsearch.index import (
     RemovalRequest,
@@ -94,6 +93,58 @@ def _uploaded(system, server, keyword_ids=(0, 1), name="alice", seed=50):
     with _client(server) as c:
         written = c.upload(packet)
     return kr, idx, packet, written
+
+
+def _run_child(script):
+    """Run `script` in a fresh interpreter that imports the package under
+    test; return the JSON object it prints."""
+    src = str(Path(sbfsearch.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# an owner's and an agent's whole path in one process: the modules a client
+# command or `serve` imports, an index saved and loaded, an upload, a
+# conjunctive search and a removal against an in-process server
+NETWORK_PATH_SCRIPT = r"""
+import json, sys, tempfile
+from pathlib import Path
+from random import Random
+from sbfsearch import cli, files, net, store
+from sbfsearch.crypto import MetaInfo, token_from_text
+from sbfsearch.index import (build_conjunctive_query, build_removal_request, build_user_index,
+                             generate_master_secrets, keyword_positions, make_upload_packet, register_user)
+from sbfsearch.params import derive_params
+
+params = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64)
+tok = lambda text: token_from_text(text, params.n_bits)
+vocab = [tok(f"kw{i}") for i in range(params.l)]
+secrets = generate_master_secrets(params, vocab, Random(1))
+zone, loc = tok("zone-a"), tok("loc-0")
+kr = register_user(secrets, vocab[:3], zone, params)
+with tempfile.TemporaryDirectory() as tmp:
+    files.save_index(build_user_index(kr, loc, params, Random(90)), Path(tmp) / "do.index", params)
+    idx = files.load_index(Path(tmp) / "do.index", params)
+meta = MetaInfo(tok("alice"), (tok("alice-attr"),), tok("cs-1"), tok("alice-slot"), ())
+packet = make_upload_packet(idx, meta, secrets.agent_public, zone, params, Random(91))
+popcount = idx.bf.popcount  # the removal below changes the index
+query = build_conjunctive_query(kr, [vocab[0], vocab[2]], loc, params)
+req = build_removal_request(idx, kr, vocab[1], loc, packet.sealed.handle, params, Random(92))
+server = net.NetServer({zone: store.StorageBloomFilter(params, zone)})
+server.start()
+try:
+    with net.NetClient(*server.address, net.ROLE_OWNER) as c:
+        written = c.upload(packet)
+        found = packet.sealed.handle in {r.handle for r in c.search_conjunctive(zone, query)}
+        pruned = c.remove(req)
+        gone = not c.search_location(zone, keyword_positions(kr, vocab[1], loc, params))
+finally:
+    server.shutdown()
+print(json.dumps({"written": written, "popcount": popcount, "found": found, "pruned": pruned,
+                  "pruned_popcount": req.rbf_prime.popcount, "gone": gone, "numpy": "numpy" in sys.modules}))
+"""
 
 
 class TestHandshake:
@@ -210,31 +261,17 @@ class TestOperations:
             assert not c.search_location(system.zone, keyword_positions(
                 kr, system.vocab[0], loc, system.params))
 
-    def test_no_m_length_array_on_client_or_server(self, system, server, monkeypatch):
+    def test_no_m_length_array_on_client_or_server(self):
         """Building, uploading, querying and removing cost the positions
-        they touch: with every numpy array of m or more elements refused,
-        the client builds and sends, and the in-process server answers
-        SEARCH_LOC and REMOVE."""
-        m = system.params.m
-
-        def refuse_m(fn, size):
-            def guarded(a, *args, **kwargs):
-                if size(a) >= m:
-                    raise AssertionError(f"{fn.__name__} over {size(a)} >= m elements")
-                return fn(a, *args, **kwargs)
-            return guarded
-
-        monkeypatch.setattr(np, "zeros", refuse_m(np.zeros, lambda shape: int(np.prod(shape))))
-        monkeypatch.setattr(np, "flatnonzero", refuse_m(np.flatnonzero, np.size))
-        kr, idx, packet, written = _uploaded(system, server, keyword_ids=(0, 1, 2), seed=90)
-        assert written == idx.bf.popcount
-        loc = system.locations[0]
-        query = build_conjunctive_query(kr, [system.vocab[0], system.vocab[2]], loc, system.params)
-        req = build_removal_request(idx, kr, system.vocab[1], loc, packet.sealed.handle, system.params, Random(91))
-        with _client(server) as c:
-            assert packet.sealed.handle in {r.handle for r in c.search_conjunctive(system.zone, query)}
-            assert c.remove(req) == req.rbf_prime.popcount
-            assert not c.search_location(system.zone, keyword_positions(kr, system.vocab[1], loc, system.params))
+        they touch, and hold no numpy array at all: in a fresh process that
+        imports the command line, the wire, the store and the files
+        module, the client builds an index, saves and loads it, uploads,
+        and an in-process server answers SEARCH_LOC and REMOVE, and numpy
+        is never imported."""
+        got = _run_child(NETWORK_PATH_SCRIPT)
+        assert got["written"] == got["popcount"] and got["pruned"] == got["pruned_popcount"]
+        assert got["found"] and got["gone"]
+        assert not got["numpy"]
 
     def test_unknown_zone_error(self, system, server):
         with _client(server, net.ROLE_AGENT) as c:
@@ -404,6 +441,43 @@ class TestRobustness:
             assert store.table == table_before
             assert [list(b) for b in store.buffers] == buffers_before
             assert c.upload(honest) == idx.bf.popcount
+
+    def test_filter_with_a_pad_bit_set_is_malformed(self):
+        """A sparse filter has one encoding: the bits after its last
+        position are zero. At m=28854 the filter of [1, 5, 9] ends in 3 pad
+        bits; with the last one set, an UPLOAD and a REMOVE carrying it
+        each get E_MALFORMED and leave the table and every buffer
+        unchanged, and with it clear both are served."""
+        params = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64,
+                               m_override=28854)
+        sys2 = SystemFixture(params, seed=94)
+        exact = compress_positions([1, 5, 9], params.m)
+        padded = exact[:-1] + bytes([exact[-1] | 1])
+        sealed = [make_upload_packet(sys2.user([0], seed=95 + u)[1], sys2.meta(f"u{u}"), sys2.secrets.agent_public,
+                                     sys2.zone, params, Random(97 + u)).sealed for u in range(2)]
+        store = StorageBloomFilter(params, sys2.zone)
+        srv = net.NetServer({sys2.zone: store})
+        srv.start()
+        try:
+            with net.NetClient(*srv.address, net.ROLE_OWNER) as c:
+                assert c.upload(UploadPacket(sys2.zone, exact, sealed[0])) == 3
+                table_before = dict(store.table)
+                buffers_before = [list(b) for b in store.buffers]
+                remove = sys2.zone + sealed[0].handle + struct.pack(">I", len(padded)) + padded + b"\x00"
+                for call in (lambda: c.upload(UploadPacket(sys2.zone, padded, sealed[1])),
+                             lambda: c._round_trip(net.T_REMOVE, remove, net.T_REMOVE_ACK)):
+                    with pytest.raises(net.ServerError) as info:
+                        call()
+                    assert info.value.code == net.E_MALFORMED
+                    assert "pad bits" in info.value.message
+                    assert store.table == table_before
+                    assert [list(b) for b in store.buffers] == buffers_before
+                assert c.upload(UploadPacket(sys2.zone, exact, sealed[1])) == 3
+                remove = remove.replace(padded, exact)
+                assert net.NetClient._parse_count(c._round_trip(net.T_REMOVE, remove, net.T_REMOVE_ACK)) == 3
+                assert list(store.table) == [sealed[1].handle]
+        finally:
+            srv.shutdown()
 
     def test_cut_bodies_and_bad_remove_flag_are_malformed(self, system, server):
         """Every proper prefix of a valid SEARCH_LOC and REMOVE body, each
@@ -660,12 +734,7 @@ server.shutdown()
 print(json.dumps({"held": len(held) + 1, "cpu_per_idle_s": cpu, "failures": len(failures),
                   "served": served == []}))
 """
-        src = str(Path(sbfsearch.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
-                              timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        got = json.loads(proc.stdout)
+        got = _run_child(script)
         assert got["held"] <= 16 and got["served"]
         assert got["failures"] >= 1  # accept did fail for want of a descriptor
         assert got["cpu_per_idle_s"] < 0.1

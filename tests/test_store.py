@@ -780,6 +780,23 @@ class TestSnapshotFormats:
         with pytest.raises(StoreError, match=match):
             StorageBloomFilter.load(path)
 
+    def test_resealed_pad_bit_refused(self, tmp_path):
+        """A record whose positions end in a set pad bit, a second
+        encoding of its filter, is refused on load under a valid trailer:
+        at m=28854 the positions [1, 5, 9] end in 3 pad bits."""
+        params = derive_params(l=20, r=4, gamma_count=2, q=6, beta=12, tau_bits=4096, n_bits=64,
+                               m_override=28854)
+        zone = token_from_text("zone-a", params.n_bits)
+        store = StorageBloomFilter(params, zone)
+        store.ingest(_raw_packet(zone, params.m, "a", [1, 5, 9]))
+        path = tmp_path / "zone.sbf"
+        store.save(path)
+        data = bytearray(path.read_bytes())
+        data[-32 - 1] |= 1  # the record's last byte of positions, before the trailer
+        path.write_bytes(resealed(bytes(data)))
+        with pytest.raises(StoreError, match="pad bits"):
+            StorageBloomFilter.load(path)
+
     # ids name the SBFSTOR2 column edits these stand for: a buffer's
     # positions out of order, and an entry listed with nothing in it
     @pytest.mark.parametrize("edit, match", [
